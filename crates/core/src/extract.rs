@@ -15,8 +15,8 @@
 //! until every unit of flow is attributed
 //! (`tests/extraction_and_changes.rs` pins chains up to five levels).
 
-use firmament_flow::{ArcId, FlowGraph, NodeId, NodeKind};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use firmament_flow::{FlowGraph, NodeId, NodeKind};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The extracted placement for one task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +31,10 @@ pub enum Placement {
 ///
 /// Implements Listing 1 with explicit per-arc move accounting so that nodes
 /// whose machine lists fill up incrementally are revisited until all flow
-/// is accounted for. Tasks whose flow routed through an unscheduled
-/// aggregator are reported as [`Placement::Unscheduled`].
+/// is accounted for. All scratch state is dense — indexed by node or arc
+/// pair — so the pass is a few linear sweeps with no hashing. Tasks whose
+/// flow routed through an unscheduled aggregator are reported as
+/// [`Placement::Unscheduled`].
 ///
 /// The result is a `BTreeMap` keyed by task id, so iteration order — and
 /// everything derived from it, like the scheduler's action list — is
@@ -56,83 +58,139 @@ pub enum Placement {
 /// assert_eq!(placed, 4); // Fig 5: all tasks but one are scheduled
 /// ```
 pub fn extract_placements(graph: &FlowGraph) -> BTreeMap<u64, Placement> {
-    let mut mappings: BTreeMap<u64, Placement> = BTreeMap::new();
-    // Machines each node has sent flow to (with multiplicity).
-    let mut destinations: HashMap<NodeId, Vec<u64>> = HashMap::new();
-    // Machines already propagated along each arc.
-    let mut moved: HashMap<ArcId, i64> = HashMap::new();
+    let n = graph.node_bound();
+    // Each node's machine list is a stack of units threaded through one
+    // arena: `top[v]` is the last machine appended to `v`'s list, and each
+    // unit links to the one appended before it. Handing a node's last `k`
+    // machines to another node relinks them in order, without copying.
+    let mut units: Vec<Unit> = Vec::new();
+    let mut top: Vec<usize> = vec![NIL; n];
+    let mut len: Vec<usize> = vec![0; n];
+    // Machines already propagated along each arc pair, by pair index.
+    let mut moved: Vec<i64> = vec![0; graph.arc_bound() / 2];
     let mut to_visit: VecDeque<NodeId> = VecDeque::new();
-    let mut queued: Vec<bool> = vec![false; graph.node_bound()];
+    let mut queued: Vec<bool> = vec![false; n];
+    // Task nodes in node order; each defaults to unscheduled.
+    let mut tasks: Vec<(u64, NodeId)> = Vec::new();
+    // Per task node: the (1-based) order of its latest assignment, 0 while
+    // unassigned, and the machine assigned.
+    let mut assigned: Vec<(u32, u64)> = vec![(0, 0); n];
 
-    for n in graph.node_ids() {
-        match graph.kind(n) {
+    for v in graph.node_ids() {
+        match graph.kind(v) {
             NodeKind::Machine { machine } => {
                 // A machine's outgoing flow (to the sink) is the number of
                 // task units placed on it.
                 let placed: i64 = graph
-                    .adj(n)
+                    .adj(v)
                     .iter()
                     .copied()
                     .filter(|&a| a.is_forward())
                     .map(|a| graph.flow(a))
                     .sum();
                 if placed > 0 {
-                    destinations.insert(n, vec![machine; placed as usize]);
-                    to_visit.push_back(n);
-                    queued[n.index()] = true;
+                    for _ in 0..placed {
+                        units.push(Unit {
+                            machine,
+                            below: top[v.index()],
+                        });
+                        top[v.index()] = units.len() - 1;
+                    }
+                    len[v.index()] = placed as usize;
+                    to_visit.push_back(v);
+                    queued[v.index()] = true;
                 }
             }
-            NodeKind::Task { task } => {
-                // Default: unscheduled; overwritten if machines arrive.
-                mappings.insert(task, Placement::Unscheduled);
-            }
+            NodeKind::Task { task } => tasks.push((task, v)),
             _ => {}
         }
     }
 
+    let mut assignments = 0u32;
     while let Some(node) = to_visit.pop_front() {
-        queued[node.index()] = false;
-        if let NodeKind::Task { task } = graph.kind(node) {
-            if let Some(dest) = destinations.get_mut(&node) {
-                if let Some(m) = dest.pop() {
-                    mappings.insert(task, Placement::OnMachine(m));
-                }
+        let i = node.index();
+        queued[i] = false;
+        if graph.kind(node).is_task() {
+            if len[i] > 0 {
+                let unit = units[top[i]];
+                top[i] = unit.below;
+                len[i] -= 1;
+                assignments += 1;
+                assigned[i] = (assignments, unit.machine);
             }
             continue;
         }
         // Visit incoming arcs: reverse residual arcs out of `node` whose
         // sister (the forward arc into `node`) carries flow.
-        let incoming: Vec<(ArcId, NodeId, i64)> = graph
-            .adj(node)
-            .iter()
-            .copied()
-            .filter(|&a| !a.is_forward())
-            .map(|a| (a.forward(), graph.dst(a), graph.flow(a)))
-            .filter(|&(_, _, f)| f > 0)
-            .collect();
-        for (arc, source, flow) in incoming {
-            let already = moved.get(&arc).copied().unwrap_or(0);
-            let need = flow - already;
+        for &a in graph.adj(node) {
+            if len[i] == 0 {
+                break;
+            }
+            if a.is_forward() {
+                continue;
+            }
+            let pair = a.index() / 2;
+            let need = graph.flow(a) - moved[pair];
             if need <= 0 {
                 continue;
             }
-            let available = destinations.get_mut(&node);
-            let Some(avail) = available else { break };
-            let k = need.min(avail.len() as i64);
-            if k <= 0 {
-                continue;
+            let k = need.min(len[i] as i64) as usize;
+            let source = graph.dst(a).index();
+            // Move the last `k` machines of `node` onto `source`, keeping
+            // their order: the segment's first unit now sits on `source`'s
+            // previous last one.
+            let last = top[i];
+            let mut first = last;
+            for _ in 1..k {
+                first = units[first].below;
             }
-            let split_at = avail.len() - k as usize;
-            let machines: Vec<u64> = avail.split_off(split_at);
-            destinations.entry(source).or_default().extend(machines);
-            *moved.entry(arc).or_insert(0) += k;
-            if !queued[source.index()] {
-                to_visit.push_back(source);
-                queued[source.index()] = true;
+            top[i] = std::mem::replace(&mut units[first].below, top[source]);
+            top[source] = last;
+            len[i] -= k;
+            len[source] += k;
+            moved[pair] += k as i64;
+            if !queued[source] {
+                to_visit.push_back(NodeId::from_index(source));
+                queued[source] = true;
             }
         }
     }
-    mappings
+
+    // Several task nodes may carry one task id; as with inserting in
+    // visit order, the latest assignment wins (an unassigned duplicate
+    // reads as unscheduled). Sorting by (id, order) and keeping each id's
+    // last entry feeds the map already sorted, so it bulk-builds.
+    let mut entries: Vec<(u64, u32, Placement)> = tasks
+        .into_iter()
+        .map(|(task, v)| match assigned[v.index()] {
+            (0, _) => (task, 0, Placement::Unscheduled),
+            (order, m) => (task, order, Placement::OnMachine(m)),
+        })
+        .collect();
+    entries.sort_unstable_by_key(|&(task, order, _)| (task, order));
+    entries.dedup_by(|later, earlier| {
+        let same = later.0 == earlier.0;
+        if same {
+            *earlier = *later;
+        }
+        same
+    });
+    entries
+        .into_iter()
+        .map(|(task, _, placement)| (task, placement))
+        .collect()
+}
+
+/// End of a machine stack in [`extract_placements`].
+const NIL: usize = usize::MAX;
+
+/// One unit of flow on its way back from a machine to a task.
+#[derive(Clone, Copy)]
+struct Unit {
+    /// The machine the unit reached.
+    machine: u64,
+    /// The unit appended to the same node's list just before this one.
+    below: usize,
 }
 
 #[cfg(test)]
@@ -142,6 +200,7 @@ mod tests {
     use firmament_flow::testgen::{scheduling_instance, InstanceSpec};
     use firmament_flow::NodeKind;
     use firmament_mcmf::{relaxation, ssp, SolveOptions};
+    use std::collections::HashMap;
 
     #[test]
     fn figure5_extraction_matches_paper() {

@@ -67,8 +67,8 @@ pub struct SolverStats {
     /// `true` when the speculative dual race was short-circuited: the
     /// round's batch was re-price-only with no exposed violation (all cost
     /// rises on flowless arcs — the convex-ladder clock-advance shape), so
-    /// only the warm cost-scaling path ran, in O(Δ), and no relaxation
-    /// thread (or graph clone) was spawned.
+    /// only the warm cost-scaling path ran, in O(Δ), and relaxation
+    /// neither ran nor copied the graph.
     pub race_skipped: bool,
     /// Which MCMF algorithm won the speculative race — a convenience copy
     /// of [`RoundOutcome::winner`] so this struct is self-contained when
@@ -258,7 +258,8 @@ impl<C: CostModel> Firmament<C> {
         // diffing the graph against its warm state.
         let deltas = self.manager.take_deltas();
         // Hand the solver ownership of the graph: single-algorithm runs
-        // solve in place and dual runs clone once instead of twice, and
+        // and race-skipped rounds solve in place, a raced round copies it
+        // once into the solver's recycled spare for relaxation, and
         // adopting the winning flow is a move either way.
         let graph = self.manager.take_graph();
         let outcome =

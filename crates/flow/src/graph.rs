@@ -5,14 +5,15 @@
 //! residual arc `a` decrements `rescap(a)` and increments `rescap(a.sister())`
 //! without any branching on direction. Node adjacency lists hold residual
 //! arcs of both directions, so a single slice walk visits every residual arc
-//! out of a node.
+//! out of a node. Each residual arc records its position in its source's
+//! list, so removing an arc is O(1) rather than a scan of the list.
 
 use crate::changes::GraphChange;
 use crate::ids::{ArcId, NodeId};
 use crate::node::NodeKind;
 
 /// Internal node storage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct NodeSlot {
     alive: bool,
     kind: NodeKind,
@@ -23,11 +24,13 @@ struct NodeSlot {
 ///
 /// Every pair uses two consecutive slots; slot `2k` is the forward arc and
 /// `2k + 1` the reverse. `capacity` is only meaningful on the forward slot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ArcSlot {
     alive: bool,
     src: NodeId,
     dst: NodeId,
+    /// Index of this residual arc in `adj[src]` (meaningful while alive).
+    adj_pos: u32,
     /// Cost of sending one unit along this residual direction (reverse slots
     /// hold the negated forward cost).
     cost: i64,
@@ -35,6 +38,19 @@ struct ArcSlot {
     rescap: i64,
     /// Original capacity of the pair (forward slot only; 0 on reverse).
     capacity: i64,
+}
+
+impl ArcSlot {
+    /// A free slot (created dead by arena growth or `restore_arc`).
+    const DEAD: ArcSlot = ArcSlot {
+        alive: false,
+        src: NodeId(0),
+        dst: NodeId(0),
+        adj_pos: 0,
+        cost: 0,
+        rescap: 0,
+        capacity: 0,
+    };
 }
 
 /// A directed flow network with costs, capacities, and node supplies.
@@ -61,7 +77,7 @@ struct ArcSlot {
 /// assert_eq!(g.flow(tm), 1);
 /// assert_eq!(g.objective(), 5);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct FlowGraph {
     nodes: Vec<NodeSlot>,
     arcs: Vec<ArcSlot>,
@@ -73,6 +89,39 @@ pub struct FlowGraph {
     alive_arc_pairs: usize,
     track_changes: bool,
     changes: Vec<GraphChange>,
+}
+
+/// `clone_from` reuses every buffer of the target — the node and arc
+/// arenas, each adjacency list, the free lists and the change log — so a
+/// graph cloned into the same spare every round allocates only for growth.
+impl Clone for FlowGraph {
+    fn clone(&self) -> Self {
+        FlowGraph {
+            nodes: self.nodes.clone(),
+            arcs: self.arcs.clone(),
+            adj: self.adj.clone(),
+            free_nodes: self.free_nodes.clone(),
+            free_arc_pairs: self.free_arc_pairs.clone(),
+            alive_nodes: self.alive_nodes,
+            alive_arc_pairs: self.alive_arc_pairs,
+            track_changes: self.track_changes,
+            changes: self.changes.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.nodes.clone_from(&source.nodes);
+        self.arcs.clone_from(&source.arcs);
+        // `Vec::clone_from` clones element-wise into the existing inner
+        // lists, so their allocations survive.
+        self.adj.clone_from(&source.adj);
+        self.free_nodes.clone_from(&source.free_nodes);
+        self.free_arc_pairs.clone_from(&source.free_arc_pairs);
+        self.alive_nodes = source.alive_nodes;
+        self.alive_arc_pairs = source.alive_arc_pairs;
+        self.track_changes = source.track_changes;
+        self.changes.clone_from(&source.changes);
+    }
 }
 
 /// Errors returned by graph mutations.
@@ -353,55 +402,15 @@ impl FlowGraph {
             return Err(GraphError::NegativeCapacity(capacity));
         }
         let fwd = if let Some(base) = self.free_arc_pairs.pop() {
-            let fwd = ArcId(base);
-            self.arcs[fwd.index()] = ArcSlot {
-                alive: true,
-                src,
-                dst,
-                cost,
-                rescap: capacity,
-                capacity,
-            };
-            self.arcs[fwd.index() + 1] = ArcSlot {
-                alive: true,
-                src: dst,
-                dst: src,
-                cost: -cost,
-                rescap: 0,
-                capacity: 0,
-            };
-            fwd
+            ArcId(base)
         } else {
             let fwd = ArcId(self.arcs.len() as u32);
             debug_assert!(fwd.is_forward());
-            self.arcs.push(ArcSlot {
-                alive: true,
-                src,
-                dst,
-                cost,
-                rescap: capacity,
-                capacity,
-            });
-            self.arcs.push(ArcSlot {
-                alive: true,
-                src: dst,
-                dst: src,
-                cost: -cost,
-                rescap: 0,
-                capacity: 0,
-            });
+            self.arcs.push(ArcSlot::DEAD);
+            self.arcs.push(ArcSlot::DEAD);
             fwd
         };
-        self.adj[src.index()].push(fwd);
-        self.adj[dst.index()].push(fwd.sister());
-        self.alive_arc_pairs += 1;
-        self.record(GraphChange::AddArc {
-            arc: fwd,
-            src,
-            dst,
-            capacity,
-            cost,
-        });
+        self.attach_pair(fwd, src, dst, capacity, cost);
         Ok(fwd)
     }
 
@@ -431,16 +440,8 @@ impl FlowGraph {
         while self.arcs.len() <= fwd.index() + 1 {
             let base = self.arcs.len() as u32;
             debug_assert_eq!(base % 2, 0);
-            for _ in 0..2 {
-                self.arcs.push(ArcSlot {
-                    alive: false,
-                    src: NodeId(0),
-                    dst: NodeId(0),
-                    cost: 0,
-                    rescap: 0,
-                    capacity: 0,
-                });
-            }
+            self.arcs.push(ArcSlot::DEAD);
+            self.arcs.push(ArcSlot::DEAD);
             if base != fwd.0 {
                 self.free_arc_pairs.push(base);
             }
@@ -451,10 +452,19 @@ impl FlowGraph {
         if let Some(pos) = self.free_arc_pairs.iter().position(|&b| b == fwd.0) {
             self.free_arc_pairs.swap_remove(pos);
         }
+        self.attach_pair(fwd, src, dst, capacity, cost);
+        Ok(())
+    }
+
+    /// Fills the pair at `fwd` as a live, flowless `src → dst` arc, appends
+    /// both residual arcs to their sources' adjacency lists, and logs the
+    /// addition.
+    fn attach_pair(&mut self, fwd: ArcId, src: NodeId, dst: NodeId, capacity: i64, cost: i64) {
         self.arcs[fwd.index()] = ArcSlot {
             alive: true,
             src,
             dst,
+            adj_pos: self.adj[src.index()].len() as u32,
             cost,
             rescap: capacity,
             capacity,
@@ -463,6 +473,7 @@ impl FlowGraph {
             alive: true,
             src: dst,
             dst: src,
+            adj_pos: self.adj[dst.index()].len() as u32,
             cost: -cost,
             rescap: 0,
             capacity: 0,
@@ -477,7 +488,6 @@ impl FlowGraph {
             capacity,
             cost,
         });
-        Ok(())
     }
 
     /// Removes an arc pair given either of its residual arc ids.
@@ -490,8 +500,8 @@ impl FlowGraph {
         };
         self.arcs[fwd.index()].alive = false;
         self.arcs[fwd.index() + 1].alive = false;
-        self.detach(src, fwd);
-        self.detach(dst, fwd.sister());
+        self.detach(fwd);
+        self.detach(fwd.sister());
         self.alive_arc_pairs -= 1;
         self.free_arc_pairs.push(fwd.0);
         self.record(GraphChange::RemoveArc {
@@ -505,11 +515,25 @@ impl FlowGraph {
         Ok(())
     }
 
-    fn detach(&mut self, node: NodeId, arc: ArcId) {
-        let list = &mut self.adj[node.index()];
-        if let Some(pos) = list.iter().position(|&a| a == arc) {
-            list.swap_remove(pos);
+    /// Unlinks a residual arc from its source's adjacency list in O(1):
+    /// `swap_remove` at the recorded position, then re-record the position
+    /// of the arc that moved into the hole.
+    fn detach(&mut self, arc: ArcId) {
+        let slot = self.arcs[arc.index()];
+        let pos = slot.adj_pos as usize;
+        let list = &mut self.adj[slot.src.index()];
+        debug_assert_eq!(list[pos], arc, "adjacency index out of sync");
+        list.swap_remove(pos);
+        if let Some(&moved) = list.get(pos) {
+            self.arcs[moved.index()].adj_pos = pos as u32;
         }
+    }
+
+    /// Position of a live residual arc in its source's
+    /// [`adj`](Self::adj) list, as recorded by the O(1) removal index.
+    #[inline]
+    pub(crate) fn adj_position(&self, arc: ArcId) -> usize {
+        self.arcs[arc.index()].adj_pos as usize
     }
 
     /// Changes the cost of an arc pair (given either residual id).
@@ -916,5 +940,164 @@ mod tests {
         assert_eq!(g.flow(tm), 0);
         assert_eq!(g.flow(ms), 0);
         assert_eq!(g.objective(), 0);
+    }
+
+    /// The old removal: search the list, then `swap_remove` where found.
+    fn naive_detach(model: &mut [Vec<ArcId>], node: NodeId, arc: ArcId) {
+        let list = &mut model[node.index()];
+        let pos = list.iter().position(|&a| a == arc).expect("listed");
+        list.swap_remove(pos);
+    }
+
+    fn naive_remove_arc(g: &FlowGraph, model: &mut [Vec<ArcId>], fwd: ArcId) {
+        naive_detach(model, g.src(fwd), fwd);
+        naive_detach(model, g.dst(fwd), fwd.sister());
+    }
+
+    fn pick<T: Copy>(rng: &mut crate::testgen::XorShift64, items: &[T]) -> Option<T> {
+        (!items.is_empty()).then(|| items[rng.below(items.len() as u64) as usize])
+    }
+
+    /// The O(1) removal index keeps every adjacency list in exactly the
+    /// order the old search-then-`swap_remove` produced, through random
+    /// arc and node additions, removals, slot reuse and id-faithful
+    /// restores, and `validate` finds every arc at its recorded position.
+    #[test]
+    fn adjacency_order_matches_naive_model_under_random_mutations() {
+        use crate::validate::validate;
+        for seed in 0..8 {
+            let mut rng = crate::testgen::XorShift64::new(0xAD1 + seed);
+            let mut g = FlowGraph::new();
+            let mut model: Vec<Vec<ArcId>> = Vec::new();
+            for step in 0..600 {
+                let live: Vec<NodeId> = g.node_ids().collect();
+                let dead: Vec<NodeId> = (0..g.node_bound() as u32)
+                    .map(NodeId)
+                    .filter(|&n| !g.node_alive(n))
+                    .collect();
+                let arcs: Vec<ArcId> = g.arc_ids().collect();
+                let dead_pairs: Vec<ArcId> = (0..g.arc_bound() as u32)
+                    .step_by(2)
+                    .map(ArcId)
+                    .filter(|&a| !g.arc_alive(a))
+                    .collect();
+                let ends = (pick(&mut rng, &live), pick(&mut rng, &live));
+                match rng.below(12) {
+                    0..=1 => {
+                        let n = g.add_node(NodeKind::Other { tag: step }, 0);
+                        model.resize(g.node_bound(), Vec::new());
+                        assert!(model[n.index()].is_empty());
+                    }
+                    2..=5 => {
+                        if let (Some(s), Some(d)) = ends {
+                            if s != d {
+                                let a = g.add_arc(s, d, 3, 1).unwrap();
+                                model[s.index()].push(a);
+                                model[d.index()].push(a.sister());
+                            }
+                        }
+                    }
+                    6..=7 => {
+                        if let Some(a) = pick(&mut rng, &arcs) {
+                            naive_remove_arc(&g, &mut model, a);
+                            g.remove_arc(a).unwrap();
+                        }
+                    }
+                    8 => {
+                        if let Some(n) = ends.0 {
+                            // `remove_node` strips incident arcs in list
+                            // order.
+                            for a in model[n.index()].clone() {
+                                naive_remove_arc(&g, &mut model, a.forward());
+                            }
+                            g.remove_node(n).unwrap();
+                        }
+                    }
+                    9 => {
+                        let n = pick(&mut rng, &dead)
+                            .unwrap_or(NodeId(g.node_bound() as u32 + rng.below(3) as u32));
+                        g.restore_node(n, NodeKind::Other { tag: step }, 0).unwrap();
+                        model.resize(g.node_bound(), Vec::new());
+                        assert!(model[n.index()].is_empty());
+                    }
+                    _ => {
+                        if let (Some(s), Some(d)) = ends {
+                            if s != d {
+                                let a = pick(&mut rng, &dead_pairs).unwrap_or(ArcId(
+                                    g.arc_bound() as u32 + 2 * rng.below(3) as u32,
+                                ));
+                                g.restore_arc(a, s, d, 2, 4).unwrap();
+                                model[s.index()].push(a);
+                                model[d.index()].push(a.sister());
+                            }
+                        }
+                    }
+                }
+                assert_eq!(model.len(), g.node_bound(), "seed {seed} step {step}");
+                for (i, list) in model.iter().enumerate() {
+                    assert_eq!(
+                        g.adj(NodeId(i as u32)),
+                        &list[..],
+                        "seed {seed} step {step} node {i}"
+                    );
+                }
+                assert_eq!(validate(&g), vec![], "seed {seed} step {step}");
+            }
+        }
+    }
+
+    /// `clone_from` into a spare that held a larger, different graph is
+    /// indistinguishable from `clone`: same state (free lists and change
+    /// log included), flows and adjacency order, and the next allocations
+    /// return the same ids.
+    #[test]
+    fn clone_from_a_larger_spare_matches_clone() {
+        let mut spare = FlowGraph::new();
+        let big: Vec<NodeId> = (0..40)
+            .map(|i| spare.add_node(NodeKind::Machine { machine: i }, i as i64))
+            .collect();
+        for w in big.windows(3) {
+            let a = spare.add_arc(w[0], w[2], 5, 2).unwrap();
+            spare.push_flow(a, 3);
+            spare.add_arc(w[1], w[0], 1, 9).unwrap();
+        }
+
+        let (mut src, t, m, s, tm, ms) = tiny();
+        src.set_change_tracking(true);
+        let x = src.add_node(NodeKind::ClusterAggregator, 0);
+        let tx = src.add_arc(t, x, 1, 1).unwrap();
+        let xm = src.add_arc(x, m, 1, 1).unwrap();
+        src.push_flow(ms, 1);
+        src.push_flow(tm, 1);
+        src.remove_arc(tx).unwrap();
+        let u = src.add_node(NodeKind::UnscheduledAggregator { job: 0 }, 0);
+        src.add_arc(u, s, 4, 0).unwrap();
+        src.remove_node(u).unwrap();
+        assert!(!src.pending_changes().is_empty());
+
+        let fresh = src.clone();
+        spare.clone_from(&src);
+        for g in [&fresh, &spare] {
+            assert_eq!(format!("{g:?}"), format!("{src:?}"));
+            assert_eq!(g.node_bound(), src.node_bound());
+            assert_eq!(g.arc_bound(), src.arc_bound());
+            for n in src.node_ids() {
+                assert_eq!(g.adj(n), src.adj(n));
+            }
+            for a in src.arc_ids() {
+                assert_eq!(g.flow(a), src.flow(a));
+            }
+            assert_eq!(crate::validate::validate(g), vec![]);
+        }
+        let mut fresh = fresh;
+        for g in [&mut fresh, &mut spare] {
+            let n = g.add_node(NodeKind::Task { task: 5 }, 1);
+            let a = g.add_arc(n, x, 1, 3).unwrap();
+            let b = g.add_arc(x, s, 1, 0).unwrap();
+            g.remove_arc(xm).unwrap();
+            assert_eq!((n, a, b), (NodeId(4), tx, ArcId(8)));
+        }
+        assert_eq!(format!("{fresh:?}"), format!("{spare:?}"));
+        assert_eq!(fresh.take_changes(), spare.take_changes());
     }
 }

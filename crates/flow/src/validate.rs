@@ -36,6 +36,13 @@ pub enum Violation {
         /// `Σ b(i)` over all nodes (should be 0).
         total: i64,
     },
+    /// A residual arc is not listed exactly once in its source's
+    /// adjacency, at the position its removal index records (or a dead
+    /// arc is still listed somewhere).
+    AdjacencyIndex {
+        /// Raw residual-arc index.
+        arc: usize,
+    },
 }
 
 impl std::fmt::Display for Violation {
@@ -52,16 +59,36 @@ impl std::fmt::Display for Violation {
             Violation::SupplyImbalance { total } => {
                 write!(f, "total supply {total} != 0")
             }
+            Violation::AdjacencyIndex { arc } => {
+                write!(f, "arc #{arc}: adjacency entry out of sync with its index")
+            }
         }
     }
 }
 
 /// Checks structural invariants: arcs reference live nodes, residual
-/// capacities are non-negative and pair-consistent.
+/// capacities are non-negative and pair-consistent, and every live
+/// residual arc sits exactly once in its source's adjacency, at its
+/// recorded position.
 pub fn validate(graph: &FlowGraph) -> Vec<Violation> {
     let mut out = Vec::new();
+    // Every listed entry is a live arc out of this node at its recorded
+    // position — so no arc is listed twice or under the wrong node.
+    for n in (0..graph.node_bound()).map(|i| NodeId(i as u32)) {
+        for (pos, &a) in graph.adj(n).iter().enumerate() {
+            if !graph.arc_alive(a) || graph.src(a) != n || graph.adj_position(a) != pos {
+                out.push(Violation::AdjacencyIndex { arc: a.index() });
+            }
+        }
+    }
     for a in graph.arc_ids() {
         let i = a.index();
+        // ...and every live residual arc is listed where it says it is.
+        for r in [a, a.sister()] {
+            if graph.adj(graph.src(r)).get(graph.adj_position(r)) != Some(&r) {
+                out.push(Violation::AdjacencyIndex { arc: r.index() });
+            }
+        }
         if !graph.node_alive(graph.src(a)) || !graph.node_alive(graph.dst(a)) {
             out.push(Violation::DanglingArc { arc: i });
         }

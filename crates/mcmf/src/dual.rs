@@ -8,9 +8,16 @@
 //! single-threaded — and avoids a brittle choice heuristic that would
 //! depend on both scheduling policy and cluster utilization.
 //!
-//! After each round the loser is cancelled cooperatively; if relaxation
-//! won, its solution is handed to incremental cost scaling through price
-//! refine (§6.2) so the *next* incremental run can warm-start.
+//! Relaxation runs on the calling thread and cost scaling on one spawned
+//! thread; whichever *succeeds* first cancels the other cooperatively, and
+//! there is no third, coordinating thread. If relaxation won, its solution
+//! is handed to incremental cost scaling through price refine (§6.2) so the
+//! *next* incremental run can warm-start.
+//!
+//! Relaxation solves a copy of the round's graph. The copy is made with
+//! `clone_from` into a spare graph the solver keeps between rounds, and the
+//! losing racer's graph becomes the next round's spare, so a raced round
+//! copies the graph without allocating it anew.
 
 use crate::common::{AlgorithmKind, CancelToken, Solution, SolveError, SolveOptions};
 use crate::incremental::{IncrementalConfig, IncrementalCostScaling};
@@ -71,8 +78,9 @@ pub struct DualOutcome {
     /// `true` when a configured dual race was short-circuited because the
     /// round's delta batch was re-price-only and provably quiescent (no
     /// exposed reduced-cost violation): the warm cost-scaling path ran
-    /// alone in O(Δ) and no relaxation thread was spawned. Always `false`
-    /// for single-algorithm configurations (nothing was skipped).
+    /// alone in O(Δ), and relaxation neither ran nor copied the graph.
+    /// Always `false` for single-algorithm configurations (nothing was
+    /// skipped).
     pub race_skipped: bool,
 }
 
@@ -89,6 +97,9 @@ pub struct DualOutcome {
 pub struct DualSolver {
     config: DualConfig,
     incremental: IncrementalCostScaling,
+    /// The previous race's losing graph, reused as the buffer for the next
+    /// race's relaxation copy.
+    spare: FlowGraph,
 }
 
 impl Default for DualSolver {
@@ -104,6 +115,7 @@ impl DualSolver {
         DualSolver {
             config,
             incremental,
+            spare: FlowGraph::new(),
         }
     }
 
@@ -128,10 +140,11 @@ impl DualSolver {
     }
 
     /// Like [`solve`](Self::solve), but takes ownership of the graph:
-    /// single-algorithm configurations solve fully in place (zero copies)
-    /// and the dual race clones once instead of twice. On failure the
-    /// graph is handed back (possibly with partial flow) so the caller can
-    /// restore its state.
+    /// single-algorithm configurations and race-skipped rounds solve fully
+    /// in place (zero copies); the dual race solves cost scaling in place
+    /// and copies the graph once, into the solver's recycled spare, for
+    /// relaxation. On failure the graph is handed back (possibly with
+    /// partial flow) so the caller can restore its state.
     #[allow(clippy::result_large_err)] // the Err graph is the point: ownership returns on failure
     pub fn solve_owned(
         &mut self,
@@ -221,65 +234,30 @@ impl DualSolver {
         let mut cs_opts = opts.clone();
         cs_opts.cancel = Some(cancel_cs.clone());
 
-        let relax_cfg = self.config.relaxation.clone();
+        let mut g_relax = std::mem::take(&mut self.spare);
+        g_relax.clone_from(&graph);
+        let relax_cfg = &self.config.relaxation;
         let incremental = &mut self.incremental;
 
+        // Each racer cancels the other only if it actually produced a
+        // solution: a failed finisher (e.g. a spurious infeasibility from a
+        // warm start) must not abort the algorithm that can still succeed.
+        // The inner loops check their token every 256 iterations.
         let (relax_result, cs_result) = std::thread::scope(|scope| {
-            let mut g_relax = graph.clone();
             let mut g_cs = graph;
-            let relax_handle = scope.spawn(move || {
-                let r = relaxation::solve_with(&mut g_relax, &relax_opts, &relax_cfg);
-                (r, g_relax)
-            });
             let cs_handle = scope.spawn(move || {
                 let r = incremental.solve_with_deltas(&mut g_cs, deltas, &cs_opts);
+                if r.is_ok() {
+                    cancel_relax.cancel();
+                }
                 (r, g_cs)
             });
-            // Whichever thread finishes first cancels the other — but only
-            // if it actually produced a solution: a failed finisher (e.g.
-            // a spurious infeasibility from a warm start) must not abort
-            // the algorithm that can still succeed. We poll with
-            // `is_finished`; the inner loops check their token every 256
-            // iterations.
-            let mut relax_done: Option<(Result<Solution, SolveError>, FlowGraph)> = None;
-            let mut cs_done: Option<(Result<Solution, SolveError>, FlowGraph)> = None;
-            let mut relax_handle = Some(relax_handle);
-            let mut cs_handle = Some(cs_handle);
-            loop {
-                if relax_done.is_none()
-                    && relax_handle
-                        .as_ref()
-                        .map(|h| h.is_finished())
-                        .unwrap_or(false)
-                {
-                    let r = relax_handle
-                        .take()
-                        .unwrap()
-                        .join()
-                        .expect("relaxation thread");
-                    if r.0.is_ok() {
-                        cancel_cs.cancel();
-                    }
-                    relax_done = Some(r);
-                }
-                if cs_done.is_none() && cs_handle.as_ref().map(|h| h.is_finished()).unwrap_or(false)
-                {
-                    let r = cs_handle
-                        .take()
-                        .unwrap()
-                        .join()
-                        .expect("cost-scaling thread");
-                    if r.0.is_ok() {
-                        cancel_relax.cancel();
-                    }
-                    cs_done = Some(r);
-                }
-                if relax_done.is_some() && cs_done.is_some() {
-                    break;
-                }
-                std::thread::yield_now();
+            let r = relaxation::solve_with(&mut g_relax, &relax_opts, relax_cfg);
+            if r.is_ok() {
+                cancel_cs.cancel();
             }
-            (relax_done.unwrap(), cs_done.unwrap())
+            let cs = cs_handle.join().expect("cost-scaling thread");
+            ((r, g_relax), cs)
         });
 
         // Prefer whichever produced a real (non-cancelled) solution; if
@@ -288,49 +266,42 @@ impl DualSolver {
             (Ok(cs), _) => Some(cs.stats.clone()),
             _ => None,
         };
-        let outcome = match (relax_result, cs_result) {
+        // The losing graph becomes the next race's spare.
+        let (solution, graph) = match (relax_result, cs_result) {
             ((Ok(rs), rg), (Ok(cs), cg)) => {
                 if rs.runtime <= cs.runtime {
-                    DualOutcome {
-                        winner: rs.algorithm,
-                        solution: rs,
-                        graph: rg,
-                        cs_stats,
-                        race_skipped: false,
-                    }
+                    self.spare = cg;
+                    (rs, rg)
                 } else {
-                    DualOutcome {
-                        winner: cs.algorithm,
-                        solution: cs,
-                        graph: cg,
-                        cs_stats,
-                        race_skipped: false,
-                    }
+                    self.spare = rg;
+                    (cs, cg)
                 }
             }
-            ((Ok(rs), rg), (Err(_), _)) => DualOutcome {
-                winner: rs.algorithm,
-                solution: rs,
-                graph: rg,
-                cs_stats,
-                race_skipped: false,
-            },
-            ((Err(_), _), (Ok(cs), cg)) => DualOutcome {
-                winner: cs.algorithm,
-                solution: cs,
-                graph: cg,
-                cs_stats,
-                race_skipped: false,
-            },
-            ((Err(re), _), (Err(ce), cg)) => {
+            ((Ok(rs), rg), (Err(_), cg)) => {
+                self.spare = cg;
+                (rs, rg)
+            }
+            ((Err(_), rg), (Ok(cs), cg)) => {
+                self.spare = rg;
+                (cs, cg)
+            }
+            ((Err(re), rg), (Err(ce), cg)) => {
                 // Both failed: propagate the more informative error and
                 // hand a graph back so the caller can restore its state.
+                self.spare = rg;
                 let err = match (&re, &ce) {
                     (SolveError::Cancelled, e) => e.clone(),
                     (e, _) => e.clone(),
                 };
                 return Err((err, cg));
             }
+        };
+        let outcome = DualOutcome {
+            winner: solution.algorithm,
+            solution,
+            graph,
+            cs_stats,
+            race_skipped: false,
         };
 
         // Handoff (§6.2): make sure the incremental solver can warm-start
@@ -432,6 +403,38 @@ mod tests {
             let a = arcs[(round * 7 + 3) % arcs.len()];
             let c = inst.graph.cost(a);
             inst.graph.set_arc_cost(a, (c + 13) % 97 + 1).unwrap();
+        }
+    }
+
+    /// A raced round copies its graph into the previous race's losing
+    /// graph. Shrinking the graph between rounds leaves that spare larger
+    /// than the next input; the race must still solve exactly the input.
+    #[test]
+    fn raced_rounds_reuse_a_larger_spare() {
+        let mut inst = scheduling_instance(6, &InstanceSpec::default());
+        let mut solver = DualSolver::default();
+        for round in 0..4 {
+            let shape = (inst.graph.node_count(), inst.graph.arc_count());
+            let out = solver
+                .solve_owned(inst.graph, &SolveOptions::unlimited())
+                .unwrap();
+            assert!(!out.race_skipped, "round {round}");
+            assert_eq!((out.graph.node_count(), out.graph.arc_count()), shape);
+            assert!(firmament_flow::validate::validate(&out.graph).is_empty());
+            assert!(is_optimal(&out.graph), "round {round}");
+            let mut scratch = out.graph.clone();
+            let cold =
+                crate::cost_scaling::solve(&mut scratch, &SolveOptions::unlimited()).unwrap();
+            assert_eq!(out.solution.objective, cold.objective, "round {round}");
+            inst.graph = out.graph;
+            // Retire five tasks (drained, as the manager does) so the next
+            // input is smaller than the spare.
+            for t in inst.tasks.drain(..5) {
+                crate::incremental::drain_task_flow(&mut inst.graph, t);
+                inst.graph.remove_node(t).unwrap();
+                let d = inst.graph.supply(inst.sink);
+                inst.graph.set_supply(inst.sink, d + 1).unwrap();
+            }
         }
     }
 

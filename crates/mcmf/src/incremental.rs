@@ -48,7 +48,7 @@ use crate::common::{AlgorithmKind, Budget, Solution, SolveError, SolveOptions, S
 use crate::cost_scaling::{run_phases, CostScalingConfig, CostScalingState, RefineStop};
 use crate::price_refine::price_refine;
 use firmament_flow::delta::{DeltaBatch, GraphDelta};
-use firmament_flow::{ArcId, FlowGraph, NodeId};
+use firmament_flow::{ArcId, FlowGraph, NodeId, NodeKind};
 use std::collections::VecDeque;
 
 /// Configuration for incremental cost scaling.
@@ -764,12 +764,16 @@ pub fn drain_task_flow(graph: &mut FlowGraph, task: NodeId) -> i64 {
                     path.push(a);
                     u = graph.dst(a);
                     steps += 1;
-                    if graph
-                        .adj(u)
-                        .iter()
-                        .all(|&b| !(b.is_forward() && graph.src(b) == u && graph.flow(b) > 0))
+                    // The sink ends every path; checking it by kind skips a
+                    // scan of its whole adjacency (every machine and
+                    // unscheduled aggregator) per drained task.
+                    if graph.kind(u) == NodeKind::Sink
+                        || graph
+                            .adj(u)
+                            .iter()
+                            .all(|&b| !(b.is_forward() && graph.src(b) == u && graph.flow(b) > 0))
                     {
-                        // Reached a node with no outgoing flow: the sink.
+                        // Reached a node with no outgoing flow.
                         break;
                     }
                     if steps > limit {
@@ -1333,6 +1337,55 @@ mod tests {
             "drain left imbalance: {:?}",
             e.iter().filter(|&&x| x != 0).collect::<Vec<_>>()
         );
+    }
+
+    /// The walk stops at the sink by kind: on a sink with over a thousand
+    /// in-arcs the drained count, the path (the nodes noted for the
+    /// solver's delta feed) and the resulting flows are exactly those of a
+    /// walk that scans the sink's adjacency.
+    #[test]
+    fn drain_stops_at_a_wide_sink() {
+        let mut g = FlowGraph::new();
+        g.set_change_tracking(true);
+        let busy = 1_200usize;
+        let t = g.add_node(NodeKind::Task { task: 0 }, 1);
+        let x = g.add_node(NodeKind::ClusterAggregator, 0);
+        let sink = g.add_node(NodeKind::Sink, -(busy as i64 + 1));
+        let tx = g.add_arc(t, x, 1, 1).unwrap();
+        let mut machine_arcs = Vec::new();
+        for m in 0..busy {
+            let mn = g.add_node(NodeKind::Machine { machine: m as u64 }, 0);
+            let other = g.add_node(NodeKind::Task { task: 1 + m as u64 }, 1);
+            let om = g.add_arc(other, mn, 1, 0).unwrap();
+            let ms = g.add_arc(mn, sink, 2, 0).unwrap();
+            g.push_flow(om, 1);
+            g.push_flow(ms, 1);
+            machine_arcs.push((mn, ms));
+        }
+        let (m0, m0s) = machine_arcs[busy / 2];
+        let xm = g.add_arc(x, m0, 1, 0).unwrap();
+        for a in [tx, xm, m0s] {
+            g.push_flow(a, 1);
+        }
+        assert!(g.adj(sink).len() >= 1_000);
+        let before: Vec<(ArcId, i64)> = g.arc_ids().map(|a| (a, g.flow(a))).collect();
+        g.take_changes();
+
+        assert_eq!(drain_task_flow(&mut g, t), 1);
+        let noted: Vec<NodeId> = g
+            .take_changes()
+            .into_iter()
+            .map(|c| match c {
+                firmament_flow::GraphChange::FlowDisturbed { node } => node,
+                other => panic!("drain only notes disturbances, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(noted, vec![t, x, m0, sink], "path t → x → m → sink");
+        for (a, f) in before {
+            let expected = if [tx, xm, m0s].contains(&a) { f - 1 } else { f };
+            assert_eq!(g.flow(a), expected, "arc {a}");
+        }
+        assert_eq!(drain_task_flow(&mut g, t), 0, "nothing left to drain");
     }
 
     #[test]

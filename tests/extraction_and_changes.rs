@@ -1,6 +1,7 @@
 //! Integration tests spanning flow, mcmf, and core: placement extraction
-//! agrees with the flow for every solver, and the Table 3 change analysis
-//! predicts incremental-solver behaviour.
+//! agrees with the flow for every solver and, placement for placement, with
+//! a reference copy of the original HashMap-based Listing 1 pass; and the
+//! Table 3 change analysis predicts incremental-solver behaviour.
 //!
 //! Property-style cases derive their parameters from the workspace's own
 //! deterministic generator (`XorShift64`), so failures reproduce exactly.
@@ -8,7 +9,11 @@
 use firmament::core::{extract_placements, Placement};
 use firmament::flow::changes::{arc_change_effect, ArcChangeAnalysis, ReoptEffect};
 use firmament::flow::testgen::{scheduling_instance, InstanceSpec, XorShift64};
+use firmament::flow::{ArcId, FlowGraph, NodeId, NodeKind};
 use firmament::mcmf::{cost_scaling, relaxation, ssp, verify, SolveOptions};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+
+mod common;
 
 #[test]
 fn extraction_identical_across_solvers() {
@@ -226,4 +231,241 @@ fn prop_extraction_matches_flow() {
             .sum();
         assert_eq!(placed, machine_outflow, "case {case} (seed {seed})");
     }
+}
+
+// ----------------------------------------------------------------------
+// Extraction oracle: the dense extraction must return exactly the map the
+// original HashMap-based pass returns, including its visit order (which
+// machine each task pops) and its last-write-wins handling of task ids
+// shared by several nodes.
+// ----------------------------------------------------------------------
+
+/// The original Listing 1 pass, kept verbatim as the oracle.
+fn reference_extract_placements(graph: &FlowGraph) -> BTreeMap<u64, Placement> {
+    let mut mappings: BTreeMap<u64, Placement> = BTreeMap::new();
+    // Machines each node has sent flow to (with multiplicity).
+    let mut destinations: HashMap<NodeId, Vec<u64>> = HashMap::new();
+    // Machines already propagated along each arc.
+    let mut moved: HashMap<ArcId, i64> = HashMap::new();
+    let mut to_visit: VecDeque<NodeId> = VecDeque::new();
+    let mut queued: Vec<bool> = vec![false; graph.node_bound()];
+
+    for n in graph.node_ids() {
+        match graph.kind(n) {
+            NodeKind::Machine { machine } => {
+                // A machine's outgoing flow (to the sink) is the number of
+                // task units placed on it.
+                let placed: i64 = graph
+                    .adj(n)
+                    .iter()
+                    .copied()
+                    .filter(|&a| a.is_forward())
+                    .map(|a| graph.flow(a))
+                    .sum();
+                if placed > 0 {
+                    destinations.insert(n, vec![machine; placed as usize]);
+                    to_visit.push_back(n);
+                    queued[n.index()] = true;
+                }
+            }
+            NodeKind::Task { task } => {
+                // Default: unscheduled; overwritten if machines arrive.
+                mappings.insert(task, Placement::Unscheduled);
+            }
+            _ => {}
+        }
+    }
+
+    while let Some(node) = to_visit.pop_front() {
+        queued[node.index()] = false;
+        if let NodeKind::Task { task } = graph.kind(node) {
+            if let Some(dest) = destinations.get_mut(&node) {
+                if let Some(m) = dest.pop() {
+                    mappings.insert(task, Placement::OnMachine(m));
+                }
+            }
+            continue;
+        }
+        // Visit incoming arcs: reverse residual arcs out of `node` whose
+        // sister (the forward arc into `node`) carries flow.
+        let incoming: Vec<(ArcId, NodeId, i64)> = graph
+            .adj(node)
+            .iter()
+            .copied()
+            .filter(|&a| !a.is_forward())
+            .map(|a| (a.forward(), graph.dst(a), graph.flow(a)))
+            .filter(|&(_, _, f)| f > 0)
+            .collect();
+        for (arc, source, flow) in incoming {
+            let already = moved.get(&arc).copied().unwrap_or(0);
+            let need = flow - already;
+            if need <= 0 {
+                continue;
+            }
+            let available = destinations.get_mut(&node);
+            let Some(avail) = available else { break };
+            let k = need.min(avail.len() as i64);
+            if k <= 0 {
+                continue;
+            }
+            let split_at = avail.len() - k as usize;
+            let machines: Vec<u64> = avail.split_off(split_at);
+            destinations.entry(source).or_default().extend(machines);
+            *moved.entry(arc).or_insert(0) += k;
+            if !queued[source.index()] {
+                to_visit.push_back(source);
+                queued[source.index()] = true;
+            }
+        }
+    }
+    mappings
+}
+
+fn assert_extraction_matches_reference(graph: &FlowGraph, what: &str) {
+    assert_eq!(
+        extract_placements(graph),
+        reference_extract_placements(graph),
+        "{what}"
+    );
+}
+
+/// Seeded scheduling instances: unsolved, solved by each solver, and with
+/// arbitrary (even infeasible) flows, so every branch of the propagation —
+/// partial moves, exhausted lists, revisited nodes — is compared.
+#[test]
+fn extraction_matches_reference_on_generated_instances() {
+    for seed in 0..12u64 {
+        let spec = InstanceSpec {
+            tasks: 40 + (seed as usize % 4) * 10,
+            machines: 8 + seed as usize % 5,
+            slots_per_machine: 1 + (seed as i64 % 4),
+            cluster_aggregator: seed % 2 == 0,
+            ..InstanceSpec::default()
+        };
+        let inst = scheduling_instance(seed, &spec);
+        assert_extraction_matches_reference(&inst.graph, &format!("seed {seed} unsolved"));
+        for (name, solve) in [
+            ("ssp", ssp::solve as fn(&mut FlowGraph, &SolveOptions) -> _),
+            ("relaxation", relaxation::solve),
+            ("cost_scaling", cost_scaling::solve),
+        ] {
+            let mut g = inst.graph.clone();
+            solve(&mut g, &SolveOptions::unlimited()).unwrap();
+            assert_extraction_matches_reference(&g, &format!("seed {seed} {name}"));
+        }
+        let mut rng = XorShift64::new(0xF10 + seed);
+        let mut g = inst.graph.clone();
+        let arcs: Vec<ArcId> = g.arc_ids().collect();
+        for a in arcs {
+            if rng.below(3) > 0 {
+                let f = rng.below(g.capacity(a) as u64 + 1) as i64;
+                g.set_flow(a, f);
+            }
+        }
+        assert_extraction_matches_reference(&g, &format!("seed {seed} random flow"));
+    }
+}
+
+/// The multi-level aggregator chains of
+/// `extraction_decomposes_through_arbitrary_aggregator_depth`.
+#[test]
+fn extraction_matches_reference_on_aggregator_chains() {
+    for depth in [1usize, 2, 3, 5] {
+        for (tasks, machines) in [(12, 4), (30, 7), (5, 9)] {
+            let g = deep_chain(tasks, machines, depth);
+            assert_extraction_matches_reference(
+                &g,
+                &format!("depth {depth}, {tasks} tasks, {machines} machines"),
+            );
+        }
+    }
+}
+
+/// Two task nodes sharing one task id: the later assignment wins, and an
+/// unassigned duplicate never masks an assigned one.
+#[test]
+fn extraction_matches_reference_on_shared_task_ids() {
+    for placed_mask in 0..4u8 {
+        let mut g = FlowGraph::new();
+        let t0 = g.add_node(NodeKind::Task { task: 7 }, 1);
+        let t1 = g.add_node(NodeKind::Task { task: 7 }, 1);
+        let t2 = g.add_node(NodeKind::Task { task: 3 }, 1);
+        let m0 = g.add_node(NodeKind::Machine { machine: 0 }, 0);
+        let m1 = g.add_node(NodeKind::Machine { machine: 1 }, 0);
+        let s = g.add_node(NodeKind::Sink, -3);
+        for (bit, t, m) in [(1u8, t0, m1), (2, t1, m0)] {
+            let tm = g.add_arc(t, m, 1, 0).unwrap();
+            if placed_mask & bit != 0 {
+                g.push_flow(tm, 1);
+            }
+        }
+        g.add_arc(t2, m0, 1, 0).unwrap();
+        for (bit, m) in [(1u8, m1), (2, m0)] {
+            let ms = g.add_arc(m, s, 2, 0).unwrap();
+            if placed_mask & bit != 0 {
+                g.push_flow(ms, 1);
+            }
+        }
+        assert_extraction_matches_reference(&g, &format!("mask {placed_mask}"));
+    }
+}
+
+/// Drives a 30-round `Firmament` run — arrivals, completions of running
+/// tasks and clock ticks — and compares both extractions on the graph left
+/// by every `schedule`.
+fn assert_reference_extraction_over_rounds<C: firmament::policies::CostModel>(
+    model: C,
+    what: &str,
+) {
+    use firmament::cluster::ClusterEvent;
+    use firmament::core::Firmament;
+    let mut state = common::cluster(24, 4, 6);
+    let mut f = Firmament::new(model);
+    common::register(&state, &mut f);
+    let mut rng = XorShift64::new(0x5CED);
+    let (mut completed, mut placed) = (0, 0);
+    for round in 0..30u64 {
+        let mut running: Vec<u64> = state.running_tasks().map(|t| t.id).collect();
+        running.sort_unstable();
+        for task in running {
+            if rng.below(5) == 0 {
+                let ev = ClusterEvent::TaskCompleted {
+                    task,
+                    now: state.now,
+                };
+                state.apply(&ev);
+                f.handle_event(&state, &ev).unwrap();
+                completed += 1;
+            }
+        }
+        common::submit(&mut state, &mut f, round, 1 + rng.below(12) as usize);
+        let ev = ClusterEvent::Tick {
+            now: state.now + 1_000_000,
+        };
+        state.apply(&ev);
+        f.handle_event(&state, &ev).unwrap();
+        let out = f.schedule(&state).unwrap();
+        assert_extraction_matches_reference(f.graph(), &format!("{what} round {round}"));
+        placed = placed.max(out.placed_tasks);
+        common::apply(&mut state, &mut f, &out.actions);
+    }
+    assert!(completed > 100 && placed > 20, "{what}: the run must churn");
+}
+
+#[test]
+fn extraction_matches_reference_over_quincy_rounds() {
+    use firmament::policies::{QuincyConfig, QuincyCostModel};
+    assert_reference_extraction_over_rounds(
+        QuincyCostModel::new(QuincyConfig::default()),
+        "quincy",
+    );
+}
+
+#[test]
+fn extraction_matches_reference_over_bucketed_hierarchy_rounds() {
+    use firmament::policies::HierarchicalTopologyCostModel;
+    assert_reference_extraction_over_rounds(
+        HierarchicalTopologyCostModel::bucketed(),
+        "bucketed hierarchy",
+    );
 }
