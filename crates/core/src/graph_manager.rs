@@ -34,11 +34,107 @@
 //! bookkeeping below is written once instead of once per policy.
 
 use firmament_cluster::{ClusterEvent, ClusterState, JobId, MachineId, TaskId, Time};
-use firmament_flow::delta::DeltaBatch;
+use firmament_flow::delta::{DeltaBatch, DeltaCompactor};
 use firmament_flow::{ArcId, FlowGraph, NodeId, NodeKind};
 use firmament_mcmf::incremental::drain_task_flow;
 use firmament_policies::{AggregateId, ArcBundle, ArcSpec, ArcTarget, CostModel, PolicyError};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+/// A task's handles in the flow network: its node and its arc to its
+/// job's unscheduled aggregator `U_j` (the arc that carries the
+/// wait-scaled unscheduled cost, and the preemption arc once it runs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskEntry {
+    /// The task node `T`.
+    pub node: NodeId,
+    /// The `T → U_j` arc (forward id). Alive for as long as the task is in
+    /// the graph: `U_j` outlives its job's last task, and every arc rewire
+    /// keeps the arc into `U_j`.
+    pub unsched_arc: ArcId,
+}
+
+/// The task table: every task's [`TaskEntry`], kept sorted by `TaskId` in
+/// one contiguous buffer. Lookups binary-search it and a clock advance
+/// walks it in order. Task ids mostly arrive in ascending order, so an
+/// insert is usually a push; a removal leaves a tombstone, and the buffer
+/// is compacted once tombstones outnumber live entries (amortized O(1)).
+/// A single buffer, rather than a tree of small nodes, also keeps the
+/// table's allocations from interleaving with the flow graph's per-node
+/// adjacency lists, which slows the solvers' graph walks.
+#[derive(Debug, Clone, Default)]
+pub struct TaskTable {
+    /// Sorted by id; `None` marks a removed task.
+    entries: Vec<(TaskId, Option<TaskEntry>)>,
+    /// Number of `Some` entries.
+    live: usize,
+}
+
+impl TaskTable {
+    fn position(&self, task: TaskId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&task, |&(t, _)| t)
+    }
+
+    /// The entry for `task`, if present.
+    pub fn get(&self, task: TaskId) -> Option<TaskEntry> {
+        self.position(task).ok().and_then(|i| self.entries[i].1)
+    }
+
+    /// `true` if `task` has an entry.
+    pub fn contains(&self, task: TaskId) -> bool {
+        self.get(task).is_some()
+    }
+
+    /// Sets the entry for `task`, returning the one it replaces.
+    pub fn insert(&mut self, task: TaskId, entry: TaskEntry) -> Option<TaskEntry> {
+        match self.position(task) {
+            Ok(i) => {
+                let old = self.entries[i].1.replace(entry);
+                self.live += usize::from(old.is_none());
+                old
+            }
+            Err(i) => {
+                self.entries.insert(i, (task, Some(entry)));
+                self.live += 1;
+                None
+            }
+        }
+    }
+
+    /// Removes and returns the entry for `task`.
+    pub fn remove(&mut self, task: TaskId) -> Option<TaskEntry> {
+        let i = self.position(task).ok()?;
+        let old = self.entries[i].1.take()?;
+        self.live -= 1;
+        if self.entries.len() - self.live > self.live {
+            self.entries.retain(|e| e.1.is_some());
+        }
+        Some(old)
+    }
+
+    /// Number of tasks in the table.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// `true` if the table holds no task.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// The entries in `TaskId` order.
+    pub fn iter(&self) -> impl Iterator<Item = (TaskId, TaskEntry)> + '_ {
+        self.entries.iter().filter_map(|&(t, e)| Some((t, e?)))
+    }
+}
+
+/// Tables are equal when they hold the same entries, tombstones aside.
+impl PartialEq for TaskTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for TaskTable {}
 
 /// Node bookkeeping shared by every policy: the sink, per-task and
 /// per-machine nodes, per-job unscheduled aggregators, and the arcs whose
@@ -49,8 +145,10 @@ pub struct GraphBase {
     pub graph: FlowGraph,
     /// The sink node `S`.
     pub sink: Option<NodeId>,
-    /// Task → node.
-    pub task_nodes: HashMap<TaskId, NodeId>,
+    /// The task table, in `TaskId` order: each task's node and unscheduled
+    /// arc. A clock advance walks it in order to re-price every task
+    /// without a lookup per task.
+    pub task_table: TaskTable,
     /// Machine → node.
     pub machine_nodes: HashMap<MachineId, NodeId>,
     /// Machine → its arc to the sink (capacity = slots).
@@ -114,13 +212,19 @@ impl GraphBase {
         job: JobId,
         unsched_cost: i64,
     ) -> Result<NodeId, PolicyError> {
-        if self.task_nodes.contains_key(&task) {
+        if self.task_table.contains(task) {
             return Err(PolicyError::DuplicateTask(task));
         }
         let n = self.graph.add_node(NodeKind::Task { task }, 1);
         let u = self.ensure_unscheduled(job)?;
-        self.graph.add_arc(n, u, 1, unsched_cost)?;
-        self.task_nodes.insert(task, n);
+        let unsched_arc = self.graph.add_arc(n, u, 1, unsched_cost)?;
+        self.task_table.insert(
+            task,
+            TaskEntry {
+                node: n,
+                unsched_arc,
+            },
+        );
         let sink = self.sink();
         let d = self.graph.supply(sink);
         self.graph.set_supply(sink, d - 1)?;
@@ -137,11 +241,11 @@ impl GraphBase {
     /// wants the efficient-task-removal heuristic (§5.3.2);
     /// [`FlowGraphManager::apply_event`] does so for task completions.
     pub fn remove_task(&mut self, task: TaskId, job: JobId) -> Result<(), PolicyError> {
-        let n = self
-            .task_nodes
-            .remove(&task)
+        let entry = self
+            .task_table
+            .remove(task)
             .ok_or(PolicyError::UnknownTask(task))?;
-        self.graph.remove_node(n)?;
+        self.graph.remove_node(entry.node)?;
         let sink = self.sink();
         let d = self.graph.supply(sink);
         self.graph.set_supply(sink, d + 1)?;
@@ -168,7 +272,7 @@ impl GraphBase {
 
     /// Node for a task, if present.
     pub fn task_node(&self, task: TaskId) -> Option<NodeId> {
-        self.task_nodes.get(&task).copied()
+        self.task_table.get(task).map(|e| e.node)
     }
 
     /// Node for a machine, if present.
@@ -359,6 +463,9 @@ pub struct FlowGraphManager {
     /// suite would flag the divergence if one did.
     hierarchy_declared: bool,
     stats: RefreshStats,
+    /// Compacts each round's change log; kept across rounds so its
+    /// per-slot fold index is built once.
+    compactor: DeltaCompactor,
 }
 
 impl FlowGraphManager {
@@ -476,7 +583,7 @@ impl FlowGraphManager {
     /// before [`take_graph`](Self::take_graph), so the batch covers
     /// exactly one handoff window.
     pub fn take_deltas(&mut self) -> DeltaBatch {
-        DeltaBatch::compact(self.base.graph.take_changes())
+        self.compactor.compact(&self.base.graph.take_changes())
     }
 
     /// Takes the graph out of the manager for an owned (zero-copy) solve.
@@ -572,13 +679,26 @@ impl FlowGraphManager {
                 self.resync_waiting_arcs(model, state, Some(*machine))?;
             }
             ClusterEvent::JobSubmitted { job, tasks } => {
-                for task in tasks {
+                // Reject duplicate ids and invalid task-arc declarations
+                // before adding any task, so a bad submission leaves the
+                // graph untouched.
+                let known = |t: &&firmament_cluster::Task| self.base.task_table.contains(t.id);
+                if let Some(id) =
+                    repeated_id(tasks).or_else(|| tasks.iter().find(known).map(|t| t.id))
+                {
+                    return Err(PolicyError::DuplicateTask(id));
+                }
+                let declared = tasks
+                    .iter()
+                    .map(|task| declare_task_arcs(model, state, task))
+                    .collect::<Result<Vec<_>, _>>()?;
+                for (task, declared) in tasks.iter().zip(declared) {
                     self.base.add_task(
                         task.id,
                         job.id,
                         model.task_unscheduled_cost(state, task),
                     )?;
-                    self.add_waiting_arcs(model, state, task)?;
+                    self.install_waiting_arcs(model, state, task, declared)?;
                     self.dirty_tasks.insert(task.id);
                     *self.live_job_tasks.entry(job.id).or_insert(0) += 1;
                 }
@@ -637,17 +757,21 @@ impl FlowGraphManager {
                 self.dirty_tasks.insert(*task);
             }
             ClusterEvent::TaskCompleted { task, .. } => {
-                // Efficient task removal (§5.3.2): drain the departing
-                // task's flow before deleting the node so the graph stays
-                // balanced for the incremental solver.
-                if let Some(node) = self.base.task_node(*task) {
-                    drain_task_flow(&mut self.base.graph, node);
-                }
+                // Both lookups precede the drain, so an unknown task
+                // leaves the graph untouched.
                 let job = state
                     .tasks
                     .get(task)
                     .ok_or(PolicyError::UnknownTask(*task))?
                     .job;
+                let node = self
+                    .base
+                    .task_node(*task)
+                    .ok_or(PolicyError::UnknownTask(*task))?;
+                // Efficient task removal (§5.3.2): drain the departing
+                // task's flow before deleting the node so the graph stays
+                // balanced for the incremental solver.
+                drain_task_flow(&mut self.base.graph, node);
                 self.base.remove_task(*task, job)?;
                 self.task_slots.remove(task);
                 if let Some(n) = self.live_job_tasks.get_mut(&job) {
@@ -671,7 +795,10 @@ impl FlowGraphManager {
     /// plus aggregates above any dirty machine, with dirtiness propagated
     /// *up* multi-level EC→EC chains); pass 2 re-queries the model for
     /// exactly those and applies the deltas. A quiescent round (no events,
-    /// clock unchanged) touches nothing.
+    /// clock unchanged) touches nothing. A clock advance re-prices every
+    /// task by walking the task table ([`GraphBase::task_table`]) in
+    /// `TaskId` order: each entry already holds the task's `T → U_j` arc,
+    /// so the walk costs one model call and one cost update per task.
     ///
     /// Pass 2 re-syncs bundles **in place**: segment slots keep their
     /// identity, so a re-priced ladder reaches the incremental solver as
@@ -702,15 +829,6 @@ impl FlowGraphManager {
         };
         machines.sort_unstable();
         let time_advanced = self.last_refresh_now != Some(state.now);
-        let mut tasks: Vec<TaskId> = if time_advanced {
-            // Every task still in the graph: waiting tasks' unscheduled
-            // arcs *and* running tasks' preemption arcs carry the
-            // wait-scaled cost, and both drift with the clock.
-            self.base.task_nodes.keys().copied().collect()
-        } else {
-            self.dirty_tasks.iter().copied().collect()
-        };
-        tasks.sort_unstable();
         let dirty_aggs = self.collect_dirty_aggregates(dynamic, &machines);
 
         // EC→EC re-sync: for every dirty aggregate, bring its declared
@@ -810,30 +928,42 @@ impl FlowGraphManager {
                 }
             }
         }
-        let reprice_tasks = model.dynamic_task_arcs();
-        for &tid in &tasks {
-            let Some(task) = state.tasks.get(&tid) else {
-                continue;
-            };
-            let Some(tn) = self.base.task_node(tid) else {
-                continue;
-            };
-            let Some(&u) = self.base.unsched_nodes.get(&task.job) else {
-                continue;
-            };
-            if let Some(arc) = self.base.find_arc(tn, u) {
-                self.base
-                    .graph
-                    .set_arc_cost(arc, model.task_unscheduled_cost(state, task))?;
+        // Task re-price, in TaskId order: each task's unscheduled cost,
+        // then (dynamic task-arc models) its preference bundles.
+        let reprice_bundles = model.dynamic_task_arcs();
+        let tasks_touched = if time_advanced {
+            // Every task still in the graph: waiting tasks' unscheduled
+            // arcs *and* running tasks' preemption arcs carry the
+            // wait-scaled cost, and both drift with the clock. The task
+            // table is already in TaskId order and holds each task's
+            // unscheduled arc, so the walk needs no per-task lookup.
+            if reprice_bundles {
+                // Bundle re-pricing needs the whole manager (it may
+                // rewire arcs and materialize aggregates), so it walks a
+                // copy of the table.
+                let table: Vec<(TaskId, TaskEntry)> = self.base.task_table.iter().collect();
+                for (tid, entry) in table {
+                    self.reprice_task(model, state, tid, entry, true)?;
+                }
+            } else {
+                let GraphBase {
+                    graph, task_table, ..
+                } = &mut self.base;
+                for (tid, entry) in task_table.iter() {
+                    reprice_unscheduled(graph, model, state, tid, entry)?;
+                }
             }
-            // The dynamic task-arc hook: re-price this waiting task's
-            // declared preference bundles (Execution-Templates style —
-            // the cached structure is kept, only the parameters are
-            // patched; structural drift falls back to a full re-derive).
-            if reprice_tasks && self.task_slots.contains_key(&tid) {
-                self.reprice_task_bundles(model, state, task)?;
+            self.base.task_table.len()
+        } else {
+            let mut tasks: Vec<TaskId> = self.dirty_tasks.iter().copied().collect();
+            tasks.sort_unstable();
+            for &tid in &tasks {
+                if let Some(entry) = self.base.task_table.get(tid) {
+                    self.reprice_task(model, state, tid, entry, reprice_bundles)?;
+                }
             }
-        }
+            tasks.len()
+        };
         // Gang constraints with admission control: cap `U_j → S` at
         // incomplete − minimum so at least `minimum` of the job's tasks
         // are forced through machines — but only while (a) the sum of
@@ -887,11 +1017,11 @@ impl FlowGraphManager {
 
         self.stats.rounds += 1;
         self.stats.machines_touched += machines.len() as u64;
-        self.stats.tasks_touched += tasks.len() as u64;
+        self.stats.tasks_touched += tasks_touched as u64;
         self.stats.aggregates_touched += dirty_aggs.len() as u64;
         self.stats.aggregates_collected += collected as u64;
         self.stats.last_machines_touched = machines.len();
-        self.stats.last_tasks_touched = tasks.len();
+        self.stats.last_tasks_touched = tasks_touched;
         self.stats.last_aggregates_touched = dirty_aggs.len();
         self.dirty_machines.clear();
         self.dirty_tasks.clear();
@@ -1050,6 +1180,29 @@ impl FlowGraphManager {
         Ok(())
     }
 
+    /// Re-prices one task: its unscheduled arc, then — when
+    /// `reprice_bundles` is set and the task is waiting — its declared
+    /// preference bundles (the dynamic task-arc hook: Execution-Templates
+    /// style, the cached structure is kept and only the parameters are
+    /// patched; structural drift falls back to a full re-derive).
+    fn reprice_task<C: CostModel>(
+        &mut self,
+        model: &C,
+        state: &ClusterState,
+        tid: TaskId,
+        entry: TaskEntry,
+        reprice_bundles: bool,
+    ) -> Result<(), PolicyError> {
+        let Some(task) = reprice_unscheduled(&mut self.base.graph, model, state, tid, entry)?
+        else {
+            return Ok(());
+        };
+        if reprice_bundles && self.task_slots.contains_key(&tid) {
+            self.reprice_task_bundles(model, state, task, entry.node)?;
+        }
+        Ok(())
+    }
+
     /// Re-prices one waiting task's declared bundles in place. The cheap
     /// path applies when the declared target sequence matches the cached
     /// slots (and every slot is still alive): per-segment costs and
@@ -1063,14 +1216,9 @@ impl FlowGraphManager {
         model: &C,
         state: &ClusterState,
         task: &firmament_cluster::Task,
+        tn: NodeId,
     ) -> Result<(), PolicyError> {
-        let Some(tn) = self.base.task_node(task.id) else {
-            return Ok(());
-        };
-        let declared = dedup_targets(model.task_arcs(state, task));
-        for (_, bundle) in &declared {
-            validate_bundle("task_arcs", bundle)?;
-        }
+        let declared = declare_task_arcs(model, state, task)?;
         let Some(entry) = self.task_slots.get(&task.id) else {
             return Ok(());
         };
@@ -1326,10 +1474,7 @@ impl FlowGraphManager {
         state: &ClusterState,
         task: &firmament_cluster::Task,
     ) -> Result<(), PolicyError> {
-        let declared = dedup_targets(model.task_arcs(state, task));
-        for (_, bundle) in &declared {
-            validate_bundle("task_arcs", bundle)?;
-        }
+        let declared = declare_task_arcs(model, state, task)?;
         self.install_waiting_arcs(model, state, task, declared)
     }
 
@@ -1451,6 +1596,49 @@ impl FlowGraphManager {
         stack.pop();
         Ok(an)
     }
+}
+
+/// Re-prices a task's `T → U_j` arc with the model's current unscheduled
+/// cost. Returns the task, or `None` (and leaves the arc alone) when the
+/// cluster state no longer knows it.
+fn reprice_unscheduled<'s, C: CostModel>(
+    graph: &mut FlowGraph,
+    model: &C,
+    state: &'s ClusterState,
+    tid: TaskId,
+    entry: TaskEntry,
+) -> Result<Option<&'s firmament_cluster::Task>, PolicyError> {
+    let Some(task) = state.tasks.get(&tid) else {
+        return Ok(None);
+    };
+    graph.set_arc_cost(entry.unsched_arc, model.task_unscheduled_cost(state, task))?;
+    Ok(Some(task))
+}
+
+/// The smallest task id listed more than once in a submission, if any.
+/// Submissions usually list ids in ascending order, which is checked
+/// without allocating.
+fn repeated_id(tasks: &[firmament_cluster::Task]) -> Option<TaskId> {
+    if tasks.windows(2).all(|w| w[0].id < w[1].id) {
+        return None;
+    }
+    let mut ids: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
+    ids.sort_unstable();
+    ids.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
+/// A task's declared waiting arc set, deduplicated and validated — what
+/// [`FlowGraphManager::install_waiting_arcs`] materializes.
+fn declare_task_arcs<C: CostModel>(
+    model: &C,
+    state: &ClusterState,
+    task: &firmament_cluster::Task,
+) -> Result<Vec<(ArcTarget, ArcBundle)>, PolicyError> {
+    let declared = dedup_targets(model.task_arcs(state, task));
+    for (_, bundle) in &declared {
+        validate_bundle("task_arcs", bundle)?;
+    }
+    Ok(declared)
 }
 
 /// Deduplicates a declared target list, keeping the first bundle per
@@ -3226,5 +3414,142 @@ mod tests {
             },
         ]);
         assert!(validate_bundle("task_arcs", &b).is_ok());
+    }
+
+    /// Everything a rejected event must leave as it was: the graph (flow
+    /// included), its pending change log and the task table.
+    fn untouched(mgr: &FlowGraphManager) -> (String, Vec<firmament_flow::GraphChange>, TaskTable) {
+        (
+            format!("{:?}", mgr.graph()),
+            mgr.graph().pending_changes().to_vec(),
+            mgr.base().task_table.clone(),
+        )
+    }
+
+    #[test]
+    fn rejected_completion_leaves_graph_untouched() {
+        let (mut state, mut mgr) = setup(2, 2);
+        submit(&mut state, &mut mgr, 0, 3);
+        mgr.refresh(&TestModel, &state).unwrap();
+        // Route flow through the tasks, so a premature drain would show.
+        let mut g = mgr.take_graph();
+        firmament_mcmf::relaxation::solve(&mut g, &firmament_mcmf::SolveOptions::unlimited())
+            .unwrap();
+        mgr.adopt_graph(g);
+        let t = mgr.task_node(0).unwrap();
+        assert!(mgr
+            .graph()
+            .adj(t)
+            .iter()
+            .any(|&a| a.is_forward() && mgr.graph().flow(a) > 0));
+        mgr.take_deltas();
+
+        // The cluster state no longer knows the task.
+        let mut stale = state.clone();
+        stale.tasks.remove(&0);
+        let before = untouched(&mgr);
+        let ev = ClusterEvent::TaskCompleted { task: 0, now: 0 };
+        let err = mgr.apply_event(&TestModel, &stale, &ev);
+        assert!(matches!(err, Err(PolicyError::UnknownTask(0))), "{err:?}");
+        assert_eq!(untouched(&mgr), before);
+
+        // A duplicated completion: the graph no longer knows the task.
+        mgr.apply_event(&TestModel, &state, &ev).unwrap();
+        let before = untouched(&mgr);
+        let err = mgr.apply_event(&TestModel, &state, &ev);
+        assert!(matches!(err, Err(PolicyError::UnknownTask(0))), "{err:?}");
+        assert_eq!(untouched(&mgr), before);
+    }
+
+    #[test]
+    fn rejected_submission_leaves_graph_untouched() {
+        let (mut state, mut mgr) = setup(2, 2);
+        submit(&mut state, &mut mgr, 0, 2);
+        let before = untouched(&mgr);
+        let job = Job::new(1, JobClass::Batch, 0, state.now);
+        let task = |id| Task::new(id, 1, state.now, 1_000_000);
+        // A fresh task ahead of one whose id is already in the graph.
+        let ev = ClusterEvent::JobSubmitted {
+            job: job.clone(),
+            tasks: vec![task(1000), task(1)],
+        };
+        let err = mgr.apply_event(&TestModel, &state, &ev);
+        assert!(matches!(err, Err(PolicyError::DuplicateTask(1))), "{err:?}");
+        assert_eq!(untouched(&mgr), before);
+        // An id repeated within the submission.
+        let ev = ClusterEvent::JobSubmitted {
+            job,
+            tasks: vec![task(1000), task(1001), task(1000)],
+        };
+        let err = mgr.apply_event(&TestModel, &state, &ev);
+        assert!(
+            matches!(err, Err(PolicyError::DuplicateTask(1000))),
+            "{err:?}"
+        );
+        assert_eq!(untouched(&mgr), before);
+
+        // A non-convex task-arc declaration is rejected before any task
+        // of the job is added.
+        let model = NonConvexModel { from: "task_arcs" };
+        let before = untouched(&mgr);
+        let ev = ClusterEvent::JobSubmitted {
+            job: Job::new(2, JobClass::Batch, 0, state.now),
+            tasks: vec![Task::new(2000, 2, 0, 1), Task::new(2001, 2, 0, 1)],
+        };
+        let err = mgr.apply_event(&model, &state, &ev);
+        assert!(
+            matches!(err, Err(PolicyError::NonConvexBundle { .. })),
+            "{err:?}"
+        );
+        assert_eq!(untouched(&mgr), before);
+    }
+
+    /// The task table behaves as a `TaskId`-ordered map under random
+    /// inserts (ascending and out of order), removals, re-inserts of
+    /// removed ids and the compactions they trigger.
+    #[test]
+    fn task_table_matches_an_ordered_map() {
+        use firmament_flow::testgen::XorShift64;
+        for seed in 0..8 {
+            let mut rng = XorShift64::new(seed + 1);
+            let mut table = TaskTable::default();
+            let mut model: BTreeMap<TaskId, TaskEntry> = BTreeMap::new();
+            let mut next: TaskId = 0;
+            for step in 0..3_000u32 {
+                let entry = TaskEntry {
+                    node: NodeId::from_index(step as usize),
+                    unsched_arc: ArcId::from_index(2 * step as usize),
+                };
+                let task = match rng.below(4) {
+                    // Mostly fresh, ascending ids …
+                    0 | 1 => {
+                        next += 1 + rng.below(3);
+                        next
+                    }
+                    // … some below the top, possibly removed or live.
+                    _ => rng.below(next + 1),
+                };
+                if rng.below(3) == 0 {
+                    assert_eq!(table.remove(task), model.remove(&task), "seed {seed}");
+                } else {
+                    assert_eq!(
+                        table.insert(task, entry),
+                        model.insert(task, entry),
+                        "seed {seed}"
+                    );
+                }
+                assert_eq!(table.get(task), model.get(&task).copied());
+                assert_eq!(table.len(), model.len());
+                if step % 97 == 0 {
+                    assert!(table.iter().eq(model.iter().map(|(&t, &e)| (t, e))));
+                }
+            }
+            assert!(table.iter().eq(model.iter().map(|(&t, &e)| (t, e))));
+            for (&t, _) in model.clone().iter() {
+                table.remove(t);
+            }
+            assert!(table.is_empty() && table.iter().next().is_none());
+            assert_eq!(table, TaskTable::default());
+        }
     }
 }

@@ -38,5 +38,5 @@ pub mod graph_manager;
 pub mod scheduler;
 
 pub use extract::{extract_placements, Placement};
-pub use graph_manager::{FlowGraphManager, GraphBase, RefreshStats};
+pub use graph_manager::{FlowGraphManager, GraphBase, RefreshStats, TaskEntry, TaskTable};
 pub use scheduler::{Firmament, RoundOutcome, SchedulerError, SchedulingAction, SolverStats};

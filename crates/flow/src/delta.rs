@@ -17,7 +17,11 @@
 //!   `FlowGraphManager` in `firmament-core`) drains the raw log once per
 //!   scheduling round — *after* applying events and the dirty-node cost
 //!   refresh, *before* handing the graph to the solver — and compacts it
-//!   with [`DeltaBatch::compact`].
+//!   with a [`DeltaCompactor`] it keeps across rounds. The compactor
+//!   finds each change's fold through a `u32` index per node and arc slot
+//!   instead of a hash lookup, and resets only the slots a batch touched,
+//!   so a round's compaction costs O(raw changes).
+//!   [`DeltaBatch::compact`] is the one-shot form for everyone else.
 //! - **The solver consumes.** An incremental solver warm-starts from the
 //!   batch alone: the touched-node set, the reduced-cost violations, and
 //!   the feasibility damage are all derivable from the deltas plus
@@ -53,7 +57,6 @@ use crate::changes::GraphChange;
 use crate::graph::{FlowGraph, GraphError};
 use crate::ids::{ArcId, NodeId};
 use crate::node::NodeKind;
-use std::collections::HashMap;
 
 /// One compacted graph change, as consumed by incremental solvers.
 ///
@@ -150,6 +153,7 @@ pub enum GraphDelta {
 }
 
 /// Per-node compaction state machine.
+#[derive(Debug)]
 struct NodeFold {
     /// Did the node exist before the batch? Decided by the first op seen:
     /// `AddNode` first means it did not, anything else means it did.
@@ -173,6 +177,7 @@ struct NodeFold {
 type RemovedArc = (NodeId, NodeId, i64, i64, i64);
 
 /// Per-arc compaction state machine (keyed by forward id).
+#[derive(Debug)]
 struct ArcFold {
     existed_before: bool,
     alive: bool,
@@ -233,347 +238,11 @@ impl DeltaBatch {
         DeltaBatch::default()
     }
 
-    /// Compacts a raw change stream into a typed delta batch.
+    /// Compacts a raw change stream into a typed delta batch with a fresh
+    /// [`DeltaCompactor`]. A graph owner compacting every round should keep
+    /// one compactor instead, so its slot index is built once.
     pub fn compact(changes: Vec<GraphChange>) -> Self {
-        let raw_len = changes.len();
-        let mut nodes: HashMap<u32, NodeFold> = HashMap::new();
-        let mut arcs: HashMap<u32, ArcFold> = HashMap::new();
-        // Nodes with flow disturbances, by first marker sequence.
-        let mut disturbed: Vec<(usize, u32)> = Vec::new();
-
-        for (seq, change) in changes.into_iter().enumerate() {
-            match change {
-                GraphChange::FlowDisturbed { node } => {
-                    disturbed.push((seq, node.index() as u32));
-                    continue;
-                }
-                GraphChange::AddNode { node, kind, supply } => {
-                    let f = nodes
-                        .entry(node.index() as u32)
-                        .or_insert_with(|| NodeFold {
-                            existed_before: false,
-                            alive: false,
-                            kind: None,
-                            supply: 0,
-                            first_old_supply: 0,
-                            removed: None,
-                            added_seq: 0,
-                            supply_seq: 0,
-                        });
-                    f.alive = true;
-                    f.kind = Some(kind);
-                    f.supply = supply;
-                    f.added_seq = seq;
-                }
-                GraphChange::RemoveNode { node, supply } => {
-                    let f = nodes
-                        .entry(node.index() as u32)
-                        .or_insert_with(|| NodeFold {
-                            existed_before: true,
-                            alive: true,
-                            kind: None,
-                            supply,
-                            first_old_supply: supply,
-                            removed: None,
-                            added_seq: 0,
-                            supply_seq: 0,
-                        });
-                    if f.kind.is_none() && f.existed_before && f.removed.is_none() {
-                        // Removing the pre-existing incarnation.
-                        f.removed = Some((seq, supply));
-                    }
-                    // Otherwise: a within-batch incarnation cancels.
-                    f.alive = false;
-                    f.kind = None;
-                }
-                GraphChange::SupplyChange { node, old, new } => {
-                    let f = nodes
-                        .entry(node.index() as u32)
-                        .or_insert_with(|| NodeFold {
-                            existed_before: true,
-                            alive: true,
-                            kind: None,
-                            supply: old,
-                            first_old_supply: old,
-                            removed: None,
-                            added_seq: 0,
-                            supply_seq: 0,
-                        });
-                    f.supply = new;
-                    f.supply_seq = seq;
-                }
-                GraphChange::AddArc {
-                    arc,
-                    src,
-                    dst,
-                    capacity,
-                    cost,
-                } => {
-                    let f = arcs.entry(arc.index() as u32).or_insert_with(|| ArcFold {
-                        existed_before: false,
-                        alive: false,
-                        endpoints: None,
-                        capacity: 0,
-                        cost: 0,
-                        first_old_cost: None,
-                        first_old_capacity: None,
-                        removed: None,
-                        spilled: 0,
-                        added_seq: 0,
-                        changed_seq: 0,
-                    });
-                    f.alive = true;
-                    f.endpoints = Some((src, dst));
-                    f.capacity = capacity;
-                    f.cost = cost;
-                    f.added_seq = seq;
-                }
-                GraphChange::RemoveArc {
-                    arc,
-                    src,
-                    dst,
-                    capacity,
-                    cost,
-                    flow,
-                } => {
-                    let f = arcs.entry(arc.index() as u32).or_insert_with(|| ArcFold {
-                        existed_before: true,
-                        alive: true,
-                        endpoints: None,
-                        capacity,
-                        cost,
-                        first_old_cost: Some(cost),
-                        first_old_capacity: Some(capacity),
-                        removed: None,
-                        spilled: 0,
-                        added_seq: 0,
-                        changed_seq: 0,
-                    });
-                    if f.endpoints.is_none() && f.existed_before && f.removed.is_none() {
-                        f.removed = Some((seq, (src, dst, capacity, cost, flow)));
-                    } else {
-                        // Within-batch incarnation cancels; the contract
-                        // guarantees it never carried flow (no solver runs
-                        // inside a batch window).
-                        debug_assert_eq!(
-                            flow, 0,
-                            "within-batch arc {arc} removed while carrying flow"
-                        );
-                    }
-                    f.alive = false;
-                    f.endpoints = None;
-                }
-                GraphChange::CostChange { arc, old, new } => {
-                    let f = arcs.entry(arc.index() as u32).or_insert_with(|| ArcFold {
-                        existed_before: true,
-                        alive: true,
-                        endpoints: None,
-                        capacity: 0,
-                        cost: old,
-                        first_old_cost: None,
-                        first_old_capacity: None,
-                        removed: None,
-                        spilled: 0,
-                        added_seq: 0,
-                        changed_seq: 0,
-                    });
-                    if f.endpoints.is_none() && f.first_old_cost.is_none() {
-                        f.first_old_cost = Some(old);
-                    }
-                    f.cost = new;
-                    f.changed_seq = seq;
-                }
-                GraphChange::CapacityChange {
-                    arc,
-                    old,
-                    new,
-                    flow_spilled,
-                } => {
-                    let f = arcs.entry(arc.index() as u32).or_insert_with(|| ArcFold {
-                        existed_before: true,
-                        alive: true,
-                        endpoints: None,
-                        capacity: old,
-                        cost: 0,
-                        first_old_cost: None,
-                        first_old_capacity: None,
-                        removed: None,
-                        spilled: 0,
-                        added_seq: 0,
-                        changed_seq: 0,
-                    });
-                    if f.endpoints.is_none() && f.first_old_capacity.is_none() {
-                        f.first_old_capacity = Some(old);
-                    }
-                    f.capacity = new;
-                    f.spilled += flow_spilled;
-                    f.changed_seq = seq;
-                }
-            }
-        }
-
-        // Emission in dependency order (see module docs); within each
-        // category, by the sequence number of the defining operation, so
-        // replay follows the live graph's slot-allocation history.
-        let mut arc_removed: Vec<(usize, GraphDelta)> = Vec::new();
-        let mut node_removed: Vec<(usize, GraphDelta)> = Vec::new();
-        let mut node_added: Vec<(usize, GraphDelta)> = Vec::new();
-        let mut arc_added: Vec<(usize, GraphDelta)> = Vec::new();
-        let mut mutated: Vec<(usize, GraphDelta)> = Vec::new();
-
-        for (raw, f) in &arcs {
-            let arc = ArcId::from_index(*raw as usize);
-            if let Some((seq, (src, dst, capacity, cost, flow))) = f.removed {
-                arc_removed.push((
-                    seq,
-                    GraphDelta::ArcRemoved {
-                        arc,
-                        src,
-                        dst,
-                        capacity,
-                        cost,
-                        flow,
-                    },
-                ));
-                // Feasibility damage must survive removal: a capacity
-                // clamp earlier in the batch spilled flow (excess at both
-                // endpoints), but the removal records the *post-clamp*
-                // flow — possibly 0 — so without these markers the
-                // solver would never re-derive the endpoints' excesses.
-                if f.spilled > 0 {
-                    mutated.push((seq, GraphDelta::FlowTouched { node: src }));
-                    mutated.push((seq, GraphDelta::FlowTouched { node: dst }));
-                }
-            }
-            if !f.alive {
-                continue;
-            }
-            match f.endpoints {
-                // (Re-)added within the batch.
-                Some((src, dst)) => arc_added.push((
-                    f.added_seq,
-                    GraphDelta::ArcAdded {
-                        arc,
-                        src,
-                        dst,
-                        capacity: f.capacity,
-                        cost: f.cost,
-                    },
-                )),
-                // Survived in place: merged mutations only.
-                None => {
-                    if let Some(old) = f.first_old_cost {
-                        if old != f.cost {
-                            mutated.push((
-                                f.changed_seq,
-                                GraphDelta::CostChanged {
-                                    arc,
-                                    old,
-                                    new: f.cost,
-                                },
-                            ));
-                        }
-                    }
-                    if let Some(old) = f.first_old_capacity {
-                        if old != f.capacity || f.spilled > 0 {
-                            mutated.push((
-                                f.changed_seq,
-                                GraphDelta::CapacityChanged {
-                                    arc,
-                                    old,
-                                    new: f.capacity,
-                                    flow_spilled: f.spilled,
-                                },
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for (raw, f) in &nodes {
-            let node = NodeId::from_index(*raw as usize);
-            if let Some((seq, _removal_supply)) = f.removed {
-                // Report the pre-batch supply, not the removal-time one:
-                // in-batch supply changes were absorbed into this entry,
-                // and the solver's balance check sums end-state minus
-                // pre-batch supplies.
-                node_removed.push((
-                    seq,
-                    GraphDelta::NodeRemoved {
-                        node,
-                        supply: f.first_old_supply,
-                    },
-                ));
-            }
-            if !f.alive {
-                continue;
-            }
-            match f.kind {
-                // (Re-)added within the batch.
-                Some(kind) => node_added.push((
-                    f.added_seq,
-                    GraphDelta::NodeAdded {
-                        node,
-                        kind,
-                        supply: f.supply,
-                    },
-                )),
-                // Survived in place: merged supply change only.
-                None => {
-                    if f.first_old_supply != f.supply {
-                        mutated.push((
-                            f.supply_seq,
-                            GraphDelta::SupplyChanged {
-                                node,
-                                old: f.first_old_supply,
-                                new: f.supply,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-
-        // Flow-disturbance markers survive for nodes still alive at the
-        // end of the batch and not already covered by their own
-        // added/removed entry.
-        disturbed.sort_unstable_by_key(|&(seq, n)| (n, seq));
-        disturbed.dedup_by_key(|&mut (_, n)| n);
-        for (seq, raw) in disturbed {
-            let dead_or_readded = nodes
-                .get(&raw)
-                .map(|f| !f.alive || f.kind.is_some())
-                .unwrap_or(false);
-            if !dead_or_readded {
-                mutated.push((
-                    seq,
-                    GraphDelta::FlowTouched {
-                        node: NodeId::from_index(raw as usize),
-                    },
-                ));
-            }
-        }
-
-        for v in [
-            &mut arc_removed,
-            &mut node_removed,
-            &mut node_added,
-            &mut arc_added,
-            &mut mutated,
-        ] {
-            v.sort_by_key(|(seq, _)| *seq);
-        }
-        let mut deltas = Vec::with_capacity(
-            arc_removed.len()
-                + node_removed.len()
-                + node_added.len()
-                + arc_added.len()
-                + mutated.len(),
-        );
-        for v in [arc_removed, node_removed, node_added, arc_added, mutated] {
-            deltas.extend(v.into_iter().map(|(_, d)| d));
-        }
-        DeltaBatch { deltas, raw_len }
+        DeltaCompactor::default().compact(&changes)
     }
 
     /// The compacted deltas, in replay (dependency) order.
@@ -651,6 +320,456 @@ impl DeltaBatch {
             }
         }
         Ok(())
+    }
+}
+
+/// Marks a node or arc slot with no fold in the current batch.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// The compaction engine behind [`DeltaBatch::compact`], kept alive by a
+/// graph owner across batches.
+///
+/// Each node slot and each arc pair slot holds a `u32` index into a dense
+/// vector of folds for the entities the current batch touched, so a
+/// change costs an array index instead of a hash lookup. The indices are
+/// the only state kept between batches — 4 bytes per slot — and after a
+/// batch only the touched slots are reset. The folds themselves live for
+/// one batch, so a burst (a cold start's whole graph) does not pin its
+/// high-water mark. Arcs are named by their forward id, as [`FlowGraph`]
+/// records them.
+///
+/// # Examples
+///
+/// ```
+/// use firmament_flow::delta::{DeltaBatch, DeltaCompactor};
+/// use firmament_flow::{FlowGraph, NodeKind};
+///
+/// let mut g = FlowGraph::new();
+/// g.set_change_tracking(true);
+/// let mut compactor = DeltaCompactor::default();
+/// let t = g.add_node(NodeKind::Task { task: 0 }, 1);
+/// let s = g.add_node(NodeKind::Sink, -1);
+/// let a = g.add_arc(t, s, 1, 5).unwrap();
+/// assert_eq!(compactor.compact(&g.take_changes()).len(), 3);
+///
+/// g.set_arc_cost(a, 7).unwrap();
+/// g.set_arc_cost(a, 9).unwrap();
+/// let changes = g.take_changes();
+/// let batch = compactor.compact(&changes);
+/// assert_eq!(batch, DeltaBatch::compact(changes));
+/// assert_eq!(batch.len(), 1);
+/// ```
+#[derive(Debug, Default)]
+pub struct DeltaCompactor {
+    /// Node slot → index into the batch's node folds, or [`UNTOUCHED`].
+    node_index: Vec<u32>,
+    /// Arc pair slot (forward id / 2) → index into the batch's arc folds,
+    /// or [`UNTOUCHED`].
+    arc_index: Vec<u32>,
+}
+
+/// The fold for `slot`, created by `init` on its first touch this batch.
+fn fold_at<'a, K: Copy, F>(
+    index: &mut Vec<u32>,
+    folds: &'a mut Vec<(K, F)>,
+    slot: usize,
+    key: K,
+    init: impl FnOnce() -> F,
+) -> &'a mut F {
+    if slot >= index.len() {
+        index.resize(slot + 1, UNTOUCHED);
+    }
+    let i = match index[slot] {
+        UNTOUCHED => {
+            index[slot] = folds.len() as u32;
+            folds.push((key, init()));
+            folds.len() - 1
+        }
+        i => i as usize,
+    };
+    &mut folds[i].1
+}
+
+impl DeltaCompactor {
+    /// Compacts one batch's raw change stream (see the module docs for the
+    /// rules). The result is identical to [`DeltaBatch::compact`]'s.
+    pub fn compact(&mut self, changes: &[GraphChange]) -> DeltaBatch {
+        // Folds of the entities touched this batch, in first-touch order.
+        let mut node_folds: Vec<(NodeId, NodeFold)> = Vec::new();
+        let mut arc_folds: Vec<(ArcId, ArcFold)> = Vec::new();
+        // Nodes with flow disturbances: (marker sequence, node slot).
+        let mut disturbed: Vec<(usize, u32)> = Vec::new();
+
+        for (seq, change) in changes.iter().enumerate() {
+            match *change {
+                GraphChange::FlowDisturbed { node } => {
+                    disturbed.push((seq, node.index() as u32));
+                }
+                GraphChange::AddNode { node, kind, supply } => {
+                    let f = fold_at(
+                        &mut self.node_index,
+                        &mut node_folds,
+                        node.index(),
+                        node,
+                        || NodeFold {
+                            existed_before: false,
+                            alive: false,
+                            kind: None,
+                            supply: 0,
+                            first_old_supply: 0,
+                            removed: None,
+                            added_seq: 0,
+                            supply_seq: 0,
+                        },
+                    );
+                    f.alive = true;
+                    f.kind = Some(kind);
+                    f.supply = supply;
+                    f.added_seq = seq;
+                }
+                GraphChange::RemoveNode { node, supply } => {
+                    let f = fold_at(
+                        &mut self.node_index,
+                        &mut node_folds,
+                        node.index(),
+                        node,
+                        || NodeFold {
+                            existed_before: true,
+                            alive: true,
+                            kind: None,
+                            supply,
+                            first_old_supply: supply,
+                            removed: None,
+                            added_seq: 0,
+                            supply_seq: 0,
+                        },
+                    );
+                    if f.kind.is_none() && f.existed_before && f.removed.is_none() {
+                        // Removing the pre-existing incarnation.
+                        f.removed = Some((seq, supply));
+                    }
+                    // Otherwise: a within-batch incarnation cancels.
+                    f.alive = false;
+                    f.kind = None;
+                }
+                GraphChange::SupplyChange { node, old, new } => {
+                    let f = fold_at(
+                        &mut self.node_index,
+                        &mut node_folds,
+                        node.index(),
+                        node,
+                        || NodeFold {
+                            existed_before: true,
+                            alive: true,
+                            kind: None,
+                            supply: old,
+                            first_old_supply: old,
+                            removed: None,
+                            added_seq: 0,
+                            supply_seq: 0,
+                        },
+                    );
+                    f.supply = new;
+                    f.supply_seq = seq;
+                }
+                GraphChange::AddArc {
+                    arc,
+                    src,
+                    dst,
+                    capacity,
+                    cost,
+                } => {
+                    let f = fold_at(
+                        &mut self.arc_index,
+                        &mut arc_folds,
+                        arc.index() / 2,
+                        arc,
+                        || ArcFold {
+                            existed_before: false,
+                            alive: false,
+                            endpoints: None,
+                            capacity: 0,
+                            cost: 0,
+                            first_old_cost: None,
+                            first_old_capacity: None,
+                            removed: None,
+                            spilled: 0,
+                            added_seq: 0,
+                            changed_seq: 0,
+                        },
+                    );
+                    f.alive = true;
+                    f.endpoints = Some((src, dst));
+                    f.capacity = capacity;
+                    f.cost = cost;
+                    f.added_seq = seq;
+                }
+                GraphChange::RemoveArc {
+                    arc,
+                    src,
+                    dst,
+                    capacity,
+                    cost,
+                    flow,
+                } => {
+                    let f = fold_at(
+                        &mut self.arc_index,
+                        &mut arc_folds,
+                        arc.index() / 2,
+                        arc,
+                        || ArcFold {
+                            existed_before: true,
+                            alive: true,
+                            endpoints: None,
+                            capacity,
+                            cost,
+                            first_old_cost: Some(cost),
+                            first_old_capacity: Some(capacity),
+                            removed: None,
+                            spilled: 0,
+                            added_seq: 0,
+                            changed_seq: 0,
+                        },
+                    );
+                    if f.endpoints.is_none() && f.existed_before && f.removed.is_none() {
+                        f.removed = Some((seq, (src, dst, capacity, cost, flow)));
+                    } else {
+                        // Within-batch incarnation cancels; the contract
+                        // guarantees it never carried flow (no solver runs
+                        // inside a batch window).
+                        debug_assert_eq!(
+                            flow, 0,
+                            "within-batch arc {arc} removed while carrying flow"
+                        );
+                    }
+                    f.alive = false;
+                    f.endpoints = None;
+                }
+                GraphChange::CostChange { arc, old, new } => {
+                    let f = fold_at(
+                        &mut self.arc_index,
+                        &mut arc_folds,
+                        arc.index() / 2,
+                        arc,
+                        || ArcFold {
+                            existed_before: true,
+                            alive: true,
+                            endpoints: None,
+                            capacity: 0,
+                            cost: old,
+                            first_old_cost: None,
+                            first_old_capacity: None,
+                            removed: None,
+                            spilled: 0,
+                            added_seq: 0,
+                            changed_seq: 0,
+                        },
+                    );
+                    if f.endpoints.is_none() && f.first_old_cost.is_none() {
+                        f.first_old_cost = Some(old);
+                    }
+                    f.cost = new;
+                    f.changed_seq = seq;
+                }
+                GraphChange::CapacityChange {
+                    arc,
+                    old,
+                    new,
+                    flow_spilled,
+                } => {
+                    let f = fold_at(
+                        &mut self.arc_index,
+                        &mut arc_folds,
+                        arc.index() / 2,
+                        arc,
+                        || ArcFold {
+                            existed_before: true,
+                            alive: true,
+                            endpoints: None,
+                            capacity: old,
+                            cost: 0,
+                            first_old_cost: None,
+                            first_old_capacity: None,
+                            removed: None,
+                            spilled: 0,
+                            added_seq: 0,
+                            changed_seq: 0,
+                        },
+                    );
+                    if f.endpoints.is_none() && f.first_old_capacity.is_none() {
+                        f.first_old_capacity = Some(old);
+                    }
+                    f.capacity = new;
+                    f.spilled += flow_spilled;
+                    f.changed_seq = seq;
+                }
+            }
+        }
+
+        // Emission in dependency order (see module docs); within each
+        // category, by the sequence number of the defining operation, so
+        // replay follows the live graph's slot-allocation history. Every
+        // entry's sequence number belongs to a change of its own entity,
+        // so the stable sorts below make the order independent of the
+        // order the folds are visited in.
+        let mut arc_removed: Vec<(usize, GraphDelta)> = Vec::new();
+        let mut node_removed: Vec<(usize, GraphDelta)> = Vec::new();
+        let mut node_added: Vec<(usize, GraphDelta)> = Vec::new();
+        let mut arc_added: Vec<(usize, GraphDelta)> = Vec::new();
+        let mut mutated: Vec<(usize, GraphDelta)> = Vec::new();
+
+        for &(arc, ref f) in &arc_folds {
+            if let Some((seq, (src, dst, capacity, cost, flow))) = f.removed {
+                arc_removed.push((
+                    seq,
+                    GraphDelta::ArcRemoved {
+                        arc,
+                        src,
+                        dst,
+                        capacity,
+                        cost,
+                        flow,
+                    },
+                ));
+                // Feasibility damage must survive removal: a capacity
+                // clamp earlier in the batch spilled flow (excess at both
+                // endpoints), but the removal records the *post-clamp*
+                // flow — possibly 0 — so without these markers the
+                // solver would never re-derive the endpoints' excesses.
+                if f.spilled > 0 {
+                    mutated.push((seq, GraphDelta::FlowTouched { node: src }));
+                    mutated.push((seq, GraphDelta::FlowTouched { node: dst }));
+                }
+            }
+            if !f.alive {
+                continue;
+            }
+            match f.endpoints {
+                // (Re-)added within the batch.
+                Some((src, dst)) => arc_added.push((
+                    f.added_seq,
+                    GraphDelta::ArcAdded {
+                        arc,
+                        src,
+                        dst,
+                        capacity: f.capacity,
+                        cost: f.cost,
+                    },
+                )),
+                // Survived in place: merged mutations only.
+                None => {
+                    if let Some(old) = f.first_old_cost {
+                        if old != f.cost {
+                            mutated.push((
+                                f.changed_seq,
+                                GraphDelta::CostChanged {
+                                    arc,
+                                    old,
+                                    new: f.cost,
+                                },
+                            ));
+                        }
+                    }
+                    if let Some(old) = f.first_old_capacity {
+                        if old != f.capacity || f.spilled > 0 {
+                            mutated.push((
+                                f.changed_seq,
+                                GraphDelta::CapacityChanged {
+                                    arc,
+                                    old,
+                                    new: f.capacity,
+                                    flow_spilled: f.spilled,
+                                },
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        for &(node, ref f) in &node_folds {
+            if let Some((seq, _removal_supply)) = f.removed {
+                // Report the pre-batch supply, not the removal-time one:
+                // in-batch supply changes were absorbed into this entry,
+                // and the solver's balance check sums end-state minus
+                // pre-batch supplies.
+                node_removed.push((
+                    seq,
+                    GraphDelta::NodeRemoved {
+                        node,
+                        supply: f.first_old_supply,
+                    },
+                ));
+            }
+            if !f.alive {
+                continue;
+            }
+            match f.kind {
+                // (Re-)added within the batch.
+                Some(kind) => node_added.push((
+                    f.added_seq,
+                    GraphDelta::NodeAdded {
+                        node,
+                        kind,
+                        supply: f.supply,
+                    },
+                )),
+                // Survived in place: merged supply change only.
+                None => {
+                    if f.first_old_supply != f.supply {
+                        mutated.push((
+                            f.supply_seq,
+                            GraphDelta::SupplyChanged {
+                                node,
+                                old: f.first_old_supply,
+                                new: f.supply,
+                            },
+                        ));
+                    }
+                }
+            }
+        }
+
+        // Flow-disturbance markers survive for nodes still alive at the
+        // end of the batch and not already covered by their own
+        // added/removed entry.
+        disturbed.sort_unstable_by_key(|&(seq, n)| (n, seq));
+        disturbed.dedup_by_key(|&mut (_, n)| n);
+        for (seq, raw) in disturbed {
+            let dead_or_readded = match self.node_index.get(raw as usize) {
+                Some(&i) if i != UNTOUCHED => {
+                    let f = &node_folds[i as usize].1;
+                    !f.alive || f.kind.is_some()
+                }
+                _ => false,
+            };
+            if !dead_or_readded {
+                mutated.push((
+                    seq,
+                    GraphDelta::FlowTouched {
+                        node: NodeId::from_index(raw as usize),
+                    },
+                ));
+            }
+        }
+
+        // Lazy reset: only the slots this batch touched.
+        for &(node, _) in &node_folds {
+            self.node_index[node.index()] = UNTOUCHED;
+        }
+        for &(arc, _) in &arc_folds {
+            self.arc_index[arc.index() / 2] = UNTOUCHED;
+        }
+
+        let mut buffers = [arc_removed, node_removed, node_added, arc_added, mutated];
+        let mut deltas = Vec::with_capacity(buffers.iter().map(|v| v.len()).sum());
+        for v in &mut buffers {
+            v.sort_by_key(|(seq, _)| *seq);
+            deltas.extend(v.drain(..).map(|(_, d)| d));
+        }
+        DeltaBatch {
+            deltas,
+            raw_len: changes.len(),
+        }
     }
 }
 

@@ -54,7 +54,7 @@ pub mod validate;
 
 pub use builder::SchedulingGraphBuilder;
 pub use changes::{ArcChangeKind, GraphChange, ReoptEffect};
-pub use delta::{DeltaBatch, GraphDelta};
+pub use delta::{DeltaBatch, DeltaCompactor, GraphDelta};
 pub use graph::{FlowGraph, GraphError};
 pub use ids::{ArcId, NodeId};
 pub use node::NodeKind;

@@ -98,6 +98,27 @@ pub fn solve_incremental(
     Ok(sol)
 }
 
+/// Restores complementary slackness against `pot`: saturates every
+/// residual arc with negative reduced cost. (Saturating the reverse arc of
+/// a flow-carrying arc whose reduced cost turned positive cancels that
+/// flow.) Prices are fixed during the pass and the two directions of a
+/// pair have opposite reduced costs, so saturating one arc never creates
+/// a violation on another: one flat pass over the arc arena suffices, and
+/// its order does not affect the resulting flow.
+fn restore_slackness(graph: &mut FlowGraph, pot: &[i64]) {
+    for i in (0..graph.arc_bound()).step_by(2) {
+        if !graph.arc_alive(ArcId::from_index(i)) {
+            continue;
+        }
+        for a in [ArcId::from_index(i), ArcId::from_index(i + 1)] {
+            let r = graph.rescap(a);
+            if r > 0 && graph.cost(a) + pot[graph.src(a).index()] - pot[graph.dst(a).index()] < 0 {
+                graph.push_flow(a, r);
+            }
+        }
+    }
+}
+
 /// Shared engine: treats the current flow as a starting pseudoflow, repairs
 /// complementary slackness, and drives all excess to the deficits.
 fn solve_warm(
@@ -116,31 +137,15 @@ fn solve_warm(
     state.potentials.resize(n, 0);
     let pot = &mut state.potentials;
 
-    // Restore complementary slackness: saturate every residual arc with
-    // negative reduced cost. (Saturating the reverse arc of a flow-carrying
-    // arc whose reduced cost turned positive cancels that flow.)
-    let nodes: Vec<NodeId> = graph.node_ids().collect();
-    for &u in &nodes {
-        let arcs: Vec<ArcId> = graph.adj(u).to_vec();
-        for a in arcs {
-            let r = graph.rescap(a);
-            if r <= 0 {
-                continue;
-            }
-            let rc = graph.cost(a) + pot[u.index()] - pot[graph.dst(a).index()];
-            if rc < 0 {
-                graph.push_flow(a, r);
-            }
-        }
-    }
+    restore_slackness(graph, pot);
 
     let mut excess = graph.excesses();
     let mut queue: VecDeque<u32> = VecDeque::new();
     let mut in_queue = vec![false; n];
-    for &u in &nodes {
-        if excess[u.index()] > 0 {
-            queue.push_back(u.index() as u32);
-            in_queue[u.index()] = true;
+    for (u, &e) in excess.iter().enumerate() {
+        if e > 0 {
+            queue.push_back(u as u32);
+            in_queue[u] = true;
         }
     }
 
@@ -365,8 +370,8 @@ fn price_update(
     let in_cut = |v: NodeId| stamp[v.index()] == epoch;
     let mut theta = i64::MAX;
     for &i in members {
-        let arcs: Vec<ArcId> = graph.adj(i).to_vec();
-        for a in arcs {
+        for k in 0..graph.adj(i).len() {
+            let a = graph.adj(i)[k];
             let r = graph.rescap(a);
             if r <= 0 {
                 continue;
@@ -573,6 +578,112 @@ mod tests {
             let mut fresh = inst.graph.clone();
             let scratch = solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
             assert_eq!(inc.objective, scratch.objective, "seed {seed}");
+        }
+    }
+
+    /// The per-node slackness pass the flat pass replaced, kept verbatim
+    /// as an oracle: nodes in id order, each node's residual arcs in
+    /// adjacency order.
+    fn adjacency_slackness_pass(graph: &mut FlowGraph, pot: &[i64]) {
+        let nodes: Vec<NodeId> = graph.node_ids().collect();
+        for &u in &nodes {
+            let arcs: Vec<ArcId> = graph.adj(u).to_vec();
+            for a in arcs {
+                let r = graph.rescap(a);
+                if r <= 0 {
+                    continue;
+                }
+                let rc = graph.cost(a) + pot[u.index()] - pot[graph.dst(a).index()];
+                if rc < 0 {
+                    graph.push_flow(a, r);
+                }
+            }
+        }
+    }
+
+    /// Asserts two copies of one graph carry the same flow on every arc,
+    /// and returns how many residual arcs differ from `before`.
+    fn same_flow(a: &FlowGraph, b: &FlowGraph, before: &FlowGraph, what: &str) -> usize {
+        let mut changed = 0;
+        for i in 0..a.arc_bound() {
+            let arc = ArcId::from_index(i);
+            if a.arc_alive(arc) {
+                assert_eq!(a.rescap(arc), b.rescap(arc), "{what} arc {arc}");
+                changed += usize::from(a.rescap(arc) != before.rescap(arc));
+            }
+        }
+        changed
+    }
+
+    /// The flat slackness pass must leave exactly the flow the per-node
+    /// adjacency pass leaves, both from a reset flow and zero prices (the
+    /// cold start of `solve_with`) and from a solved flow under arbitrary
+    /// prices (a warm start) — on graphs with negative costs, where both
+    /// starts have work to do. The cold solve must match
+    /// `solve_incremental` from a reset flow and a default state, and SSP.
+    #[test]
+    fn cold_start_matches_adjacency_pass_with_negative_costs() {
+        use firmament_flow::testgen::XorShift64;
+        for seed in 0..12 {
+            let spec = InstanceSpec {
+                tasks: 50,
+                machines: 12,
+                slots_per_machine: 3,
+                ..InstanceSpec::default()
+            };
+            let mut base = scheduling_instance(seed, &spec).graph;
+            let mut rng = XorShift64::new(seed + 1);
+            let arcs: Vec<ArcId> = base.arc_ids().collect();
+            let mut injected = 0;
+            for a in arcs {
+                if rng.below(4) == 0 {
+                    base.set_arc_cost(a, -1 - rng.below(40) as i64).unwrap();
+                    injected += 1;
+                }
+            }
+            assert!(injected > 0, "seed {seed}");
+
+            // Cold: reset flow, zero prices.
+            let mut reset = base.clone();
+            reset.reset_flow();
+            let zero = vec![0; base.node_bound()];
+            let (mut flat, mut old) = (reset.clone(), reset.clone());
+            restore_slackness(&mut flat, &zero);
+            adjacency_slackness_pass(&mut old, &zero);
+            let pushed = same_flow(&flat, &old, &reset, &format!("cold seed {seed}"));
+            assert!(pushed > 0, "seed {seed}: cold pass had no work");
+
+            let mut cold = base.clone();
+            let sol = solve_with(
+                &mut cold,
+                &SolveOptions::unlimited(),
+                &RelaxationConfig::default(),
+            )
+            .unwrap();
+            let mut incremental = reset.clone();
+            solve_incremental(
+                &mut incremental,
+                &SolveOptions::unlimited(),
+                &RelaxationConfig::default(),
+                &mut RelaxationState::default(),
+            )
+            .unwrap();
+            same_flow(&cold, &incremental, &cold, &format!("solve seed {seed}"));
+            let mut reference = base.clone();
+            let ssp = crate::ssp::solve(&mut reference, &SolveOptions::unlimited()).unwrap();
+            assert_eq!(sol.objective, ssp.objective, "seed {seed}");
+            assert!(is_optimal(&cold), "seed {seed}");
+
+            // Warm: the optimal flow under random prices, so some flow
+            // carrying arcs are cancelled and some empty ones saturated.
+            let pot: Vec<i64> = (0..base.node_bound())
+                .map(|_| rng.range_i64(-60, 60))
+                .collect();
+            let (mut flat, mut old) = (cold.clone(), cold.clone());
+            restore_slackness(&mut flat, &pot);
+            adjacency_slackness_pass(&mut old, &pot);
+            let pushed = same_flow(&flat, &old, &cold, &format!("warm seed {seed}"));
+            assert!(pushed > 0, "seed {seed}: warm pass had no work");
         }
     }
 

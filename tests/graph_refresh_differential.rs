@@ -25,6 +25,11 @@
 //! warm-starts from: a batch that under- or over-reports a change would
 //! silently desynchronize the solver's warm state.
 //!
+//! After every round it also checks the manager's task table against the
+//! graph: each entry's node is the live node of that task, and its
+//! unscheduled arc is alive and runs from that node to its job's `U_j` —
+//! the arc a clock advance re-prices without looking it up.
+//!
 //! Failures print the model, seed, and round, so every divergence is a
 //! deterministic one-line reproduction.
 
@@ -333,6 +338,46 @@ fn rebuild<C: CostModel>(model: &C, state: &ClusterState) -> FlowGraphManager {
     mgr
 }
 
+/// The task table ↔ graph invariant: the table walks in strictly rising
+/// `TaskId` order, every entry names its task's live node and a live
+/// `T → U_j` arc out of it, and every task node in the graph has an entry.
+fn assert_task_table(
+    model: &str,
+    seed: u64,
+    round: usize,
+    mgr: &FlowGraphManager,
+    state: &ClusterState,
+) {
+    let base = mgr.base();
+    let g = mgr.graph();
+    let mut prev = None;
+    for (task, entry) in base.task_table.iter() {
+        let at = format!("{model} seed {seed} round {round}: task {task}");
+        assert!(prev < Some(task), "{at}: out of TaskId order");
+        prev = Some(task);
+        assert!(g.node_alive(entry.node), "{at}: dead node");
+        assert_eq!(g.kind(entry.node), NodeKind::Task { task }, "{at}: node");
+        let arc = entry.unsched_arc;
+        assert!(g.arc_alive(arc) && arc.is_forward(), "{at}: dead arc");
+        assert_eq!(g.src(arc), entry.node, "{at}: arc tail");
+        let job = state.tasks[&task].job;
+        assert_eq!(
+            Some(g.dst(arc)),
+            base.unsched_nodes.get(&job).copied(),
+            "{at}: arc head is not U_{job}"
+        );
+    }
+    let task_nodes = g
+        .node_ids()
+        .filter(|&n| matches!(g.kind(n), NodeKind::Task { .. }))
+        .count();
+    assert_eq!(
+        task_nodes,
+        base.task_table.len(),
+        "{model} seed {seed} round {round}: task nodes without a table entry"
+    );
+}
+
 /// The delta-replay oracle: slot-exact structural equality between the
 /// replayed snapshot and the live graph. Bounds may differ only by
 /// trailing dead slots (entities that cancelled within the batch still
@@ -595,6 +640,7 @@ fn run_script<C: CostModel>(model: &C, seed: u64) {
         }
         mgr.refresh(model, &state)
             .unwrap_or_else(|e| panic!("{} seed {seed} round {round}: refresh: {e}", model.name()));
+        assert_task_table(model.name(), seed, round, &mgr, &state);
         // Replaying the round's recorded batch onto the previous round's
         // snapshot must reproduce the live graph exactly.
         let batch = mgr.take_deltas();
