@@ -1,13 +1,18 @@
 //! Pins the exact change feed the scheduler hands its solver.
 //!
-//! Three fixed-seed 40-round runs — Quincy, bucketed load spreading and a
-//! model with clock-driven task-arc re-pricing (`dynamic_task_arcs`) —
-//! record a digest of every round's [`DeltaBatch`]: its raw length plus
+//! Five fixed-seed 40-round runs record a digest of every round's [`DeltaBatch`]: its raw length plus
 //! the `Debug` rendering of every compacted delta, in order. Any change to
 //! the event handlers, the refresh or the compaction that alters a single
 //! batch — its contents or their order — fails here; re-record the
 //! digests only for an intended change to the feed (the failure message
-//! prints the new ones).
+//! prints the new ones). The runs cover:
+//!
+//! - Quincy (locality preference arcs);
+//! - bucketed load spreading (flat aggregate ladders);
+//! - a model with clock-driven task-arc re-pricing (`dynamic_task_arcs`);
+//! - the network-aware model, whose `dynamic_aggregate_arcs` make every
+//!   refresh re-derive the aggregate → machine arc set;
+//! - the bucketed topology hierarchy, with multi-level EC→EC arcs.
 //!
 //! The runs use the relaxation-only solver so each round's flow — and
 //! therefore the drains, spills and placements feeding the next round —
@@ -24,8 +29,8 @@ use firmament::flow::testgen::XorShift64;
 use firmament::flow::NodeKind;
 use firmament::mcmf::{DualConfig, SolverKind};
 use firmament::policies::{
-    AggregateId, ArcBundle, ArcTarget, CostModel, LoadSpreadingCostModel, QuincyConfig,
-    QuincyCostModel,
+    AggregateId, ArcBundle, ArcTarget, CostModel, HierarchicalTopologyCostModel,
+    LoadSpreadingCostModel, NetworkAwareCostModel, QuincyConfig, QuincyCostModel,
 };
 
 const ROUNDS: usize = 40;
@@ -42,7 +47,9 @@ fn digest(batch: &DeltaBatch) -> u64 {
 }
 
 /// Submits a job of `n` tasks; about half carry an input block on one to
-/// three machines, so Quincy declares locality preference arcs.
+/// three machines, so Quincy declares locality preference arcs. Bandwidth
+/// requests cycle through four network-aware request classes; no other
+/// pinned model reads them.
 fn submit_with_blocks<C: CostModel>(
     state: &mut ClusterState,
     f: &mut Firmament<C>,
@@ -61,6 +68,7 @@ fn submit_with_blocks<C: CostModel>(
                 state.now,
                 5_000_000 + rng.below(20_000_000),
             );
+            t.request.net_mbps = t.id % 4 * 1_200;
             if rng.below(2) == 0 && !holders.is_empty() {
                 let k = 1 + rng.below(3) as usize;
                 let picked = (0..k)
@@ -212,6 +220,18 @@ fn dynamic_task_arc_batches_pinned() {
     assert_pinned("dynamic task arcs", &got, &DYNAMIC);
 }
 
+#[test]
+fn network_aware_batches_pinned() {
+    let got = run(NetworkAwareCostModel::new(), 0xD4);
+    assert_pinned("network-aware", &got, &NETWORK_AWARE);
+}
+
+#[test]
+fn bucketed_hierarchy_batches_pinned() {
+    let got = run(HierarchicalTopologyCostModel::bucketed(), 0xD5);
+    assert_pinned("bucketed hierarchy", &got, &HIERARCHY);
+}
+
 const QUINCY: [u64; ROUNDS] = [
     0xc69bc2bb8c29844a,
     0x8ea8a7e6da4dcbd9,
@@ -339,4 +359,90 @@ const DYNAMIC: [u64; ROUNDS] = [
     0x70d99e0eccde085e,
     0x03193007b51eea40,
     0x187cdbd5173b2ccb,
+];
+
+const NETWORK_AWARE: [u64; ROUNDS] = [
+    0xc1c90eedc808e6c1,
+    0x4b0e3ce8b8439210,
+    0x3a4878123dfea12a,
+    0xf5a851d0d02e8fab,
+    0xe0dfa6e47557c396,
+    0xef828c876d8e448e,
+    0x607042139f86ea10,
+    0x52428e13ece9cb0f,
+    0x73d45c343f20992c,
+    0x034d420b23b31d6f,
+    0xf241f84c1ca0a044,
+    0x0428ba0d4ccb2410,
+    0xb4e61ed44a217b3b,
+    0x6abb24b9930562f9,
+    0x517825a7af0e60f6,
+    0x8ba6d1667a508814,
+    0x77cc1f70b30d14be,
+    0xbcc8921dc0960460,
+    0x259c596f6180dac0,
+    0xa599775af94987ec,
+    0x96f164d95eba536e,
+    0x5a005ddc41644b48,
+    0x56dff221193f259a,
+    0x8763775c62a8a941,
+    0x9f7424d902649f39,
+    0x258ffcd4f423ed0b,
+    0x53955047ce7f99f5,
+    0xba4c41b438d27cae,
+    0xaaa0d16da33aa23b,
+    0x4829689488c32f4c,
+    0xc8010c6e0f1cff11,
+    0xf0a482f36203b1c7,
+    0x8a31fcc2512f80e3,
+    0x3b30daa742e3192e,
+    0x3606b0b914c05b47,
+    0x05874a69499a227b,
+    0x0025064b9ae1af18,
+    0x437ed92b56a25164,
+    0xf64037fc40ec44e5,
+    0xf494a96cd981c8eb,
+];
+
+const HIERARCHY: [u64; ROUNDS] = [
+    0x3a063597fbb797d9,
+    0xae81d41dd7203a5f,
+    0xf2f8b425117201ad,
+    0x366d463ee6c2cc14,
+    0x89eeb05a10139fe4,
+    0x7900b1a78e24b289,
+    0x71bc929e45963cd9,
+    0x65e16c45403c6245,
+    0xa89a0f49a95f5730,
+    0xcae117b48d0fab62,
+    0x065b5c5003dcbf0c,
+    0x60ec8d7b9bab8ab0,
+    0x28b4961cf3627d94,
+    0xd831b0054a2af6ea,
+    0xadfa0bfd9b9f17f2,
+    0xcdf0eff53acd9bbc,
+    0x8d7156e66b97d977,
+    0x1cf7ae44e67e9ad2,
+    0x310003e1ec4efc7e,
+    0x32d321e759cc8a52,
+    0xb430374048299e1d,
+    0x1a2717f30159ef31,
+    0xf9a270dd1496d91a,
+    0x00f37b7f34359769,
+    0x6d886f961f5b7694,
+    0x257fd52cf2f71bbd,
+    0xac13a462a8a7ab8d,
+    0xb1930d5c2a6d05f7,
+    0x8bed41d0de6d4987,
+    0xdbdba544462035f5,
+    0x098f77ed75e00061,
+    0x1af8d136d2ebacfb,
+    0xa062e42031a6ca0f,
+    0xf68f2360e66935d2,
+    0x759a22cb681c1466,
+    0xe87ce2e3f3915613,
+    0xca7d3fdcd59efc30,
+    0x78fd1164dad58049,
+    0xbdf108ef3d3cf4ce,
+    0x6dda180fe2536f23,
 ];
