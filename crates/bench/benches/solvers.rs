@@ -1,6 +1,6 @@
-//! Micro-benchmarks for the MCMF solver suite, including the α-factor
-//! ablation DESIGN.md calls out. Self-contained harness (`bench_case`);
-//! run with `cargo bench --bench solvers`.
+//! Micro-benchmarks for the MCMF solver suite, including the cost-scaling
+//! α-factor ablation. Self-contained harness (`bench_case`); run with
+//! `cargo bench --bench solvers`.
 
 use firmament_bench::{bench_case, bench_header};
 use firmament_flow::testgen::{scheduling_instance, InstanceSpec};

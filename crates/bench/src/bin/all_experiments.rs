@@ -1,6 +1,6 @@
 //! Runs every figure/table binary in sequence (at the current scale) and
 //! streams their output; use `--scale N` / `--full` as with the individual
-//! binaries. Output is EXPERIMENTS.md-ready.
+//! binaries.
 
 use std::process::Command;
 

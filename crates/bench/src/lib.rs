@@ -1,7 +1,7 @@
 //! Experiment harness shared by the figure/table reproduction binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §5 for the index). They print tab-separated rows — the
+//! (`all_experiments` runs them all in sequence). They print tab-separated rows — the
 //! series the paper plots — plus a short "shape check" verdict comparing
 //! the measured trend against the paper's qualitative claim.
 
@@ -158,7 +158,7 @@ pub fn secs(d: Duration) -> String {
     format!("{:.4}", d.as_secs_f64())
 }
 
-/// Prints the shape-check verdict line consumed by EXPERIMENTS.md.
+/// Prints the shape-check verdict line (`# VERDICT <experiment>: …`).
 pub fn verdict(experiment: &str, holds: bool, detail: &str) {
     println!(
         "# VERDICT {experiment}: {} — {detail}",

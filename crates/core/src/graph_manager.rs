@@ -19,15 +19,27 @@
 //! cost ladder. The manager materializes one parallel graph arc per
 //! segment and keeps the arc ids in a **slot vector** per (source,
 //! target) pair, so segment `j` of a bundle always maps to the same graph
-//! arc across refreshes: re-pricing a segment is a pure
-//! cost/capacity change on its slot (a cheap `CostChanged` delta for the
-//! incremental solver), growing a bundle appends slots, and shrinking
-//! parks the tail at capacity 0 (static models) or removes it (dynamic
-//! models). Convexity — non-decreasing segment costs — is validated at
-//! every declaration site and violations are rejected with
-//! [`PolicyError::NonConvexBundle`]: a decreasing ladder would let the
-//! min-cost solver fill expensive segments before cheap ones, silently
-//! corrupting the declared cost function.
+//! arc across refreshes. One function, `sync_bundle`, is the only code
+//! that creates, re-prices, parks or removes bundle arcs: it re-prices
+//! the common prefix of slots and segments in place (a cheap
+//! `CostChanged` delta for the incremental solver), appends the extra
+//! segments, and parks the tail at capacity 0 (static models) or removes
+//! it (dynamic models). Materializing a bundle is a sync into empty
+//! slots; withdrawing one is a sync with no declaration (or, for dynamic
+//! models, a declaration without capacity). Machine arrival, aggregate
+//! materialization, the refresh and the task-side re-price all go
+//! through it. The slot vectors live in three maps, one per lookup:
+//! aggregate → machine bundles keyed by machine (the dirty-machine pass),
+//! EC→EC bundles keyed by parent (the child sync and the upward dirty
+//! sweep), and each waiting task's bundles in declaration order.
+//!
+//! Convexity — non-decreasing segment costs — is validated at every
+//! declaration site (for machine arrivals and job submissions, before the
+//! event touches the graph), and violations are rejected with
+//! [`PolicyError::NonConvexBundle`]: a
+//! decreasing ladder would let the min-cost solver fill expensive
+//! segments before cheap ones, silently corrupting the declared cost
+//! function.
 //!
 //! This mirrors real Firmament's `FlowGraphManager`/`CostModelInterface`
 //! split, which is what makes new policies cheap: the node and slot
@@ -323,59 +335,75 @@ fn validate_bundle(hook: &'static str, bundle: &ArcBundle) -> Result<(), PolicyE
     Ok(())
 }
 
-/// Synchronizes one bundle's slot vector with its newly declared
-/// segments, preserving per-segment slot identity:
+/// Brings one bundle's slot vector in line with its declaration — the only
+/// code in the manager that creates, re-prices, parks or removes bundle
+/// arcs. Segment `j` keeps slot `j`:
 ///
-/// - existing slots are re-priced in place (`CostChanged` /
+/// - the common prefix is re-priced in place (`CostChanged` /
 ///   `CapacityChanged` deltas — never structural),
-/// - extra declared segments append new arcs,
+/// - declared segments beyond it append new arcs,
 /// - slots beyond the declared length are parked at capacity 0 (static
 ///   models, revivable) or removed (`dynamic`).
+///
+/// Materializing a bundle is a sync into empty slots. Withdrawing one is a
+/// sync with `None` or — for dynamic models — with an empty bundle or one
+/// whose total capacity is ≤ 0.
 fn sync_bundle(
     graph: &mut FlowGraph,
     slots: &mut Vec<ArcId>,
     src: NodeId,
     dst: NodeId,
-    segments: &[ArcSpec],
+    declared: Option<&ArcBundle>,
     dynamic: bool,
 ) -> Result<(), PolicyError> {
+    let segments = declared_segments(declared, dynamic);
     let common = slots.len().min(segments.len());
-    for (slot, seg) in slots.iter().zip(segments).take(common) {
+    for (slot, seg) in slots.iter().zip(segments) {
         graph.set_arc_capacity(*slot, seg.capacity.max(0))?;
         graph.set_arc_cost(*slot, seg.cost)?;
     }
-    if slots.len() > segments.len() {
-        if dynamic {
-            for &arc in &slots[segments.len()..] {
-                graph.remove_arc(arc)?;
-            }
-            slots.truncate(segments.len());
-        } else {
-            for &arc in &slots[segments.len()..] {
-                graph.set_arc_capacity(arc, 0)?;
-            }
+    if dynamic {
+        for &arc in &slots[common..] {
+            graph.remove_arc(arc)?;
+        }
+        slots.truncate(common);
+    } else {
+        for &arc in &slots[common..] {
+            graph.set_arc_capacity(arc, 0)?;
         }
     }
-    // Non-empty exactly when segments outnumber slots: append the rest.
+    slots.reserve(segments.len() - common);
     for seg in &segments[common..] {
-        let arc = graph.add_arc(src, dst, seg.capacity.max(0), seg.cost)?;
-        slots.push(arc);
+        slots.push(graph.add_arc(src, dst, seg.capacity.max(0), seg.cost)?);
     }
     Ok(())
 }
 
-/// Materializes a fresh slot vector for a bundle (one arc per segment).
-fn materialize_bundle(
+/// The segments a declaration materializes: none for a withdrawn bundle.
+fn declared_segments(declared: Option<&ArcBundle>, dynamic: bool) -> &[ArcSpec] {
+    match declared {
+        Some(b) if !(dynamic && b.total_capacity() <= 0) => b.segments(),
+        _ => &[],
+    }
+}
+
+/// Syncs the bundle stored under `key` in a slot map (see
+/// [`sync_bundle`]), keeping the entry only while it holds slots.
+fn sync_entry(
     graph: &mut FlowGraph,
+    map: &mut BTreeMap<AggregateId, Vec<ArcId>>,
+    key: AggregateId,
     src: NodeId,
     dst: NodeId,
-    segments: &[ArcSpec],
-) -> Result<Vec<ArcId>, PolicyError> {
-    let mut slots = Vec::with_capacity(segments.len());
-    for seg in segments {
-        slots.push(graph.add_arc(src, dst, seg.capacity.max(0), seg.cost)?);
+    declared: Option<&ArcBundle>,
+    dynamic: bool,
+) -> Result<(), PolicyError> {
+    let slots = map.entry(key).or_default();
+    let synced = sync_bundle(graph, slots, src, dst, declared, dynamic);
+    if slots.is_empty() {
+        map.remove(&key);
     }
-    Ok(slots)
+    synced
 }
 
 /// Counters describing what the two-pass refresh actually touched —
@@ -614,27 +642,18 @@ impl FlowGraphManager {
         match event {
             ClusterEvent::Tick { .. } => {}
             ClusterEvent::MachineAdded { machine } => {
-                let n = self.base.add_machine(machine.id, machine.slots as i64)?;
+                // Declare and validate every bundle before adding the
+                // machine, so a rejected declaration leaves the graph
+                // untouched.
+                let declared = self
+                    .sorted_aggregates()
+                    .into_iter()
+                    .map(|agg| Ok((agg, declare_aggregate_arc(model, state, agg, machine)?)))
+                    .collect::<Result<Vec<_>, PolicyError>>()?;
+                self.base.add_machine(machine.id, machine.slots as i64)?;
                 let dynamic = model.dynamic_aggregate_arcs();
-                let mut aggs: Vec<AggregateId> = self.agg_nodes.keys().copied().collect();
-                aggs.sort_unstable();
-                for agg in aggs {
-                    let an = self.agg_nodes[&agg];
-                    if let Some(bundle) = model.aggregate_arc(state, agg, machine) {
-                        validate_bundle("aggregate_arc", &bundle)?;
-                        // Static-structure models keep zero-capacity
-                        // slots alive so later refreshes can revive them;
-                        // dynamic models add/remove bundles each round.
-                        if bundle.is_empty() || (dynamic && bundle.total_capacity() <= 0) {
-                            continue;
-                        }
-                        let slots =
-                            materialize_bundle(&mut self.base.graph, an, n, bundle.segments())?;
-                        self.machine_agg_arcs
-                            .entry(machine.id)
-                            .or_default()
-                            .insert(agg, slots);
-                    }
+                for (agg, bundle) in declared {
+                    self.sync_machine_bundle(agg, machine.id, bundle.as_ref(), dynamic)?;
                 }
                 self.dirty_machines.insert(machine.id);
                 // Machine-set changes can alter EC→EC capacities (which
@@ -716,7 +735,6 @@ impl FlowGraphManager {
                     .tasks
                     .get(task)
                     .ok_or(PolicyError::UnknownTask(*task))?;
-                let u = self.base.ensure_unscheduled(task_data.job)?;
                 // Drain the task's old flow (which may route through
                 // aggregator chains) before rewiring its arcs: removing a
                 // flow-carrying waiting arc would strand stale flow on the
@@ -726,8 +744,7 @@ impl FlowGraphManager {
                 // A running task keeps exactly two arcs: the zero-ish-cost
                 // arc to its machine and the preemption arc to U_j, so
                 // migrations always go through explicit preemption.
-                self.base.retain_out_arcs(t, move |_, dst| dst == u)?;
-                self.task_slots.remove(task);
+                self.strip_task_arcs(*task)?;
                 let cost = model.running_arc_cost(state, task_data, *machine);
                 self.base.graph.add_arc(t, m, 1, cost)?;
                 self.running_on.insert(*task, *machine);
@@ -741,16 +758,13 @@ impl FlowGraphManager {
                 let task_data = state
                     .tasks
                     .get(task)
-                    .ok_or(PolicyError::UnknownTask(*task))?
-                    .clone();
-                let u = self.base.ensure_unscheduled(task_data.job)?;
+                    .ok_or(PolicyError::UnknownTask(*task))?;
                 // Drain before dropping the running arc, for the same
                 // reason as in `TaskPlaced`: its flow must not be stranded
                 // on the machine → sink arc.
                 drain_task_flow(&mut self.base.graph, t);
-                self.base.retain_out_arcs(t, move |_, dst| dst == u)?;
-                self.task_slots.remove(task);
-                self.add_waiting_arcs(model, state, &task_data)?;
+                self.strip_task_arcs(*task)?;
+                self.add_waiting_arcs(model, state, task_data)?;
                 if let Some(m) = self.running_on.remove(task) {
                     self.dirty_machines.insert(m);
                 }
@@ -836,96 +850,26 @@ impl FlowGraphManager {
         // pass, so aggregates materialized here (e.g. a brand-new rack
         // level) already have their machine arcs when that pass runs.
         for &agg in &dirty_aggs {
-            self.sync_aggregate_children(model, state, agg, dynamic)?;
+            self.sync_aggregate_children(model, state, agg, &mut Vec::new())?;
         }
 
-        // Pass 2: apply cost/capacity deltas for the dirty nodes only.
-        // Static-structure models (the common case) re-sync exactly the
-        // bundles a dirty machine already has; dynamic models (Fig 6c)
-        // get the full (aggregate × machine) scan, since their arc *set*
-        // reacts to monitored state.
-        if dynamic {
-            let mut aggs: Vec<AggregateId> = self.agg_nodes.keys().copied().collect();
-            aggs.sort_unstable();
-            for &mid in &machines {
-                let machine = &state.machines[&mid];
-                let Some(mn) = self.base.machine_node(mid) else {
-                    continue;
-                };
-                for &agg in &aggs {
-                    // Validate before the capacity filter so a non-convex
-                    // declaration is rejected even while its capacity is
-                    // parked at ≤ 0, matching every other declaration
-                    // site (the bug is in the model, not the load).
-                    let bundle = model.aggregate_arc(state, agg, machine);
-                    if let Some(b) = &bundle {
-                        validate_bundle("aggregate_arc", b)?;
-                    }
-                    let bundle = bundle.filter(|b| !b.is_empty() && b.total_capacity() > 0);
-                    let arcs = self.machine_agg_arcs.entry(mid).or_default();
-                    match (arcs.get_mut(&agg), bundle) {
-                        (Some(slots), Some(b)) => {
-                            sync_bundle(
-                                &mut self.base.graph,
-                                slots,
-                                self.agg_nodes[&agg],
-                                mn,
-                                b.segments(),
-                                true,
-                            )?;
-                        }
-                        (Some(slots), None) => {
-                            for &arc in slots.iter() {
-                                self.base.graph.remove_arc(arc)?;
-                            }
-                            arcs.remove(&agg);
-                        }
-                        (None, Some(b)) => {
-                            let an = self.agg_nodes[&agg];
-                            let slots =
-                                materialize_bundle(&mut self.base.graph, an, mn, b.segments())?;
-                            arcs.insert(agg, slots);
-                        }
-                        (None, None) => {}
-                    }
-                }
-            }
-        } else {
-            for &mid in &machines {
-                let machine = &state.machines[&mid];
-                let Some(arcs) = self.machine_agg_arcs.get_mut(&mid) else {
-                    continue;
-                };
-                for (&agg, slots) in arcs.iter_mut() {
-                    let Some(&an) = self.agg_nodes.get(&agg) else {
-                        continue;
-                    };
-                    let Some(mn) = self.base.machine_nodes.get(&mid).copied() else {
-                        continue;
-                    };
-                    match model.aggregate_arc(state, agg, machine) {
-                        Some(bundle) => {
-                            validate_bundle("aggregate_arc", &bundle)?;
-                            sync_bundle(
-                                &mut self.base.graph,
-                                slots,
-                                an,
-                                mn,
-                                bundle.segments(),
-                                false,
-                            )?;
-                        }
-                        // A static-structure model withdrawing a bundle is
-                        // expressed as zero capacity on every slot,
-                        // keeping the arcs available for revival on a
-                        // later refresh.
-                        None => {
-                            for &arc in slots.iter() {
-                                self.base.graph.set_arc_capacity(arc, 0)?;
-                            }
-                        }
-                    }
-                }
+        // Pass 2: apply cost/capacity deltas for the dirty nodes only. A
+        // static-structure model (the common case) re-syncs exactly the
+        // bundles a dirty machine already has; a dynamic model (Fig 6c)
+        // visits every aggregate, since its arc *set* reacts to monitored
+        // state.
+        for &mid in &machines {
+            let machine = &state.machines[&mid];
+            let aggs = if dynamic {
+                self.sorted_aggregates()
+            } else {
+                self.machine_agg_arcs
+                    .get(&mid)
+                    .map_or_else(Vec::new, |arcs| arcs.keys().copied().collect())
+            };
+            for agg in aggs {
+                let bundle = declare_aggregate_arc(model, state, agg, machine)?;
+                self.sync_machine_bundle(agg, mid, bundle.as_ref(), dynamic)?;
             }
         }
         // Task re-price, in TaskId order: each task's unscheduled cost,
@@ -979,13 +923,15 @@ impl FlowGraphManager {
         // machines) can still declare an unsatisfiable constraint, which
         // then surfaces as a solver error. Only jobs with tasks still in
         // the graph are consulted, so the pass stays proportional to live
-        // work, not total jobs submitted.
+        // work, not total jobs submitted; a job's incomplete count is its
+        // live-task counter, not a scan of its task list.
         self.deferred_gangs.clear();
-        let mut jobs: Vec<JobId> = self.live_job_tasks.keys().copied().collect();
+        let mut jobs: Vec<(JobId, i64)> =
+            self.live_job_tasks.iter().map(|(&j, &n)| (j, n)).collect();
         jobs.sort_unstable();
         let budget: i64 = state.machines.values().map(|m| m.slots as i64).sum();
         let mut committed: i64 = 0;
-        for jid in jobs {
+        for (jid, incomplete) in jobs {
             let Some(job) = state.jobs.get(&jid) else {
                 continue;
             };
@@ -996,11 +942,6 @@ impl FlowGraphManager {
             let Some(&ua) = self.base.unsched_sink_arcs.get(&jid) else {
                 continue;
             };
-            let incomplete = job
-                .tasks
-                .iter()
-                .filter(|t| self.base.task_node(**t).is_some())
-                .count() as i64;
             let forced = gang.min(incomplete);
             if committed + forced > budget || forced > self.job_reachable_machine_capacity(job) {
                 self.deferred_gangs.push(jid);
@@ -1073,85 +1014,31 @@ impl FlowGraphManager {
     }
 
     /// Re-synchronizes one aggregate's EC→EC arc set with what the model
-    /// currently declares: existing bundles are re-priced slot-by-slot,
-    /// newly declared children are materialized (cycle-checked) and
-    /// connected, and stale pairs are parked at capacity 0 (static
-    /// models) or removed (dynamic models).
+    /// currently declares: declared children go through
+    /// [`sync_child_bundle`](Self::sync_child_bundle) (the first
+    /// declaration of a child wins), then stale children are withdrawn
+    /// through it. Serves both the refresh and a new aggregate's
+    /// materialization, whose `stack` holds the aggregates being
+    /// materialized. `agg` must be materialized.
     fn sync_aggregate_children<C: CostModel>(
         &mut self,
         model: &C,
         state: &ClusterState,
         agg: AggregateId,
-        dynamic: bool,
+        stack: &mut Vec<AggregateId>,
     ) -> Result<(), PolicyError> {
-        let Some(&an) = self.agg_nodes.get(&agg) else {
-            return Ok(());
-        };
         let declared = model.aggregate_to_aggregate(state, agg);
         if !declared.is_empty() {
             self.hierarchy_declared = true;
         }
         let mut seen: BTreeSet<AggregateId> = BTreeSet::new();
-        for (child, bundle) in declared {
-            if child == agg {
+        for (child, bundle) in &declared {
+            if *child == agg {
                 return Err(PolicyError::AggregateCycle(agg));
             }
-            validate_bundle("aggregate_to_aggregate", &bundle)?;
-            if !seen.insert(child) {
-                // Duplicate child declaration: first occurrence wins.
-                continue;
-            }
-            let existing = self
-                .agg_agg_arcs
-                .get(&agg)
-                .is_some_and(|m| m.contains_key(&child));
-            if existing {
-                let withdraw = dynamic && (bundle.is_empty() || bundle.total_capacity() <= 0);
-                if withdraw {
-                    let slots = self
-                        .agg_agg_arcs
-                        .get_mut(&agg)
-                        .expect("existing arc implies entry")
-                        .remove(&child)
-                        .expect("contains_key checked");
-                    for arc in slots {
-                        self.base.graph.remove_arc(arc)?;
-                    }
-                } else {
-                    let slots = self
-                        .agg_agg_arcs
-                        .get_mut(&agg)
-                        .expect("existing arc implies entry")
-                        .get_mut(&child)
-                        .expect("contains_key checked");
-                    sync_bundle(
-                        &mut self.base.graph,
-                        slots,
-                        an,
-                        self.agg_nodes[&child],
-                        bundle.segments(),
-                        dynamic,
-                    )?;
-                }
-            } else {
-                if bundle.is_empty() || (dynamic && bundle.total_capacity() <= 0) {
-                    continue;
-                }
-                let cn = self.ensure_aggregate(model, state, child)?;
-                // A new edge into a pre-existing aggregate could close
-                // a loop that per-materialization cycle detection
-                // cannot see — and materializing `child` may itself
-                // have connected descendants back to `agg`'s ancestors
-                // — so reachability must be checked *after* the
-                // child's subtree exists, just before connecting.
-                if self.agg_reaches(child, agg) {
-                    return Err(PolicyError::AggregateCycle(agg));
-                }
-                let slots = materialize_bundle(&mut self.base.graph, an, cn, bundle.segments())?;
-                self.agg_agg_arcs
-                    .entry(agg)
-                    .or_default()
-                    .insert(child, slots);
+            validate_bundle("aggregate_to_aggregate", bundle)?;
+            if seen.insert(*child) {
+                self.sync_child_bundle(model, state, agg, *child, Some(bundle), stack)?;
             }
         }
         let stale: Vec<AggregateId> = self
@@ -1160,24 +1047,46 @@ impl FlowGraphManager {
             .map(|m| m.keys().filter(|c| !seen.contains(c)).copied().collect())
             .unwrap_or_default();
         for child in stale {
-            if dynamic {
-                let slots = self
-                    .agg_agg_arcs
-                    .get_mut(&agg)
-                    .expect("stale arc implies entry")
-                    .remove(&child)
-                    .expect("stale key present");
-                for arc in slots {
-                    self.base.graph.remove_arc(arc)?;
-                }
-            } else {
-                let slots = self.agg_agg_arcs[&agg][&child].clone();
-                for arc in slots {
-                    self.base.graph.set_arc_capacity(arc, 0)?;
-                }
-            }
+            self.sync_child_bundle(model, state, agg, child, None, stack)?;
         }
         Ok(())
+    }
+
+    /// Syncs one EC→EC bundle. A pair without slots that the declaration
+    /// would materialize first materializes the child (recursively) and
+    /// is cycle-checked: a new edge into a pre-existing aggregate could
+    /// close a loop the materialization stack cannot see — and
+    /// materializing `child` may itself have connected descendants back
+    /// to `parent`'s ancestors — so reachability is checked *after* the
+    /// child's subtree exists, just before connecting.
+    fn sync_child_bundle<C: CostModel>(
+        &mut self,
+        model: &C,
+        state: &ClusterState,
+        parent: AggregateId,
+        child: AggregateId,
+        declared: Option<&ArcBundle>,
+        stack: &mut Vec<AggregateId>,
+    ) -> Result<(), PolicyError> {
+        let dynamic = model.dynamic_aggregate_arcs();
+        let connected = self
+            .agg_agg_arcs
+            .get(&parent)
+            .is_some_and(|m| m.contains_key(&child));
+        let cn = if connected {
+            self.agg_nodes[&child]
+        } else if declared_segments(declared, dynamic).is_empty() {
+            return Ok(());
+        } else {
+            let cn = self.ensure_aggregate(model, state, child, stack)?;
+            if self.agg_reaches(child, parent) {
+                return Err(PolicyError::AggregateCycle(parent));
+            }
+            cn
+        };
+        let pn = self.agg_nodes[&parent];
+        let arcs = self.agg_agg_arcs.entry(parent).or_default();
+        sync_entry(&mut self.base.graph, arcs, child, pn, cn, declared, dynamic)
     }
 
     /// Re-prices one task: its unscheduled arc, then — when
@@ -1219,7 +1128,7 @@ impl FlowGraphManager {
         tn: NodeId,
     ) -> Result<(), PolicyError> {
         let declared = declare_task_arcs(model, state, task)?;
-        let Some(entry) = self.task_slots.get(&task.id) else {
+        let Some(mut entry) = self.task_slots.remove(&task.id) else {
             return Ok(());
         };
         let structural_match = entry.len() == declared.len()
@@ -1235,14 +1144,11 @@ impl FlowGraphManager {
                     }
             });
         if !structural_match {
-            let u = self.base.ensure_unscheduled(task.job)?;
-            self.base.retain_out_arcs(tn, move |_, dst| dst == u)?;
-            self.task_slots.remove(&task.id);
+            self.strip_task_arcs(task.id)?;
             // Rebuild from the declaration already computed (and
             // validated) above — no second model query.
             return self.install_waiting_arcs(model, state, task, declared);
         }
-        let mut entry = self.task_slots.remove(&task.id).expect("checked above");
         for ((target, slots), (_, bundle)) in entry.iter_mut().zip(&declared) {
             let dst = match target {
                 ArcTarget::Aggregate(agg) => self.agg_nodes[agg],
@@ -1253,14 +1159,7 @@ impl FlowGraphManager {
             };
             // Parking (not removal) on shrink keeps slot identity so the
             // segment can revive as a pure capacity change later.
-            sync_bundle(
-                &mut self.base.graph,
-                slots,
-                tn,
-                dst,
-                bundle.segments(),
-                false,
-            )?;
+            sync_bundle(&mut self.base.graph, slots, tn, dst, Some(bundle), false)?;
         }
         self.task_slots.insert(task.id, entry);
         Ok(())
@@ -1448,14 +1347,11 @@ impl FlowGraphManager {
                     }
                 }
             }
-            let Some(tn) = self.base.task_node(tid) else {
+            if !self.base.task_table.contains(tid) {
                 continue;
-            };
-            let task = state.tasks[&tid].clone();
-            let u = self.base.ensure_unscheduled(task.job)?;
-            self.base.retain_out_arcs(tn, move |_, dst| dst == u)?;
-            self.task_slots.remove(&tid);
-            self.add_waiting_arcs(model, state, &task)?;
+            }
+            self.strip_task_arcs(tid)?;
+            self.add_waiting_arcs(model, state, &state.tasks[&tid])?;
             self.dirty_tasks.insert(tid);
             self.stats.waiting_rederived += 1;
         }
@@ -1495,18 +1391,25 @@ impl FlowGraphManager {
             .ok_or(PolicyError::UnknownTask(task.id))?;
         let mut entry: Vec<(ArcTarget, Vec<ArcId>)> = Vec::with_capacity(declared.len());
         for (target, bundle) in declared {
-            let slots = match target {
+            let dst = match target {
                 ArcTarget::Aggregate(agg) => {
-                    let an = self.ensure_aggregate(model, state, agg)?;
-                    materialize_bundle(&mut self.base.graph, t, an, bundle.segments())?
+                    Some(self.ensure_aggregate(model, state, agg, &mut Vec::new())?)
                 }
-                ArcTarget::Machine(mid) => match self.base.machine_node(mid) {
-                    Some(mn) => materialize_bundle(&mut self.base.graph, t, mn, bundle.segments())?,
-                    // The machine is not in the cluster (yet): park the
-                    // reference so arrival re-derivation finds this task.
-                    None => Vec::new(),
-                },
+                // An absent machine keeps empty slots: the parked
+                // reference lets arrival re-derivation find this task.
+                ArcTarget::Machine(mid) => self.base.machine_node(mid),
             };
+            let mut slots = Vec::new();
+            if let Some(dst) = dst {
+                sync_bundle(
+                    &mut self.base.graph,
+                    &mut slots,
+                    t,
+                    dst,
+                    Some(&bundle),
+                    false,
+                )?;
+            }
             entry.push((target, slots));
         }
         self.task_slots.insert(task.id, entry);
@@ -1518,19 +1421,10 @@ impl FlowGraphManager {
     /// materialized by querying the model for every known machine, and its
     /// EC→EC children (declared via
     /// [`CostModel::aggregate_to_aggregate`]) are materialized
-    /// recursively. Fails with [`PolicyError::AggregateCycle`] if the
-    /// declared hierarchy is not a DAG.
+    /// recursively; `stack` holds the aggregates under materialization.
+    /// Fails with [`PolicyError::AggregateCycle`] if the declared
+    /// hierarchy is not a DAG.
     fn ensure_aggregate<C: CostModel>(
-        &mut self,
-        model: &C,
-        state: &ClusterState,
-        agg: AggregateId,
-    ) -> Result<NodeId, PolicyError> {
-        let mut stack = Vec::new();
-        self.ensure_aggregate_rec(model, state, agg, &mut stack)
-    }
-
-    fn ensure_aggregate_rec<C: CostModel>(
         &mut self,
         model: &C,
         state: &ClusterState,
@@ -1556,45 +1450,61 @@ impl FlowGraphManager {
             let Some(machine) = state.machines.get(&mid) else {
                 continue;
             };
-            if let Some(bundle) = model.aggregate_arc(state, agg, machine) {
-                validate_bundle("aggregate_arc", &bundle)?;
-                if bundle.is_empty() || (dynamic && bundle.total_capacity() <= 0) {
-                    continue;
-                }
-                let mn = self.base.machine_nodes[&mid];
-                let slots = materialize_bundle(&mut self.base.graph, an, mn, bundle.segments())?;
-                self.machine_agg_arcs
-                    .entry(mid)
-                    .or_default()
-                    .insert(agg, slots);
+            // A new aggregate has no slots to withdraw.
+            if let Some(bundle) = declare_aggregate_arc(model, state, agg, machine)? {
+                self.sync_machine_bundle(agg, mid, Some(&bundle), dynamic)?;
             }
         }
-        // EC→EC children: materialize each declared child (recursively —
-        // hierarchies can be arbitrarily deep) and connect it.
-        let declared = model.aggregate_to_aggregate(state, agg);
-        if !declared.is_empty() {
-            self.hierarchy_declared = true;
-        }
-        for (child, bundle) in declared {
-            validate_bundle("aggregate_to_aggregate", &bundle)?;
-            if bundle.is_empty() || (dynamic && bundle.total_capacity() <= 0) {
-                continue;
-            }
-            let cn = self.ensure_aggregate_rec(model, state, child, stack)?;
-            let duplicate = self
-                .agg_agg_arcs
-                .get(&agg)
-                .is_some_and(|m| m.contains_key(&child));
-            if !duplicate {
-                let slots = materialize_bundle(&mut self.base.graph, an, cn, bundle.segments())?;
-                self.agg_agg_arcs
-                    .entry(agg)
-                    .or_default()
-                    .insert(child, slots);
-            }
-        }
+        self.sync_aggregate_children(model, state, agg, stack)?;
         stack.pop();
         Ok(an)
+    }
+
+    /// Every materialized policy aggregate, in id order.
+    fn sorted_aggregates(&self) -> Vec<AggregateId> {
+        let mut aggs: Vec<AggregateId> = self.agg_nodes.keys().copied().collect();
+        aggs.sort_unstable();
+        aggs
+    }
+
+    /// Syncs `agg`'s bundle to machine `mid` with an already validated
+    /// declaration, keeping the slot map entry only while it holds slots —
+    /// the aggregate → machine step of machine arrival, aggregate
+    /// materialization and the refresh.
+    fn sync_machine_bundle(
+        &mut self,
+        agg: AggregateId,
+        mid: MachineId,
+        declared: Option<&ArcBundle>,
+        dynamic: bool,
+    ) -> Result<(), PolicyError> {
+        // Most aggregates reach few machines: skip the map for a pair
+        // with neither slots nor anything to materialize.
+        if declared_segments(declared, dynamic).is_empty()
+            && self.aggregate_machine_slots(agg, mid).is_none()
+        {
+            return Ok(());
+        }
+        let (Some(&an), Some(mn)) = (self.agg_nodes.get(&agg), self.base.machine_node(mid)) else {
+            return Ok(());
+        };
+        let arcs = self.machine_agg_arcs.entry(mid).or_default();
+        sync_entry(&mut self.base.graph, arcs, agg, an, mn, declared, dynamic)
+    }
+
+    /// Strips a task down to its `T → U_j` arc and forgets its declared
+    /// slots: the first step of every change to a task's arc set.
+    fn strip_task_arcs(&mut self, task: TaskId) -> Result<(), PolicyError> {
+        let entry = self
+            .base
+            .task_table
+            .get(task)
+            .ok_or(PolicyError::UnknownTask(task))?;
+        let u = self.base.graph.dst(entry.unsched_arc);
+        self.base
+            .retain_out_arcs(entry.node, move |_, dst| dst == u)?;
+        self.task_slots.remove(&task);
+        Ok(())
     }
 }
 
@@ -1625,6 +1535,23 @@ fn repeated_id(tasks: &[firmament_cluster::Task]) -> Option<TaskId> {
     let mut ids: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
     ids.sort_unstable();
     ids.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
+/// An aggregate's declared bundle to `machine`, validated. Validation
+/// precedes the sync's capacity filter, so a non-convex declaration is
+/// rejected even while a dynamic model withdraws it (the bug is in the
+/// model, not the load).
+fn declare_aggregate_arc<C: CostModel>(
+    model: &C,
+    state: &ClusterState,
+    agg: AggregateId,
+    machine: &firmament_cluster::Machine,
+) -> Result<Option<ArcBundle>, PolicyError> {
+    let bundle = model.aggregate_arc(state, agg, machine);
+    if let Some(b) = &bundle {
+        validate_bundle("aggregate_arc", b)?;
+    }
+    Ok(bundle)
 }
 
 /// A task's declared waiting arc set, deduplicated and validated — what
@@ -3502,6 +3429,76 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(untouched(&mgr), before);
+    }
+
+    /// A machine whose arc from aggregate 1 is non-convex; every other
+    /// declaration is valid.
+    const BAD_MACHINE: MachineId = 99;
+
+    struct NonConvexForOneMachine;
+
+    impl CostModel for NonConvexForOneMachine {
+        fn name(&self) -> &'static str {
+            "non-convex-for-one-machine"
+        }
+        fn task_unscheduled_cost(&self, _: &ClusterState, _: &Task) -> i64 {
+            1_000
+        }
+        fn task_arcs(&self, _: &ClusterState, _: &Task) -> Vec<(ArcTarget, ArcBundle)> {
+            vec![
+                (ArcTarget::Aggregate(0), ArcBundle::cost(1)),
+                (ArcTarget::Aggregate(1), ArcBundle::cost(2)),
+            ]
+        }
+        fn aggregate_arc(
+            &self,
+            _: &ClusterState,
+            aggregate: AggregateId,
+            machine: &Machine,
+        ) -> Option<ArcBundle> {
+            Some(if aggregate == 1 && machine.id == BAD_MACHINE {
+                ArcBundle::ladder([9, 2])
+            } else {
+                ArcBundle::single(machine.slots as i64, 0)
+            })
+        }
+        fn aggregate_kind(&self, _: AggregateId) -> NodeKind {
+            NodeKind::ClusterAggregator
+        }
+    }
+
+    #[test]
+    fn rejected_machine_arrival_leaves_graph_untouched() {
+        let model = NonConvexForOneMachine;
+        let (mut state, mut mgr) = setup(2, 2);
+        let ev = ClusterEvent::JobSubmitted {
+            job: Job::new(0, JobClass::Batch, 0, state.now),
+            tasks: vec![Task::new(0, 0, 0, 1_000_000)],
+        };
+        state.apply(&ev);
+        mgr.apply_event(&model, &state, &ev).unwrap();
+        mgr.refresh(&model, &state).unwrap();
+        // Aggregate 0's valid bundle is declared before aggregate 1's
+        // non-convex one: neither it nor the machine node may land.
+        let before = untouched(&mgr);
+        let ev = ClusterEvent::MachineAdded {
+            machine: Machine::new(BAD_MACHINE, 0, 2),
+        };
+        state.apply(&ev);
+        let err = mgr.apply_event(&model, &state, &ev);
+        assert!(
+            matches!(
+                err,
+                Err(PolicyError::NonConvexBundle {
+                    hook: "aggregate_arc",
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(untouched(&mgr), before);
+        assert!(mgr.machine_node(BAD_MACHINE).is_none());
+        assert!(mgr.aggregate_machine_slots(0, BAD_MACHINE).is_none());
     }
 
     /// The task table behaves as a `TaskId`-ordered map under random

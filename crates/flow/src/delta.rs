@@ -6,7 +6,7 @@
 //!
 //! Three parties touch the log:
 //!
-//! - **The graph records.** A [`FlowGraph`](crate::FlowGraph) with change
+//! - **The graph records.** A [`FlowGraph`] with change
 //!   tracking enabled appends one [`GraphChange`] per structural or pricing
 //!   mutation (node/arc add/remove, cost, capacity, supply). Flow pushes
 //!   are *not* recorded: between two solver handoffs every flow move the

@@ -41,152 +41,38 @@
 //! assert_eq!(outcome.placed_tasks, 1);
 //! ```
 //!
-//! # Migrating from the `SchedulingPolicy` API (pre-0.2)
+//! # One scheduling round
 //!
-//! The monolithic `SchedulingPolicy` trait — where each policy owned a
-//! `GraphBase` and hand-maintained its flow network — has been split into
-//! two cooperating APIs, mirroring real Firmament's
-//! `CostModelInterface`/`FlowGraphManager` design:
+//! A [`policies::CostModel`] declares arc costs and structure as pure
+//! functions of [`cluster::ClusterState`]; everything stateful lives in
+//! the [`core::FlowGraphManager`]. [`core::Firmament::schedule`] runs one
+//! round through these layers:
 //!
-//! - [`policies::CostModel`] *declares* per-arc costs and arc structure
-//!   (task → aggregate/machine arcs, aggregate → machine arcs,
-//!   unscheduled costs, gang minimums) as pure functions of
-//!   [`cluster::ClusterState`];
-//! - [`core::FlowGraphManager`] owns the graph, translates
-//!   [`cluster::ClusterEvent`]s into deltas, and runs the two-pass cost
-//!   update of §6.3 touching only dirty nodes.
+//! 1. **Events.** [`core::Firmament::handle_event`] applies each
+//!    [`cluster::ClusterEvent`] to the flow network and marks the machines,
+//!    tasks and aggregates it touched as dirty. A rejected event returns a
+//!    typed [`policies::PolicyError`].
+//! 2. **Refresh.** [`core::FlowGraphManager::refresh`] runs the two-pass
+//!    cost update of §6.3: it collects the dirty nodes, then re-queries
+//!    the model for exactly those. Every declared arc is a convex
+//!    [`policies::ArcBundle`] whose segments keep stable graph-arc slots,
+//!    so a re-priced ladder is a cost or capacity change, not structural
+//!    churn.
+//! 3. **Deltas.** [`core::FlowGraphManager::take_deltas`] drains the
+//!    graph's change log as a compacted [`flow::delta::DeltaBatch`].
+//! 4. **Dual race.** [`mcmf::DualSolver::solve_owned_with_deltas`] takes
+//!    the graph by move and races relaxation against incremental cost
+//!    scaling, which warm-starts from the batch instead of diffing the
+//!    graph. A round that only raises costs on flowless arcs skips the
+//!    race.
+//! 5. **Adopt.** [`core::FlowGraphManager::adopt_graph`] installs the
+//!    winning flow, from which the next round warm-starts.
+//! 6. **Extract.** [`core::extract_placements`] (Listing 1) reads each
+//!    task's placement off the optimal flow.
+//! 7. **Diff.** The placements are diffed against the cluster state into
+//!    [`core::SchedulingAction`]s (preemptions first), in task-id order.
 //!
-//! Concretely:
-//!
-//! | pre-0.2 | 0.2 |
-//! |---------|-----|
-//! | `LoadSpreadingPolicy` / `QuincyPolicy` / `NetworkAwarePolicy` | `LoadSpreadingCostModel` / `QuincyCostModel` / `NetworkAwareCostModel` (deprecated aliases remain) |
-//! | `impl SchedulingPolicy` (~300–450 lines incl. graph code) | `impl CostModel` (a few dozen lines of cost arithmetic) |
-//! | `firmament.policy()` / `policy_mut()` | [`model()`](core::Firmament::model) / [`model_mut()`](core::Firmament::model_mut) |
-//! | `firmament.policy().base().graph` | [`graph()`](core::Firmament::graph) |
-//! | `policy.refresh_costs(&state)` | [`refresh(&state)`](core::Firmament::refresh) |
-//! | `policy.base().task_node(..)` | [`manager().task_node(..)`](core::FlowGraphManager::task_node) |
-//!
-//! `extract_placements` now returns a `BTreeMap` (task-ordered), making
-//! scheduler action order deterministic by construction, and the solver
-//! consumes the graph by move (`DualSolver::solve_owned`) instead of
-//! cloning it every round.
-//!
-//! # The delta-feed solver handoff (0.3)
-//!
-//! The manager's graph records every structural and pricing mutation in a
-//! typed change log; once per round the scheduler drains and compacts it
-//! into a [`flow::delta::DeltaBatch`] (add-then-remove cancels, repeated
-//! re-pricings merge) and hands it to the solver alongside the graph:
-//!
-//! ```text
-//!  events ─► FlowGraphManager ─► refresh (§6.3, dirty nodes only)
-//!                 │                    │
-//!                 │ take_deltas()      │ take_graph()
-//!                 ▼                    ▼
-//!           DeltaBatch ───────► DualSolver::solve_owned_with_deltas
-//!                                      │
-//!                 relaxation ∥ IncrementalCostScaling::solve_with_deltas
-//!                                      │ optimal flow (adopted back)
-//! ```
-//!
-//! The incremental cost-scaling side consumes the feed natively — no
-//! full-graph diffing on the hot path: new nodes get targeted price
-//! initialization, the starting ε comes from a violation scan over the
-//! dirty region only, feasibility damage becomes local excesses, and the
-//! ε-schedule's per-phase saturation visits only arcs adjacent to the
-//! dirty region (see [`mcmf::incremental`] for the contract and
-//! [`flow::delta`] for the compaction/replay rules). A configurable
-//! safety valve (`IncrementalConfig::warm_work_bailout`) abandons a warm
-//! attempt that exceeds a multiple of the last from-scratch solve's work
-//! and re-solves cold, bounding warm-start pathologies. Per-round
-//! telemetry (deltas fed, nodes touched, bailouts, winner) is surfaced on
-//! [`core::RoundOutcome::solver`]. The feed's fidelity is pinned by the
-//! delta-replay oracle in `tests/graph_refresh_differential.rs`:
-//! replaying each round's batch onto the previous round's snapshot must
-//! reproduce the live graph slot-exactly.
-//!
-//! # Migrating from scalar `ArcSpec` declarations (pre-0.4)
-//!
-//! Every [`policies::CostModel`] arc hook now declares a
-//! [`policies::ArcBundle`] — a piecewise-linear **convex cost ladder**
-//! (ordered `ArcSpec` segments with non-decreasing costs) — instead of a
-//! single `(capacity, cost)` pair or a bare cost:
-//!
-//! | pre-0.4 | 0.4 |
-//! |---------|-----|
-//! | `task_arcs → Vec<(ArcTarget, i64)>` | `task_arcs → Vec<(ArcTarget, ArcBundle)>` — wrap each cost in [`ArcBundle::cost`] |
-//! | `aggregate_arc → Option<ArcSpec>` | `aggregate_arc → Option<ArcBundle>` — `Some(ArcSpec { capacity, cost })` becomes `Some(ArcBundle::single(capacity, cost))` |
-//! | `aggregate_to_aggregate → Vec<(AggregateId, ArcSpec)>` | `Vec<(AggregateId, ArcBundle)>` — same `single` wrapping |
-//!
-//! Single-segment bundles are behaviorally identical to the old scalar
-//! arcs, so the migration is mechanical. The point of the change is what
-//! multi-segment bundles buy: the manager materializes one parallel arc
-//! per segment (stable per-segment slot identity — re-pricing a segment
-//! is a pure `CostChanged` delta, never structural churn), so load-based
-//! policies can declare *rising* per-unit costs and get **one-round load
-//! spreading** (Quincy's convexity trick; see [`policies::ArcBundle`]
-//! and the `convex_spreading` bench bin). The **convexity contract** —
-//! segment costs never decrease — is validated at every declaration and
-//! violations are rejected with `PolicyError::NonConvexBundle`: a
-//! decreasing ladder would let the min-cost solver fill expensive
-//! segments before cheap ones, silently corrupting the declared cost
-//! function.
-//!
-//! Two new (defaulted) hooks ride along: `CostModel::dynamic_task_arcs`
-//! opts waiting tasks' preference bundles into in-place re-pricing on
-//! clock advance / dirty events (the task-side mirror of
-//! `dynamic_aggregate_arcs`), and `CostModel::task_arcs_machine_local`
-//! lets models whose task arcs reference the machine set only through
-//! direct machine targets skip the per-waiting-task re-derivation on
-//! machine add/remove. Cross-solver placement reproducibility is
-//! available via [`mcmf::canonical::canonicalize_flow`], which maps any
-//! degenerate optimum to the canonical one.
-//!
-//! # Capacity-bucketed ladders and the scale testbed (0.5)
-//!
-//! Per-slot convex ladders multiply aggregate → machine arcs by the slot
-//! count — 150,000 parallel arcs for load-spreading at the paper's
-//! 12,500-machine × 12-slot scale. [`policies::ArcBundle::bucketed`] is
-//! the classic convex-cost compression: `O(log slots)` segments with
-//! geometrically growing capacities (1, 1, 2, 4, …), each priced at the
-//! rounded mean of the per-slot marginals it covers — convexity is
-//! preserved (bucket means of a non-decreasing marginal are
-//! non-decreasing), any load on a bucket boundary prices exactly like the
-//! per-slot ladder, and the segment count depends only on the slot count,
-//! so re-pricing under load drift stays a pure `CostChanged` delta on the
-//! same stable slots (bucket-boundary drift under slot-count churn
-//! re-sizes/parks/revives those slots in place — no structural churn).
-//!
-//! The shipped load-based models carry a [`policies::BundleShape`] knob
-//! (`PerSlot`, the default, vs `Bucketed`):
-//!
-//! | model | bucketed constructor |
-//! |-------|----------------------|
-//! | `LoadSpreadingCostModel` | [`bucketed()`](policies::LoadSpreadingCostModel::bucketed) / [`with_shape`](policies::LoadSpreadingCostModel::with_shape) |
-//! | `OctopusCostModel` | [`bucketed()`](policies::OctopusCostModel::bucketed) / `OctopusConfig::shape` |
-//! | `HierarchicalTopologyCostModel` | [`bucketed()`](policies::HierarchicalTopologyCostModel::bucketed) / `TopologyConfig::shape` |
-//!
-//! The trade, quantified by the `scale_regression` testbed
-//! (`firmament-bench`'s `scale` module, `tests/scale_regression.rs`, and
-//! the CI `scale-smoke` job): arcs drop from `O(m·s)` to `O(m·log s)`
-//! (12 slots → 5 segments/machine; 62,500 vs 150,000 ladder arcs at the
-//! full-scale fig3 point, which now runs), while one-round burst
-//! spreading goes bucket-granular — exact at bucket boundaries, within
-//! one marginal step per task of the per-slot optimum otherwise (pinned
-//! against canonicalized exact optima).
-//!
-//! Also in 0.5: **re-price-only rounds skip the solver race.** A round
-//! whose whole `DeltaBatch` is `CostChanged` entries
-//! ([`flow::delta::DeltaBatch::is_reprice_only`]) with every change a
-//! rise on a flowless arc is proven quiescent; the dual executor then
-//! runs the warm cost-scaling path alone (O(Δ), no relaxation thread, no
-//! graph clone) and records the skip on
-//! [`core::SolverStats::race_skipped`].
-//!
-//! [`policies::ArcBundle`]: policies::ArcBundle
-//! [`ArcBundle::cost`]: policies::ArcBundle::cost
-//! [`ArcBundle::single`]: policies::ArcBundle::single
+//! Per-round telemetry is on [`core::RoundOutcome::solver`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
