@@ -36,10 +36,9 @@
 //! Convexity — non-decreasing segment costs — is validated at every
 //! declaration site (for machine arrivals and job submissions, before the
 //! event touches the graph), and violations are rejected with
-//! [`PolicyError::NonConvexBundle`]: a
-//! decreasing ladder would let the min-cost solver fill expensive
-//! segments before cheap ones, silently corrupting the declared cost
-//! function.
+//! [`PolicyError::NonConvexBundle`]: a decreasing ladder would let the
+//! min-cost solver fill expensive segments before cheap ones, silently
+//! corrupting the declared cost function.
 //!
 //! This mirrors real Firmament's `FlowGraphManager`/`CostModelInterface`
 //! split, which is what makes new policies cheap: the node and slot
@@ -645,8 +644,9 @@ impl FlowGraphManager {
                 // Declare and validate every bundle before adding the
                 // machine, so a rejected declaration leaves the graph
                 // untouched.
-                let declared = self
-                    .sorted_aggregates()
+                let mut aggs: Vec<AggregateId> = self.agg_nodes.keys().copied().collect();
+                aggs.sort_unstable();
+                let declared = aggs
                     .into_iter()
                     .map(|agg| Ok((agg, declare_aggregate_arc(model, state, agg, machine)?)))
                     .collect::<Result<Vec<_>, PolicyError>>()?;
@@ -858,16 +858,17 @@ impl FlowGraphManager {
         // bundles a dirty machine already has; a dynamic model (Fig 6c)
         // visits every aggregate, since its arc *set* reacts to monitored
         // state.
+        let mut aggs = Vec::new();
         for &mid in &machines {
             let machine = &state.machines[&mid];
-            let aggs = if dynamic {
-                self.sorted_aggregates()
-            } else {
-                self.machine_agg_arcs
-                    .get(&mid)
-                    .map_or_else(Vec::new, |arcs| arcs.keys().copied().collect())
-            };
-            for agg in aggs {
+            aggs.clear();
+            if dynamic {
+                aggs.extend(self.agg_nodes.keys());
+                aggs.sort_unstable();
+            } else if let Some(arcs) = self.machine_agg_arcs.get(&mid) {
+                aggs.extend(arcs.keys());
+            }
+            for &agg in &aggs {
                 let bundle = declare_aggregate_arc(model, state, agg, machine)?;
                 self.sync_machine_bundle(agg, mid, bundle.as_ref(), dynamic)?;
             }
@@ -1458,13 +1459,6 @@ impl FlowGraphManager {
         self.sync_aggregate_children(model, state, agg, stack)?;
         stack.pop();
         Ok(an)
-    }
-
-    /// Every materialized policy aggregate, in id order.
-    fn sorted_aggregates(&self) -> Vec<AggregateId> {
-        let mut aggs: Vec<AggregateId> = self.agg_nodes.keys().copied().collect();
-        aggs.sort_unstable();
-        aggs
     }
 
     /// Syncs `agg`'s bundle to machine `mid` with an already validated
