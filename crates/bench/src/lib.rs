@@ -105,6 +105,45 @@ pub fn warmed_cluster<C: CostModel>(
     (state, firmament, generator)
 }
 
+/// The default (hedged) solver's round on a burst: see [`hedged_round`].
+#[derive(Debug, Clone, Copy)]
+pub struct HedgedRound {
+    /// Wall time of the `schedule` call, in seconds.
+    pub seconds: f64,
+    /// Arc examinations of the round: relaxation's plus any fallback's.
+    pub work: u64,
+    /// The hedge's work budget for the round (0 if it ran none).
+    pub budget: u64,
+    /// Whether the count-based bound held: the flow is optimal, the round
+    /// ran under a budget, and its work is at most the budget plus the arc
+    /// examinations of one cold cost-scaling solve of the same graph.
+    pub bound_holds: bool,
+}
+
+/// Runs `firmament.schedule` on a burst already fed to it, after
+/// [`warmed_cluster`]'s cold round has set the hedge's work reference, and
+/// checks the hedge's worst case by count rather than by time.
+/// `cold_cs_scans` is the arc-examination count of a cold cost-scaling
+/// solve of the same graph.
+pub fn hedged_round<C: CostModel>(
+    state: &ClusterState,
+    firmament: &mut Firmament<C>,
+    cold_cs_scans: u64,
+) -> HedgedRound {
+    let (outcome, elapsed) = timed(|| firmament.schedule(state).expect("hedged round"));
+    let s = &outcome.solver;
+    let work = s.relaxation_work + s.cs_work;
+    let optimal = firmament_mcmf::verify::is_optimal(firmament.graph());
+    HedgedRound {
+        seconds: elapsed.as_secs_f64(),
+        work,
+        budget: s.work_budget.unwrap_or(0),
+        bound_holds: optimal
+            && s.work_budget
+                .is_some_and(|budget| work <= budget.saturating_add(cold_cs_scans)),
+    }
+}
+
 /// Times a closure, returning its result and the elapsed wall time.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();

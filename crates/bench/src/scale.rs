@@ -231,7 +231,7 @@ pub struct ScalePoint {
     pub warm_deltas: usize,
     /// Pure re-pricings among those deltas.
     pub warm_repricings: usize,
-    /// Churn rounds whose dual race was short-circuited (re-price-only).
+    /// Churn rounds that ran no full solve (re-price-only and quiescent).
     pub race_skips: usize,
     /// Tasks placed after the cold round.
     pub placed: usize,

@@ -4,8 +4,8 @@
 //! [`CostModel`](firmament_policies::CostModel) declares per-arc costs and
 //! arc structure; the [`FlowGraphManager`] owns the flow network, turns
 //! cluster events into graph deltas, and runs the two-pass cost update
-//! (§6.3); the speculative [`DualSolver`](firmament_mcmf::DualSolver)
-//! finds the min-cost flow; and [`extract::extract_placements`]
+//! (§6.3); the [`DualSolver`](firmament_mcmf::DualSolver) — relaxation,
+//! hedged by cost scaling — finds the min-cost flow; and [`extract::extract_placements`]
 //! (Listing 1) turns the optimal flow back into task placements.
 //! [`Firmament`] is the scheduler service a cluster manager embeds.
 //!
@@ -19,15 +19,16 @@
 //!  schedule():  manager.refresh (two-pass, dirty nodes only)
 //!                        │ take_deltas() + take_graph()
 //!                        ▼
-//!        DeltaBatch ─► DualSolver (relaxation ∥ delta-fed inc. CS)
+//!        DeltaBatch ─► DualSolver (relaxation, cost scaling past budget)
 //!                                                         │ optimal flow
 //!                 placements ◄── extract (Listing 1) ◄────┘
 //! ```
 //!
 //! The manager's graph records its own change log; `schedule` drains it
-//! as a compacted [`firmament_flow::delta::DeltaBatch`] each round and
-//! the incremental solver warm-starts from the deltas natively instead of
-//! diffing the graph (per-round telemetry on
+//! as a compacted [`firmament_flow::delta::DeltaBatch`] each round; the
+//! solver skips a round whose batch provably keeps the last optimal flow
+//! optimal, and the opt-in race's incremental solver warm-starts from the
+//! deltas natively instead of diffing the graph (per-round telemetry on
 //! [`RoundOutcome::solver`](scheduler::RoundOutcome::solver)).
 
 #![forbid(unsafe_code)]

@@ -3,9 +3,10 @@
 //! Firmament continuously reschedules the entire workload: cluster events
 //! are translated into flow-network deltas by the [`FlowGraphManager`],
 //! each scheduling round runs the two-pass cost update of §6.3 against the
-//! configured [`CostModel`], the speculative dual MCMF solver (§6.1) finds
-//! the min-cost flow, and placement actions are extracted by diffing the
-//! optimal flow against the current task assignments.
+//! configured [`CostModel`], the MCMF solver (§6.1: relaxation, hedged by
+//! cost scaling) finds the min-cost flow, and placement actions are
+//! extracted by diffing the optimal flow against the current task
+//! assignments.
 //!
 //! The scheduler core never mutates the graph itself — the manager owns
 //! it. `schedule` *takes* the graph out of the manager, hands ownership to
@@ -39,10 +40,11 @@ pub enum SchedulingAction {
     },
 }
 
-/// Per-round solver telemetry: how the change feed reached the solver and
-/// how much of the graph the warm start actually visited. This is what
-/// lets experiments (fig11/fig14) show the incremental path scaling with
-/// *change* size rather than graph size.
+/// Per-round solver telemetry: how the change feed reached the solver, how
+/// much work each algorithm did, and how much of the graph the warm start
+/// actually visited. This is what lets experiments (fig11/fig14) show the
+/// incremental path scaling with *change* size rather than graph size, and
+/// fig08/fig09 check the hedge's work bound by count.
 #[derive(Debug, Clone, Default)]
 pub struct SolverStats {
     /// Compacted [`firmament_flow::delta::GraphDelta`]s handed to the
@@ -55,22 +57,38 @@ pub struct SolverStats {
     /// drift produces. These are the cheap warm-start events: no flow
     /// moved, no structure changed.
     pub repricings: usize,
-    /// Nodes the incremental cost-scaling solver activated (its honest
-    /// work measure); 0 when it went cold, was cancelled, or lost the
-    /// race before finishing.
+    /// Nodes the cost-scaling solve activated (its honest work measure);
+    /// 0 when no cost-scaling solve completed this round — the hedge ran
+    /// relaxation alone or skipped, or the race's racer was cancelled.
     pub nodes_touched: u64,
-    /// Iterations the incremental solver spent (push/relabel steps).
+    /// Iterations the cost-scaling solve spent (push/relabel steps). Under
+    /// the race this is the incremental racer; under the hedge, its cold
+    /// solve (the first round's, or the fallback's).
     pub iterations: u64,
-    /// Warm-start safety-valve trips this round (the warm attempt was
-    /// abandoned for a bounded cold re-solve).
+    /// Warm-start safety-valve trips this round (the race's warm attempt
+    /// was abandoned for a bounded cold re-solve).
     pub bailouts: u64,
-    /// `true` when the speculative dual race was short-circuited: the
-    /// round's batch was re-price-only with no exposed violation (all cost
-    /// rises on flowless arcs — the convex-ladder clock-advance shape), so
-    /// only the warm cost-scaling path ran, in O(Δ), and relaxation
-    /// neither ran nor copied the graph.
+    /// Arc examinations of the cost-scaling solve (see
+    /// [`firmament_mcmf::SolveStats::arc_scans`]); 0 when none completed.
+    pub cs_work: u64,
+    /// Arc examinations of the hedge's relaxation run; it equals
+    /// `work_budget` when relaxation spent the budget and fell back.
+    pub relaxation_work: u64,
+    /// The hedge's work budget this round
+    /// ([`firmament_mcmf::dual::HEDGE_WORK_FACTOR`] × the arc examinations
+    /// of the last cold cost-scaling solve); `None` when relaxation ran
+    /// under no budget.
+    pub work_budget: Option<u64>,
+    /// `true` when the hedge's relaxation spent its budget and cold cost
+    /// scaling solved the round instead.
+    pub fell_back: bool,
+    /// `true` when the round ran no full solve: its batch was re-price-only
+    /// with no exposed violation (all cost rises on flowless arcs — the
+    /// convex-ladder clock-advance shape). The hedge then hands the last
+    /// optimal flow back untouched; the race runs only the warm
+    /// cost-scaling path, in O(Δ).
     pub race_skipped: bool,
-    /// Which MCMF algorithm won the speculative race — a convenience copy
+    /// Which MCMF algorithm produced the round's flow — a convenience copy
     /// of [`RoundOutcome::winner`] so this struct is self-contained when
     /// logged on its own.
     pub winner: Option<AlgorithmKind>,
@@ -83,9 +101,10 @@ pub struct RoundOutcome {
     pub actions: Vec<SchedulingAction>,
     /// The solver's algorithm runtime (Fig 2b: "solver running").
     pub algorithm_runtime: Duration,
-    /// Which MCMF algorithm won the speculative race.
+    /// Which MCMF algorithm produced the round's flow (on a skipped round,
+    /// the one whose flow was kept).
     pub winner: AlgorithmKind,
-    /// Delta-feed and warm-start telemetry for this round.
+    /// Delta-feed, work and warm-start telemetry for this round.
     pub solver: SolverStats,
     /// Objective value of the optimal flow.
     pub objective: i64,
@@ -175,7 +194,8 @@ pub struct Firmament<C: CostModel> {
 }
 
 impl<C: CostModel> Firmament<C> {
-    /// Creates a scheduler with the default dual-solver configuration.
+    /// Creates a scheduler with the default solver configuration (the
+    /// hedge, [`firmament_mcmf::SolverKind::Hedged`]).
     pub fn new(model: C) -> Self {
         Self::with_solver(model, DualConfig::default())
     }
@@ -257,10 +277,11 @@ impl<C: CostModel> Firmament<C> {
         // the incremental solver warm-starts from it natively instead of
         // diffing the graph against its warm state.
         let deltas = self.manager.take_deltas();
-        // Hand the solver ownership of the graph: single-algorithm runs
-        // and race-skipped rounds solve in place, a raced round copies it
-        // once into the solver's recycled spare for relaxation, and
-        // adopting the winning flow is a move either way.
+        // Hand the solver ownership of the graph. The hedge solves in place:
+        // relaxation within its work budget, cold cost scaling past it, or
+        // nothing at all on a provably quiescent batch. (The opt-in `Dual`
+        // race copies the graph once into the solver's recycled spare for
+        // relaxation.) Adopting the resulting flow is a move either way.
         let graph = self.manager.take_graph();
         let outcome =
             match self
@@ -271,9 +292,11 @@ impl<C: CostModel> Firmament<C> {
                 Err((err, mut graph)) => {
                     // Restore the network so the manager stays consistent; the
                     // failed run may have left partial flow behind. (The
-                    // drained delta batch is intentionally dropped: the
-                    // incremental solver went cold, so the next round solves
-                    // from scratch and needs no feed.)
+                    // drained delta batch is intentionally dropped: a failed
+                    // solve leaves the solver holding no optimal flow — the
+                    // hedge cannot skip and the race's incremental solver is
+                    // cold — so the next round solves in full and needs no
+                    // feed.)
                     graph.reset_flow();
                     self.manager.adopt_graph(graph);
                     return Err(err.into());
@@ -299,6 +322,10 @@ impl<C: CostModel> Firmament<C> {
                 nodes_touched: cs.map(|s| s.nodes_touched).unwrap_or(0),
                 iterations: cs.map(|s| s.iterations).unwrap_or(0),
                 bailouts: cs.map(|s| s.bailouts).unwrap_or(0),
+                cs_work: cs.map(|s| s.arc_scans).unwrap_or(0),
+                relaxation_work: outcome.relaxation_work,
+                work_budget: outcome.work_budget,
+                fell_back: outcome.fell_back,
                 race_skipped: outcome.race_skipped,
                 winner: Some(outcome.winner),
             },
@@ -500,6 +527,59 @@ mod tests {
             "the whole batch is cost drift"
         );
         assert!(o3.actions.is_empty(), "no churn on a quiescent round");
+    }
+
+    /// Places a 4-task job on three 2-slot machines and settles the
+    /// follow-up round, so the solver ends holding an optimal flow.
+    fn settled() -> (ClusterState, Firmament<LoadSpreadingCostModel>) {
+        let (mut state, mut f) = setup(3, 2);
+        submit(&mut state, &mut f, 0, 4, 600_000_000);
+        let o1 = f.schedule(&state).unwrap();
+        apply_actions(&mut state, &mut f, &o1.actions.clone());
+        let o2 = f.schedule(&state).unwrap();
+        apply_actions(&mut state, &mut f, &o2.actions.clone());
+        (state, f)
+    }
+
+    /// Advances the clock only, then schedules: the round must solve, not
+    /// skip, and end optimal.
+    fn tick_round_solves(state: &mut ClusterState, f: &mut Firmament<LoadSpreadingCostModel>) {
+        let ev = ClusterEvent::Tick { now: 30_000_000 };
+        state.apply(&ev);
+        f.handle_event(state, &ev).unwrap();
+        let o = f.schedule(state).unwrap();
+        assert!(!o.solver.race_skipped, "{:?}", o.solver);
+        assert!(firmament_mcmf::verify::is_optimal(f.graph()));
+    }
+
+    /// A failed round resets the flow, and a reset flow stays flowless
+    /// under a pure clock tick — so only the solver's own record that its
+    /// flow is no longer optimal stops the tick round from skipping.
+    #[test]
+    fn tick_after_a_cancelled_round_solves() {
+        let (mut state, mut f) = settled();
+        submit(&mut state, &mut f, 1, 1, 600_000_000);
+        let token = firmament_mcmf::CancelToken::new();
+        token.cancel();
+        f.solve_options.cancel = Some(token);
+        assert!(matches!(
+            f.schedule(&state),
+            Err(SchedulerError::Solver(SolveError::Cancelled))
+        ));
+        f.solve_options.cancel = None;
+        tick_round_solves(&mut state, &mut f);
+    }
+
+    /// A round stopped by the caller's iteration limit hands back a
+    /// pseudoflow; the next tick round must solve it to optimality.
+    #[test]
+    fn tick_after_an_early_stopped_round_solves() {
+        let (mut state, mut f) = settled();
+        submit(&mut state, &mut f, 1, 1, 600_000_000);
+        f.solve_options.iteration_limit = Some(1);
+        f.schedule(&state).unwrap();
+        f.solve_options.iteration_limit = None;
+        tick_round_solves(&mut state, &mut f);
     }
 
     #[test]

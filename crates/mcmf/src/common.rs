@@ -111,6 +111,13 @@ pub struct SolveStats {
     /// bound (or hit a spurious infeasibility) and the solver fell back to
     /// a from-scratch solve.
     pub bailouts: u64,
+    /// Arc examinations: adjacency entries scanned. Relaxation counts its
+    /// single-node slope test, cut growth and price updates; cost scaling
+    /// counts discharge's current-arc cursor steps and relabel scans. The
+    /// two algorithms count the same unit, so the counts compare, which
+    /// iteration counts do not: a relaxation iteration can scan a whole
+    /// cut, a cost-scaling iteration one arc.
+    pub arc_scans: u64,
 }
 
 /// A completed (or early-terminated) solver run.
@@ -194,8 +201,9 @@ impl Budget {
             iteration_limit: opts.iteration_limit,
             cancel: opts.cancel.clone(),
             iterations: 0,
-            // Check wall clock / cancel flag every 256 iterations to keep
-            // the hot loops branch-cheap.
+            // Check wall clock / cancel flag on the first iteration and
+            // every 256 after it, to keep the hot loops branch-cheap while
+            // a token cancelled before the run starts stops it at once.
             check_mask: 0xFF,
         }
     }
@@ -209,7 +217,7 @@ impl Budget {
                 return Some(BudgetStop::Exhausted);
             }
         }
-        if self.iterations & self.check_mask == 0 {
+        if self.iterations & self.check_mask == 1 {
             if let Some(c) = &self.cancel {
                 if c.is_cancelled() {
                     return Some(BudgetStop::Cancelled);
@@ -261,7 +269,7 @@ mod tests {
         let opts = SolveOptions::with_cancel(token.clone());
         let mut b = Budget::new(&opts);
         token.cancel();
-        // The flag is only polled every 256 ticks.
+        // The flag is only polled every 256 ticks after the first.
         let mut stopped = None;
         for _ in 0..512 {
             if let Some(s) = b.tick() {
@@ -270,6 +278,14 @@ mod tests {
             }
         }
         assert_eq!(stopped, Some(BudgetStop::Cancelled));
+    }
+
+    #[test]
+    fn budget_sees_a_token_cancelled_before_the_run() {
+        let token = CancelToken::new();
+        token.cancel();
+        let mut b = Budget::new(&SolveOptions::with_cancel(token));
+        assert_eq!(b.tick(), Some(BudgetStop::Cancelled));
     }
 
     #[test]

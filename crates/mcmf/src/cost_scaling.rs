@@ -7,9 +7,10 @@
 //! by the configurable α-factor until `1/n`-optimality — equivalent to full
 //! optimality for integer costs — is reached.
 //!
-//! This is the algorithm behind Quincy's `cs2` solver; Firmament uses the
-//! *incremental* variant (see [`crate::incremental`]) as its fallback
-//! algorithm and runs it speculatively next to relaxation (§6.1).
+//! This is the algorithm behind Quincy's `cs2` solver. Firmament's default
+//! solver runs it cold when relaxation spends its work budget (see
+//! [`crate::dual`]); the paper's race runs the *incremental* variant (see
+//! [`crate::incremental`]) speculatively next to relaxation (§6.1).
 //!
 //! Sign conventions: reduced costs are `c^π(a) = c(a) + π(src) − π(dst)`;
 //! prices only ever *decrease* (as in Goldberg's implementation), and a
@@ -285,6 +286,7 @@ pub(crate) fn discharge(
             }
             let adj = graph.adj(u);
             if current_arc[ui as usize] < adj.len() {
+                stats.arc_scans += 1;
                 let a = adj[current_arc[ui as usize]];
                 let r = graph.rescap(a);
                 if r > 0 {
@@ -311,6 +313,7 @@ pub(crate) fn discharge(
             } else {
                 // Relabel: lower u's price just enough to create an
                 // admissible arc.
+                stats.arc_scans += graph.adj(u).len() as u64;
                 let mut best = i64::MIN;
                 for &a in graph.adj(u) {
                     if graph.rescap(a) > 0 {

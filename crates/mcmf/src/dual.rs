@@ -1,34 +1,88 @@
-//! The speculative dual-algorithm executor (§6.1).
+//! Firmament's MCMF solver: relaxation, with cost scaling as the bound on
+//! its bad cases (§6.1).
 //!
-//! Firmament's MCMF solver always runs relaxation *and* incremental cost
-//! scaling concurrently and picks the solution of whichever finishes first.
-//! In the common case relaxation wins; having cost scaling as well bounds
-//! placement latency in the edge cases where relaxation degenerates (high
-//! utilization, §4.3). Running both is cheap — the algorithms are
-//! single-threaded — and avoids a brittle choice heuristic that would
-//! depend on both scheduling policy and cluster utilization.
+//! Relaxation is the fastest algorithm on scheduling graphs in the common
+//! case, but degenerates under high utilization and large arrivals (§4.3,
+//! Figs 8–9), where cost scaling stays flat. The paper therefore runs both
+//! on every round and takes whichever finishes first. This module offers
+//! that race as [`SolverKind::Dual`], and by default runs a *hedge* instead
+//! ([`SolverKind::Hedged`]): relaxation alone, in place, within a counted
+//! work budget, and cold cost scaling only once the budget runs out — a
+//! hedged request in the sense of Dean and Barroso ("The Tail at Scale",
+//! CACM 2013) that costs nothing on the common path.
 //!
-//! Relaxation runs on the calling thread and cost scaling on one spawned
-//! thread; whichever *succeeds* first cancels the other cooperatively, and
-//! there is no third, coordinating thread. If relaxation won, its solution
-//! is handed to incremental cost scaling through price refine (§6.2) so the
-//! *next* incremental run can warm-start.
+//! # The hedge (the default)
+//!
+//! A hedged round takes the first of these paths that applies:
+//!
+//! 1. **Skip.** The previous round ended with an optimal flow and the
+//!    round's delta batch provably exposes no reduced-cost violation (see
+//!    `reprice_only_quiescent`): no solver runs and the graph is handed
+//!    back unchanged.
+//! 2. **No history.** No cost-scaling solve has run yet: cold cost scaling
+//!    solves the round in place. Relaxation's cold solve of a freshly built
+//!    cluster can take ten times longer than cost scaling's.
+//! 3. **Relaxation.** Relaxation solves from scratch, in place, limited to
+//!    [`HEDGE_WORK_FACTOR`] × the arc examinations of the most recent
+//!    cost-scaling solve.
+//! 4. **Fallback.** Relaxation spent its budget: cold cost scaling resets
+//!    the flow and solves the round, and its work becomes the new
+//!    reference.
+//!
+//! Work is counted in arc examinations ([`SolveStats::arc_scans`]), which
+//! both algorithms count the same way, so the choice depends on the graph
+//! alone: the same inputs give the same flow on every run, and no round
+//! costs more than the budget plus one cold cost-scaling solve. Measured
+//! on the benchmark workloads, relaxation wins nearly every round of the
+//! race, which still pays for a graph copy, a thread, a cancelled racer
+//! and a whole-graph price refine on each; the hedge pays for none of them.
+//!
+//! # The race (`Dual`)
+//!
+//! Relaxation runs on the calling thread and incremental cost scaling on
+//! one spawned thread; whichever *succeeds* first cancels the other
+//! cooperatively, and there is no third, coordinating thread. If
+//! relaxation won, its solution is handed to incremental cost scaling
+//! through price refine (§6.2) so the *next* incremental run can
+//! warm-start. The winner depends on wall-clock time, so placements can
+//! differ from run to run where costs tie.
 //!
 //! Relaxation solves a copy of the round's graph. The copy is made with
 //! `clone_from` into a spare graph the solver keeps between rounds, and the
 //! losing racer's graph becomes the next round's spare, so a raced round
 //! copies the graph without allocating it anew.
 
-use crate::common::{AlgorithmKind, CancelToken, Solution, SolveError, SolveOptions};
+use crate::common::{AlgorithmKind, CancelToken, Solution, SolveError, SolveOptions, SolveStats};
+use crate::cost_scaling;
 use crate::incremental::{IncrementalConfig, IncrementalCostScaling};
-use crate::relaxation::{self, RelaxationConfig};
+use crate::relaxation::{self, Budgeted, RelaxationConfig};
 use firmament_flow::delta::DeltaBatch;
 use firmament_flow::FlowGraph;
+use std::time::{Duration, Instant};
+
+/// The hedge's budget multiplier `K`: relaxation may examine `K` times as
+/// many arcs as the most recent cold cost-scaling solve before the hedge
+/// falls back to cost scaling.
+///
+/// Calibrated on the benchmark workloads (`perfbench/`, seeds 1, 2, 3 and
+/// 9091): a steady round's relaxation examines at most 0.04 times as many
+/// arcs as the set-up round's cold cost-scaling solve on quiet-large and
+/// 0.03 times as many on churn-quincy. On contended-hier the median round
+/// examines 1.2 times as many and the worst 2.8 times, so `K = 8` leaves
+/// more than twice the headroom over every steady round measured. fig08's
+/// oversubscribed bursts on 1,250 machines stay within the budget too:
+/// relaxation examines at most 1.4 times the reference there, at 110 %
+/// utilization. A round therefore costs at most `K` × the reference plus
+/// one cold cost-scaling solve.
+pub const HEDGE_WORK_FACTOR: u64 = 8;
 
 /// Which algorithms the dual solver may run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
-    /// Both algorithms, first finisher wins (Firmament's default, §6.1).
+    /// Relaxation in place within a counted work budget, cold cost scaling
+    /// past it (the default; see the module docs).
+    Hedged,
+    /// Both algorithms raced, first finisher wins (the paper's §6.1).
     Dual,
     /// Relaxation only (the "Relaxation only" series of Fig 16/18).
     RelaxationOnly,
@@ -50,7 +104,7 @@ pub struct DualConfig {
 impl Default for DualConfig {
     fn default() -> Self {
         DualConfig {
-            kind: SolverKind::Dual,
+            kind: SolverKind::Hedged,
             relaxation: RelaxationConfig::default(),
             incremental: IncrementalConfig {
                 price_refine_on_adopt: true,
@@ -64,30 +118,45 @@ impl Default for DualConfig {
 /// graph holding its flow.
 #[derive(Debug)]
 pub struct DualOutcome {
-    /// The winning solution.
+    /// The winning solution. After a hedge fallback its `runtime` covers
+    /// relaxation's attempt as well as cost scaling's solve.
     pub solution: Solution,
     /// The graph containing the winning flow (adopt this as the new
     /// authoritative graph; node/arc ids are preserved from the input).
     pub graph: FlowGraph,
-    /// Which algorithm finished first.
+    /// Which algorithm produced the flow: the race's first finisher, the
+    /// hedge's solver, or — on a skipped hedged round — the algorithm whose
+    /// flow was kept.
     pub winner: AlgorithmKind,
-    /// Statistics of the incremental cost-scaling run when it completed
-    /// (even as the race loser) — the delta-fed warm-start telemetry
-    /// (nodes touched, bailouts) surfaced on `RoundOutcome`.
-    pub cs_stats: Option<crate::common::SolveStats>,
-    /// `true` when a configured dual race was short-circuited because the
-    /// round's delta batch was re-price-only and provably quiescent (no
-    /// exposed reduced-cost violation): the warm cost-scaling path ran
-    /// alone in O(Δ), and relaxation neither ran nor copied the graph.
-    /// Always `false` for single-algorithm configurations (nothing was
-    /// skipped).
+    /// Statistics of the cost-scaling run when it completed: the race's
+    /// incremental racer (even as the loser), with its delta-fed warm-start
+    /// telemetry (nodes touched, bailouts), or the hedge's cold solve.
+    pub cs_stats: Option<SolveStats>,
+    /// `true` when the round ran no full solve because its delta batch was
+    /// re-price-only and provably quiescent (no exposed reduced-cost
+    /// violation). The race then runs the warm cost-scaling path alone in
+    /// O(Δ); the hedge runs no solver at all. Always `false` for the
+    /// single-algorithm kinds.
     pub race_skipped: bool,
+    /// Arc examinations of the hedge's relaxation run (equal to
+    /// `work_budget` when it fell back); 0 for the other kinds.
+    pub relaxation_work: u64,
+    /// The hedge's work budget for the round; `None` when relaxation ran
+    /// under no budget (other kinds, a skipped round, or a round with no
+    /// cost-scaling history yet).
+    pub work_budget: Option<u64>,
+    /// `true` when the hedge's relaxation spent its budget and cold cost
+    /// scaling solved the round.
+    pub fell_back: bool,
 }
 
-/// Firmament's MCMF solver: speculative execution of relaxation and
-/// incremental cost scaling.
+/// Firmament's MCMF solver: relaxation hedged by cold cost scaling (the
+/// default), the paper's race of relaxation against incremental cost
+/// scaling, or either algorithm alone (see [`SolverKind`]).
 ///
-/// The solver owns the cost-scaling warm state across rounds. Borrowing
+/// The solver keeps state across rounds: the hedge's work reference and
+/// whether its last flow was optimal, and the race's cost-scaling warm
+/// state. Borrowing
 /// callers use [`solve`](Self::solve), which leaves the input graph
 /// untouched (it can continue accumulating changes while the solver runs,
 /// as in Fig 2b); callers that adopt the output — like the scheduler core
@@ -100,6 +169,13 @@ pub struct DualSolver {
     /// The previous race's losing graph, reused as the buffer for the next
     /// race's relaxation copy.
     spare: FlowGraph,
+    /// Hedge: arc examinations of the most recent completed cold
+    /// cost-scaling solve, the yardstick of relaxation's budget.
+    cs_reference: Option<u64>,
+    /// Hedge: the algorithm that produced the flow handed back by the last
+    /// solve, when that flow is optimal. Cleared at the start of every
+    /// solve, so an error or an early stop leaves it clear.
+    optimal_flow: Option<AlgorithmKind>,
 }
 
 impl Default for DualSolver {
@@ -116,6 +192,8 @@ impl DualSolver {
             config,
             incremental,
             spare: FlowGraph::new(),
+            cs_reference: None,
+            optimal_flow: None,
         }
     }
 
@@ -124,10 +202,11 @@ impl DualSolver {
         self.config.kind
     }
 
-    /// Solves the scheduling graph, returning the first-finishing solution.
+    /// Solves the scheduling graph.
     ///
-    /// `opts` applies to both algorithms (time/iteration budgets are rarely
-    /// used here; cancellation is managed internally). The input graph is
+    /// `opts` applies to each algorithm run (time/iteration budgets are
+    /// rarely used here; the race replaces the cancellation token with its
+    /// own, while the hedge honours it). The input graph is
     /// left untouched; callers that immediately adopt the output graph
     /// should prefer [`solve_owned`](Self::solve_owned), which avoids one
     /// full graph copy per round.
@@ -139,12 +218,12 @@ impl DualSolver {
         self.solve_owned(graph.clone(), opts).map_err(|(e, _)| e)
     }
 
-    /// Like [`solve`](Self::solve), but takes ownership of the graph:
-    /// single-algorithm configurations and race-skipped rounds solve fully
-    /// in place (zero copies); the dual race solves cost scaling in place
-    /// and copies the graph once, into the solver's recycled spare, for
-    /// relaxation. On failure the graph is handed back (possibly with
-    /// partial flow) so the caller can restore its state.
+    /// Like [`solve`](Self::solve), but takes ownership of the graph: the
+    /// hedge, the single-algorithm configurations and race-skipped rounds
+    /// solve fully in place (zero copies); the dual race solves cost
+    /// scaling in place and copies the graph once, into the solver's
+    /// recycled spare, for relaxation. On failure the graph is handed back
+    /// (possibly with partial flow) so the caller can restore its state.
     #[allow(clippy::result_large_err)] // the Err graph is the point: ownership returns on failure
     pub fn solve_owned(
         &mut self,
@@ -154,10 +233,11 @@ impl DualSolver {
         self.solve_owned_with_deltas(graph, None, opts)
     }
 
-    /// Like [`solve_owned`](Self::solve_owned), but hands the incremental
-    /// cost-scaling side the typed change feed recorded since the last
-    /// handoff, so its warm start consumes deltas natively instead of
-    /// diffing the whole graph (relaxation ignores the feed).
+    /// Like [`solve_owned`](Self::solve_owned), but hands the solver the
+    /// typed change feed recorded since the last handoff: the incremental
+    /// cost-scaling side warm-starts from it natively instead of diffing
+    /// the whole graph, and the race and the hedge skip a round whose feed
+    /// is provably quiescent (relaxation itself ignores the feed).
     #[allow(clippy::result_large_err)] // see solve_owned
     pub fn solve_owned_with_deltas(
         &mut self,
@@ -175,6 +255,9 @@ impl DualSolver {
                         graph: g,
                         cs_stats: None,
                         race_skipped: false,
+                        relaxation_work: 0,
+                        work_budget: None,
+                        fell_back: false,
                     }),
                     Err(e) => Err((e, g)),
                 }
@@ -188,11 +271,101 @@ impl DualSolver {
                         solution: sol,
                         graph: g,
                         race_skipped: false,
+                        relaxation_work: 0,
+                        work_budget: None,
+                        fell_back: false,
                     }),
                     Err(e) => Err((e, g)),
                 }
             }
             SolverKind::Dual => self.solve_dual(graph, deltas, opts),
+            SolverKind::Hedged => self.solve_hedged(graph, deltas, opts),
+        }
+    }
+
+    /// The hedge: skip, cold cost scaling with no history, budgeted
+    /// relaxation, or cold cost scaling past the budget (module docs).
+    #[allow(clippy::result_large_err)] // see solve_owned
+    fn solve_hedged(
+        &mut self,
+        mut graph: FlowGraph,
+        deltas: Option<&DeltaBatch>,
+        opts: &SolveOptions,
+    ) -> Result<DualOutcome, (SolveError, FlowGraph)> {
+        let start = Instant::now();
+        // Step 1: a quiescent batch keeps an optimal flow optimal.
+        if let (Some(kept), Some(batch)) = (self.optimal_flow.take(), deltas) {
+            if reprice_only_quiescent(&graph, batch) {
+                self.optimal_flow = Some(kept);
+                let solution = Solution {
+                    algorithm: kept,
+                    objective: graph.objective(),
+                    terminated_early: false,
+                    runtime: start.elapsed(),
+                    stats: SolveStats::default(),
+                };
+                return Ok(DualOutcome {
+                    solution,
+                    graph,
+                    winner: kept,
+                    cs_stats: None,
+                    race_skipped: true,
+                    relaxation_work: 0,
+                    work_budget: None,
+                    fell_back: false,
+                });
+            }
+        }
+        // Step 3: relaxation within K × the last cost-scaling solve's work.
+        let mut relaxation_work = 0;
+        let mut relaxation_time = Duration::ZERO;
+        let work_budget = self
+            .cs_reference
+            .map(|reference| HEDGE_WORK_FACTOR.saturating_mul(reference));
+        if let Some(budget) = work_budget {
+            match relaxation::solve_within(&mut graph, opts, &self.config.relaxation, budget) {
+                Ok(Budgeted::Finished(sol)) => {
+                    if !sol.terminated_early {
+                        self.optimal_flow = Some(sol.algorithm);
+                    }
+                    return Ok(DualOutcome {
+                        winner: sol.algorithm,
+                        relaxation_work: sol.stats.arc_scans,
+                        solution: sol,
+                        graph,
+                        cs_stats: None,
+                        race_skipped: false,
+                        work_budget,
+                        fell_back: false,
+                    });
+                }
+                Ok(Budgeted::OverBudget(sol)) => {
+                    relaxation_work = sol.stats.arc_scans;
+                    relaxation_time = sol.runtime;
+                }
+                Err(e) => return Err((e, graph)),
+            }
+        }
+        // Steps 2 and 4: cold cost scaling, which resets the flow.
+        match cost_scaling::solve_with(&mut graph, opts, &self.config.incremental.cost_scaling) {
+            Ok(mut sol) => {
+                if !sol.terminated_early {
+                    self.cs_reference = Some(sol.stats.arc_scans.max(1));
+                    self.optimal_flow = Some(sol.algorithm);
+                }
+                sol.runtime += relaxation_time;
+                Ok(DualOutcome {
+                    winner: sol.algorithm,
+                    cs_stats: Some(sol.stats.clone()),
+                    solution: sol,
+                    graph,
+                    race_skipped: false,
+                    relaxation_work,
+                    work_budget,
+                    fell_back: work_budget.is_some(),
+                })
+            }
+            Err(e) => Err((e, graph)),
         }
     }
 
@@ -222,6 +395,9 @@ impl DualSolver {
                         solution: sol,
                         graph: g,
                         race_skipped: true,
+                        relaxation_work: 0,
+                        work_budget: None,
+                        fell_back: false,
                     }),
                     Err(e) => Err((e, g)),
                 };
@@ -302,6 +478,9 @@ impl DualSolver {
             graph,
             cs_stats,
             race_skipped: false,
+            relaxation_work: 0,
+            work_budget: None,
+            fell_back: false,
         };
 
         // Handoff (§6.2): make sure the incremental solver can warm-start
@@ -371,6 +550,7 @@ mod tests {
         let inst = scheduling_instance(2, &InstanceSpec::default());
         let mut objectives = Vec::new();
         for kind in [
+            SolverKind::Hedged,
             SolverKind::Dual,
             SolverKind::RelaxationOnly,
             SolverKind::CostScalingOnly,
@@ -386,6 +566,14 @@ mod tests {
         }
         assert_eq!(objectives[0], objectives[1]);
         assert_eq!(objectives[1], objectives[2]);
+        assert_eq!(objectives[2], objectives[3]);
+    }
+
+    fn solver(kind: SolverKind) -> DualSolver {
+        DualSolver::new(DualConfig {
+            kind,
+            ..Default::default()
+        })
     }
 
     #[test]
@@ -412,7 +600,7 @@ mod tests {
     #[test]
     fn raced_rounds_reuse_a_larger_spare() {
         let mut inst = scheduling_instance(6, &InstanceSpec::default());
-        let mut solver = DualSolver::default();
+        let mut solver = solver(SolverKind::Dual);
         for round in 0..4 {
             let shape = (inst.graph.node_count(), inst.graph.arc_count());
             let out = solver
@@ -450,21 +638,9 @@ mod tests {
         assert_eq!(before, after);
     }
 
-    /// The re-price-only short-circuit (ROADMAP item): a warm round whose
-    /// batch is all flowless cost rises must skip the relaxation race and
-    /// run the warm path only — in O(Δ), touching nothing.
-    #[test]
-    fn reprice_only_round_skips_the_race() {
-        let mut inst = scheduling_instance(21, &InstanceSpec::default());
-        let mut solver = DualSolver::default();
-        let out = solver
-            .solve_owned(inst.graph, &SolveOptions::unlimited())
-            .unwrap();
-        assert!(!out.race_skipped, "first (structural) round races");
-        inst.graph = out.graph;
-
-        // Pure cost drift: raise every flowless non-sink arc, the shape a
-        // convex ladder produces as load rises.
+    /// Raises the cost of every flowless non-sink arc by 7, the shape a
+    /// convex ladder produces as load rises, and returns the batch.
+    fn raise_flowless_costs(inst: &mut firmament_flow::testgen::Instance) -> DeltaBatch {
         inst.graph.set_change_tracking(true);
         let arcs: Vec<_> = inst.graph.arc_ids().collect();
         let mut bumped = 0;
@@ -478,6 +654,23 @@ mod tests {
         assert!(bumped > 0);
         let batch = DeltaBatch::compact(inst.graph.take_changes());
         assert!(batch.is_reprice_only());
+        batch
+    }
+
+    /// The re-price-only short-circuit of the race: a warm round whose
+    /// batch is all flowless cost rises must skip the relaxation race and
+    /// run the warm path only — in O(Δ), touching nothing.
+    #[test]
+    fn reprice_only_round_skips_the_race() {
+        let mut inst = scheduling_instance(21, &InstanceSpec::default());
+        let mut solver = solver(SolverKind::Dual);
+        let out = solver
+            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .unwrap();
+        assert!(!out.race_skipped, "first (structural) round races");
+        inst.graph = out.graph;
+
+        let batch = raise_flowless_costs(&mut inst);
         let before = inst.graph.objective();
         let out = solver
             .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
@@ -513,39 +706,189 @@ mod tests {
     }
 
     /// A cost *fall* (or a rise on a flow-carrying arc) may expose a
-    /// violation, so those re-price-only rounds still run the full race —
-    /// and still land on the re-priced optimum.
+    /// violation, so those re-price-only rounds still run a full solve —
+    /// the race, or the hedge's relaxation — and still land on the
+    /// re-priced optimum.
     #[test]
     fn exposing_repricings_still_race() {
-        let mut inst = scheduling_instance(23, &InstanceSpec::default());
+        for kind in [SolverKind::Dual, SolverKind::Hedged] {
+            let mut inst = scheduling_instance(23, &InstanceSpec::default());
+            let mut solver = solver(kind);
+            let out = solver
+                .solve_owned(inst.graph, &SolveOptions::unlimited())
+                .unwrap();
+            inst.graph = out.graph;
+            inst.graph.set_change_tracking(true);
+            // Make one flowless arc drastically cheaper: the optimum may move.
+            let a = inst
+                .graph
+                .arc_ids()
+                .find(|&a| {
+                    inst.graph.flow(a) == 0
+                        && inst.graph.dst(a) != inst.sink
+                        && inst.graph.cost(a) > 0
+                })
+                .unwrap();
+            inst.graph.set_arc_cost(a, 0).unwrap();
+            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            assert!(batch.is_reprice_only(), "still a pure re-price batch");
+            let out = solver
+                .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
+                .unwrap();
+            assert!(
+                !out.race_skipped,
+                "{kind:?}: a cost fall can expose a violation — must solve"
+            );
+            assert!(is_optimal(&out.graph), "{kind:?}");
+            let mut fresh = out.graph.clone();
+            let scratch =
+                crate::cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
+            assert_eq!(out.solution.objective, scratch.objective, "{kind:?}");
+        }
+    }
+
+    /// The hedge's skip runs no solver at all: the flow comes back
+    /// untouched, credited to the algorithm that produced it.
+    #[test]
+    fn hedged_reprice_only_round_hands_the_flow_back() {
+        let mut inst = scheduling_instance(21, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         let out = solver
             .solve_owned(inst.graph, &SolveOptions::unlimited())
             .unwrap();
+        assert_eq!(out.winner, AlgorithmKind::CostScaling, "no history: cold");
         inst.graph = out.graph;
-        inst.graph.set_change_tracking(true);
-        // Make one flowless arc drastically cheaper: the optimum may move.
-        let a = inst
-            .graph
-            .arc_ids()
-            .find(|&a| {
-                inst.graph.flow(a) == 0 && inst.graph.dst(a) != inst.sink && inst.graph.cost(a) > 0
-            })
-            .unwrap();
-        inst.graph.set_arc_cost(a, 0).unwrap();
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
-        assert!(batch.is_reprice_only(), "still a pure re-price batch");
+        let flows: Vec<i64> = inst.graph.arc_ids().map(|a| inst.graph.flow(a)).collect();
+        let batch = raise_flowless_costs(&mut inst);
         let out = solver
             .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();
-        assert!(
-            !out.race_skipped,
-            "a cost fall can expose a violation — must race"
-        );
+        assert!(out.race_skipped);
+        assert_eq!(out.winner, AlgorithmKind::CostScaling);
+        assert!(out.cs_stats.is_none() && out.relaxation_work == 0);
+        let after: Vec<i64> = out.graph.arc_ids().map(|a| out.graph.flow(a)).collect();
+        assert_eq!(flows, after);
         assert!(is_optimal(&out.graph));
-        let mut fresh = out.graph.clone();
-        let scratch = crate::cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
-        assert_eq!(out.solution.objective, scratch.objective);
+    }
+
+    /// A solve that stops early leaves a pseudoflow, so the next round must
+    /// solve even when its batch alone would prove quiescence.
+    #[test]
+    fn hedge_never_skips_after_an_early_stop() {
+        let inst = scheduling_instance(24, &InstanceSpec::default());
+        let mut solver = DualSolver::default();
+        let out = solver
+            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .unwrap();
+        let stopped = SolveOptions {
+            iteration_limit: Some(1),
+            ..Default::default()
+        };
+        let out = solver.solve_owned(out.graph, &stopped).unwrap();
+        assert!(out.solution.terminated_early);
+        let out = solver
+            .solve_owned_with_deltas(
+                out.graph,
+                Some(&DeltaBatch::empty()),
+                &SolveOptions::unlimited(),
+            )
+            .unwrap();
+        assert!(!out.race_skipped);
+        assert!(is_optimal(&out.graph));
+    }
+
+    /// Relaxation's counted work past its budget: a small first solve sets
+    /// a small reference, an oversubscribed instance then spends the whole
+    /// budget, and cold cost scaling solves it — optimally, deterministically
+    /// and within the budget plus one cold cost-scaling solve.
+    #[test]
+    fn hedge_falls_back_once_relaxation_spends_its_budget() {
+        let small = InstanceSpec {
+            tasks: 4,
+            machines: 2,
+            slots_per_machine: 2,
+            ..InstanceSpec::default()
+        };
+        let oversubscribed = InstanceSpec {
+            tasks: 300,
+            machines: 20,
+            slots_per_machine: 4,
+            ..InstanceSpec::default()
+        };
+        let run = || {
+            let mut solver = DualSolver::default();
+            let first = solver
+                .solve_owned(
+                    scheduling_instance(31, &small).graph,
+                    &SolveOptions::unlimited(),
+                )
+                .unwrap();
+            assert_eq!(first.work_budget, None, "no history: cold cost scaling");
+            let reference = first.cs_stats.unwrap().arc_scans;
+            let out = solver
+                .solve_owned(
+                    scheduling_instance(32, &oversubscribed).graph,
+                    &SolveOptions::unlimited(),
+                )
+                .unwrap();
+            (solver, reference, out)
+        };
+        let (mut solver, reference, out) = run();
+        let budget = out.work_budget.expect("relaxation ran under a budget");
+        assert_eq!(budget, HEDGE_WORK_FACTOR * reference);
+        assert!(out.fell_back);
+        assert_eq!(out.winner, AlgorithmKind::CostScaling);
+        assert!(is_optimal(&out.graph));
+        assert_eq!(
+            out.relaxation_work, budget,
+            "relaxation stops at the budget"
+        );
+
+        // One cold cost-scaling solve of the same graph, counted alone.
+        let mut g = scheduling_instance(32, &oversubscribed).graph;
+        let cold = crate::cost_scaling::solve(&mut g, &SolveOptions::unlimited()).unwrap();
+        let fallback = out.cs_stats.as_ref().unwrap().arc_scans;
+        assert_eq!(fallback, cold.stats.arc_scans);
+        assert!(out.relaxation_work + fallback <= budget + cold.stats.arc_scans);
+        assert_eq!(out.solution.objective, cold.objective);
+
+        // The same inputs give the same flow, arc by arc.
+        let (_, _, again) = run();
+        for a in out.graph.arc_ids() {
+            assert_eq!(out.graph.flow(a), again.graph.flow(a), "arc {a}");
+        }
+
+        // The fallback's work is the next round's reference.
+        let next = solver
+            .solve_owned(out.graph, &SolveOptions::unlimited())
+            .unwrap();
+        assert_eq!(next.work_budget, Some(HEDGE_WORK_FACTOR * fallback));
+    }
+
+    /// Relaxation within its budget: cost scaling does no work at all.
+    #[test]
+    fn hedge_within_budget_runs_no_cost_scaling() {
+        let mut inst = scheduling_instance(33, &InstanceSpec::default());
+        let mut solver = DualSolver::default();
+        let first = solver
+            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .unwrap();
+        let reference = first.cs_stats.unwrap().arc_scans;
+        inst.graph = first.graph;
+        let a = inst.graph.arc_ids().nth(5).unwrap();
+        let c = inst.graph.cost(a);
+        inst.graph.set_arc_cost(a, c + 11).unwrap();
+        let out = solver
+            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .unwrap();
+        assert_eq!(out.winner, AlgorithmKind::Relaxation);
+        assert!(!out.fell_back);
+        assert_eq!(out.cs_stats.map_or(0, |s| s.arc_scans), 0);
+        assert_eq!(out.work_budget, Some(HEDGE_WORK_FACTOR * reference));
+        assert!(out.relaxation_work > 0);
+        assert!(out.relaxation_work <= HEDGE_WORK_FACTOR * reference);
+        assert_eq!(out.relaxation_work, out.solution.stats.arc_scans);
+        assert!(is_optimal(&out.graph));
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!
 //! Despite having the worst theoretical complexity, relaxation performs best
 //! in practice on scheduling graphs (§4.2) — except under heavy contention
-//! or oversubscription, which is why [`dual::DualSolver`] speculatively runs
-//! it next to [`incremental::IncrementalCostScaling`] and takes whichever
-//! finishes first.
+//! or oversubscription. [`dual::DualSolver`] therefore runs relaxation
+//! within a budget of counted work and falls back to cost scaling past it
+//! (the default, [`SolverKind::Hedged`]), or races it against
+//! [`incremental::IncrementalCostScaling`] and takes whichever finishes
+//! first, as the paper does ([`SolverKind::Dual`]).
 //!
 //! All solvers operate in place on a
 //! [`FlowGraph`](firmament_flow::FlowGraph) and agree on conventions:

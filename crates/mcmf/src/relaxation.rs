@@ -73,11 +73,41 @@ pub fn solve_with(
     opts: &SolveOptions,
     config: &RelaxationConfig,
 ) -> Result<Solution, SolveError> {
+    solve_within(graph, opts, config, u64::MAX).map(Budgeted::into_solution)
+}
+
+/// How a relaxation run under a work budget ended.
+#[derive(Debug)]
+pub(crate) enum Budgeted {
+    /// The run finished, or stopped early on a limit of the caller's
+    /// [`SolveOptions`], before its work budget ran out.
+    Finished(Solution),
+    /// The run spent its whole work budget first (`stats.arc_scans` equals
+    /// the budget) and stopped; the graph holds a pseudoflow.
+    OverBudget(Solution),
+}
+
+impl Budgeted {
+    fn into_solution(self) -> Solution {
+        match self {
+            Budgeted::Finished(sol) | Budgeted::OverBudget(sol) => sol,
+        }
+    }
+}
+
+/// Solves from scratch like [`solve_with`], but stops once the run has
+/// examined `scan_budget` arcs (see [`SolveStats::arc_scans`]). Work is
+/// charged one adjacency list at a time: the scan that would take the
+/// count past the budget is not made, and the count is set to the budget.
+pub(crate) fn solve_within(
+    graph: &mut FlowGraph,
+    opts: &SolveOptions,
+    config: &RelaxationConfig,
+    scan_budget: u64,
+) -> Result<Budgeted, SolveError> {
     graph.reset_flow();
     let mut state = RelaxationState::default();
-    let mut sol = solve_warm(graph, opts, config, &mut state)?;
-    sol.algorithm = AlgorithmKind::Relaxation;
-    Ok(sol)
+    solve_warm(graph, opts, config, &mut state, scan_budget)
 }
 
 /// Incremental relaxation: reuses the prices in `state` and the flow already
@@ -93,7 +123,7 @@ pub fn solve_incremental(
     config: &RelaxationConfig,
     state: &mut RelaxationState,
 ) -> Result<Solution, SolveError> {
-    let mut sol = solve_warm(graph, opts, config, state)?;
+    let mut sol = solve_warm(graph, opts, config, state, u64::MAX)?.into_solution();
     sol.algorithm = AlgorithmKind::IncrementalRelaxation;
     Ok(sol)
 }
@@ -119,14 +149,31 @@ fn restore_slackness(graph: &mut FlowGraph, pot: &[i64]) {
     }
 }
 
+/// Charges an adjacency scan of `len` entries to `stats.arc_scans`. A scan
+/// that would take the count past `limit` is refused: the count becomes
+/// `limit` and the caller stops.
+#[inline]
+fn charge(stats: &mut SolveStats, len: usize, limit: u64) -> bool {
+    let len = len as u64;
+    if len > limit - stats.arc_scans {
+        stats.arc_scans = limit;
+        false
+    } else {
+        stats.arc_scans += len;
+        true
+    }
+}
+
 /// Shared engine: treats the current flow as a starting pseudoflow, repairs
-/// complementary slackness, and drives all excess to the deficits.
+/// complementary slackness, and drives all excess to the deficits, within
+/// `scan_limit` arc examinations.
 fn solve_warm(
     graph: &mut FlowGraph,
     opts: &SolveOptions,
     config: &RelaxationConfig,
     state: &mut RelaxationState,
-) -> Result<Solution, SolveError> {
+    scan_limit: u64,
+) -> Result<Budgeted, SolveError> {
     let mut budget = Budget::new(opts);
     let mut stats = SolveStats::default();
     let total: i64 = graph.node_ids().map(|v| graph.supply(v)).sum();
@@ -157,7 +204,10 @@ fn solve_warm(
     let mut members: Vec<NodeId> = Vec::new();
     let mut frontier: VecDeque<ArcId> = VecDeque::new();
 
-    'outer: while let Some(si) = queue.pop_front() {
+    let over_budget = 'outer: loop {
+        let Some(si) = queue.pop_front() else {
+            break false;
+        };
         in_queue[si as usize] = false;
         if excess[si as usize] <= 0 {
             continue;
@@ -167,13 +217,13 @@ fn solve_warm(
             Some(BudgetStop::Cancelled) => return Err(SolveError::Cancelled),
             Some(BudgetStop::Exhausted) => {
                 stats.iterations = budget.iterations;
-                return Ok(Solution {
+                return Ok(Budgeted::Finished(Solution {
                     algorithm: AlgorithmKind::Relaxation,
                     objective: graph.objective(),
                     terminated_early: true,
                     runtime: budget.elapsed(),
                     stats,
-                });
+                }));
             }
             None => {}
         }
@@ -189,6 +239,9 @@ fn solve_warm(
         // --- Single-node fast path -----------------------------------
         // slope({s}) = e(s) − Σ rescap over balanced out-arcs. If positive,
         // a price update on {s} alone improves the dual.
+        if !charge(&mut stats, graph.adj(s).len(), scan_limit) {
+            break true;
+        }
         let mut balanced_out = 0i64;
         for &a in graph.adj(s) {
             if graph.rescap(a) > 0 {
@@ -199,7 +252,7 @@ fn solve_warm(
             }
         }
         if excess[si as usize] > balanced_out {
-            price_update(
+            if !price_update(
                 graph,
                 pot,
                 &mut excess,
@@ -209,13 +262,19 @@ fn solve_warm(
                 &mut queue,
                 &mut in_queue,
                 &mut stats,
-            )?;
+                scan_limit,
+            )? {
+                break true;
+            }
             requeue(s, &excess, &mut queue, &mut in_queue);
             continue;
         }
 
         // --- Multi-node iteration: grow the cut S --------------------
         let mut slope = excess[si as usize];
+        if !charge(&mut stats, graph.adj(s).len(), scan_limit) {
+            break true;
+        }
         slope -= queue_balanced_out_arcs(
             graph,
             pot,
@@ -229,7 +288,7 @@ fn solve_warm(
 
         loop {
             if slope > 0 {
-                price_update(
+                if !price_update(
                     graph,
                     pot,
                     &mut excess,
@@ -239,7 +298,10 @@ fn solve_warm(
                     &mut queue,
                     &mut in_queue,
                     &mut stats,
-                )?;
+                    scan_limit,
+                )? {
+                    break 'outer true;
+                }
                 requeue(s, &excess, &mut queue, &mut in_queue);
                 continue 'outer;
             }
@@ -247,7 +309,7 @@ fn solve_warm(
                 // No balanced arcs cross the cut: the exact slope is e(S),
                 // which is positive (s has excess, other members are
                 // non-negative), so a price update is always possible.
-                price_update(
+                if !price_update(
                     graph,
                     pot,
                     &mut excess,
@@ -257,7 +319,10 @@ fn solve_warm(
                     &mut queue,
                     &mut in_queue,
                     &mut stats,
-                )?;
+                    scan_limit,
+                )? {
+                    break 'outer true;
+                }
                 requeue(s, &excess, &mut queue, &mut in_queue);
                 continue 'outer;
             };
@@ -289,6 +354,9 @@ fn solve_warm(
             pred[j.index()] = a;
             members.push(j);
             slope += graph.rescap(a) + excess[j.index()];
+            if !charge(&mut stats, graph.adj(j).len(), scan_limit) {
+                break 'outer true;
+            }
             slope -= queue_balanced_out_arcs(
                 graph,
                 pot,
@@ -300,14 +368,19 @@ fn solve_warm(
                 config.arc_prioritization,
             );
         }
-    }
+    };
     stats.iterations = budget.iterations;
-    Ok(Solution {
+    let sol = Solution {
         algorithm: AlgorithmKind::Relaxation,
         objective: graph.objective(),
-        terminated_early: false,
+        terminated_early: over_budget,
         runtime: budget.elapsed(),
         stats,
+    };
+    Ok(if over_budget {
+        Budgeted::OverBudget(sol)
+    } else {
+        Budgeted::Finished(sol)
     })
 }
 
@@ -354,7 +427,9 @@ fn queue_balanced_out_arcs(
 
 /// Dual ascent on the cut `S`: saturates every balanced residual arc leaving
 /// the cut, then lowers all member prices by the minimum positive reduced
-/// cost among the remaining outgoing residual arcs.
+/// cost among the remaining outgoing residual arcs. Returns `Ok(false)`,
+/// with the update half done, when scanning the cut would pass
+/// `scan_limit`.
 #[allow(clippy::too_many_arguments)]
 fn price_update(
     graph: &mut FlowGraph,
@@ -366,10 +441,14 @@ fn price_update(
     queue: &mut VecDeque<u32>,
     in_queue: &mut [bool],
     stats: &mut SolveStats,
-) -> Result<(), SolveError> {
+    scan_limit: u64,
+) -> Result<bool, SolveError> {
     let in_cut = |v: NodeId| stamp[v.index()] == epoch;
     let mut theta = i64::MAX;
     for &i in members {
+        if !charge(stats, graph.adj(i).len(), scan_limit) {
+            return Ok(false);
+        }
         for k in 0..graph.adj(i).len() {
             let a = graph.adj(i)[k];
             let r = graph.rescap(a);
@@ -406,7 +485,7 @@ fn price_update(
         pot[i.index()] -= theta;
     }
     stats.price_updates += 1;
-    Ok(())
+    Ok(true)
 }
 
 /// Augments along the tree path `s → … → src(a)` plus the closing arc `a`
@@ -507,6 +586,7 @@ mod tests {
             &SolveOptions::unlimited(),
             &RelaxationConfig::default(),
             &mut state,
+            u64::MAX,
         )
         .unwrap();
         assert!(check_reduced_cost_optimality(&inst.graph, &state.potentials).is_ok());
@@ -542,6 +622,7 @@ mod tests {
                 &SolveOptions::unlimited(),
                 &RelaxationConfig::default(),
                 &mut state,
+                u64::MAX,
             )
             .unwrap();
 

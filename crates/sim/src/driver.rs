@@ -88,7 +88,8 @@ pub struct SimReport {
     pub preemptions: u64,
     /// Scheduling rounds run (flow scheduler only).
     pub rounds: u64,
-    /// Wins per algorithm in the speculative race.
+    /// Rounds per algorithm that produced the round's flow (the race's
+    /// winner, or the hedge's solver).
     pub algorithm_wins: HashMap<String, u64>,
     /// Slot utilization at the end of the run.
     pub final_utilization: f64,

@@ -6,7 +6,7 @@
 //!
 //! - [`flow`]: the flow-network substrate;
 //! - [`mcmf`]: the four MCMF algorithms, incremental variants, and the
-//!   speculative dual solver;
+//!   dual solver (relaxation hedged by cost scaling, or the paper's race);
 //! - [`cluster`]: machines, jobs, tasks, and the block store;
 //! - [`policies`]: the declarative [`CostModel`](policies::CostModel) API
 //!   and the load-spreading, Quincy, network-aware, and Octopus models;
@@ -60,13 +60,18 @@
 //!    churn.
 //! 3. **Deltas.** [`core::FlowGraphManager::take_deltas`] drains the
 //!    graph's change log as a compacted [`flow::delta::DeltaBatch`].
-//! 4. **Dual race.** [`mcmf::DualSolver::solve_owned_with_deltas`] takes
-//!    the graph by move and races relaxation against incremental cost
-//!    scaling, which warm-starts from the batch instead of diffing the
-//!    graph. A round that only raises costs on flowless arcs skips the
-//!    race.
+//! 4. **Solve.** [`mcmf::DualSolver::solve_owned_with_deltas`] takes the
+//!    graph by move and, by default, hedges ([`mcmf::SolverKind::Hedged`]):
+//!    relaxation solves in place within a budget of counted arc
+//!    examinations, and cold cost scaling solves the round only once the
+//!    budget runs out (or on the first round, before any cost-scaling
+//!    solve has set the budget's reference). Counted work, not time, picks
+//!    the algorithm, so placements are the same on every run. A round whose
+//!    batch only raises costs on flowless arcs runs no solver when the last
+//!    flow was optimal. The paper's race of relaxation against incremental
+//!    cost scaling stays available as [`mcmf::SolverKind::Dual`].
 //! 5. **Adopt.** [`core::FlowGraphManager::adopt_graph`] installs the
-//!    winning flow, from which the next round warm-starts.
+//!    solved flow, from which the next round starts.
 //! 6. **Extract.** [`core::extract_placements`] (Listing 1) reads each
 //!    task's placement off the optimal flow.
 //! 7. **Diff.** The placements are diffed against the cluster state into

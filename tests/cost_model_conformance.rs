@@ -202,21 +202,24 @@ fn octopus_conforms() {
     run_script(Firmament::new(OctopusCostModel::new()));
 }
 
-/// Identical runs of the same script under one solver algorithm must
-/// produce byte-identical action logs: placement extraction orders by
-/// task id (`BTreeMap`) and the graph manager materializes arcs in
-/// sorted order, so there is no hash-map iteration order anywhere in the
-/// decision path.
+/// Identical runs of the same script must produce byte-identical action
+/// logs: placement extraction orders by task id (`BTreeMap`) and the graph
+/// manager materializes arcs in sorted order, so there is no hash-map
+/// iteration order anywhere in the decision path.
 ///
-/// Determinism is asserted per single-algorithm configuration. The
-/// *dual* race picks whichever algorithm finishes first — a wall-clock
-/// property — and equally-optimal flows from different algorithms may
-/// permute equal-cost assignments, so the default `SolverKind::Dual` is
-/// deterministic in objective but not in action bytes. (This became
-/// observable once the delta-fed warm start made incremental cost
-/// scaling fast enough to actually win races.)
+/// Asserted for the default `SolverKind::Hedged` and for each single
+/// algorithm. The hedge picks its algorithm by counted work, never by
+/// time, so it is as deterministic as they are. The opt-in
+/// `SolverKind::Dual` race is not covered: it takes whichever algorithm
+/// finishes first — a wall-clock property — and equally-optimal flows from
+/// different algorithms may permute equal-cost assignments, so it is
+/// deterministic in objective but not in action bytes.
 fn assert_deterministic<C: CostModel>(make: impl Fn() -> C) {
-    for kind in [SolverKind::RelaxationOnly, SolverKind::CostScalingOnly] {
+    for kind in [
+        SolverKind::Hedged,
+        SolverKind::RelaxationOnly,
+        SolverKind::CostScalingOnly,
+    ] {
         let mk = || {
             Firmament::with_solver(
                 make(),
@@ -244,6 +247,7 @@ fn repeat_runs_are_deterministic() {
 fn solver_kinds_agree_for_every_model() {
     fn objectives<C: CostModel>(make: impl Fn() -> C) -> Vec<i64> {
         [
+            SolverKind::Hedged,
             SolverKind::Dual,
             SolverKind::RelaxationOnly,
             SolverKind::CostScalingOnly,
@@ -273,6 +277,7 @@ fn solver_kinds_agree_for_every_model() {
     ] {
         assert_eq!(objs[0], objs[1]);
         assert_eq!(objs[1], objs[2]);
+        assert_eq!(objs[2], objs[3]);
     }
 }
 

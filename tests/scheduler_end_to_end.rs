@@ -77,6 +77,7 @@ fn octopus_prefers_idle_machines() {
 fn solver_kinds_produce_identical_objectives() {
     let mut objectives = Vec::new();
     for kind in [
+        SolverKind::Hedged,
         SolverKind::Dual,
         SolverKind::RelaxationOnly,
         SolverKind::CostScalingOnly,
@@ -96,6 +97,7 @@ fn solver_kinds_produce_identical_objectives() {
     }
     assert_eq!(objectives[0], objectives[1]);
     assert_eq!(objectives[1], objectives[2]);
+    assert_eq!(objectives[2], objectives[3]);
 }
 
 #[test]
