@@ -273,9 +273,10 @@ impl<C: CostModel> Firmament<C> {
     /// Runs one scheduling round: refresh costs, solve, extract, diff.
     pub fn schedule(&mut self, state: &ClusterState) -> Result<RoundOutcome, SchedulerError> {
         self.manager.refresh(&self.model, state)?;
-        // Drain the typed change feed recorded since the last handoff —
-        // the incremental solver warm-starts from it natively instead of
-        // diffing the graph against its warm state.
+        // Drain the typed change feed recorded since the last handoff: the
+        // solver skips a round it proves quiescent, and the race's
+        // incremental solver warm-starts from it instead of diffing the
+        // graph against its warm state.
         let deltas = self.manager.take_deltas();
         // Hand the solver ownership of the graph. The hedge solves in place:
         // relaxation within its work budget, cold cost scaling past it, or

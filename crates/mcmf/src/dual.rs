@@ -98,6 +98,7 @@ pub struct DualConfig {
     /// Relaxation tuning (arc prioritization).
     pub relaxation: RelaxationConfig,
     /// Incremental cost scaling tuning (α-factor, price refine on adopt).
+    /// The hedge's cold cost-scaling solves use its α-factor.
     pub incremental: IncrementalConfig,
 }
 
