@@ -3,6 +3,7 @@
 //! `cargo bench --bench solvers`.
 
 use firmament_bench::{bench_case, bench_header};
+use firmament_flow::delta::DeltaBatch;
 use firmament_flow::testgen::{scheduling_instance, InstanceSpec};
 use firmament_mcmf::cost_scaling::{self, CostScalingConfig};
 use firmament_mcmf::incremental::IncrementalCostScaling;
@@ -88,17 +89,22 @@ fn bench_incremental() {
         || {
             let mut inst = scheduling_instance(2, &spec);
             let mut inc = IncrementalCostScaling::default();
-            inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+            inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
+            inst.graph.set_change_tracking(true);
             let arcs: Vec<_> = inst.graph.arc_ids().collect();
             for k in 0..20 {
                 inst.graph
                     .set_arc_cost(arcs[k * 7], (k as i64) + 1)
                     .unwrap();
             }
-            (inst.graph, inc)
+            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            (inst.graph, inc, batch)
         },
-        |(mut g, mut inc)| inc.solve(&mut g, &SolveOptions::unlimited()).unwrap(),
+        |(mut g, mut inc, batch)| {
+            inc.solve_with_deltas(&mut g, Some(&batch), &SolveOptions::unlimited())
+                .unwrap()
+        },
     );
 }
 

@@ -4,6 +4,12 @@
 //! load-spreading policy. Paper: relaxation grows linearly in job size and
 //! crosses cost scaling just under 3,000 concurrently arriving tasks.
 //!
+//! Each relaxation and cost-scaling time is the median of five solves of
+//! fresh copies of the burst's graph, taken round-robin over the rows: the
+//! smallest rows solve in well under a millisecond, and on a shared host
+//! the same counted work can run at half its usual time for a while, so a
+//! row timed in one go can land wholly in such a phase.
+//!
 //! The `hedged_*` columns run the default solver on the same burst: the
 //! round's counted work (arc examinations) over its budget. The empty
 //! cluster's cold round sets a near-zero reference, so the first burst
@@ -11,12 +17,60 @@
 //! hedged round's flow is not optimal or its work exceeds the budget plus
 //! one cold cost-scaling solve.
 
-use firmament_bench::{header, hedged_round, row, verdict, warmed_cluster, Scale};
+use firmament_bench::{header, hedged_round, row, verdict, warmed_cluster, HedgedRound, Scale};
 use firmament_cluster::{ClusterEvent, Job, JobClass, Task};
 use firmament_core::Firmament;
+use firmament_flow::FlowGraph;
 use firmament_mcmf::relaxation::RelaxationConfig;
 use firmament_mcmf::{cost_scaling, relaxation, SolveOptions};
 use firmament_policies::LoadSpreadingCostModel;
+use std::time::Duration;
+
+/// One row: a job of `tasks` tasks submitted to an empty cluster.
+struct Burst {
+    tasks: usize,
+    graph: FlowGraph,
+    hedged: HedgedRound,
+}
+
+fn burst(machines: usize, tasks_n: usize) -> Burst {
+    // An *empty* cluster makes every X→machine cost identical, which is
+    // exactly the contention that slows relaxation: every under-populated
+    // machine is an equally good destination (§4.3).
+    let (mut state, mut firmament, _) = warmed_cluster(
+        machines,
+        12,
+        0.0,
+        5,
+        Firmament::new(LoadSpreadingCostModel::new()),
+    );
+    let job = Job::new(9_999_999, JobClass::Batch, 2, state.now);
+    let tasks: Vec<Task> = (0..tasks_n)
+        .map(|i| Task::new(8_000_000 + i as u64, job.id, state.now, 60_000_000))
+        .collect();
+    let ev = ClusterEvent::JobSubmitted { job, tasks };
+    state.apply(&ev);
+    firmament.handle_event(&state, &ev).expect("submit");
+    firmament.refresh(&state).expect("refresh");
+    let graph = firmament.graph().clone();
+    // The default solver on the same burst: relaxation (with arc
+    // prioritization) within its work budget, cost scaling past it. Its
+    // bound is one cold cost-scaling solve's count, the same on every run.
+    let cold =
+        cost_scaling::solve(&mut graph.clone(), &SolveOptions::unlimited()).expect("cost scaling");
+    let hedged = hedged_round(&state, &mut firmament, cold.stats.arc_scans);
+    Burst {
+        tasks: tasks_n,
+        graph,
+        hedged,
+    }
+}
+
+/// The median of `runs`, in seconds.
+fn median(mut runs: Vec<Duration>) -> f64 {
+    runs.sort();
+    runs[runs.len() / 2].as_secs_f64()
+}
 
 fn main() {
     let scale = Scale::from_args();
@@ -28,57 +82,46 @@ fn main() {
         "hedged_s",
         "hedged_work_per_budget",
     ]);
-    let mut hedge_holds = true;
     let sizes = [100usize, 500, 1000, 2000, 3000, 4000, 5000];
+    let bursts: Vec<Burst> = sizes
+        .iter()
+        .map(|&paper_tasks| burst(machines, (paper_tasks / scale.divisor).max(10)))
+        .collect();
+    let mut rx_runs = vec![Vec::new(); bursts.len()];
+    let mut cs_runs = vec![Vec::new(); bursts.len()];
+    for _ in 0..5 {
+        for (i, b) in bursts.iter().enumerate() {
+            // Plain relaxation (no arc prioritization): Fig 9 predates the
+            // heuristic that Fig 12a later adds.
+            let rx = relaxation::solve_with(
+                &mut b.graph.clone(),
+                &SolveOptions::unlimited(),
+                &RelaxationConfig {
+                    arc_prioritization: false,
+                },
+            )
+            .expect("relaxation");
+            rx_runs[i].push(rx.runtime);
+            let cs = cost_scaling::solve(&mut b.graph.clone(), &SolveOptions::unlimited())
+                .expect("cost scaling");
+            cs_runs[i].push(cs.runtime);
+        }
+    }
+    let mut hedge_holds = true;
     let mut crossed = false;
     let mut rx_series = Vec::new();
-    for &paper_tasks in &sizes {
-        let tasks_n = (paper_tasks / scale.divisor).max(10);
-        // An *empty* cluster makes every X→machine cost identical, which
-        // is exactly the contention that slows relaxation: every
-        // under-populated machine is an equally good destination (§4.3).
-        let (mut state, mut firmament, _) = warmed_cluster(
-            machines,
-            12,
-            0.0,
-            5,
-            Firmament::new(LoadSpreadingCostModel::new()),
-        );
-        let job = Job::new(9_999_999, JobClass::Batch, 2, state.now);
-        let tasks: Vec<Task> = (0..tasks_n)
-            .map(|i| Task::new(8_000_000 + i as u64, job.id, state.now, 60_000_000))
-            .collect();
-        let ev = ClusterEvent::JobSubmitted { job, tasks };
-        state.apply(&ev);
-        firmament.handle_event(&state, &ev).expect("submit");
-        firmament.refresh(&state).expect("refresh");
-        let graph = firmament.graph().clone();
-        // Plain relaxation (no arc prioritization): Fig 9 predates the
-        // heuristic that Fig 12a later adds.
-        let mut g = graph.clone();
-        let rx = relaxation::solve_with(
-            &mut g,
-            &SolveOptions::unlimited(),
-            &RelaxationConfig {
-                arc_prioritization: false,
-            },
-        )
-        .expect("relaxation")
-        .runtime
-        .as_secs_f64();
-        let mut g = graph.clone();
-        let cold = cost_scaling::solve(&mut g, &SolveOptions::unlimited()).expect("cost scaling");
-        let cs = cold.runtime.as_secs_f64();
-        // The default solver on the same burst: relaxation (with arc
-        // prioritization) within its work budget, cost scaling past it.
-        let hedged = hedged_round(&state, &mut firmament, cold.stats.arc_scans);
-        hedge_holds &= hedged.bound_holds;
+    for ((b, rx), cs) in bursts.iter().zip(rx_runs).zip(cs_runs) {
+        let (rx, cs) = (median(rx), median(cs));
+        hedge_holds &= b.hedged.bound_holds;
         row(&[
-            tasks_n.to_string(),
+            b.tasks.to_string(),
             format!("{rx:.4}"),
             format!("{cs:.4}"),
-            format!("{:.4}", hedged.seconds),
-            format!("{:.3}", hedged.work as f64 / hedged.budget.max(1) as f64),
+            format!("{:.4}", b.hedged.seconds),
+            format!(
+                "{:.3}",
+                b.hedged.work as f64 / b.hedged.budget.max(1) as f64
+            ),
         ]);
         if rx > cs {
             crossed = true;

@@ -5,16 +5,15 @@
 //! This binary drives the real delta-feed pipeline: the
 //! `FlowGraphManager` records a typed [`DeltaBatch`] across a burst of
 //! cluster events, and the warm `IncrementalCostScaling` consumes it
-//! natively. Three solves of the changed graph are compared:
+//! natively. Two solves of the changed graph are compared:
 //!
 //! - **from-scratch** cost scaling (the Quincy baseline),
-//! - **diff-based** warm start (the legacy full-graph violation scan),
 //! - **delta-fed** warm start (the targeted dirty-region path),
 //!
-//! and the run asserts that the delta-fed and diff-based warm starts are
-//! verified-optimal, agree with the from-scratch objective, and — after
+//! and the run asserts that the delta-fed warm start is verified-optimal,
+//! agrees with the from-scratch objective, and — after
 //! [`canonicalize_flow`] maps each degenerate optimum to the canonical
-//! one — produce **identical placements**: equally-optimal warm and cold
+//! one — produces **identical placements**: equally-optimal warm and cold
 //! paths no longer even permute equal-cost assignments. Used as a CI
 //! smoke test at small scale (`--scale 2000`).
 
@@ -30,7 +29,6 @@ use firmament_policies::{CostModel, LoadSpreadingCostModel, QuincyConfig, Quincy
 
 struct Measurement {
     scratch_s: f64,
-    diff_s: f64,
     delta_s: f64,
     delta_nodes_touched: u64,
     deltas: usize,
@@ -89,7 +87,7 @@ fn bench_policy<C: CostModel>(scale: &Scale, firmament: Firmament<C>) -> Measure
     let mut base = firmament.manager_mut().take_graph();
     let mut warmup_solver = warm_solver();
     warmup_solver
-        .solve(&mut base, &SolveOptions::unlimited())
+        .solve_with_deltas(&mut base, None, &SolveOptions::unlimited())
         .expect("warmup solve");
     let pre_burst_optimum = base.clone();
     firmament.manager_mut().adopt_graph(base);
@@ -104,52 +102,40 @@ fn bench_policy<C: CostModel>(scale: &Scale, firmament: Firmament<C>) -> Measure
     let scratch =
         cost_scaling::solve(&mut scratch_graph, &SolveOptions::unlimited()).expect("scratch solve");
 
-    // Both warm starts adopt the *pre-burst* optimum (§6.2: price refine
+    // The warm start adopts the *pre-burst* optimum (§6.2: price refine
     // runs on the previous solution, before the latest changes) and then
-    // solve the changed graph, whose flow is that optimum as disturbed by
+    // solves the changed graph, whose flow is that optimum as disturbed by
     // the burst.
-    let mut diff_solver = warm_solver();
+    let mut delta_solver = warm_solver();
     assert!(
-        diff_solver.adopt_solution(&pre_burst_optimum),
+        delta_solver.adopt_solution(&pre_burst_optimum),
         "pre-burst flow must be optimal"
     );
-    let mut diff_graph = changed.clone();
-    let diff = diff_solver
-        .solve(&mut diff_graph, &SolveOptions::unlimited())
-        .expect("diff-based warm solve");
-
-    let mut delta_solver = warm_solver();
-    assert!(delta_solver.adopt_solution(&pre_burst_optimum));
     let mut delta_graph = changed.clone();
     let delta = delta_solver
         .solve_with_deltas(&mut delta_graph, Some(&batch), &SolveOptions::unlimited())
         .expect("delta-fed warm solve");
 
-    // Solution equivalence, tightened to placement identity: all three
-    // paths must land on the same optimal objective, both warm flows must
-    // verify as feasible optima, and after canonicalization (which maps
-    // every degenerate optimum to the same canonical flow, independent of
-    // the solver path that produced it) all three graphs must extract
-    // *identical* per-task placements — not just equal counts.
-    let optimal = firmament_mcmf::verify::is_optimal(&diff_graph)
-        && firmament_mcmf::verify::is_optimal(&delta_graph);
+    // Solution equivalence, tightened to placement identity: both paths
+    // must land on the same optimal objective, the warm flow must verify
+    // as a feasible optimum, and after canonicalization (which maps every
+    // degenerate optimum to the same canonical flow, independent of the
+    // solver path that produced it) both graphs must extract *identical*
+    // per-task placements — not just equal counts.
+    let optimal = firmament_mcmf::verify::is_optimal(&delta_graph);
     let mut scratch_canon = scratch_graph.clone();
-    let mut diff_canon = diff_graph.clone();
     let mut delta_canon = delta_graph.clone();
     let canon_ok = canonicalize_flow(&mut scratch_canon).is_ok()
-        && canonicalize_flow(&mut diff_canon).is_ok()
         && canonicalize_flow(&mut delta_canon).is_ok();
-    let p_scratch = extract_placements(&scratch_canon);
-    let p_diff = extract_placements(&diff_canon);
-    let p_delta = extract_placements(&delta_canon);
     Measurement {
         scratch_s: scratch.runtime.as_secs_f64(),
-        diff_s: diff.runtime.as_secs_f64(),
         delta_s: delta.runtime.as_secs_f64(),
         delta_nodes_touched: delta.stats.nodes_touched,
         deltas: batch.len(),
-        solutions_equivalent: optimal && canon_ok && p_scratch == p_diff && p_diff == p_delta,
-        objectives_agree: scratch.objective == diff.objective && diff.objective == delta.objective,
+        solutions_equivalent: optimal
+            && canon_ok
+            && extract_placements(&scratch_canon) == extract_placements(&delta_canon),
+        objectives_agree: scratch.objective == delta.objective,
     }
 }
 
@@ -158,7 +144,6 @@ fn main() {
     header(&[
         "policy",
         "from_scratch_s",
-        "diff_based_s",
         "delta_fed_s",
         "deltas",
         "nodes_touched",
@@ -182,7 +167,6 @@ fn main() {
         row(&[
             name.into(),
             format!("{:.4}", m.scratch_s),
-            format!("{:.4}", m.diff_s),
             format!("{:.4}", m.delta_s),
             format!("{}", m.deltas),
             format!("{}", m.delta_nodes_touched),
@@ -194,7 +178,7 @@ fn main() {
     verdict(
         "fig11_equivalence",
         all_equal,
-        "delta-fed and diff-based warm solves are verified-optimal, match from-scratch objectives, and canonicalize to IDENTICAL per-task placements",
+        "delta-fed warm solves are verified-optimal, match from-scratch objectives, and canonicalize to IDENTICAL per-task placements",
     );
     verdict(
         "fig11",

@@ -7,7 +7,8 @@
 use firmament_bench::{header, row, verdict, warmed_cluster, Scale};
 use firmament_cluster::{ClusterEvent, Job, JobClass, Task, TaskState};
 use firmament_core::Firmament;
-use firmament_mcmf::incremental::{drain_task_flow, IncrementalCostScaling};
+use firmament_flow::delta::DeltaBatch;
+use firmament_mcmf::incremental::{drain_task_flow, IncrementalConfig, IncrementalCostScaling};
 use firmament_mcmf::relaxation::{self, RelaxationConfig};
 use firmament_mcmf::SolveOptions;
 use firmament_policies::LoadSpreadingCostModel;
@@ -57,11 +58,13 @@ fn main() {
     .runtime
     .as_secs_f64();
 
-    // (b) Task-removal-heavy incremental round.
-    let mut inc = IncrementalCostScaling::default();
+    // (b) Task-removal-heavy incremental round, fed the removals it makes.
     let mut base_graph = graph.clone();
-    inc.solve(&mut base_graph, &SolveOptions::unlimited())
+    IncrementalCostScaling::default()
+        .solve_with_deltas(&mut base_graph, None, &SolveOptions::unlimited())
         .expect("base solve");
+    base_graph.set_change_tracking(true);
+    base_graph.take_changes();
     // Complete 20% of running tasks — with and without the drain heuristic.
     let victims: Vec<u64> = state
         .tasks
@@ -72,7 +75,7 @@ fn main() {
         .collect();
     let run_removal = |use_drain: bool| -> f64 {
         let mut g = base_graph.clone();
-        let mut inc = IncrementalCostScaling::new(firmament_mcmf::incremental::IncrementalConfig {
+        let mut inc = IncrementalCostScaling::new(IncrementalConfig {
             price_refine_on_adopt: true,
             ..Default::default()
         });
@@ -92,7 +95,8 @@ fn main() {
                 }
             }
         }
-        inc.solve(&mut g, &SolveOptions::unlimited())
+        let batch = DeltaBatch::compact(g.take_changes());
+        inc.solve_with_deltas(&mut g, Some(&batch), &SolveOptions::unlimited())
             .expect("incremental")
             .runtime
             .as_secs_f64()

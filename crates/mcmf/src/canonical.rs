@@ -2,8 +2,8 @@
 //!
 //! Min-cost scheduling flows are almost always degenerate: equal-cost
 //! task ↔ machine assignments can be permuted freely, so equally-optimal
-//! solves that take different paths — warm vs cold, delta-fed vs
-//! diff-based, relaxation vs cost scaling — produce *different* optimal
+//! solves that take different paths — warm vs cold, relaxation vs cost
+//! scaling — produce *different* optimal
 //! flows and hence different (equally good) placements. That is correct
 //! but unreproducible: CI can only assert objective equality, and
 //! replaying a cluster trace twice through different solver paths yields
@@ -225,14 +225,22 @@ mod tests {
             let spec = InstanceSpec::default();
             let mut warm_inst = scheduling_instance(seed, &spec);
             let mut inc = crate::incremental::IncrementalCostScaling::default();
-            inc.solve(&mut warm_inst.graph, &SolveOptions::unlimited())
+            inc.solve_with_deltas(&mut warm_inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
-            // Perturb some costs, then warm-resolve.
+            // Perturb some costs, then warm-resolve from the recorded feed.
+            warm_inst.graph.set_change_tracking(true);
             let arcs: Vec<ArcId> = warm_inst.graph.arc_ids().collect();
             warm_inst.graph.set_arc_cost(arcs[3], 7).unwrap();
             warm_inst.graph.set_arc_cost(arcs[13], 90).unwrap();
-            inc.solve(&mut warm_inst.graph, &SolveOptions::unlimited())
+            let batch = firmament_flow::delta::DeltaBatch::compact(warm_inst.graph.take_changes());
+            let warm = inc
+                .solve_with_deltas(
+                    &mut warm_inst.graph,
+                    Some(&batch),
+                    &SolveOptions::unlimited(),
+                )
                 .unwrap();
+            assert_eq!(warm.stats.bailouts, 0, "seed {seed}: warm path taken");
             // Cold path on an identical graph.
             let mut cold = warm_inst.graph.clone();
             crate::cost_scaling::solve(&mut cold, &SolveOptions::unlimited()).unwrap();

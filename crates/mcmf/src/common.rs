@@ -17,8 +17,6 @@ pub enum AlgorithmKind {
     CostScaling,
     /// Incremental cost scaling (§5.2).
     IncrementalCostScaling,
-    /// Incremental relaxation (§5.2).
-    IncrementalRelaxation,
 }
 
 impl std::fmt::Display for AlgorithmKind {
@@ -29,7 +27,6 @@ impl std::fmt::Display for AlgorithmKind {
             AlgorithmKind::Relaxation => "relaxation",
             AlgorithmKind::CostScaling => "cost-scaling",
             AlgorithmKind::IncrementalCostScaling => "incremental-cost-scaling",
-            AlgorithmKind::IncrementalRelaxation => "incremental-relaxation",
         };
         f.write_str(s)
     }
@@ -40,6 +37,8 @@ impl std::fmt::Display for AlgorithmKind {
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    /// The token this one was derived from: cancelling it cancels this one.
+    parent: Option<Arc<CancelToken>>,
 }
 
 impl CancelToken {
@@ -48,15 +47,25 @@ impl CancelToken {
         Self::default()
     }
 
+    /// Creates a token that is cancelled when it is, or when `self` is;
+    /// cancelling the child leaves `self` unset.
+    pub fn child(&self) -> Self {
+        CancelToken {
+            flag: Arc::default(),
+            parent: Some(Arc::new(self.clone())),
+        }
+    }
+
     /// Requests cancellation.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Returns `true` if cancellation was requested.
+    /// Returns `true` if cancellation was requested, of this token or of
+    /// any token it was derived from.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Relaxed) || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
     }
 }
 
@@ -248,6 +257,22 @@ mod tests {
         let t2 = t.clone();
         t2.cancel();
         assert!(t.is_cancelled());
+    }
+
+    #[test]
+    fn child_token_follows_its_ancestors_only() {
+        let root = CancelToken::new();
+        let child = root.child();
+        let grandchild = child.child();
+        let sibling = root.child();
+        child.cancel();
+        assert!(
+            grandchild.is_cancelled(),
+            "the parent's cancel reaches down"
+        );
+        assert!(!root.is_cancelled() && !sibling.is_cancelled());
+        root.cancel();
+        assert!(sibling.is_cancelled());
     }
 
     #[test]

@@ -114,8 +114,9 @@ pub fn solve_with(
 /// prices. The flow currently in the graph is treated as a pseudoflow; on
 /// success the graph holds an optimal feasible flow.
 ///
-/// This is the shared engine for both from-scratch and incremental cost
-/// scaling: the only difference is the starting ε and the prices.
+/// This is the engine of every from-scratch cost-scaling solve: [`solve`]
+/// and incremental cost scaling's cold solve, which keeps the final prices
+/// to warm-start from.
 pub fn run_phases(
     graph: &mut FlowGraph,
     opts: &SolveOptions,

@@ -41,11 +41,14 @@
 //!
 //! Relaxation runs on the calling thread and incremental cost scaling on
 //! one spawned thread; whichever *succeeds* first cancels the other
-//! cooperatively, and there is no third, coordinating thread. If
-//! relaxation won, its solution is handed to incremental cost scaling
-//! through price refine (§6.2) so the *next* incremental run can
-//! warm-start. The winner depends on wall-clock time, so placements can
-//! differ from run to run where costs tie.
+//! cooperatively, and there is no third, coordinating thread. Each racer's
+//! cancellation token is a child of the caller's, so the caller can still
+//! cancel the whole race. If relaxation won, its solution is handed to
+//! incremental cost scaling through price refine (§6.2) so the *next*
+//! incremental run can warm-start from that round's delta batch; a round
+//! without a batch runs incremental cost scaling cold. The winner depends
+//! on wall-clock time, so placements can differ from run to run where
+//! costs tie.
 //!
 //! Relaxation solves a copy of the round's graph. The copy is made with
 //! `clone_from` into a spare graph the solver keeps between rounds, and the
@@ -157,12 +160,9 @@ pub struct DualOutcome {
 ///
 /// The solver keeps state across rounds: the hedge's work reference and
 /// whether its last flow was optimal, and the race's cost-scaling warm
-/// state. Borrowing
-/// callers use [`solve`](Self::solve), which leaves the input graph
-/// untouched (it can continue accumulating changes while the solver runs,
-/// as in Fig 2b); callers that adopt the output — like the scheduler core
-/// — use [`solve_owned`](Self::solve_owned), which moves the graph through
-/// the solve instead of copying it every round.
+/// state. Its one entry, [`solve_owned_with_deltas`](Self::solve_owned_with_deltas),
+/// moves the graph through the solve instead of copying it every round; a
+/// caller that must keep its input copies it first.
 #[derive(Debug)]
 pub struct DualSolver {
     config: DualConfig,
@@ -203,43 +203,24 @@ impl DualSolver {
         self.config.kind
     }
 
-    /// Solves the scheduling graph.
+    /// Solves the scheduling graph, handed over by value, together with the
+    /// typed change feed recorded since the last solve.
     ///
-    /// `opts` applies to each algorithm run (time/iteration budgets are
-    /// rarely used here; the race replaces the cancellation token with its
-    /// own, while the hedge honours it). The input graph is
-    /// left untouched; callers that immediately adopt the output graph
-    /// should prefer [`solve_owned`](Self::solve_owned), which avoids one
-    /// full graph copy per round.
-    pub fn solve(
-        &mut self,
-        graph: &FlowGraph,
-        opts: &SolveOptions,
-    ) -> Result<DualOutcome, SolveError> {
-        self.solve_owned(graph.clone(), opts).map_err(|(e, _)| e)
-    }
-
-    /// Like [`solve`](Self::solve), but takes ownership of the graph: the
-    /// hedge, the single-algorithm configurations and race-skipped rounds
-    /// solve fully in place (zero copies); the dual race solves cost
+    /// The hedge, the single-algorithm configurations and race-skipped
+    /// rounds solve fully in place (zero copies); the dual race solves cost
     /// scaling in place and copies the graph once, into the solver's
     /// recycled spare, for relaxation. On failure the graph is handed back
     /// (possibly with partial flow) so the caller can restore its state.
+    ///
+    /// The feed lets the race's incremental cost scaling warm-start and
+    /// lets the race and the hedge skip a provably quiescent round;
+    /// relaxation itself ignores it. Without a feed (`None`) no round is
+    /// skipped and the race's incremental cost scaling solves cold.
+    ///
+    /// `opts` applies to each algorithm run. Every kind honours its
+    /// cancellation token: the race gives each racer a child of it, so
+    /// cancelling the call cancels both racers.
     #[allow(clippy::result_large_err)] // the Err graph is the point: ownership returns on failure
-    pub fn solve_owned(
-        &mut self,
-        graph: FlowGraph,
-        opts: &SolveOptions,
-    ) -> Result<DualOutcome, (SolveError, FlowGraph)> {
-        self.solve_owned_with_deltas(graph, None, opts)
-    }
-
-    /// Like [`solve_owned`](Self::solve_owned), but hands the solver the
-    /// typed change feed recorded since the last handoff: the incremental
-    /// cost-scaling side warm-starts from it natively instead of diffing
-    /// the whole graph, and the race and the hedge skip a round whose feed
-    /// is provably quiescent (relaxation itself ignores the feed).
-    #[allow(clippy::result_large_err)] // see solve_owned
     pub fn solve_owned_with_deltas(
         &mut self,
         graph: FlowGraph,
@@ -286,7 +267,7 @@ impl DualSolver {
 
     /// The hedge: skip, cold cost scaling with no history, budgeted
     /// relaxation, or cold cost scaling past the budget (module docs).
-    #[allow(clippy::result_large_err)] // see solve_owned
+    #[allow(clippy::result_large_err)] // see solve_owned_with_deltas
     fn solve_hedged(
         &mut self,
         mut graph: FlowGraph,
@@ -370,7 +351,7 @@ impl DualSolver {
         }
     }
 
-    #[allow(clippy::result_large_err)] // see solve_owned
+    #[allow(clippy::result_large_err)] // see solve_owned_with_deltas
     fn solve_dual(
         &mut self,
         graph: FlowGraph,
@@ -404,8 +385,15 @@ impl DualSolver {
                 };
             }
         }
-        let cancel_relax = CancelToken::new();
-        let cancel_cs = CancelToken::new();
+        // Each racer's token is a child of the caller's: cancelling the call
+        // cancels both racers, and either racer can cancel the other alone.
+        let racer_token = || {
+            opts.cancel
+                .as_ref()
+                .map_or_else(CancelToken::new, CancelToken::child)
+        };
+        let cancel_relax = racer_token();
+        let cancel_cs = racer_token();
         let mut relax_opts = opts.clone();
         relax_opts.cancel = Some(cancel_relax.clone());
         let mut cs_opts = opts.clone();
@@ -540,7 +528,7 @@ mod tests {
         let inst = scheduling_instance(1, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         let out = solver
-            .solve(&inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert!(is_optimal(&out.graph));
         assert!(!out.solution.terminated_early);
@@ -561,7 +549,7 @@ mod tests {
                 ..Default::default()
             });
             let out = solver
-                .solve(&inst.graph, &SolveOptions::unlimited())
+                .solve_owned_with_deltas(inst.graph.clone(), None, &SolveOptions::unlimited())
                 .unwrap();
             objectives.push(out.solution.objective);
         }
@@ -577,13 +565,43 @@ mod tests {
         })
     }
 
+    /// A token cancelled before the call stops every kind, before and
+    /// after the solver has history: the race's racers hold children of
+    /// the caller's token rather than tokens of their own.
+    #[test]
+    fn a_cancelled_call_is_cancelled_under_every_kind() {
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = SolveOptions::with_cancel(token);
+        for kind in [
+            SolverKind::Hedged,
+            SolverKind::Dual,
+            SolverKind::RelaxationOnly,
+            SolverKind::CostScalingOnly,
+        ] {
+            let mut solver = solver(kind);
+            let graph = scheduling_instance(25, &InstanceSpec::default()).graph;
+            let (err, graph) = solver
+                .solve_owned_with_deltas(graph, None, &cancelled)
+                .expect_err("fresh solver");
+            assert_eq!(err, SolveError::Cancelled, "{kind:?}, fresh solver");
+            let out = solver
+                .solve_owned_with_deltas(graph, None, &SolveOptions::unlimited())
+                .unwrap();
+            let (err, _) = solver
+                .solve_owned_with_deltas(out.graph, None, &cancelled)
+                .expect_err("solver with history");
+            assert_eq!(err, SolveError::Cancelled, "{kind:?}, solver with history");
+        }
+    }
+
     #[test]
     fn repeated_rounds_with_changes_stay_optimal() {
         let mut inst = scheduling_instance(3, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         for round in 0..4 {
             let out = solver
-                .solve(&inst.graph, &SolveOptions::unlimited())
+                .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
             assert!(is_optimal(&out.graph), "round {round}");
             // Adopt the solution and mutate costs for the next round.
@@ -605,7 +623,7 @@ mod tests {
         for round in 0..4 {
             let shape = (inst.graph.node_count(), inst.graph.arc_count());
             let out = solver
-                .solve_owned(inst.graph, &SolveOptions::unlimited())
+                .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
             assert!(!out.race_skipped, "round {round}");
             assert_eq!((out.graph.node_count(), out.graph.arc_count()), shape);
@@ -625,18 +643,6 @@ mod tests {
                 inst.graph.set_supply(inst.sink, d + 1).unwrap();
             }
         }
-    }
-
-    #[test]
-    fn input_graph_is_untouched() {
-        let inst = scheduling_instance(4, &InstanceSpec::default());
-        let before: Vec<i64> = inst.graph.arc_ids().map(|a| inst.graph.flow(a)).collect();
-        let mut solver = DualSolver::default();
-        let _ = solver
-            .solve(&inst.graph, &SolveOptions::unlimited())
-            .unwrap();
-        let after: Vec<i64> = inst.graph.arc_ids().map(|a| inst.graph.flow(a)).collect();
-        assert_eq!(before, after);
     }
 
     /// Raises the cost of every flowless non-sink arc by 7, the shape a
@@ -666,7 +672,7 @@ mod tests {
         let mut inst = scheduling_instance(21, &InstanceSpec::default());
         let mut solver = solver(SolverKind::Dual);
         let out = solver
-            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert!(!out.race_skipped, "first (structural) round races");
         inst.graph = out.graph;
@@ -693,7 +699,7 @@ mod tests {
         let inst = scheduling_instance(22, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         let out = solver
-            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         let out = solver
             .solve_owned_with_deltas(
@@ -716,7 +722,7 @@ mod tests {
             let mut inst = scheduling_instance(23, &InstanceSpec::default());
             let mut solver = solver(kind);
             let out = solver
-                .solve_owned(inst.graph, &SolveOptions::unlimited())
+                .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
                 .unwrap();
             inst.graph = out.graph;
             inst.graph.set_change_tracking(true);
@@ -755,7 +761,7 @@ mod tests {
         let mut inst = scheduling_instance(21, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         let out = solver
-            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert_eq!(out.winner, AlgorithmKind::CostScaling, "no history: cold");
         inst.graph = out.graph;
@@ -779,13 +785,15 @@ mod tests {
         let inst = scheduling_instance(24, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         let out = solver
-            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         let stopped = SolveOptions {
             iteration_limit: Some(1),
             ..Default::default()
         };
-        let out = solver.solve_owned(out.graph, &stopped).unwrap();
+        let out = solver
+            .solve_owned_with_deltas(out.graph, None, &stopped)
+            .unwrap();
         assert!(out.solution.terminated_early);
         let out = solver
             .solve_owned_with_deltas(
@@ -819,16 +827,18 @@ mod tests {
         let run = || {
             let mut solver = DualSolver::default();
             let first = solver
-                .solve_owned(
+                .solve_owned_with_deltas(
                     scheduling_instance(31, &small).graph,
+                    None,
                     &SolveOptions::unlimited(),
                 )
                 .unwrap();
             assert_eq!(first.work_budget, None, "no history: cold cost scaling");
             let reference = first.cs_stats.unwrap().arc_scans;
             let out = solver
-                .solve_owned(
+                .solve_owned_with_deltas(
                     scheduling_instance(32, &oversubscribed).graph,
+                    None,
                     &SolveOptions::unlimited(),
                 )
                 .unwrap();
@@ -861,7 +871,7 @@ mod tests {
 
         // The fallback's work is the next round's reference.
         let next = solver
-            .solve_owned(out.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(out.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert_eq!(next.work_budget, Some(HEDGE_WORK_FACTOR * fallback));
     }
@@ -872,7 +882,7 @@ mod tests {
         let mut inst = scheduling_instance(33, &InstanceSpec::default());
         let mut solver = DualSolver::default();
         let first = solver
-            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         let reference = first.cs_stats.unwrap().arc_scans;
         inst.graph = first.graph;
@@ -880,7 +890,7 @@ mod tests {
         let c = inst.graph.cost(a);
         inst.graph.set_arc_cost(a, c + 11).unwrap();
         let out = solver
-            .solve_owned(inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert_eq!(out.winner, AlgorithmKind::Relaxation);
         assert!(!out.fell_back);
@@ -901,7 +911,7 @@ mod tests {
             ..Default::default()
         });
         let out = solver
-            .solve(&inst.graph, &SolveOptions::unlimited())
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert_eq!(out.winner, AlgorithmKind::IncrementalCostScaling);
         assert!(is_optimal(&out.graph));

@@ -11,9 +11,12 @@
 //!
 //! # The delta feed
 //!
-//! [`IncrementalCostScaling::solve_with_deltas`] consumes the typed
-//! [`DeltaBatch`] the graph owner recorded since the last handoff, instead
-//! of diffing the whole graph against its warm state:
+//! [`IncrementalCostScaling::solve_with_deltas`] is the solver's one entry.
+//! A warm start needs the typed [`DeltaBatch`] the graph owner recorded
+//! since the last handoff: the batch bounds what changed, so the solver
+//! repairs only that region. **A solve without a feed is a cold solve** —
+//! nothing then bounds what changed, and the solver does not rebuild that
+//! record by diffing the whole graph. A fed warm start runs four steps:
 //!
 //! 1. **Targeted price refine on new nodes**: each node added since the
 //!    last solve gets the price that makes its residual out-arcs
@@ -40,9 +43,9 @@
 //!    size.
 //!
 //! A **safety valve** bounds warm-start regressions: if the warm attempt
-//! exceeds a configurable multiple of the last from-scratch solve's work
-//! (iteration count), or hits a spurious warm-start infeasibility, the
-//! solver resets its warm state and re-solves cold.
+//! exceeds four times the last from-scratch solve's work (iteration
+//! count), or hits a spurious warm-start infeasibility, the solver
+//! re-solves cold.
 
 use crate::common::{AlgorithmKind, Budget, Solution, SolveError, SolveOptions, SolveStats};
 use crate::cost_scaling::{run_phases, CostScalingConfig, CostScalingState, RefineStop};
@@ -51,8 +54,13 @@ use firmament_flow::delta::{DeltaBatch, GraphDelta};
 use firmament_flow::{ArcId, FlowGraph, NodeId, NodeKind};
 use std::collections::VecDeque;
 
+/// The safety valve: a warm-started solve that exceeds this multiple of the
+/// last from-scratch solve's iteration count is abandoned and the solve
+/// restarts cold, which bounds a warm-start pathology to five cold solves.
+const WARM_WORK_BAILOUT: u64 = 4;
+
 /// Configuration for incremental cost scaling.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IncrementalConfig {
     /// Cost-scaling tuning (α-factor).
     pub cost_scaling: CostScalingConfig,
@@ -61,21 +69,6 @@ pub struct IncrementalConfig {
     /// came from a different algorithm (relaxation); see
     /// [`IncrementalCostScaling::adopt_solution`].
     pub price_refine_on_adopt: bool,
-    /// Safety valve: a warm-started solve that exceeds this multiple of
-    /// the last from-scratch solve's iteration count is abandoned — warm
-    /// state is reset and the solve restarts cold. Bounds warm-start
-    /// pathologies to `(k + 1)×` a cold solve. `None` disables the valve.
-    pub warm_work_bailout: Option<u64>,
-}
-
-impl Default for IncrementalConfig {
-    fn default() -> Self {
-        IncrementalConfig {
-            cost_scaling: CostScalingConfig::default(),
-            price_refine_on_adopt: false,
-            warm_work_bailout: Some(4),
-        }
-    }
 }
 
 /// Persistent scratch for the delta-fed warm path: the O(n) excess /
@@ -135,20 +128,6 @@ impl WarmScratch {
         self.touched.clear();
         self.arcbuf.clear();
     }
-
-    /// Whether the all-clear invariant holds (test oracle for the lazy
-    /// clearing).
-    #[cfg(test)]
-    fn is_clean(&self) -> bool {
-        self.active.is_empty()
-            && self.dirty.is_empty()
-            && self.relabeled.is_empty()
-            && self.touched.is_empty()
-            && self.excess.iter().all(|&e| e == 0)
-            && self.in_active.iter().all(|&b| !b)
-            && self.in_dirty.iter().all(|&b| !b)
-            && self.current_arc.iter().all(|&c| c == 0)
-    }
 }
 
 /// A reusable incremental cost-scaling solver.
@@ -176,21 +155,13 @@ impl IncrementalCostScaling {
     pub fn new(config: IncrementalConfig) -> Self {
         IncrementalCostScaling {
             config,
-            state: CostScalingState::default(),
-            warm: false,
-            last_cold_work: None,
-            scratch: WarmScratch::default(),
+            ..Self::default()
         }
     }
 
     /// Returns `true` if the solver holds warm state from a prior solution.
     pub fn is_warm(&self) -> bool {
         self.warm
-    }
-
-    /// Read access to the internal prices (for tests and diagnostics).
-    pub fn state(&self) -> &CostScalingState {
-        &self.state
     }
 
     /// Adopts an optimal flow produced by another algorithm (typically
@@ -204,106 +175,63 @@ impl IncrementalCostScaling {
     /// Returns `false` (and goes cold) if the flow is not optimal.
     pub fn adopt_solution(&mut self, solution_graph: &FlowGraph) -> bool {
         self.state.fit(solution_graph.node_bound());
+        // Without price refine there are no prices for the foreign flow, so
+        // the warm state is dropped and the next run is from scratch.
+        self.warm = false;
         if self.config.price_refine_on_adopt {
-            match price_refine(solution_graph, self.state.scale) {
-                Some(prices) => {
-                    self.state.potentials = prices;
-                    self.warm = true;
-                }
-                None => {
-                    self.warm = false;
-                }
+            if let Some(prices) = price_refine(solution_graph, self.state.scale) {
+                self.state.potentials = prices;
+                self.warm = true;
             }
-        } else {
-            // Without price refine we must drop warm state: we have no
-            // prices for the foreign flow, so the next run is from scratch.
-            self.warm = false;
         }
         self.warm
     }
 
-    /// Marks the internal state as certifying the graph's current flow; used
-    /// when this solver itself produced the last solution.
-    pub fn mark_warm(&mut self) {
-        self.warm = true;
-    }
-
-    /// Discards warm state; the next solve runs from scratch.
-    pub fn reset(&mut self) {
-        self.warm = false;
-        self.state = CostScalingState::default();
-    }
-
-    /// Solves the graph, warm-starting from the stored prices when possible.
+    /// Solves the graph: warm-starts from the stored prices guided by the
+    /// recorded change feed (see the module docs for the four steps), or
+    /// solves from scratch when the solver is cold or `deltas` is `None`.
     ///
-    /// The caller is expected to have already applied any cluster changes to
-    /// `graph` (the flow left over from the previous round, clamped or
-    /// disrupted by those changes, is the starting pseudoflow). When cold,
-    /// this is identical to from-scratch cost scaling.
-    ///
-    /// Without a delta feed the warm start falls back to a full-graph
-    /// violation scan; callers that track changes should prefer
-    /// [`solve_with_deltas`](Self::solve_with_deltas).
-    pub fn solve(
-        &mut self,
-        graph: &mut FlowGraph,
-        opts: &SolveOptions,
-    ) -> Result<Solution, SolveError> {
-        self.solve_with_deltas(graph, None, opts)
-    }
-
-    /// Solves the graph, warm-starting natively from the recorded change
-    /// feed (see the module docs for the four-step delta path).
+    /// The caller is expected to have already applied the changes in
+    /// `deltas` to `graph`: the flow left over from the previous round,
+    /// clamped or disrupted by those changes, is the starting pseudoflow.
+    /// A cold solve resets the flow and the prices first, so it gives the
+    /// flow a fresh solver would.
     pub fn solve_with_deltas(
         &mut self,
         graph: &mut FlowGraph,
         deltas: Option<&DeltaBatch>,
         opts: &SolveOptions,
     ) -> Result<Solution, SolveError> {
+        let batch = match deltas {
+            Some(batch) if self.warm => batch,
+            // Without a feed nothing bounds what changed since the last
+            // solve, so the warm state cannot be trusted.
+            _ => return self.cold_solve(graph, opts),
+        };
         self.state.fit(graph.node_bound());
-        if !self.warm {
-            return self.cold_solve(graph, opts);
-        }
         // Cap the warm attempt's work at a multiple of the last cold solve
         // so a pathological warm start cannot cost more than (k + 1)× a
         // from-scratch run.
-        let valve = self
-            .config
-            .warm_work_bailout
-            .map(|k| k.saturating_mul(self.cold_work_reference(graph)));
+        let valve = WARM_WORK_BAILOUT.saturating_mul(self.cold_work_reference(graph));
         let mut warm_opts = opts.clone();
-        warm_opts.iteration_limit = match (opts.iteration_limit, valve) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let attempt = match deltas {
-            Some(batch) => self.warm_solve_from_deltas(graph, batch, &warm_opts),
-            None => self.warm_solve_diffed(graph, &warm_opts),
-        };
-        match attempt {
-            Ok(sol) if !sol.terminated_early => {
-                self.warm = true;
-                Ok(sol)
+        warm_opts.iteration_limit = Some(opts.iteration_limit.map_or(valve, |c| c.min(valve)));
+        match self.warm_solve_from_deltas(graph, batch, &warm_opts) {
+            Ok(sol) if !sol.terminated_early => Ok(sol),
+            Ok(sol)
+                if sol.stats.iterations > valve
+                    && opts.iteration_limit.is_none_or(|c| valve < c) =>
+            {
+                // Safety valve: abandon the warm attempt, go cold.
+                let mut cold = self.cold_solve(graph, opts)?;
+                cold.stats.bailouts = sol.stats.bailouts + 1;
+                cold.stats.iterations += sol.stats.iterations;
+                Ok(cold)
             }
             Ok(sol) => {
-                let valve_tripped = match (valve, opts.iteration_limit) {
-                    (Some(v), caller) => sol.stats.iterations > v && caller.is_none_or(|c| v < c),
-                    (None, _) => false,
-                };
-                if valve_tripped {
-                    // Safety valve: abandon the warm attempt, go cold.
-                    self.reset();
-                    self.state.fit(graph.node_bound());
-                    let mut cold = self.cold_solve(graph, opts)?;
-                    cold.stats.bailouts = sol.stats.bailouts + 1;
-                    cold.stats.iterations += sol.stats.iterations;
-                    Ok(cold)
-                } else {
-                    // The *caller's* budget ran out: report the partial
-                    // solution as any early termination.
-                    self.warm = false;
-                    Ok(sol)
-                }
+                // The *caller's* budget ran out: report the partial
+                // solution as any early termination.
+                self.warm = false;
+                Ok(sol)
             }
             Err(SolveError::Infeasible) => {
                 // Spurious warm-start infeasibility (e.g. excess stranded
@@ -311,8 +239,6 @@ impl IncrementalCostScaling {
                 // The abandoned warm attempt's work is unknown here (the
                 // error path drops its budget), so only the bailout is
                 // counted; valve trips report the wasted iterations too.
-                self.reset();
-                self.state.fit(graph.node_bound());
                 let mut cold = self.cold_solve(graph, opts)?;
                 cold.stats.bailouts += 1;
                 Ok(cold)
@@ -324,17 +250,17 @@ impl IncrementalCostScaling {
         }
     }
 
-    /// From-scratch cost scaling (also the warm-bailout fallback); records
-    /// the work yardstick for the safety valve.
+    /// From-scratch cost scaling from a reset flow and fresh prices (also
+    /// the warm-bailout fallback); records the work yardstick for the
+    /// safety valve.
     fn cold_solve(
         &mut self,
         graph: &mut FlowGraph,
         opts: &SolveOptions,
     ) -> Result<Solution, SolveError> {
         graph.reset_flow();
-        for p in &mut self.state.potentials {
-            *p = 0;
-        }
+        self.state = CostScalingState::default();
+        self.state.fit(graph.node_bound());
         let eps0 = self.state.scale * graph.max_cost();
         let result = run_phases(
             graph,
@@ -349,33 +275,6 @@ impl IncrementalCostScaling {
                 self.last_cold_work = Some(sol.stats.iterations.max(1));
             }
             _ => self.warm = false,
-        }
-        result.map(|sol| Solution {
-            algorithm: AlgorithmKind::IncrementalCostScaling,
-            ..sol
-        })
-    }
-
-    /// Legacy warm path: full-graph violation diff (kept for callers with
-    /// no change feed).
-    fn warm_solve_diffed(
-        &mut self,
-        graph: &mut FlowGraph,
-        opts: &SolveOptions,
-    ) -> Result<Solution, SolveError> {
-        // Start at the largest complementary-slackness violation left by
-        // the changes (§6.2: "a value of ε equal to the costliest arc graph
-        // change").
-        let eps0 = max_violation(graph, &self.state.potentials, self.state.scale).max(1);
-        let result = run_phases(
-            graph,
-            opts,
-            &self.config.cost_scaling,
-            &mut self.state,
-            eps0,
-        );
-        if result.is_err() {
-            self.warm = false;
         }
         result.map(|sol| Solution {
             algorithm: AlgorithmKind::IncrementalCostScaling,
@@ -711,27 +610,6 @@ fn local_excess(graph: &FlowGraph, node: NodeId) -> i64 {
     e
 }
 
-/// Largest negative reduced cost over residual arcs (in scaled units), i.e.
-/// the ε at which the current pseudoflow is still ε-optimal. This is the
-/// legacy full-graph diff retained for feeds without a change log; the
-/// delta path derives the same quantity from the batch in O(Δ).
-fn max_violation(graph: &FlowGraph, potentials: &[i64], scale: i64) -> i64 {
-    let mut worst = 0i64;
-    for u in graph.node_ids() {
-        for &a in graph.adj(u) {
-            if graph.rescap(a) <= 0 {
-                continue;
-            }
-            let v = graph.dst(a);
-            let rc = scale * graph.cost(a) + potentials[u.index()] - potentials[v.index()];
-            if -rc > worst {
-                worst = -rc;
-            }
-        }
-    }
-    worst
-}
-
 /// Efficient task removal (§5.3.2): reconstructs a departing task's unit of
 /// flow through the graph and drains it, so the imbalance appears at the
 /// sink alone instead of stranding demand at the machine node.
@@ -832,13 +710,41 @@ mod tests {
         inst.graph.set_arc_capacity(arc, cap + by).unwrap();
     }
 
+    /// Whether the scratch's all-clear invariant holds (the oracle for the
+    /// lazy clearing).
+    fn is_clean(s: &WarmScratch) -> bool {
+        s.active.is_empty()
+            && s.dirty.is_empty()
+            && s.relabeled.is_empty()
+            && s.touched.is_empty()
+            && s.excess.iter().all(|&e| e == 0)
+            && s.in_active.iter().all(|&b| !b)
+            && s.in_dirty.iter().all(|&b| !b)
+            && s.current_arc.iter().all(|&c| c == 0)
+    }
+
+    /// A cold solve, after which the graph records its changes for the
+    /// next fed solve.
+    fn solve_cold(inc: &mut IncrementalCostScaling, graph: &mut FlowGraph) -> Solution {
+        let sol = inc
+            .solve_with_deltas(graph, None, &SolveOptions::unlimited())
+            .unwrap();
+        graph.set_change_tracking(true);
+        sol
+    }
+
+    /// A warm solve fed the changes recorded since the last solve.
+    fn solve_fed(inc: &mut IncrementalCostScaling, graph: &mut FlowGraph) -> Solution {
+        let batch = DeltaBatch::compact(graph.take_changes());
+        inc.solve_with_deltas(graph, Some(&batch), &SolveOptions::unlimited())
+            .unwrap()
+    }
+
     #[test]
     fn cold_solve_matches_from_scratch() {
         let mut inst = scheduling_instance(1, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        let sol = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        let sol = solve_cold(&mut inc, &mut inst.graph);
         assert!(is_optimal(&inst.graph));
         let mut fresh = scheduling_instance(1, &InstanceSpec::default());
         let s2 = crate::cost_scaling::solve(&mut fresh.graph, &SolveOptions::unlimited()).unwrap();
@@ -846,21 +752,47 @@ mod tests {
         assert!(inc.is_warm());
     }
 
+    /// A solve without a feed is a cold solve: a solver that was warm gives
+    /// the flow, arc for arc, and the counted work of a fresh solver's cold
+    /// solve of the same graph.
+    #[test]
+    fn feedless_solve_of_a_warm_solver_is_cold() {
+        let mut inst = scheduling_instance(8, &InstanceSpec::default());
+        let mut inc = IncrementalCostScaling::default();
+        solve_cold(&mut inc, &mut inst.graph);
+        let arcs: Vec<ArcId> = inst.graph.arc_ids().collect();
+        inst.graph.set_arc_cost(arcs[4], 2).unwrap();
+        solve_fed(&mut inc, &mut inst.graph);
+        inst.graph.set_arc_cost(arcs[9], 120).unwrap();
+        assert!(inc.is_warm());
+
+        let mut fresh_graph = inst.graph.clone();
+        let fresh = IncrementalCostScaling::default()
+            .solve_with_deltas(&mut fresh_graph, None, &SolveOptions::unlimited())
+            .unwrap();
+        let sol = inc
+            .solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
+            .unwrap();
+        for a in arcs {
+            assert_eq!(inst.graph.flow(a), fresh_graph.flow(a), "arc {a}");
+        }
+        assert!(sol.stats.arc_scans > 0);
+        assert_eq!(sol.stats, fresh.stats, "same counted work");
+        assert!(inc.is_warm(), "a cold solve re-warms the solver");
+    }
+
     #[test]
     fn warm_resolve_after_cost_changes_matches_scratch() {
         for seed in 0..5 {
             let mut inst = scheduling_instance(seed, &InstanceSpec::default());
             let mut inc = IncrementalCostScaling::default();
-            inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-                .unwrap();
+            solve_cold(&mut inc, &mut inst.graph);
 
             let arcs: Vec<ArcId> = inst.graph.arc_ids().collect();
             inst.graph.set_arc_cost(arcs[5], 3).unwrap();
             inst.graph.set_arc_cost(arcs[11], 180).unwrap();
 
-            let warm = inc
-                .solve(&mut inst.graph, &SolveOptions::unlimited())
-                .unwrap();
+            let warm = solve_fed(&mut inc, &mut inst.graph);
             assert!(is_optimal(&inst.graph), "seed {seed}");
             let mut fresh = inst.graph.clone();
             let scratch =
@@ -873,8 +805,7 @@ mod tests {
     fn warm_resolve_after_task_arrival() {
         let mut inst = scheduling_instance(3, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        solve_cold(&mut inc, &mut inst.graph);
 
         // Submit a new task.
         let t = inst.graph.add_node(NodeKind::Task { task: 777 }, 1);
@@ -884,9 +815,7 @@ mod tests {
         inst.graph.set_supply(inst.sink, d - 1).unwrap();
         grow_unscheduled_capacity(&mut inst, 1);
 
-        let warm = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        let warm = solve_fed(&mut inc, &mut inst.graph);
         assert!(is_optimal(&inst.graph));
         let mut fresh = inst.graph.clone();
         let scratch = crate::cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
@@ -901,8 +830,7 @@ mod tests {
         for seed in 0..8 {
             let mut inst = scheduling_instance(seed, &InstanceSpec::default());
             let mut inc = IncrementalCostScaling::default();
-            inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-                .unwrap();
+            solve_cold(&mut inc, &mut inst.graph);
 
             inst.graph.set_change_tracking(true);
             // A task arrives...
@@ -951,8 +879,7 @@ mod tests {
     fn empty_delta_feed_is_free() {
         let mut inst = scheduling_instance(4, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        solve_cold(&mut inc, &mut inst.graph);
         let before: Vec<i64> = inst.graph.arc_ids().map(|a| inst.graph.flow(a)).collect();
         let batch = DeltaBatch::empty();
         let sol = inc
@@ -978,9 +905,7 @@ mod tests {
         };
         let mut inst = scheduling_instance(2, &spec);
         let mut inc = IncrementalCostScaling::default();
-        let cold = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        let cold = solve_cold(&mut inc, &mut inst.graph);
 
         inst.graph.set_change_tracking(true);
         // One task arrives with two preference arcs...
@@ -1052,8 +977,7 @@ mod tests {
             };
             let mut inst = scheduling_instance(seed, &spec);
             let mut inc = IncrementalCostScaling::default();
-            inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-                .unwrap();
+            solve_cold(&mut inc, &mut inst.graph);
 
             inst.graph.set_change_tracking(true);
             // The fig11 burst shape: a batch of placed tasks departs
@@ -1134,8 +1058,7 @@ mod tests {
             };
             let mut inst = scheduling_instance(seed, &spec);
             let mut inc = IncrementalCostScaling::default();
-            inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-                .unwrap();
+            solve_cold(&mut inc, &mut inst.graph);
 
             // Drain-then-backfill: placed tasks complete, freeing slots a
             // waiting task should take (a real optimality move worth
@@ -1193,11 +1116,9 @@ mod tests {
     fn safety_valve_bails_to_cold() {
         let mut inst = scheduling_instance(6, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        solve_cold(&mut inc, &mut inst.graph);
         // Make the valve absurdly tight so any non-trivial warm attempt
         // trips it.
-        inc.config.warm_work_bailout = Some(0);
         inc.last_cold_work = Some(1);
         // Invalidate many costs so the warm attempt has real work to do.
         let arcs: Vec<ArcId> = inst.graph.arc_ids().collect();
@@ -1206,9 +1127,7 @@ mod tests {
                 .set_arc_cost(a, (i as i64 * 13) % 97 + 1)
                 .unwrap();
         }
-        let sol = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        let sol = solve_fed(&mut inc, &mut inst.graph);
         assert_eq!(sol.stats.bailouts, 1, "valve must have tripped");
         assert!(is_optimal(&inst.graph));
         assert!(inc.is_warm(), "cold fallback re-warms on success");
@@ -1224,9 +1143,8 @@ mod tests {
     fn warm_scratch_is_lazily_cleared_and_reused() {
         let mut inst = scheduling_instance(3, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
-        assert!(inc.scratch.is_clean(), "initial state is clean");
+        solve_cold(&mut inc, &mut inst.graph);
+        assert!(is_clean(&inc.scratch), "initial state is clean");
 
         // A real change burst through the delta path.
         inst.graph.set_change_tracking(true);
@@ -1241,7 +1159,7 @@ mod tests {
             .unwrap();
         assert!(is_optimal(&inst.graph));
         assert!(
-            inc.scratch.is_clean(),
+            is_clean(&inc.scratch),
             "busy round must restore the all-clear invariant"
         );
         let cap = inc.scratch.excess.capacity();
@@ -1255,7 +1173,7 @@ mod tests {
                 &SolveOptions::unlimited(),
             )
             .unwrap();
-            assert!(inc.scratch.is_clean());
+            assert!(is_clean(&inc.scratch));
             assert_eq!(
                 inc.scratch.excess.capacity(),
                 cap,
@@ -1271,8 +1189,7 @@ mod tests {
     fn flowless_cost_increase_is_free_for_the_warm_start() {
         let mut inst = scheduling_instance(7, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        solve_cold(&mut inc, &mut inst.graph);
         // Raise the cost of every flowless arc (except unscheduled arcs,
         // to keep the optimum where it is).
         inst.graph.set_change_tracking(true);
@@ -1307,8 +1224,7 @@ mod tests {
     fn drain_task_flow_balances_graph() {
         let mut inst = scheduling_instance(5, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        solve_cold(&mut inc, &mut inst.graph);
 
         // Pick a task that is actually scheduled on a machine.
         let scheduled = inst
@@ -1393,8 +1309,7 @@ mod tests {
         // The contrast case motivating the heuristic.
         let mut inst = scheduling_instance(5, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        solve_cold(&mut inc, &mut inst.graph);
         let scheduled = inst
             .tasks
             .iter()
@@ -1421,8 +1336,7 @@ mod tests {
     fn incremental_with_task_removal_matches_scratch() {
         let mut inst = scheduling_instance(9, &InstanceSpec::default());
         let mut inc = IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        solve_cold(&mut inc, &mut inst.graph);
 
         // Remove three tasks with the drain heuristic.
         let victims: Vec<NodeId> = inst.tasks[0..3].to_vec();
@@ -1432,9 +1346,7 @@ mod tests {
             let d = inst.graph.supply(inst.sink);
             inst.graph.set_supply(inst.sink, d + 1).unwrap();
         }
-        let warm = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        let warm = solve_fed(&mut inc, &mut inst.graph);
         assert!(is_optimal(&inst.graph));
         let mut fresh = inst.graph.clone();
         let scratch = crate::cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
@@ -1451,13 +1363,12 @@ mod tests {
         });
         assert!(inc.adopt_solution(&inst.graph));
         assert!(inc.is_warm());
+        inst.graph.set_change_tracking(true);
 
         // Apply a change, then warm-solve.
         let arcs: Vec<ArcId> = inst.graph.arc_ids().collect();
         inst.graph.set_arc_cost(arcs[9], 2).unwrap();
-        let warm = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
+        let warm = solve_fed(&mut inc, &mut inst.graph);
         assert!(is_optimal(&inst.graph));
         let mut fresh = inst.graph.clone();
         let scratch = crate::cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();

@@ -23,7 +23,7 @@ pub struct Invariants {
 /// Returns the Table 2 row for an algorithm.
 pub fn invariants(algorithm: AlgorithmKind) -> Invariants {
     match algorithm {
-        AlgorithmKind::Relaxation | AlgorithmKind::IncrementalRelaxation => Invariants {
+        AlgorithmKind::Relaxation => Invariants {
             feasibility: false,
             reduced_cost_optimality: true,
             eps_optimality: false,
@@ -51,7 +51,7 @@ pub fn invariants(algorithm: AlgorithmKind) -> Invariants {
 /// capacity `U`.
 pub fn worst_case_complexity(algorithm: AlgorithmKind) -> &'static str {
     match algorithm {
-        AlgorithmKind::Relaxation | AlgorithmKind::IncrementalRelaxation => "O(M^3 C U^2)",
+        AlgorithmKind::Relaxation => "O(M^3 C U^2)",
         AlgorithmKind::CycleCanceling => "O(N M^2 C U)",
         AlgorithmKind::CostScaling | AlgorithmKind::IncrementalCostScaling => "O(N^2 M log(N C))",
         AlgorithmKind::SuccessiveShortestPath => "O(N^2 U log(N))",
@@ -79,10 +79,6 @@ mod tests {
         assert_eq!(
             invariants(AlgorithmKind::CostScaling),
             invariants(AlgorithmKind::IncrementalCostScaling)
-        );
-        assert_eq!(
-            invariants(AlgorithmKind::Relaxation),
-            invariants(AlgorithmKind::IncrementalRelaxation)
         );
     }
 

@@ -1,7 +1,7 @@
 //! Min-cost max-flow algorithm suite for flow-based cluster scheduling.
 //!
 //! This crate implements the four MCMF algorithms Firmament studies (§4),
-//! their incremental variants (§5.2), the problem-specific heuristics
+//! incremental cost scaling (§5.2), the problem-specific heuristics
 //! (§5.3), and the speculative dual-algorithm executor (§6.1):
 //!
 //! | Algorithm | Module | Worst case (Table 1) |
@@ -33,7 +33,10 @@
 //!
 //! let inst = scheduling_instance(7, &InstanceSpec::default());
 //! let mut solver = DualSolver::default();
-//! let out = solver.solve(&inst.graph, &SolveOptions::unlimited()).unwrap();
+//! // No change feed: the first round of a fresh solver solves cold.
+//! let out = solver
+//!     .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
+//!     .unwrap();
 //! assert!(firmament_mcmf::verify::is_optimal(&out.graph));
 //! println!("{} won in {:?}", out.winner, out.solution.runtime);
 //! ```

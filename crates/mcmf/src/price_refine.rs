@@ -82,16 +82,18 @@ mod tests {
         // are unnecessarily large; canonical prices are bounded by the
         // longest shortest path.
         let mut inst = scheduling_instance(4, &InstanceSpec::default());
-        let mut state = crate::relaxation::RelaxationState::default();
+        let mut prices = vec![0; inst.graph.node_bound()];
         inst.graph.reset_flow();
         let cfg = crate::relaxation::RelaxationConfig::default();
-        crate::relaxation::solve_incremental(
+        crate::relaxation::solve_from(
             &mut inst.graph,
             &SolveOptions::unlimited(),
             &cfg,
-            &mut state,
+            &mut prices,
+            u64::MAX,
         )
         .unwrap();
+        let max_relaxation = prices.iter().map(|p| p.abs()).max().unwrap_or(0);
         let refined = price_refine(&inst.graph, 1).expect("optimal");
         let max_refined = refined.iter().map(|p| p.abs()).max().unwrap_or(0);
         let max_cost = inst.graph.max_cost();
@@ -101,6 +103,10 @@ mod tests {
         assert!(
             max_refined <= 4 * max_cost,
             "refined prices too large: {max_refined} vs C={max_cost}"
+        );
+        assert!(
+            max_refined <= max_relaxation,
+            "refined {max_refined} vs relaxation's {max_relaxation}"
         );
     }
 

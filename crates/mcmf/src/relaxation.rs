@@ -42,13 +42,6 @@ impl Default for RelaxationConfig {
     }
 }
 
-/// Persistent relaxation state for incremental re-optimization (§5.2).
-#[derive(Debug, Clone, Default)]
-pub struct RelaxationState {
-    /// Node prices, indexed by raw node index (unscaled cost units).
-    pub potentials: Vec<i64>,
-}
-
 /// Solves min-cost max-flow by relaxation from scratch, leaving the optimal
 /// flow in the graph.
 ///
@@ -106,26 +99,8 @@ pub(crate) fn solve_within(
     scan_budget: u64,
 ) -> Result<Budgeted, SolveError> {
     graph.reset_flow();
-    let mut state = RelaxationState::default();
-    solve_warm(graph, opts, config, &mut state, scan_budget)
-}
-
-/// Incremental relaxation: reuses the prices in `state` and the flow already
-/// present in the graph (§5.2).
-///
-/// The function first restores reduced cost optimality — graph changes may
-/// have left residual arcs with negative reduced cost — by saturating every
-/// such arc (which also cancels flow on arcs whose reverse became
-/// admissible), then runs the main loop to restore feasibility.
-pub fn solve_incremental(
-    graph: &mut FlowGraph,
-    opts: &SolveOptions,
-    config: &RelaxationConfig,
-    state: &mut RelaxationState,
-) -> Result<Solution, SolveError> {
-    let mut sol = solve_warm(graph, opts, config, state, u64::MAX)?.into_solution();
-    sol.algorithm = AlgorithmKind::IncrementalRelaxation;
-    Ok(sol)
+    let mut prices = vec![0; graph.node_bound()];
+    solve_from(graph, opts, config, &mut prices, scan_budget)
 }
 
 /// Restores complementary slackness against `pot`: saturates every
@@ -164,14 +139,16 @@ fn charge(stats: &mut SolveStats, len: usize, limit: u64) -> bool {
     }
 }
 
-/// Shared engine: treats the current flow as a starting pseudoflow, repairs
-/// complementary slackness, and drives all excess to the deficits, within
-/// `scan_limit` arc examinations.
-fn solve_warm(
+/// The engine: treats the current flow as a starting pseudoflow and `pot`
+/// (indexed by raw node index, unscaled cost units, at least
+/// `node_bound()` long) as its prices, repairs complementary slackness,
+/// and drives all excess to the deficits, within `scan_limit` arc
+/// examinations. The final prices are left in `pot`.
+pub(crate) fn solve_from(
     graph: &mut FlowGraph,
     opts: &SolveOptions,
     config: &RelaxationConfig,
-    state: &mut RelaxationState,
+    pot: &mut [i64],
     scan_limit: u64,
 ) -> Result<Budgeted, SolveError> {
     let mut budget = Budget::new(opts);
@@ -181,8 +158,6 @@ fn solve_warm(
         return Err(SolveError::UnbalancedSupply { total });
     }
     let n = graph.node_bound();
-    state.potentials.resize(n, 0);
-    let pot = &mut state.potentials;
 
     restore_slackness(graph, pot);
 
@@ -579,17 +554,17 @@ mod tests {
     #[test]
     fn final_potentials_satisfy_reduced_cost_optimality() {
         let mut inst = scheduling_instance(7, &InstanceSpec::default());
-        let mut state = RelaxationState::default();
+        let mut prices = vec![0; inst.graph.node_bound()];
         inst.graph.reset_flow();
-        solve_warm(
+        solve_from(
             &mut inst.graph,
             &SolveOptions::unlimited(),
             &RelaxationConfig::default(),
-            &mut state,
+            &mut prices,
             u64::MAX,
         )
         .unwrap();
-        assert!(check_reduced_cost_optimality(&inst.graph, &state.potentials).is_ok());
+        assert!(check_reduced_cost_optimality(&inst.graph, &prices).is_ok());
     }
 
     #[test]
@@ -603,62 +578,6 @@ mod tests {
             let s1 = solve_with(&mut a.graph, &SolveOptions::unlimited(), &cfg).unwrap();
             let s2 = solve(&mut b.graph, &SolveOptions::unlimited()).unwrap();
             assert_eq!(s1.objective, s2.objective, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn incremental_matches_from_scratch_after_changes() {
-        for seed in 0..5 {
-            let spec = InstanceSpec {
-                tasks: 40,
-                machines: 12,
-                ..InstanceSpec::default()
-            };
-            let mut inst = scheduling_instance(seed, &spec);
-            let mut state = RelaxationState::default();
-            inst.graph.reset_flow();
-            solve_warm(
-                &mut inst.graph,
-                &SolveOptions::unlimited(),
-                &RelaxationConfig::default(),
-                &mut state,
-                u64::MAX,
-            )
-            .unwrap();
-
-            // Perturb: change some arc costs and add a new task.
-            let arcs: Vec<ArcId> = inst.graph.arc_ids().collect();
-            inst.graph.set_arc_cost(arcs[3], 1).unwrap();
-            inst.graph.set_arc_cost(arcs[7], 200).unwrap();
-            let t = inst.graph.add_node(NodeKind::Task { task: 999 }, 1);
-            inst.graph.add_arc(t, inst.machines[0], 1, 5).unwrap();
-            inst.graph.add_arc(t, inst.unscheduled, 1, 150).unwrap();
-            let sink_supply = inst.graph.supply(inst.sink);
-            inst.graph.set_supply(inst.sink, sink_supply - 1).unwrap();
-            // Unscheduled aggregator capacity must grow for the new task.
-            let unsched_arc = inst
-                .graph
-                .adj(inst.unscheduled)
-                .iter()
-                .copied()
-                .find(|&a| inst.graph.dst(a) == inst.sink && a.is_forward())
-                .unwrap();
-            let cap = inst.graph.capacity(unsched_arc);
-            inst.graph.set_arc_capacity(unsched_arc, cap + 1).unwrap();
-
-            let inc = solve_incremental(
-                &mut inst.graph,
-                &SolveOptions::unlimited(),
-                &RelaxationConfig::default(),
-                &mut state,
-            )
-            .unwrap();
-            assert!(is_optimal(&inst.graph), "seed {seed}");
-
-            // Compare against a from-scratch solve on the mutated graph.
-            let mut fresh = inst.graph.clone();
-            let scratch = solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
-            assert_eq!(inc.objective, scratch.objective, "seed {seed}");
         }
     }
 
@@ -700,8 +619,7 @@ mod tests {
     /// adjacency pass leaves, both from a reset flow and zero prices (the
     /// cold start of `solve_with`) and from a solved flow under arbitrary
     /// prices (a warm start) — on graphs with negative costs, where both
-    /// starts have work to do. The cold solve must match
-    /// `solve_incremental` from a reset flow and a default state, and SSP.
+    /// starts have work to do. The cold solve must match SSP.
     #[test]
     fn cold_start_matches_adjacency_pass_with_negative_costs() {
         use firmament_flow::testgen::XorShift64;
@@ -741,15 +659,6 @@ mod tests {
                 &RelaxationConfig::default(),
             )
             .unwrap();
-            let mut incremental = reset.clone();
-            solve_incremental(
-                &mut incremental,
-                &SolveOptions::unlimited(),
-                &RelaxationConfig::default(),
-                &mut RelaxationState::default(),
-            )
-            .unwrap();
-            same_flow(&cold, &incremental, &cold, &format!("solve seed {seed}"));
             let mut reference = base.clone();
             let ssp = crate::ssp::solve(&mut reference, &SolveOptions::unlimited()).unwrap();
             assert_eq!(sol.objective, ssp.objective, "seed {seed}");

@@ -2,6 +2,7 @@
 //! zero capacities, large supplies, and repeated warm rounds — the inputs
 //! a production scheduler will eventually feed its solver.
 
+use firmament_flow::delta::DeltaBatch;
 use firmament_flow::{FlowGraph, NodeKind};
 use firmament_mcmf::incremental::IncrementalCostScaling;
 use firmament_mcmf::verify::is_optimal;
@@ -154,8 +155,10 @@ fn warm_solver_survives_total_workload_turnover() {
     }
     g.set_supply(sink, -4).unwrap();
     let mut inc = IncrementalCostScaling::default();
-    inc.solve(&mut g, &SolveOptions::unlimited()).unwrap();
+    inc.solve_with_deltas(&mut g, None, &SolveOptions::unlimited())
+        .unwrap();
     assert!(is_optimal(&g));
+    g.set_change_tracking(true);
 
     // Full turnover.
     for t in tasks {
@@ -169,7 +172,10 @@ fn warm_solver_survives_total_workload_turnover() {
         g.add_arc(t, m1, 1, 7).unwrap();
     }
     g.set_supply(sink, -3).unwrap();
-    let warm = inc.solve(&mut g, &SolveOptions::unlimited()).unwrap();
+    let batch = DeltaBatch::compact(g.take_changes());
+    let warm = inc
+        .solve_with_deltas(&mut g, Some(&batch), &SolveOptions::unlimited())
+        .unwrap();
     assert!(is_optimal(&g));
     let mut fresh = g.clone();
     let scratch = cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
@@ -181,15 +187,17 @@ fn ten_consecutive_warm_rounds_stay_exact() {
     use firmament_flow::testgen::{scheduling_instance, InstanceSpec};
     let mut inst = scheduling_instance(42, &InstanceSpec::default());
     let mut inc = IncrementalCostScaling::default();
-    inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+    inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
         .unwrap();
+    inst.graph.set_change_tracking(true);
     for round in 0..10 {
         let arcs: Vec<_> = inst.graph.arc_ids().collect();
         let a = arcs[(round * 13 + 5) % arcs.len()];
         let c = inst.graph.cost(a);
         inst.graph.set_arc_cost(a, (c * 3 + 7) % 120 + 1).unwrap();
+        let batch = DeltaBatch::compact(inst.graph.take_changes());
         let warm = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
+            .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();
         let mut fresh = inst.graph.clone();
         let scratch = cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();

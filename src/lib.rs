@@ -60,8 +60,9 @@
 //!    churn.
 //! 3. **Deltas.** [`core::FlowGraphManager::take_deltas`] drains the
 //!    graph's change log as a compacted [`flow::delta::DeltaBatch`].
-//! 4. **Solve.** [`mcmf::DualSolver::solve_owned_with_deltas`] takes the
-//!    graph by move and, by default, hedges ([`mcmf::SolverKind::Hedged`]):
+//! 4. **Solve.** [`mcmf::DualSolver::solve_owned_with_deltas`], the
+//!    solver's one entry, takes the graph by move together with the round's
+//!    batch and, by default, hedges ([`mcmf::SolverKind::Hedged`]):
 //!    relaxation solves in place within a budget of counted arc
 //!    examinations, and cold cost scaling solves the round only once the
 //!    budget runs out (or on the first round, before any cost-scaling
@@ -69,7 +70,9 @@
 //!    the algorithm, so placements are the same on every run. A round whose
 //!    batch only raises costs on flowless arcs runs no solver when the last
 //!    flow was optimal. The paper's race of relaxation against incremental
-//!    cost scaling stays available as [`mcmf::SolverKind::Dual`].
+//!    cost scaling stays available as [`mcmf::SolverKind::Dual`]; there the
+//!    batch is what lets incremental cost scaling warm-start, since a solve
+//!    without a feed is a cold solve.
 //! 5. **Adopt.** [`core::FlowGraphManager::adopt_graph`] installs the
 //!    solved flow, from which the next round starts.
 //! 6. **Extract.** [`core::extract_placements`] (Listing 1) reads each

@@ -7,6 +7,7 @@
 //! case derives its parameters from a fixed seed sequence, so failures
 //! reproduce exactly.
 
+use firmament::flow::delta::DeltaBatch;
 use firmament::flow::testgen::{layered_instance, scheduling_instance, InstanceSpec, XorShift64};
 use firmament::flow::validate::check_feasible;
 use firmament::mcmf::{
@@ -42,8 +43,10 @@ fn all_four_algorithms_agree_on_scheduling_graphs() {
 fn dual_solver_matches_single_algorithms() {
     let inst = scheduling_instance(11, &InstanceSpec::default());
     let mut dual = DualSolver::default();
-    let out = dual.solve(&inst.graph, &SolveOptions::unlimited()).unwrap();
     let mut g = inst.graph.clone();
+    let out = dual
+        .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
+        .unwrap();
     let reference = ssp::solve(&mut g, &SolveOptions::unlimited()).unwrap();
     assert_eq!(out.solution.objective, reference.objective);
     assert!(verify::is_optimal(&out.graph));
@@ -99,8 +102,9 @@ fn prop_layered_instances_agree() {
     }
 }
 
-/// Incremental cost scaling after random cost perturbations matches a
-/// from-scratch solve of the mutated graph.
+/// Incremental cost scaling, fed the recorded changes of several rounds of
+/// random cost perturbations, matches a from-scratch solve of the mutated
+/// graph after every round.
 #[test]
 fn prop_incremental_matches_scratch() {
     let mut rng = XorShift64::new(0xFEED);
@@ -113,24 +117,29 @@ fn prop_incremental_matches_scratch() {
         };
         let mut inst = scheduling_instance(seed, &spec);
         let mut inc = firmament::mcmf::incremental::IncrementalCostScaling::default();
-        inc.solve(&mut inst.graph, &SolveOptions::unlimited())
+        inc.solve_with_deltas(&mut inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
+        inst.graph.set_change_tracking(true);
         let arcs: Vec<_> = inst.graph.arc_ids().collect();
-        let n_perturbations = 1 + rng.below(11) as usize;
-        for _ in 0..n_perturbations {
-            let idx = rng.below(200) as usize;
-            let cost = 1 + rng.below(149) as i64;
-            let a = arcs[idx % arcs.len()];
-            inst.graph.set_arc_cost(a, cost).unwrap();
+        for round in 0..5 {
+            let n_perturbations = 1 + rng.below(11) as usize;
+            for _ in 0..n_perturbations {
+                let idx = rng.below(200) as usize;
+                let cost = 1 + rng.below(149) as i64;
+                let a = arcs[idx % arcs.len()];
+                inst.graph.set_arc_cost(a, cost).unwrap();
+            }
+            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            let warm = inc
+                .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
+                .unwrap();
+            let mut fresh = inst.graph.clone();
+            let scratch = cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
+            let ctx =
+                format!("case {case}: seed {seed}, round {round}, {n_perturbations} perturbations");
+            assert_eq!(warm.objective, scratch.objective, "{ctx}");
+            assert!(verify::is_optimal(&inst.graph), "{ctx}");
+            assert_eq!(warm.stats.bailouts, 0, "{ctx}: the fed warm start held");
         }
-        let warm = inc
-            .solve(&mut inst.graph, &SolveOptions::unlimited())
-            .unwrap();
-        let mut fresh = inst.graph.clone();
-        let scratch = cost_scaling::solve(&mut fresh, &SolveOptions::unlimited()).unwrap();
-        assert_eq!(
-            warm.objective, scratch.objective,
-            "case {case}: seed {seed}, {n_perturbations} perturbations"
-        );
     }
 }
