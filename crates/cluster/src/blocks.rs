@@ -5,6 +5,28 @@
 //! its input (§7.2, Fig 15). This block store tracks which machines hold
 //! replicas of which blocks and answers "what fraction of this input is
 //! local to machine m / rack r".
+//!
+//! # Layout
+//!
+//! Block ids are dense: [`BlockStore::place_block`] hands them out counting
+//! up from 0. The holders of every block therefore live in one flat vector,
+//! block after block, and block `b` is the span that ends at `ends[b]` and
+//! starts where block `b - 1`'s ends. No query hashes a block id, and a
+//! query allocates a few vectors per call, none per block.
+//! [`BlockStore::remove_machine`] compacts the flat vector in place.
+//!
+//! # Counting rules
+//!
+//! Fractions are counts over `blocks.len()`, the list as given (a block
+//! listed twice counts twice, an unknown block id has no holders):
+//!
+//! - a machine counts once per listing as a holder, so a holder listed `k`
+//!   times in one block's replicas counts `k` times, and
+//!   [`BlockStore::machines_above_threshold`] can report a value above 1
+//!   (while [`BlockStore::machine_locality`] counts each block at most
+//!   once);
+//! - a rack counts once per block, however many of its machines hold it;
+//! - a holder missing from the machine → rack map belongs to no rack.
 
 use crate::machine::RackId;
 use crate::task::MachineId;
@@ -19,20 +41,21 @@ pub const REPLICATION: usize = 3;
 /// Tracks block replica placement across machines.
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
-    /// block id → machines holding a replica.
-    replicas: HashMap<u64, Vec<MachineId>>,
+    /// The replica holders of every block, block after block.
+    holders: Vec<MachineId>,
+    /// `ends[b]`: the end of block `b`'s span in `holders`.
+    ends: Vec<usize>,
     /// machine → rack, for rack-level locality.
     rack_of: HashMap<MachineId, RackId>,
-    next_block: u64,
 }
 
 impl BlockStore {
     /// Creates an empty store over the given machine→rack mapping.
     pub fn new(machines: impl IntoIterator<Item = (MachineId, RackId)>) -> Self {
         BlockStore {
-            replicas: HashMap::new(),
+            holders: Vec::new(),
+            ends: Vec::new(),
             rack_of: machines.into_iter().collect(),
-            next_block: 0,
         }
     }
 
@@ -44,23 +67,37 @@ impl BlockStore {
     /// Removes a machine and all replicas it held (machine failure).
     pub fn remove_machine(&mut self, machine: MachineId) {
         self.rack_of.remove(&machine);
-        for reps in self.replicas.values_mut() {
-            reps.retain(|&m| m != machine);
+        let (mut read, mut write) = (0, 0);
+        for end in &mut self.ends {
+            while read < *end {
+                let m = self.holders[read];
+                if m != machine {
+                    self.holders[write] = m;
+                    write += 1;
+                }
+                read += 1;
+            }
+            *end = write;
         }
+        self.holders.truncate(write);
     }
 
     /// Allocates a fresh block with the given replica holders, returning its
     /// id.
     pub fn place_block(&mut self, holders: Vec<MachineId>) -> u64 {
-        let id = self.next_block;
-        self.next_block += 1;
-        self.replicas.insert(id, holders);
-        id
+        self.holders.extend_from_slice(&holders);
+        self.ends.push(self.holders.len());
+        (self.ends.len() - 1) as u64
     }
 
-    /// Returns the machines holding a block.
+    /// Returns the machines holding a block, as placed minus removed
+    /// machines; empty for an unknown block id.
     pub fn holders(&self, block: u64) -> &[MachineId] {
-        self.replicas.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        let Some(b) = usize::try_from(block).ok().filter(|&b| b < self.ends.len()) else {
+            return &[];
+        };
+        let start = if b == 0 { 0 } else { self.ends[b - 1] };
+        &self.holders[start..self.ends[b]]
     }
 
     /// Fraction (0..=1) of `blocks` with a replica on `machine`.
@@ -91,8 +128,11 @@ impl BlockStore {
         local as f64 / blocks.len() as f64
     }
 
-    /// Machines holding at least `threshold` fraction of `blocks`, with the
-    /// fraction they hold. This drives preference-arc creation.
+    /// Machines whose replica count over `blocks`, divided by
+    /// `blocks.len()`, is at least `threshold`, with that value, most local
+    /// first and then by id. This drives preference-arc creation. The
+    /// value is the fraction of `blocks` held unless a block lists the same
+    /// holder more than once: each listing counts, so it can exceed 1.
     pub fn machines_above_threshold(
         &self,
         blocks: &[u64],
@@ -101,49 +141,55 @@ impl BlockStore {
         if blocks.is_empty() {
             return Vec::new();
         }
-        let mut counts: HashMap<MachineId, usize> = HashMap::new();
-        for b in blocks {
-            for &m in self.holders(*b) {
-                *counts.entry(m).or_insert(0) += 1;
-            }
-        }
-        let total = blocks.len() as f64;
-        let mut out: Vec<(MachineId, f64)> = counts
-            .into_iter()
-            .map(|(m, c)| (m, c as f64 / total))
-            .filter(|&(_, f)| f >= threshold)
+        let mut held: Vec<MachineId> = blocks
+            .iter()
+            .flat_map(|&b| self.holders(b))
+            .copied()
             .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
+        held.sort_unstable();
+        runs_above_threshold(&held, blocks.len(), threshold)
     }
 
-    /// Racks holding at least `threshold` fraction of `blocks`.
+    /// Racks holding at least `threshold` fraction of `blocks`, most local
+    /// first and then by id. A rack counts once per block however many of
+    /// its machines hold it.
     pub fn racks_above_threshold(&self, blocks: &[u64], threshold: f64) -> Vec<(RackId, f64)> {
         if blocks.is_empty() {
             return Vec::new();
         }
-        let mut counts: HashMap<RackId, usize> = HashMap::new();
-        for b in blocks {
-            let mut racks: Vec<RackId> = self
-                .holders(*b)
-                .iter()
-                .filter_map(|m| self.rack_of.get(m).copied())
-                .collect();
-            racks.sort_unstable();
-            racks.dedup();
-            for r in racks {
-                *counts.entry(r).or_insert(0) += 1;
-            }
+        let mut racks = Vec::new();
+        let mut block_racks = Vec::new();
+        for &b in blocks {
+            block_racks.clear();
+            block_racks.extend(
+                self.holders(b)
+                    .iter()
+                    .filter_map(|m| self.rack_of.get(m).copied()),
+            );
+            block_racks.sort_unstable();
+            block_racks.dedup();
+            racks.extend_from_slice(&block_racks);
         }
-        let total = blocks.len() as f64;
-        let mut out: Vec<(RackId, f64)> = counts
-            .into_iter()
-            .map(|(r, c)| (r, c as f64 / total))
-            .filter(|&(_, f)| f >= threshold)
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
+        racks.sort_unstable();
+        runs_above_threshold(&racks, blocks.len(), threshold)
     }
+}
+
+/// The runs of equal ids in `sorted`, each as its length over `total`,
+/// that reach `threshold`: largest value first, then by id.
+fn runs_above_threshold<T: Copy + Ord>(
+    sorted: &[T],
+    total: usize,
+    threshold: f64,
+) -> Vec<(T, f64)> {
+    let total = total as f64;
+    let mut out: Vec<(T, f64)> = sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as f64 / total))
+        .filter(|&(_, f)| f >= threshold)
+        .collect();
+    out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    out
 }
 
 #[cfg(test)]
