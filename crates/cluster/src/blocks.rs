@@ -141,11 +141,10 @@ impl BlockStore {
         if blocks.is_empty() {
             return Vec::new();
         }
-        let mut held: Vec<MachineId> = blocks
-            .iter()
-            .flat_map(|&b| self.holders(b))
-            .copied()
-            .collect();
+        let mut held = Vec::with_capacity(blocks.len() * REPLICATION);
+        for &b in blocks {
+            held.extend_from_slice(self.holders(b));
+        }
         held.sort_unstable();
         runs_above_threshold(&held, blocks.len(), threshold)
     }
@@ -157,8 +156,8 @@ impl BlockStore {
         if blocks.is_empty() {
             return Vec::new();
         }
-        let mut racks = Vec::new();
-        let mut block_racks = Vec::new();
+        let mut racks = Vec::with_capacity(blocks.len() * REPLICATION);
+        let mut block_racks = Vec::with_capacity(REPLICATION);
         for &b in blocks {
             block_racks.clear();
             block_racks.extend(
