@@ -12,8 +12,11 @@
 //! up from 0. The holders of every block therefore live in one flat vector,
 //! block after block, and block `b` is the span that ends at `ends[b]` and
 //! starts where block `b - 1`'s ends. No query hashes a block id, and a
-//! query allocates a few vectors per call, none per block.
-//! [`BlockStore::remove_machine`] compacts the flat vector in place.
+//! query allocates a few vectors per call, none per block: the threshold
+//! queries gather every holder (or rack) id of the input into one vector,
+//! sort it and count its runs. Rack queries still look each holder up in
+//! the machine → rack map. [`BlockStore::remove_machine`] compacts the flat
+//! vector in place.
 //!
 //! # Counting rules
 //!
@@ -85,7 +88,7 @@ impl BlockStore {
     /// Allocates a fresh block with the given replica holders, returning its
     /// id.
     pub fn place_block(&mut self, holders: Vec<MachineId>) -> u64 {
-        self.holders.extend_from_slice(&holders);
+        self.holders.extend(holders);
         self.ends.push(self.holders.len());
         (self.ends.len() - 1) as u64
     }
@@ -100,7 +103,9 @@ impl BlockStore {
         &self.holders[start..self.ends[b]]
     }
 
-    /// Fraction (0..=1) of `blocks` with a replica on `machine`.
+    /// Fraction (0..=1) of `blocks` with a replica on `machine`. A block
+    /// counts once however often its holders list `machine`, unlike in
+    /// [`machines_above_threshold`](Self::machines_above_threshold).
     pub fn machine_locality(&self, blocks: &[u64], machine: MachineId) -> f64 {
         if blocks.is_empty() {
             return 0.0;
@@ -234,6 +239,16 @@ mod tests {
         assert_eq!(hits.len(), 4); // 1, 2, 3 all hold 1/3 ≥ 0.3
         let strict = s.machines_above_threshold(&blocks, 0.5);
         assert_eq!(strict, vec![(0, 1.0)]);
+    }
+
+    #[test]
+    fn duplicate_holders_count_per_listing() {
+        let mut s = store();
+        let b = s.place_block(vec![2, 2, 2]);
+        assert_eq!(s.machines_above_threshold(&[b], 1.0), vec![(2, 3.0)]);
+        assert_eq!(s.machine_locality(&[b], 2), 1.0);
+        assert_eq!(s.racks_above_threshold(&[b], 1.0), vec![(1, 1.0)]);
+        assert_eq!(s.rack_locality(&[b], 1), 1.0);
     }
 
     #[test]
