@@ -271,11 +271,14 @@ fn block_store_matches_oracle_on_targeted_cases() {
     let after = p.place(vec![2, 2, 0]);
     p.check(&[after, dup, after], &all_machines, &all_racks, "re-placed");
 
-    // Removing an unknown machine and one in no rack changes nothing else.
+    // Removing an unknown machine changes nothing else; a removed machine
+    // listed as a holder again is in no rack.
     p.remove(77);
     p.remove(9);
     p.remove(FAR);
     check_all(&p, "removals");
+    let stale = p.place(vec![9, FAR, 77, 1]);
+    p.check(&[stale, dup], &all_machines, &all_racks, "removed holders");
 }
 
 #[test]
