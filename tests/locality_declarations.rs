@@ -279,6 +279,19 @@ fn block_store_matches_oracle_on_targeted_cases() {
     check_all(&p, "removals");
     let stale = p.place(vec![9, FAR, 77, 1]);
     p.check(&[stale, dup], &all_machines, &all_racks, "removed holders");
+
+    // A mid-range id joins while few machines are known, then many more
+    // join, then it moves racks.
+    p.add(100, 3);
+    let mid = p.place(vec![100, 5, 100]);
+    let ids = [100, 5, 20, 39];
+    p.check(&[mid, dup], &ids, &all_racks, "mid-range id");
+    for m in 20..40 {
+        p.add(m, (m % 3) as RackId);
+    }
+    p.check(&[mid, dup], &ids, &all_racks, "cluster grown");
+    p.add(100, 0);
+    p.check(&[mid, stale], &ids, &all_racks, "mid-range id moved");
 }
 
 #[test]
