@@ -15,13 +15,8 @@
 //! query allocates a few vectors per call, none per block: the threshold
 //! queries gather every holder (or rack) id of the input into one vector,
 //! sort it and count its runs. [`BlockStore::remove_machine`] compacts the
-//! flat vector in place.
-//!
-//! Rack queries look holders up in a table indexed by machine id, beside
-//! the machine → rack map. The table covers ids below twice the number of
-//! machines in the map, plus 64, so it grows with the machine count and
-//! never with the size of an id; a holder with an id beyond it is looked
-//! up in the map.
+//! flat vector in place. Rack queries look each holder up in the machine
+//! → rack map.
 //!
 //! # Counting rules
 //!
@@ -55,37 +50,25 @@ pub struct BlockStore {
     ends: Vec<usize>,
     /// machine → rack, for rack-level locality.
     rack_of: HashMap<MachineId, RackId>,
-    /// `rack_of` by id, for ids `0..dense_racks.len()`; grown by
-    /// `cover_dense_racks` and never shrunk.
-    dense_racks: Vec<Option<RackId>>,
 }
 
 impl BlockStore {
     /// Creates an empty store over the given machine→rack mapping.
     pub fn new(machines: impl IntoIterator<Item = (MachineId, RackId)>) -> Self {
-        let mut store = BlockStore {
+        BlockStore {
             rack_of: machines.into_iter().collect(),
             ..BlockStore::default()
-        };
-        store.cover_dense_racks();
-        store
+        }
     }
 
     /// Registers a machine (e.g. after a machine join event).
     pub fn add_machine(&mut self, machine: MachineId, rack: RackId) {
         self.rack_of.insert(machine, rack);
-        if let Some(slot) = self.dense_slot(machine) {
-            *slot = Some(rack);
-        }
-        self.cover_dense_racks();
     }
 
     /// Removes a machine and all replicas it held (machine failure).
     pub fn remove_machine(&mut self, machine: MachineId) {
         self.rack_of.remove(&machine);
-        if let Some(slot) = self.dense_slot(machine) {
-            *slot = None;
-        }
         let (mut read, mut write) = (0, 0);
         for end in &mut self.ends {
             while read < *end {
@@ -119,33 +102,6 @@ impl BlockStore {
         &self.holders[start..self.ends[b]]
     }
 
-    /// `machine`'s rack, if it is in one.
-    fn rack(&self, machine: MachineId) -> Option<RackId> {
-        let dense = usize::try_from(machine)
-            .ok()
-            .and_then(|i| self.dense_racks.get(i));
-        match dense {
-            Some(&rack) => rack,
-            None => self.rack_of.get(&machine).copied(),
-        }
-    }
-
-    /// `machine`'s entry in `dense_racks`, if the table covers its id.
-    fn dense_slot(&mut self, machine: MachineId) -> Option<&mut Option<RackId>> {
-        usize::try_from(machine)
-            .ok()
-            .and_then(|i| self.dense_racks.get_mut(i))
-    }
-
-    /// Grows `dense_racks` to cover ids `0..2 × rack_of.len() + 64`.
-    fn cover_dense_racks(&mut self) {
-        let want = 2 * self.rack_of.len() + 64;
-        while self.dense_racks.len() < want {
-            let id = self.dense_racks.len() as MachineId;
-            self.dense_racks.push(self.rack_of.get(&id).copied());
-        }
-    }
-
     /// Fraction (0..=1) of `blocks` with a replica on `machine`. A block
     /// counts once however often its holders list `machine`, unlike in
     /// [`machines_above_threshold`](Self::machines_above_threshold).
@@ -170,7 +126,7 @@ impl BlockStore {
             .filter(|b| {
                 self.holders(**b)
                     .iter()
-                    .any(|&m| self.rack(m) == Some(rack))
+                    .any(|m| self.rack_of.get(m) == Some(&rack))
             })
             .count();
         local as f64 / blocks.len() as f64
@@ -210,7 +166,7 @@ impl BlockStore {
             // replicas each.
             let start = racks.len();
             for &m in self.holders(b) {
-                if let Some(r) = self.rack(m) {
+                if let Some(&r) = self.rack_of.get(&m) {
                     if !racks[start..].contains(&r) {
                         racks.push(r);
                     }
@@ -292,18 +248,6 @@ mod tests {
         assert_eq!(s.machine_locality(&[b], 2), 1.0);
         assert_eq!(s.racks_above_threshold(&[b], 1.0), vec![(1, 1.0)]);
         assert_eq!(s.rack_locality(&[b], 1), 1.0);
-    }
-
-    #[test]
-    fn far_ids_stay_out_of_the_dense_rack_table() {
-        let mut s = store();
-        s.add_machine(u64::MAX, 7);
-        let b = s.place_block(vec![u64::MAX, 3]);
-        assert_eq!(s.dense_racks.len(), 2 * 5 + 64);
-        assert_eq!(s.racks_above_threshold(&[b], 1.0), vec![(1, 1.0), (7, 1.0)]);
-        s.add_machine(u64::MAX, 2);
-        assert_eq!(s.rack_locality(&[b], 7), 0.0);
-        assert_eq!(s.rack_locality(&[b], 2), 1.0);
     }
 
     #[test]
