@@ -278,9 +278,10 @@ impl<C: CostModel> Firmament<C> {
         // incremental solver warm-starts from it instead of diffing the
         // graph against its warm state.
         let deltas = self.manager.take_deltas();
-        // Hand the solver ownership of the graph. The hedge solves in place:
-        // relaxation within its work budget, cold cost scaling past it, or
-        // nothing at all on a provably quiescent batch. (The opt-in `Dual`
+        // Hand the solver ownership of the graph. The hedge solves without
+        // copying it: relaxation within its work budget (on the solver's own
+        // compact copy of the residual network), cold cost scaling past it,
+        // or nothing at all on a provably quiescent batch. (The opt-in `Dual`
         // race copies the graph once into the solver's recycled spare for
         // relaxation.) Adopting the resulting flow is a move either way.
         let graph = self.manager.take_graph();

@@ -7,8 +7,27 @@
 //! arcs of both directions, so a single slice walk visits every residual arc
 //! out of a node. Each residual arc records its position in its source's
 //! list, so removing an arc is O(1) rather than a scan of the list.
+//!
+//! # The solver's copy
+//!
+//! The arena and the per-node lists suit a graph that changes every round,
+//! not a solver that scans it millions of times: each list lies wherever
+//! the allocator put it, and each examination reads an `ArcId` from it and
+//! then a random 40-byte slot. [`FlowGraph::fill_csr`] therefore copies the
+//! residual network into a [`ResidualCsr`], node `u`'s residual arcs at
+//! `offsets[u] + adj_pos`, so each span keeps `adj(u)` order and a solver
+//! walking spans makes the same choices as one walking lists. The fill
+//! makes one pass over the arena in slot order and writes both arcs of a
+//! pair from it; walking the adjacency lists instead would read the arena
+//! in random order. [`FlowGraph::write_back_csr`] copies the flow back in
+//! the same arena order and returns the objective.
+//!
+//! The error contract rests on this split: a solver that fails drops its
+//! copy without writing it back, and the graph stays exactly as it was
+//! before the call.
 
 use crate::changes::GraphChange;
+use crate::csr::{CsrArc, ResidualCsr};
 use crate::ids::{ArcId, NodeId};
 use crate::node::NodeKind;
 
@@ -735,6 +754,83 @@ impl FlowGraph {
         e
     }
 
+    /// Copies the residual network into `csr`, reusing its buffers (see
+    /// the module docs): residual arc `a` lands at
+    /// `offsets[src(a)] + position of a in adj(src(a))`. With `reset`,
+    /// every pair is written flowless (`rescap = capacity` forward, 0
+    /// reverse), as [`reset_flow`](Self::reset_flow) would leave it, and the
+    /// graph itself is not touched. The buffers grow to the live counts
+    /// exactly, never by doubling.
+    pub fn fill_csr(&self, csr: &mut ResidualCsr, reset: bool) {
+        let offsets = &mut csr.offsets;
+        offsets.clear();
+        offsets.reserve_exact(self.adj.len() + 1);
+        let mut end = 0u32;
+        offsets.push(end);
+        for list in &self.adj {
+            end += list.len() as u32;
+            offsets.push(end);
+        }
+        let len = end as usize;
+        debug_assert_eq!(len, 2 * self.alive_arc_pairs);
+        let arcs = &mut csr.arcs;
+        arcs.reserve_exact(len.saturating_sub(arcs.len()));
+        // Every position is overwritten below, so only growth writes.
+        arcs.resize(len, CsrArc::default());
+        for pair in self.arcs.chunks_exact(2) {
+            let (f, r) = (&pair[0], &pair[1]);
+            if !f.alive {
+                continue;
+            }
+            let pf = offsets[f.src.index()] + f.adj_pos;
+            let pr = offsets[r.src.index()] + r.adj_pos;
+            let (f_cap, r_cap) = if reset {
+                (f.capacity, 0)
+            } else {
+                (f.rescap, r.rescap)
+            };
+            arcs[pf as usize] = CsrArc {
+                rescap: f_cap,
+                cost: f.cost,
+                dst: f.dst.0,
+                sister: pr,
+            };
+            arcs[pr as usize] = CsrArc {
+                rescap: r_cap,
+                cost: r.cost,
+                dst: r.dst.0,
+                sister: pf,
+            };
+        }
+    }
+
+    /// Copies the flow of a copy that [`fill_csr`](Self::fill_csr) filled
+    /// from this graph back into the arena, in slot order, and returns the
+    /// new [`objective`](Self::objective). Only `rescap` is read from the
+    /// copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `csr` does not have this graph's shape (node bound and
+    /// live arc count), e.g. because the graph changed since the fill.
+    pub fn write_back_csr(&mut self, csr: &ResidualCsr) -> i64 {
+        assert!(csr.fits(self), "residual copy does not match this graph");
+        let (offsets, arcs) = (&csr.offsets, &csr.arcs);
+        let mut total = 0i64;
+        for pair in self.arcs.chunks_exact_mut(2) {
+            let [f, r] = pair else {
+                unreachable!("arcs come in pairs")
+            };
+            if !f.alive {
+                continue;
+            }
+            f.rescap = arcs[(offsets[f.src.index()] + f.adj_pos) as usize].rescap;
+            r.rescap = arcs[(offsets[r.src.index()] + r.adj_pos) as usize].rescap;
+            total += f.cost * r.rescap;
+        }
+        total
+    }
+
     /// Returns the maximum absolute arc cost `C` (0 for an empty graph).
     pub fn max_cost(&self) -> i64 {
         self.arc_ids()
@@ -958,6 +1054,79 @@ mod tests {
         (!items.is_empty()).then(|| items[rng.below(items.len() as u64) as usize])
     }
 
+    /// One step of a random mutation script: an arc or node addition, an
+    /// arc or node removal, or an id-faithful restore (into a freed slot or
+    /// past the bound), applied to `g` and to `model`, a naive copy of its
+    /// adjacency lists kept by the old search-then-`swap_remove` removal.
+    fn random_mutation(
+        g: &mut FlowGraph,
+        model: &mut Vec<Vec<ArcId>>,
+        rng: &mut crate::testgen::XorShift64,
+        step: u64,
+    ) {
+        let live: Vec<NodeId> = g.node_ids().collect();
+        let dead: Vec<NodeId> = (0..g.node_bound() as u32)
+            .map(NodeId)
+            .filter(|&n| !g.node_alive(n))
+            .collect();
+        let arcs: Vec<ArcId> = g.arc_ids().collect();
+        let dead_pairs: Vec<ArcId> = (0..g.arc_bound() as u32)
+            .step_by(2)
+            .map(ArcId)
+            .filter(|&a| !g.arc_alive(a))
+            .collect();
+        let ends = (pick(rng, &live), pick(rng, &live));
+        match rng.below(12) {
+            0..=1 => {
+                let n = g.add_node(NodeKind::Other { tag: step }, 0);
+                model.resize(g.node_bound(), Vec::new());
+                assert!(model[n.index()].is_empty());
+            }
+            2..=5 => {
+                if let (Some(s), Some(d)) = ends {
+                    if s != d {
+                        let a = g.add_arc(s, d, 3, 1).unwrap();
+                        model[s.index()].push(a);
+                        model[d.index()].push(a.sister());
+                    }
+                }
+            }
+            6..=7 => {
+                if let Some(a) = pick(rng, &arcs) {
+                    naive_remove_arc(g, model, a);
+                    g.remove_arc(a).unwrap();
+                }
+            }
+            8 => {
+                if let Some(n) = ends.0 {
+                    // `remove_node` strips incident arcs in list order.
+                    for a in model[n.index()].clone() {
+                        naive_remove_arc(g, model, a.forward());
+                    }
+                    g.remove_node(n).unwrap();
+                }
+            }
+            9 => {
+                let n =
+                    pick(rng, &dead).unwrap_or(NodeId(g.node_bound() as u32 + rng.below(3) as u32));
+                g.restore_node(n, NodeKind::Other { tag: step }, 0).unwrap();
+                model.resize(g.node_bound(), Vec::new());
+                assert!(model[n.index()].is_empty());
+            }
+            _ => {
+                if let (Some(s), Some(d)) = ends {
+                    if s != d {
+                        let a = pick(rng, &dead_pairs)
+                            .unwrap_or(ArcId(g.arc_bound() as u32 + 2 * rng.below(3) as u32));
+                        g.restore_arc(a, s, d, 2, 4).unwrap();
+                        model[s.index()].push(a);
+                        model[d.index()].push(a.sister());
+                    }
+                }
+            }
+        }
+    }
+
     /// The O(1) removal index keeps every adjacency list in exactly the
     /// order the old search-then-`swap_remove` produced, through random
     /// arc and node additions, removals, slot reuse and id-faithful
@@ -970,69 +1139,7 @@ mod tests {
             let mut g = FlowGraph::new();
             let mut model: Vec<Vec<ArcId>> = Vec::new();
             for step in 0..600 {
-                let live: Vec<NodeId> = g.node_ids().collect();
-                let dead: Vec<NodeId> = (0..g.node_bound() as u32)
-                    .map(NodeId)
-                    .filter(|&n| !g.node_alive(n))
-                    .collect();
-                let arcs: Vec<ArcId> = g.arc_ids().collect();
-                let dead_pairs: Vec<ArcId> = (0..g.arc_bound() as u32)
-                    .step_by(2)
-                    .map(ArcId)
-                    .filter(|&a| !g.arc_alive(a))
-                    .collect();
-                let ends = (pick(&mut rng, &live), pick(&mut rng, &live));
-                match rng.below(12) {
-                    0..=1 => {
-                        let n = g.add_node(NodeKind::Other { tag: step }, 0);
-                        model.resize(g.node_bound(), Vec::new());
-                        assert!(model[n.index()].is_empty());
-                    }
-                    2..=5 => {
-                        if let (Some(s), Some(d)) = ends {
-                            if s != d {
-                                let a = g.add_arc(s, d, 3, 1).unwrap();
-                                model[s.index()].push(a);
-                                model[d.index()].push(a.sister());
-                            }
-                        }
-                    }
-                    6..=7 => {
-                        if let Some(a) = pick(&mut rng, &arcs) {
-                            naive_remove_arc(&g, &mut model, a);
-                            g.remove_arc(a).unwrap();
-                        }
-                    }
-                    8 => {
-                        if let Some(n) = ends.0 {
-                            // `remove_node` strips incident arcs in list
-                            // order.
-                            for a in model[n.index()].clone() {
-                                naive_remove_arc(&g, &mut model, a.forward());
-                            }
-                            g.remove_node(n).unwrap();
-                        }
-                    }
-                    9 => {
-                        let n = pick(&mut rng, &dead)
-                            .unwrap_or(NodeId(g.node_bound() as u32 + rng.below(3) as u32));
-                        g.restore_node(n, NodeKind::Other { tag: step }, 0).unwrap();
-                        model.resize(g.node_bound(), Vec::new());
-                        assert!(model[n.index()].is_empty());
-                    }
-                    _ => {
-                        if let (Some(s), Some(d)) = ends {
-                            if s != d {
-                                let a = pick(&mut rng, &dead_pairs).unwrap_or(ArcId(
-                                    g.arc_bound() as u32 + 2 * rng.below(3) as u32,
-                                ));
-                                g.restore_arc(a, s, d, 2, 4).unwrap();
-                                model[s.index()].push(a);
-                                model[d.index()].push(a.sister());
-                            }
-                        }
-                    }
-                }
+                random_mutation(&mut g, &mut model, &mut rng, step);
                 assert_eq!(model.len(), g.node_bound(), "seed {seed} step {step}");
                 for (i, list) in model.iter().enumerate() {
                     assert_eq!(
@@ -1043,6 +1150,75 @@ mod tests {
                 }
                 assert_eq!(validate(&g), vec![], "seed {seed} step {step}");
             }
+        }
+    }
+
+    /// Fills `csr` from `g` and checks it against the graph: every span
+    /// holds `adj(u)` in order with the same `dst`, `cost` and `rescap`;
+    /// `sister` is an involution that agrees with `ArcId::sister`; a fill
+    /// then write-back leaves the graph as it was, and a fill with `reset`
+    /// then write-back leaves what `reset_flow` does.
+    fn check_csr_round_trip(g: &FlowGraph, csr: &mut ResidualCsr, what: &str) {
+        g.fill_csr(csr, false);
+        assert_eq!(csr.offsets().len(), g.node_bound() + 1, "{what}");
+        assert_eq!(csr.arcs().len(), 2 * g.arc_count(), "{what}");
+        for u in 0..g.node_bound() {
+            let list = g.adj(NodeId(u as u32));
+            let span = csr.span(u);
+            assert_eq!(span.len(), list.len(), "{what} node {u}");
+            for (k, (&a, c)) in list.iter().zip(span).enumerate() {
+                let pos = csr.offsets()[u] as usize + k;
+                assert_eq!(c.dst as usize, g.dst(a).index(), "{what} arc {a}");
+                assert_eq!(c.cost, g.cost(a), "{what} arc {a}");
+                assert_eq!(c.rescap, g.rescap(a), "{what} arc {a}");
+                let sister = a.sister();
+                let sister_pos =
+                    csr.offsets()[g.src(sister).index()] as usize + g.adj_position(sister);
+                assert_eq!(c.sister as usize, sister_pos, "{what} arc {a}");
+                assert_eq!(
+                    csr.arcs()[sister_pos].sister as usize,
+                    pos,
+                    "{what} arc {a}"
+                );
+                assert_eq!(c.src(csr.arcs()) as usize, u, "{what} arc {a}");
+            }
+        }
+
+        let mut copy = g.clone();
+        let objective = copy.write_back_csr(csr);
+        assert_eq!(format!("{copy:?}"), format!("{g:?}"), "{what}: identity");
+        assert_eq!(objective, g.objective(), "{what}");
+
+        g.fill_csr(csr, true);
+        let mut copy = g.clone();
+        let objective = copy.write_back_csr(csr);
+        let mut reset = g.clone();
+        reset.reset_flow();
+        assert_eq!(format!("{copy:?}"), format!("{reset:?}"), "{what}: reset");
+        assert_eq!(objective, reset.objective(), "{what}");
+    }
+
+    /// The CSR copy round-trips through the same random mutation script,
+    /// on a graph that carries flow in both directions of its pairs, with
+    /// one copy refilled as the graph grows and shrinks.
+    #[test]
+    fn csr_copy_round_trips_under_random_mutations() {
+        for seed in 0..8 {
+            let mut rng = crate::testgen::XorShift64::new(0xC5A + seed);
+            let mut g = FlowGraph::new();
+            let mut model: Vec<Vec<ArcId>> = Vec::new();
+            let mut csr = ResidualCsr::new();
+            for step in 0..600 {
+                random_mutation(&mut g, &mut model, &mut rng, step);
+                let arcs: Vec<ArcId> = g.arc_ids().collect();
+                if let Some(a) = pick(&mut rng, &arcs) {
+                    let a = if rng.below(2) == 0 { a } else { a.sister() };
+                    let r = g.rescap(a);
+                    g.push_flow(a, rng.below(r as u64 + 1) as i64);
+                }
+                check_csr_round_trip(&g, &mut csr, &format!("seed {seed} step {step}"));
+            }
+            assert!(g.arc_ids().any(|a| g.flow(a) > 0), "seed {seed}");
         }
     }
 

@@ -8,6 +8,8 @@
 //! - [`FlowGraph`]: a mutable residual-network representation designed for
 //!   min-cost max-flow solvers (paired forward/reverse arcs, flat arenas,
 //!   slot reuse for removed nodes/arcs);
+//! - [`ResidualCsr`]: the compact copy of a graph's residual network that
+//!   a solver fills, works on and writes back;
 //! - [`changes::GraphChange`]: the raw mutation log recorded by a tracked
 //!   graph (§5.2), and the Table 3 analysis of which arc changes require
 //!   reoptimization;
@@ -44,6 +46,7 @@
 
 pub mod builder;
 pub mod changes;
+pub mod csr;
 pub mod delta;
 pub mod dimacs;
 pub mod graph;
@@ -54,6 +57,7 @@ pub mod validate;
 
 pub use builder::SchedulingGraphBuilder;
 pub use changes::{ArcChangeKind, GraphChange, ReoptEffect};
+pub use csr::{CsrArc, ResidualCsr};
 pub use delta::{DeltaBatch, DeltaCompactor, GraphDelta};
 pub use graph::{FlowGraph, GraphError};
 pub use ids::{ArcId, NodeId};

@@ -6,8 +6,8 @@
 //! Figs 8–9), where cost scaling stays flat. The paper therefore runs both
 //! on every round and takes whichever finishes first. This module offers
 //! that race as [`SolverKind::Dual`], and by default runs a *hedge* instead
-//! ([`SolverKind::Hedged`]): relaxation alone, in place, within a counted
-//! work budget, and cold cost scaling only once the budget runs out — a
+//! ([`SolverKind::Hedged`]): relaxation alone, within a counted work
+//! budget, and cold cost scaling only once the budget runs out — a
 //! hedged request in the sense of Dean and Barroso ("The Tail at Scale",
 //! CACM 2013) that costs nothing on the common path.
 //!
@@ -22,9 +22,12 @@
 //! 2. **No history.** No cost-scaling solve has run yet: cold cost scaling
 //!    solves the round in place. Relaxation's cold solve of a freshly built
 //!    cluster can take ten times longer than cost scaling's.
-//! 3. **Relaxation.** Relaxation solves from scratch, in place, limited to
+//! 3. **Relaxation.** Relaxation solves from scratch, limited to
 //!    [`HEDGE_WORK_FACTOR`] × the arc examinations of the most recent
-//!    cost-scaling solve.
+//!    cost-scaling solve. It works on its own compact copy of the residual
+//!    network, kept in the solver between rounds (see
+//!    [`relaxation`]), and writes the flow back into the
+//!    graph unless it fails.
 //! 4. **Fallback.** Relaxation spent its budget: cold cost scaling resets
 //!    the flow and solves the round, and its work becomes the new
 //!    reference.
@@ -58,7 +61,7 @@
 use crate::common::{AlgorithmKind, CancelToken, Solution, SolveError, SolveOptions, SolveStats};
 use crate::cost_scaling;
 use crate::incremental::{IncrementalConfig, IncrementalCostScaling};
-use crate::relaxation::{self, Budgeted, RelaxationConfig};
+use crate::relaxation::{self, Budgeted, RelaxationConfig, Workspace};
 use firmament_flow::delta::DeltaBatch;
 use firmament_flow::FlowGraph;
 use std::time::{Duration, Instant};
@@ -82,8 +85,8 @@ pub const HEDGE_WORK_FACTOR: u64 = 8;
 /// Which algorithms the dual solver may run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
-    /// Relaxation in place within a counted work budget, cold cost scaling
-    /// past it (the default; see the module docs).
+    /// Relaxation within a counted work budget, cold cost scaling past it
+    /// (the default; see the module docs).
     Hedged,
     /// Both algorithms raced, first finisher wins (the paper's §6.1).
     Dual,
@@ -167,6 +170,9 @@ pub struct DualOutcome {
 pub struct DualSolver {
     config: DualConfig,
     incremental: IncrementalCostScaling,
+    /// The buffers every relaxation run works in (its copy of the residual
+    /// network and per-node state), reused from round to round.
+    workspace: Workspace,
     /// The previous race's losing graph, reused as the buffer for the next
     /// race's relaxation copy.
     spare: FlowGraph,
@@ -192,6 +198,7 @@ impl DualSolver {
         DualSolver {
             config,
             incremental,
+            workspace: Workspace::default(),
             spare: FlowGraph::new(),
             cs_reference: None,
             optimal_flow: None,
@@ -207,10 +214,13 @@ impl DualSolver {
     /// typed change feed recorded since the last solve.
     ///
     /// The hedge, the single-algorithm configurations and race-skipped
-    /// rounds solve fully in place (zero copies); the dual race solves cost
-    /// scaling in place and copies the graph once, into the solver's
-    /// recycled spare, for relaxation. On failure the graph is handed back
-    /// (possibly with partial flow) so the caller can restore its state.
+    /// rounds solve without copying the graph (relaxation works on a
+    /// compact copy of the residual network in buffers the solver keeps);
+    /// the dual race solves cost scaling in place and copies the graph
+    /// once, into the solver's recycled spare, for relaxation. On failure
+    /// the graph is handed back so the caller can restore its state: a
+    /// failed relaxation run leaves it exactly as it was, a failed
+    /// cost-scaling run possibly with partial flow.
     ///
     /// The feed lets the race's incremental cost scaling warm-start and
     /// lets the race and the hedge skip a provably quiescent round;
@@ -230,7 +240,14 @@ impl DualSolver {
         match self.config.kind {
             SolverKind::RelaxationOnly => {
                 let mut g = graph;
-                match relaxation::solve_with(&mut g, opts, &self.config.relaxation) {
+                let relaxation = relaxation::solve_within(
+                    &mut g,
+                    opts,
+                    &self.config.relaxation,
+                    u64::MAX,
+                    &mut self.workspace,
+                );
+                match relaxation.map(Budgeted::into_solution) {
                     Ok(sol) => Ok(DualOutcome {
                         winner: sol.algorithm,
                         solution: sol,
@@ -305,7 +322,13 @@ impl DualSolver {
             .cs_reference
             .map(|reference| HEDGE_WORK_FACTOR.saturating_mul(reference));
         if let Some(budget) = work_budget {
-            match relaxation::solve_within(&mut graph, opts, &self.config.relaxation, budget) {
+            match relaxation::solve_within(
+                &mut graph,
+                opts,
+                &self.config.relaxation,
+                budget,
+                &mut self.workspace,
+            ) {
                 Ok(Budgeted::Finished(sol)) => {
                     if !sol.terminated_early {
                         self.optimal_flow = Some(sol.algorithm);
@@ -402,6 +425,7 @@ impl DualSolver {
         let mut g_relax = std::mem::take(&mut self.spare);
         g_relax.clone_from(&graph);
         let relax_cfg = &self.config.relaxation;
+        let workspace = &mut self.workspace;
         let incremental = &mut self.incremental;
 
         // Each racer cancels the other only if it actually produced a
@@ -417,7 +441,9 @@ impl DualSolver {
                 }
                 (r, g_cs)
             });
-            let r = relaxation::solve_with(&mut g_relax, &relax_opts, relax_cfg);
+            let r =
+                relaxation::solve_within(&mut g_relax, &relax_opts, relax_cfg, u64::MAX, workspace)
+                    .map(Budgeted::into_solution);
             if r.is_ok() {
                 cancel_cs.cancel();
             }
@@ -900,6 +926,95 @@ mod tests {
         assert!(out.relaxation_work <= HEDGE_WORK_FACTOR * reference);
         assert_eq!(out.relaxation_work, out.solution.stats.arc_scans);
         assert!(is_optimal(&out.graph));
+    }
+
+    /// A second hedged solve of the same graph reuses the relaxation
+    /// buffers as they are: no buffer's capacity grows, and the copy of the
+    /// residual network was reserved to the live arc count exactly.
+    #[test]
+    fn steady_hedged_rounds_reuse_the_relaxation_buffers() {
+        let inst = scheduling_instance(34, &InstanceSpec::default());
+        let mut solver = DualSolver::default();
+        let out = solver
+            .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
+            .unwrap();
+        assert_eq!(out.winner, AlgorithmKind::CostScaling, "no history: cold");
+        let out = solver
+            .solve_owned_with_deltas(out.graph, None, &SolveOptions::unlimited())
+            .unwrap();
+        assert_eq!(out.winner, AlgorithmKind::Relaxation);
+        let capacities = solver.workspace.capacities();
+        assert_eq!(capacities[0], 2 * out.graph.arc_count(), "residual arcs");
+        assert_eq!(capacities[1], out.graph.node_bound() + 1, "span offsets");
+        let objective = out.solution.objective;
+        let out = solver
+            .solve_owned_with_deltas(out.graph, None, &SolveOptions::unlimited())
+            .unwrap();
+        assert_eq!(out.winner, AlgorithmKind::Relaxation);
+        assert_eq!(out.solution.objective, objective);
+        assert_eq!(solver.workspace.capacities(), capacities);
+    }
+
+    /// A graph that carries a flow and cannot route all of its supply: an
+    /// optimally solved instance plus one task whose only arc leads to a
+    /// dead end.
+    fn unroutable_graph_with_flow() -> FlowGraph {
+        let inst = scheduling_instance(35, &InstanceSpec::default());
+        let mut g = inst.graph;
+        crate::relaxation::solve(&mut g, &SolveOptions::unlimited()).unwrap();
+        assert!(g.arc_ids().any(|a| g.flow(a) > 0));
+        let task = g.add_node(firmament_flow::NodeKind::Task { task: 999 }, 1);
+        let dead_end = g.add_node(firmament_flow::NodeKind::Other { tag: 0 }, 0);
+        g.add_arc(task, dead_end, 1, 5).unwrap();
+        let demand = g.supply(inst.sink);
+        g.set_supply(inst.sink, demand - 1).unwrap();
+        g
+    }
+
+    /// A relaxation run that fails — cancelled, or infeasible — drops its
+    /// copy unwritten: the graph comes back bit-identical to its state
+    /// before the call, under `Hedged` (relaxation runs once the solver has
+    /// history), `RelaxationOnly` and `relaxation::solve`.
+    #[test]
+    fn a_failed_relaxation_leaves_the_graph_untouched() {
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = SolveOptions::with_cancel(token);
+        let feasible = || {
+            let inst = scheduling_instance(36, &InstanceSpec::default());
+            let mut g = inst.graph;
+            crate::cost_scaling::solve(&mut g, &SolveOptions::unlimited()).unwrap();
+            g
+        };
+        let cases = [
+            (feasible(), cancelled, SolveError::Cancelled),
+            (
+                unroutable_graph_with_flow(),
+                SolveOptions::unlimited(),
+                SolveError::Infeasible,
+            ),
+        ];
+        for (graph, opts, expected) in cases {
+            let before = format!("{graph:?}");
+            for kind in [SolverKind::Hedged, SolverKind::RelaxationOnly] {
+                let mut solver = solver(kind);
+                if kind == SolverKind::Hedged {
+                    let history = solver
+                        .solve_owned_with_deltas(feasible(), None, &SolveOptions::unlimited())
+                        .unwrap();
+                    assert_eq!(history.winner, AlgorithmKind::CostScaling);
+                }
+                let (err, back) = solver
+                    .solve_owned_with_deltas(graph.clone(), None, &opts)
+                    .expect_err("the run fails");
+                assert_eq!(err, expected, "{kind:?}");
+                assert_eq!(format!("{back:?}"), before, "{kind:?}: {expected:?}");
+            }
+            let mut g = graph;
+            let err = crate::relaxation::solve(&mut g, &opts).expect_err("the run fails");
+            assert_eq!(err, expected);
+            assert_eq!(format!("{g:?}"), before, "relaxation::solve: {expected:?}");
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! [`incremental::IncrementalCostScaling`] and takes whichever finishes
 //! first, as the paper does ([`SolverKind::Dual`]).
 //!
-//! All solvers operate in place on a
-//! [`FlowGraph`](firmament_flow::FlowGraph) and agree on conventions:
+//! All solvers take a [`FlowGraph`](firmament_flow::FlowGraph) and leave
+//! their flow in it — relaxation by way of its own compact copy of the
+//! residual network, the others in place — and agree on conventions:
 //! reduced cost `c^π(a) = c(a) + π(src) − π(dst)`, prices that only
 //! decrease, and optimality certified by the absence of negative-reduced-
 //! cost residual arcs.

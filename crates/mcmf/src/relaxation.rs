@@ -19,11 +19,42 @@
 //! arcs that lead to demand nodes, turning the breadth-first frontier into
 //! a hybrid traversal that finds augmenting paths sooner on contended
 //! graphs; Fig 12a measures its benefit at ~45 %.
+//!
+//! # The solver's copy of the graph
+//!
+//! The engine does not run on the live [`FlowGraph`]. A run first fills a
+//! [`ResidualCsr`] — node `u`'s residual arcs at positions
+//! `offsets[u]..offsets[u + 1]`, in `adj(u)` order, each a 24-byte record of
+//! residual capacity, cost, destination and sister position — and works on
+//! positions in that copy. Each examination is then one sequential read,
+//! where the live graph costs an `ArcId` read from a per-node list that
+//! lies wherever the allocator put it plus a random read of an arena slot;
+//! that heap-layout cost had made relaxation in place about 20 % slower
+//! than on a freshly cloned graph. Spans keep `adj(u)` order and the
+//! engine charges one span where it charged one list, so the traversal,
+//! the arithmetic, the flow and the counted work ([`SolveStats::arc_scans`])
+//! are those of the in-place engine; a test-only copy of that engine pins
+//! this on every kind of run.
+//!
+//! The cold path folds four whole-graph passes into the copy: the fill
+//! writes every pair flowless (no `reset_flow`), the complementary
+//! slackness pass runs over the copy and keeps node excesses up to date as
+//! it pushes (no `excesses()`), and the write-back returns the objective
+//! (no `objective()`). A caller that solves repeatedly, such as
+//! [`DualSolver`](crate::dual::DualSolver), keeps the copy and the
+//! engine's per-node buffers in one `Workspace`, so a steady round
+//! allocates nothing.
+//!
+//! **Errors leave the graph untouched.** A run that fails — cancelled, or
+//! infeasible — drops its copy without writing it back, so the graph is
+//! exactly as it was before the call. A run that finishes writes its flow
+//! back, and so does one that stops early on a limit: an iteration or time
+//! limit, or a scan budget, leaves its pseudoflow in the graph.
 
 use crate::common::{
     AlgorithmKind, Budget, BudgetStop, Solution, SolveError, SolveOptions, SolveStats,
 };
-use firmament_flow::{ArcId, FlowGraph, NodeId};
+use firmament_flow::{CsrArc, FlowGraph, ResidualCsr};
 use std::collections::VecDeque;
 
 /// Tuning parameters for the relaxation algorithm.
@@ -43,7 +74,7 @@ impl Default for RelaxationConfig {
 }
 
 /// Solves min-cost max-flow by relaxation from scratch, leaving the optimal
-/// flow in the graph.
+/// flow in the graph. On error the graph is left as it was.
 ///
 /// # Examples
 ///
@@ -66,7 +97,8 @@ pub fn solve_with(
     opts: &SolveOptions,
     config: &RelaxationConfig,
 ) -> Result<Solution, SolveError> {
-    solve_within(graph, opts, config, u64::MAX).map(Budgeted::into_solution)
+    solve_within(graph, opts, config, u64::MAX, &mut Workspace::default())
+        .map(Budgeted::into_solution)
 }
 
 /// How a relaxation run under a work budget ended.
@@ -81,52 +113,163 @@ pub(crate) enum Budgeted {
 }
 
 impl Budgeted {
-    fn into_solution(self) -> Solution {
+    pub(crate) fn into_solution(self) -> Solution {
         match self {
             Budgeted::Finished(sol) | Budgeted::OverBudget(sol) => sol,
         }
     }
 }
 
-/// Solves from scratch like [`solve_with`], but stops once the run has
-/// examined `scan_budget` arcs (see [`SolveStats::arc_scans`]). Work is
-/// charged one adjacency list at a time: the scan that would take the
-/// count past the budget is not made, and the count is set to the budget.
+/// The buffers a relaxation run works in: the copy of the residual network
+/// and the engine's per-node state. Kept by a caller that solves
+/// repeatedly; every buffer grows to the graph's live size exactly and is
+/// reused as is by the next run.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    csr: ResidualCsr,
+    /// Prices, by raw node index.
+    pot: Vec<i64>,
+    excess: Vec<i64>,
+    in_queue: Vec<bool>,
+    /// Epoch-stamped membership for the cut S, rebuilt every iteration
+    /// without clearing.
+    stamp: Vec<u64>,
+    /// The tree arc (a position in the copy) that reached each cut member.
+    pred: Vec<u32>,
+    members: Vec<u32>,
+    queue: VecDeque<u32>,
+    frontier: VecDeque<u32>,
+}
+
+impl Workspace {
+    /// Sizes the per-node buffers to `n` nodes, zeroed, and empties the
+    /// queues.
+    fn reset(&mut self, n: usize) {
+        fn refit<T: Copy>(v: &mut Vec<T>, n: usize, value: T) {
+            v.clear();
+            v.reserve_exact(n);
+            v.resize(n, value);
+        }
+        refit(&mut self.pot, n, 0);
+        refit(&mut self.excess, n, 0);
+        refit(&mut self.in_queue, n, false);
+        refit(&mut self.stamp, n, 0);
+        refit(&mut self.pred, n, 0);
+        self.members.clear();
+        self.queue.clear();
+        self.frontier.clear();
+    }
+
+    /// The capacity of every buffer, for tests of steady-state reuse.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> Vec<usize> {
+        let (arcs, offsets) = self.csr.capacity();
+        vec![
+            arcs,
+            offsets,
+            self.pot.capacity(),
+            self.excess.capacity(),
+            self.in_queue.capacity(),
+            self.stamp.capacity(),
+            self.pred.capacity(),
+            self.members.capacity(),
+            self.queue.capacity(),
+            self.frontier.capacity(),
+        ]
+    }
+}
+
+/// Solves from scratch like [`solve_with`], in the buffers of `work`, but
+/// stops once the run has examined `scan_budget` arcs (see
+/// [`SolveStats::arc_scans`]). Work is charged one span (one node's
+/// residual arcs) at a time: the scan that would take the count past the
+/// budget is not made, and the count is set to the budget.
 pub(crate) fn solve_within(
     graph: &mut FlowGraph,
     opts: &SolveOptions,
     config: &RelaxationConfig,
     scan_budget: u64,
+    work: &mut Workspace,
 ) -> Result<Budgeted, SolveError> {
-    graph.reset_flow();
-    let mut prices = vec![0; graph.node_bound()];
-    solve_from(graph, opts, config, &mut prices, scan_budget)
+    let budget = Budget::new(opts);
+    work.reset(graph.node_bound());
+    // A flowless start: every node's excess is its supply.
+    let mut total = 0i64;
+    for v in graph.node_ids() {
+        let supply = graph.supply(v);
+        work.excess[v.index()] = supply;
+        total += supply;
+    }
+    if total != 0 {
+        return Err(SolveError::UnbalancedSupply { total });
+    }
+    graph.fill_csr(&mut work.csr, true);
+    run(graph, config, scan_budget, budget, work)
+}
+
+/// A warm start: treats the graph's current flow as the starting
+/// pseudoflow and `pot` (indexed by raw node index, unscaled cost units, at
+/// least `node_bound()` long) as its prices, within `scan_limit` arc
+/// examinations. The final prices are left in `pot` unless the run fails.
+#[cfg(test)]
+pub(crate) fn solve_from(
+    graph: &mut FlowGraph,
+    opts: &SolveOptions,
+    config: &RelaxationConfig,
+    pot: &mut [i64],
+    scan_limit: u64,
+) -> Result<Budgeted, SolveError> {
+    let budget = Budget::new(opts);
+    let total: i64 = graph.node_ids().map(|v| graph.supply(v)).sum();
+    if total != 0 {
+        return Err(SolveError::UnbalancedSupply { total });
+    }
+    let n = graph.node_bound();
+    let mut work = Workspace::default();
+    work.reset(n);
+    work.pot.copy_from_slice(&pot[..n]);
+    work.excess = graph.excesses();
+    graph.fill_csr(&mut work.csr, false);
+    let r = run(graph, config, scan_limit, budget, &mut work);
+    if r.is_ok() {
+        pot[..n].copy_from_slice(&work.pot);
+    }
+    r
+}
+
+/// Pushes `delta` units along the residual arc at position `p`.
+#[inline]
+fn push(arcs: &mut [CsrArc], p: usize, delta: i64) {
+    debug_assert!(delta <= arcs[p].rescap, "push exceeds residual capacity");
+    arcs[p].rescap -= delta;
+    let sister = arcs[p].sister as usize;
+    arcs[sister].rescap += delta;
 }
 
 /// Restores complementary slackness against `pot`: saturates every
-/// residual arc with negative reduced cost. (Saturating the reverse arc of
-/// a flow-carrying arc whose reduced cost turned positive cancels that
-/// flow.) Prices are fixed during the pass and the two directions of a
-/// pair have opposite reduced costs, so saturating one arc never creates
-/// a violation on another: one flat pass over the arc arena suffices, and
-/// its order does not affect the resulting flow.
-fn restore_slackness(graph: &mut FlowGraph, pot: &[i64]) {
-    for i in (0..graph.arc_bound()).step_by(2) {
-        if !graph.arc_alive(ArcId::from_index(i)) {
-            continue;
-        }
-        for a in [ArcId::from_index(i), ArcId::from_index(i + 1)] {
-            let r = graph.rescap(a);
-            if r > 0 && graph.cost(a) + pot[graph.src(a).index()] - pot[graph.dst(a).index()] < 0 {
-                graph.push_flow(a, r);
+/// residual arc with negative reduced cost, moving excess with each push.
+/// (Saturating the reverse arc of a flow-carrying arc whose reduced cost
+/// turned positive cancels that flow.) Prices are fixed during the pass and
+/// the two directions of a pair have opposite reduced costs, so saturating
+/// one arc never creates a violation on another: one pass over the copy
+/// suffices, and its order does not affect the resulting flow.
+fn restore_slackness(offsets: &[u32], arcs: &mut [CsrArc], pot: &[i64], excess: &mut [i64]) {
+    for u in 0..offsets.len() - 1 {
+        for p in offsets[u] as usize..offsets[u + 1] as usize {
+            let a = arcs[p];
+            let v = a.dst as usize;
+            if a.rescap > 0 && a.cost + pot[u] - pot[v] < 0 {
+                push(arcs, p, a.rescap);
+                excess[u] -= a.rescap;
+                excess[v] += a.rescap;
             }
         }
     }
 }
 
-/// Charges an adjacency scan of `len` entries to `stats.arc_scans`. A scan
-/// that would take the count past `limit` is refused: the count becomes
-/// `limit` and the caller stops.
+/// Charges a scan of `len` residual arcs to `stats.arc_scans`. A scan that
+/// would take the count past `limit` is refused: the count becomes `limit`
+/// and the caller stops.
 #[inline]
 fn charge(stats: &mut SolveStats, len: usize, limit: u64) -> bool {
     let len = len as u64;
@@ -139,31 +282,32 @@ fn charge(stats: &mut SolveStats, len: usize, limit: u64) -> bool {
     }
 }
 
-/// The engine: treats the current flow as a starting pseudoflow and `pot`
-/// (indexed by raw node index, unscaled cost units, at least
-/// `node_bound()` long) as its prices, repairs complementary slackness,
-/// and drives all excess to the deficits, within `scan_limit` arc
-/// examinations. The final prices are left in `pot`.
-pub(crate) fn solve_from(
+/// The engine, on the filled copy in `work` with prices `work.pot` and
+/// excesses `work.excess`: repairs complementary slackness and drives all
+/// excess to the deficits, within `scan_limit` arc examinations. Writes the
+/// flow back into `graph` unless the run fails.
+fn run(
     graph: &mut FlowGraph,
-    opts: &SolveOptions,
     config: &RelaxationConfig,
-    pot: &mut [i64],
     scan_limit: u64,
+    mut budget: Budget,
+    work: &mut Workspace,
 ) -> Result<Budgeted, SolveError> {
-    let mut budget = Budget::new(opts);
+    let Workspace {
+        csr,
+        pot,
+        excess,
+        in_queue,
+        stamp,
+        pred,
+        members,
+        queue,
+        frontier,
+    } = work;
+    let (offsets, arcs) = csr.parts_mut();
     let mut stats = SolveStats::default();
-    let total: i64 = graph.node_ids().map(|v| graph.supply(v)).sum();
-    if total != 0 {
-        return Err(SolveError::UnbalancedSupply { total });
-    }
-    let n = graph.node_bound();
 
-    restore_slackness(graph, pot);
-
-    let mut excess = graph.excesses();
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    let mut in_queue = vec![false; n];
+    restore_slackness(offsets, arcs, pot, excess);
     for (u, &e) in excess.iter().enumerate() {
         if e > 0 {
             queue.push_back(u as u32);
@@ -171,35 +315,20 @@ pub(crate) fn solve_from(
         }
     }
 
-    // Epoch-stamped membership for the cut S, rebuilt every iteration
-    // without clearing.
-    let mut stamp = vec![0u64; n];
+    let span = |u: usize| offsets[u] as usize..offsets[u + 1] as usize;
     let mut epoch = 0u64;
-    let mut pred: Vec<ArcId> = vec![ArcId::from_index(0); n];
-    let mut members: Vec<NodeId> = Vec::new();
-    let mut frontier: VecDeque<ArcId> = VecDeque::new();
-
-    let over_budget = 'outer: loop {
+    let (terminated_early, over_budget) = 'outer: loop {
         let Some(si) = queue.pop_front() else {
-            break false;
+            break (false, false);
         };
-        in_queue[si as usize] = false;
-        if excess[si as usize] <= 0 {
+        let s = si as usize;
+        in_queue[s] = false;
+        if excess[s] <= 0 {
             continue;
         }
-        let s = NodeId::from_index(si as usize);
         match budget.tick() {
             Some(BudgetStop::Cancelled) => return Err(SolveError::Cancelled),
-            Some(BudgetStop::Exhausted) => {
-                stats.iterations = budget.iterations;
-                return Ok(Budgeted::Finished(Solution {
-                    algorithm: AlgorithmKind::Relaxation,
-                    objective: graph.objective(),
-                    terminated_early: true,
-                    runtime: budget.elapsed(),
-                    stats,
-                }));
-            }
+            Some(BudgetStop::Exhausted) => break (true, false),
             None => {}
         }
 
@@ -208,147 +337,119 @@ pub(crate) fn solve_from(
         epoch += 1;
         members.clear();
         frontier.clear();
-        stamp[si as usize] = epoch;
-        members.push(s);
+        stamp[s] = epoch;
+        members.push(si);
 
         // --- Single-node fast path -----------------------------------
         // slope({s}) = e(s) − Σ rescap over balanced out-arcs. If positive,
         // a price update on {s} alone improves the dual.
-        if !charge(&mut stats, graph.adj(s).len(), scan_limit) {
-            break true;
+        let s_arcs = span(s);
+        if !charge(&mut stats, s_arcs.len(), scan_limit) {
+            break (true, true);
         }
         let mut balanced_out = 0i64;
-        for &a in graph.adj(s) {
-            if graph.rescap(a) > 0 {
-                let rc = graph.cost(a) + pot[si as usize] - pot[graph.dst(a).index()];
+        for a in &arcs[s_arcs.clone()] {
+            if a.rescap > 0 {
+                let rc = a.cost + pot[s] - pot[a.dst as usize];
                 if rc == 0 {
-                    balanced_out += graph.rescap(a);
+                    balanced_out += a.rescap;
                 }
             }
         }
-        if excess[si as usize] > balanced_out {
+        if excess[s] > balanced_out {
             if !price_update(
-                graph,
-                pot,
-                &mut excess,
-                &members,
-                &stamp,
-                epoch,
-                &mut queue,
-                &mut in_queue,
-                &mut stats,
+                offsets, arcs, pot, excess, members, stamp, epoch, queue, in_queue, &mut stats,
                 scan_limit,
             )? {
-                break true;
+                break (true, true);
             }
-            requeue(s, &excess, &mut queue, &mut in_queue);
+            requeue(s, excess, queue, in_queue);
             continue;
         }
 
         // --- Multi-node iteration: grow the cut S --------------------
-        let mut slope = excess[si as usize];
-        if !charge(&mut stats, graph.adj(s).len(), scan_limit) {
-            break true;
+        let mut slope = excess[s];
+        if !charge(&mut stats, s_arcs.len(), scan_limit) {
+            break (true, true);
         }
         slope -= queue_balanced_out_arcs(
-            graph,
+            arcs,
+            s_arcs,
             pot,
             s,
-            &stamp,
+            stamp,
             epoch,
-            &excess,
-            &mut frontier,
+            excess,
+            frontier,
             config.arc_prioritization,
         );
 
         loop {
             if slope > 0 {
                 if !price_update(
-                    graph,
-                    pot,
-                    &mut excess,
-                    &members,
-                    &stamp,
-                    epoch,
-                    &mut queue,
-                    &mut in_queue,
-                    &mut stats,
+                    offsets, arcs, pot, excess, members, stamp, epoch, queue, in_queue, &mut stats,
                     scan_limit,
                 )? {
-                    break 'outer true;
+                    break 'outer (true, true);
                 }
-                requeue(s, &excess, &mut queue, &mut in_queue);
+                requeue(s, excess, queue, in_queue);
                 continue 'outer;
             }
-            let Some(a) = frontier.pop_front() else {
+            let Some(p) = frontier.pop_front() else {
                 // No balanced arcs cross the cut: the exact slope is e(S),
                 // which is positive (s has excess, other members are
                 // non-negative), so a price update is always possible.
                 if !price_update(
-                    graph,
-                    pot,
-                    &mut excess,
-                    &members,
-                    &stamp,
-                    epoch,
-                    &mut queue,
-                    &mut in_queue,
-                    &mut stats,
+                    offsets, arcs, pot, excess, members, stamp, epoch, queue, in_queue, &mut stats,
                     scan_limit,
                 )? {
-                    break 'outer true;
+                    break 'outer (true, true);
                 }
-                requeue(s, &excess, &mut queue, &mut in_queue);
+                requeue(s, excess, queue, in_queue);
                 continue 'outer;
             };
-            let j = graph.dst(a);
-            if stamp[j.index()] == epoch {
+            let a = arcs[p as usize];
+            let j = a.dst as usize;
+            if stamp[j] == epoch {
                 // The arc became internal when j joined S; undo its
                 // contribution to the slope.
-                slope += graph.rescap(a);
+                slope += a.rescap;
                 continue;
             }
-            if excess[j.index()] < 0 {
+            if excess[j] < 0 {
                 // Deficit found: augment along the tree path s → … → j.
-                augment(
-                    graph,
-                    &pred,
-                    &stamp,
-                    epoch,
-                    s,
-                    j,
-                    a,
-                    &mut excess,
-                    &mut stats,
-                );
-                requeue(s, &excess, &mut queue, &mut in_queue);
+                augment(arcs, pred, s, j, p, excess, &mut stats);
+                requeue(s, excess, queue, in_queue);
                 continue 'outer;
             }
             // Extend the cut to j.
-            stamp[j.index()] = epoch;
-            pred[j.index()] = a;
-            members.push(j);
-            slope += graph.rescap(a) + excess[j.index()];
-            if !charge(&mut stats, graph.adj(j).len(), scan_limit) {
-                break 'outer true;
+            stamp[j] = epoch;
+            pred[j] = p;
+            members.push(j as u32);
+            slope += a.rescap + excess[j];
+            let j_arcs = span(j);
+            if !charge(&mut stats, j_arcs.len(), scan_limit) {
+                break 'outer (true, true);
             }
             slope -= queue_balanced_out_arcs(
-                graph,
+                arcs,
+                j_arcs,
                 pot,
                 j,
-                &stamp,
+                stamp,
                 epoch,
-                &excess,
-                &mut frontier,
+                excess,
+                frontier,
                 config.arc_prioritization,
             );
         }
     };
     stats.iterations = budget.iterations;
+    let objective = graph.write_back_csr(csr);
     let sol = Solution {
         algorithm: AlgorithmKind::Relaxation,
-        objective: graph.objective(),
-        terminated_early: over_budget,
+        objective,
+        terminated_early,
         runtime: budget.elapsed(),
         stats,
     };
@@ -359,42 +460,45 @@ pub(crate) fn solve_from(
     })
 }
 
-/// Pushes all balanced residual out-arcs of `u` that cross the cut onto the
-/// frontier and returns the total residual capacity queued.
+/// Pushes all balanced residual out-arcs of `u` (positions `u_arcs`) that
+/// cross the cut onto the frontier and returns the total residual capacity
+/// queued.
 ///
 /// With arc prioritization, arcs leading directly to demand nodes go to the
 /// *front* of the frontier (depth-first bias towards augmenting paths);
 /// everything else is appended (breadth-first otherwise).
 #[allow(clippy::too_many_arguments)]
 fn queue_balanced_out_arcs(
-    graph: &FlowGraph,
+    arcs: &[CsrArc],
+    u_arcs: std::ops::Range<usize>,
     pot: &[i64],
-    u: NodeId,
+    u: usize,
     stamp: &[u64],
     epoch: u64,
     excess: &[i64],
-    frontier: &mut VecDeque<ArcId>,
+    frontier: &mut VecDeque<u32>,
     prioritize: bool,
 ) -> i64 {
     let mut queued = 0i64;
-    for &a in graph.adj(u) {
-        let r = graph.rescap(a);
-        if r <= 0 {
+    let first = u_arcs.start;
+    for (k, a) in arcs[u_arcs].iter().enumerate() {
+        if a.rescap <= 0 {
             continue;
         }
-        let v = graph.dst(a);
-        if stamp[v.index()] == epoch {
+        let v = a.dst as usize;
+        if stamp[v] == epoch {
             continue;
         }
-        let rc = graph.cost(a) + pot[u.index()] - pot[v.index()];
+        let rc = a.cost + pot[u] - pot[v];
         if rc != 0 {
             continue;
         }
-        queued += r;
-        if prioritize && excess[v.index()] < 0 {
-            frontier.push_front(a);
+        queued += a.rescap;
+        let p = (first + k) as u32;
+        if prioritize && excess[v] < 0 {
+            frontier.push_front(p);
         } else {
-            frontier.push_back(a);
+            frontier.push_back(p);
         }
     }
     queued
@@ -407,10 +511,11 @@ fn queue_balanced_out_arcs(
 /// `scan_limit`.
 #[allow(clippy::too_many_arguments)]
 fn price_update(
-    graph: &mut FlowGraph,
+    offsets: &[u32],
+    arcs: &mut [CsrArc],
     pot: &mut [i64],
     excess: &mut [i64],
-    members: &[NodeId],
+    members: &[u32],
     stamp: &[u64],
     epoch: u64,
     queue: &mut VecDeque<u32>,
@@ -418,33 +523,35 @@ fn price_update(
     stats: &mut SolveStats,
     scan_limit: u64,
 ) -> Result<bool, SolveError> {
-    let in_cut = |v: NodeId| stamp[v.index()] == epoch;
     let mut theta = i64::MAX;
     for &i in members {
-        if !charge(stats, graph.adj(i).len(), scan_limit) {
+        let i = i as usize;
+        let (first, end) = (offsets[i] as usize, offsets[i + 1] as usize);
+        if !charge(stats, end - first, scan_limit) {
             return Ok(false);
         }
-        for k in 0..graph.adj(i).len() {
-            let a = graph.adj(i)[k];
-            let r = graph.rescap(a);
-            if r <= 0 {
+        for p in first..end {
+            // Pushes here only raise the sisters' capacities, which lie in
+            // the spans of nodes outside the cut.
+            let a = arcs[p];
+            if a.rescap <= 0 {
                 continue;
             }
-            let v = graph.dst(a);
-            if in_cut(v) {
+            let v = a.dst as usize;
+            if stamp[v] == epoch {
                 continue;
             }
-            let rc = graph.cost(a) + pot[i.index()] - pot[v.index()];
+            let rc = a.cost + pot[i] - pot[v];
             if rc == 0 {
                 // Lowering π(i) will turn this arc's reduced cost negative,
                 // so complementary slackness forces saturation.
-                graph.push_flow(a, r);
-                excess[i.index()] -= r;
-                let was = excess[v.index()];
-                excess[v.index()] += r;
-                if was <= 0 && excess[v.index()] > 0 && !in_queue[v.index()] {
-                    queue.push_back(v.index() as u32);
-                    in_queue[v.index()] = true;
+                push(arcs, p, a.rescap);
+                excess[i] -= a.rescap;
+                let was = excess[v];
+                excess[v] += a.rescap;
+                if was <= 0 && excess[v] > 0 && !in_queue[v] {
+                    queue.push_back(v as u32);
+                    in_queue[v] = true;
                 }
             } else if rc > 0 && rc < theta {
                 theta = rc;
@@ -457,52 +564,49 @@ fn price_update(
         return Err(SolveError::Infeasible);
     }
     for &i in members {
-        pot[i.index()] -= theta;
+        pot[i as usize] -= theta;
     }
     stats.price_updates += 1;
     Ok(true)
 }
 
-/// Augments along the tree path `s → … → src(a)` plus the closing arc `a`
-/// into the deficit node `j`.
-#[allow(clippy::too_many_arguments)]
+/// Augments along the tree path `s → … → src(a)` plus the closing arc at
+/// position `a` into the deficit node `j`.
 fn augment(
-    graph: &mut FlowGraph,
-    pred: &[ArcId],
-    stamp: &[u64],
-    epoch: u64,
-    s: NodeId,
-    j: NodeId,
-    a: ArcId,
+    arcs: &mut [CsrArc],
+    pred: &[u32],
+    s: usize,
+    j: usize,
+    a: u32,
     excess: &mut [i64],
     stats: &mut SolveStats,
 ) {
-    debug_assert_eq!(stamp[graph.src(a).index()], epoch);
-    let mut bottleneck = graph.rescap(a);
-    let mut v = graph.src(a);
+    let src = |arcs: &[CsrArc], p: u32| arcs[p as usize].src(arcs) as usize;
+    let mut bottleneck = arcs[a as usize].rescap;
+    let mut v = src(arcs, a);
     while v != s {
-        let p = pred[v.index()];
-        bottleneck = bottleneck.min(graph.rescap(p));
-        v = graph.src(p);
+        let p = pred[v];
+        bottleneck = bottleneck.min(arcs[p as usize].rescap);
+        v = src(arcs, p);
     }
-    let delta = bottleneck.min(excess[s.index()]).min(-excess[j.index()]);
+    let delta = bottleneck.min(excess[s]).min(-excess[j]);
     debug_assert!(delta > 0);
-    graph.push_flow(a, delta);
-    let mut v = graph.src(a);
+    push(arcs, a as usize, delta);
+    let mut v = src(arcs, a);
     while v != s {
-        let p = pred[v.index()];
-        graph.push_flow(p, delta);
-        v = graph.src(p);
+        let p = pred[v];
+        push(arcs, p as usize, delta);
+        v = src(arcs, p);
     }
-    excess[s.index()] -= delta;
-    excess[j.index()] += delta;
+    excess[s] -= delta;
+    excess[j] += delta;
     stats.augmentations += 1;
 }
 
-fn requeue(s: NodeId, excess: &[i64], queue: &mut VecDeque<u32>, in_queue: &mut [bool]) {
-    if excess[s.index()] > 0 && !in_queue[s.index()] {
-        queue.push_back(s.index() as u32);
-        in_queue[s.index()] = true;
+fn requeue(s: usize, excess: &[i64], queue: &mut VecDeque<u32>, in_queue: &mut [bool]) {
+    if excess[s] > 0 && !in_queue[s] {
+        queue.push_back(s as u32);
+        in_queue[s] = true;
     }
 }
 
@@ -515,7 +619,7 @@ mod tests {
     use crate::verify::{check_reduced_cost_optimality, is_optimal};
     use firmament_flow::builder::figure5;
     use firmament_flow::testgen::{layered_instance, scheduling_instance, InstanceSpec};
-    use firmament_flow::NodeKind;
+    use firmament_flow::{ArcId, NodeId, NodeKind};
 
     #[test]
     fn solves_figure5_optimally() {
@@ -604,6 +708,18 @@ mod tests {
         }
     }
 
+    /// The engine's slackness pass, run on a copy of `graph` and written
+    /// back; the excesses it keeps must match the graph's afterwards.
+    fn copy_slackness_pass(graph: &mut FlowGraph, pot: &[i64]) {
+        let mut csr = ResidualCsr::new();
+        graph.fill_csr(&mut csr, false);
+        let mut excess = graph.excesses();
+        let (offsets, arcs) = csr.parts_mut();
+        restore_slackness(offsets, arcs, pot, &mut excess);
+        graph.write_back_csr(&csr);
+        assert_eq!(excess, graph.excesses());
+    }
+
     /// Asserts two copies of one graph carry the same flow on every arc,
     /// and returns how many residual arcs differ from `before`.
     fn same_flow(a: &FlowGraph, b: &FlowGraph, before: &FlowGraph, what: &str) -> usize {
@@ -618,8 +734,8 @@ mod tests {
         changed
     }
 
-    /// The flat slackness pass must leave exactly the flow the per-node
-    /// adjacency pass leaves, both from a reset flow and zero prices (the
+    /// The slackness pass over the copy must leave exactly the flow the
+    /// per-node adjacency pass leaves, both from a reset flow and zero prices (the
     /// cold start of `solve_with`) and from a solved flow under arbitrary
     /// prices (a warm start) — on graphs with negative costs, where both
     /// starts have work to do. The cold solve must match SSP.
@@ -650,7 +766,7 @@ mod tests {
             reset.reset_flow();
             let zero = vec![0; base.node_bound()];
             let (mut flat, mut old) = (reset.clone(), reset.clone());
-            restore_slackness(&mut flat, &zero);
+            copy_slackness_pass(&mut flat, &zero);
             adjacency_slackness_pass(&mut old, &zero);
             let pushed = same_flow(&flat, &old, &reset, &format!("cold seed {seed}"));
             assert!(pushed > 0, "seed {seed}: cold pass had no work");
@@ -673,7 +789,7 @@ mod tests {
                 .map(|_| rng.range_i64(-60, 60))
                 .collect();
             let (mut flat, mut old) = (cold.clone(), cold.clone());
-            restore_slackness(&mut flat, &pot);
+            copy_slackness_pass(&mut flat, &pot);
             adjacency_slackness_pass(&mut old, &pot);
             let pushed = same_flow(&flat, &old, &cold, &format!("warm seed {seed}"));
             assert!(pushed > 0, "seed {seed}: warm pass had no work");

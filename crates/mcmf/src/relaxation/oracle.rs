@@ -441,18 +441,16 @@ mod tests {
     };
     use firmament_flow::NodeKind;
 
-    /// The engine under test, cold: from a flowless graph and zero prices,
-    /// returning its final prices.
+    /// The engine under test, cold, returning its final prices.
     fn engine_cold(
         graph: &mut FlowGraph,
         opts: &SolveOptions,
         config: &RelaxationConfig,
         budget: u64,
     ) -> (Result<Budgeted, SolveError>, Vec<i64>) {
-        graph.reset_flow();
-        let mut prices = vec![0; graph.node_bound()];
-        let r = super::super::solve_from(graph, opts, config, &mut prices, budget);
-        (r, prices)
+        let mut work = super::super::Workspace::default();
+        let r = super::super::solve_within(graph, opts, config, budget, &mut work);
+        (r, work.pot)
     }
 
     /// The engine under test, warm: from the graph's flow and `pot`.
@@ -547,6 +545,12 @@ mod tests {
         if old_r.is_ok() {
             assert_same_flow(&new, &old, what);
             assert_eq!(new_pot, old_pot, "{what}: prices");
+        } else {
+            assert_eq!(
+                format!("{new:?}"),
+                format!("{graph:?}"),
+                "{what}: untouched"
+            );
         }
         summary(&old_r)
     }
