@@ -42,7 +42,7 @@ impl CsrArc {
 
 /// A reusable CSR copy of a graph's residual network (see the module
 /// docs). Empty until [`FlowGraph::fill_csr`] fills it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ResidualCsr {
     /// `offsets[u]..offsets[u + 1]` is node `u`'s span; `node_bound() + 1`
     /// entries once filled.
@@ -75,12 +75,6 @@ impl ResidualCsr {
     #[inline]
     pub fn parts_mut(&mut self) -> (&[u32], &mut [CsrArc]) {
         (&self.offsets, &mut self.arcs)
-    }
-
-    /// Node `u`'s residual arcs, in [`FlowGraph::adj`] order.
-    #[inline]
-    pub fn span(&self, u: usize) -> &[CsrArc] {
-        &self.arcs[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 
     /// How many residual arcs the buffers hold room for, and how many span

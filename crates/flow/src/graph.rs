@@ -1164,7 +1164,7 @@ mod tests {
         assert_eq!(csr.arcs().len(), 2 * g.arc_count(), "{what}");
         for u in 0..g.node_bound() {
             let list = g.adj(NodeId(u as u32));
-            let span = csr.span(u);
+            let span = &csr.arcs()[csr.offsets()[u] as usize..csr.offsets()[u + 1] as usize];
             assert_eq!(span.len(), list.len(), "{what} node {u}");
             for (k, (&a, c)) in list.iter().zip(span).enumerate() {
                 let pos = csr.offsets()[u] as usize + k;

@@ -432,7 +432,6 @@ fn requeue(s: NodeId, excess: &[i64], queue: &mut VecDeque<u32>, in_queue: &mut 
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::CancelToken;
