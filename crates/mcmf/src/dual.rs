@@ -25,9 +25,8 @@
 //! 3. **Relaxation.** Relaxation solves from scratch, limited to
 //!    [`HEDGE_WORK_FACTOR`] × the arc examinations of the most recent
 //!    cost-scaling solve. It works on its own compact copy of the residual
-//!    network, kept in the solver between rounds (see
-//!    [`relaxation`]), and writes the flow back into the
-//!    graph unless it fails.
+//!    network, kept in the solver between rounds (see [`relaxation`]), and
+//!    writes the flow back into the graph unless it fails.
 //! 4. **Fallback.** Relaxation spent its budget: cold cost scaling resets
 //!    the flow and solves the round, and its work becomes the new
 //!    reference.

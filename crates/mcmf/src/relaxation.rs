@@ -28,13 +28,13 @@
 //! residual capacity, cost, destination and sister position — and works on
 //! positions in that copy. Each examination is then one sequential read,
 //! where the live graph costs an `ArcId` read from a per-node list that
-//! lies wherever the allocator put it plus a random read of an arena slot;
-//! that heap-layout cost had made relaxation in place about 20 % slower
-//! than on a freshly cloned graph. Spans keep `adj(u)` order and the
-//! engine charges one span where it charged one list, so the traversal,
-//! the arithmetic, the flow and the counted work ([`SolveStats::arc_scans`])
-//! are those of the in-place engine; a test-only copy of that engine pins
-//! this on every kind of run.
+//! lies wherever the allocator put it plus a random read of an arena slot,
+//! so the engine's speed no longer depends on the graph's heap history.
+//! Spans keep `adj(u)` order and the engine charges one span per scan, as
+//! an engine walking the adjacency lists charges one list, so the
+//! traversal, the arithmetic, the flow and the counted work
+//! ([`SolveStats::arc_scans`]) are those of such an engine; a test-only
+//! copy of one (the `oracle` module) pins this on every kind of run.
 //!
 //! The cold path folds four whole-graph passes into the copy: the fill
 //! writes every pair flowless (no `reset_flow`), the complementary
