@@ -122,8 +122,9 @@ impl Budgeted {
 
 /// The buffers a relaxation run works in: the copy of the residual network
 /// and the engine's per-node state. Kept by a caller that solves
-/// repeatedly; every buffer grows to the graph's live size exactly and is
-/// reused as is by the next run.
+/// repeatedly: the copy and the per-node buffers grow to the graph's live
+/// size exactly, the queues as far as a run needs, and the next run reuses
+/// them as they are.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     csr: ResidualCsr,
