@@ -14,6 +14,12 @@
 //! same way, with nodes whose machine lists fill incrementally re-queued
 //! until every unit of flow is attributed
 //! (`tests/extraction_and_changes.rs` pins chains up to five levels).
+//!
+//! The walk itself, `assign_machines`, leaves each task node's machine
+//! in a dense vector indexed by node and knows nothing of task ids. The
+//! scheduler reads it through its task table, which already lists every
+//! task node in `TaskId` order; [`extract_placements`] wraps it into a
+//! map keyed by task id for everyone else.
 
 use firmament_flow::{FlowGraph, NodeId, NodeKind};
 use std::collections::{BTreeMap, VecDeque};
@@ -29,16 +35,13 @@ pub enum Placement {
 
 /// Extracts task placements from the flow currently in the graph.
 ///
-/// Implements Listing 1 with explicit per-arc move accounting so that nodes
-/// whose machine lists fill up incrementally are revisited until all flow
-/// is accounted for. All scratch state is dense — indexed by node or arc
-/// pair — so the pass is a few linear sweeps with no hashing. Tasks whose
-/// flow routed through an unscheduled aggregator are reported as
-/// [`Placement::Unscheduled`].
+/// Runs Listing 1 (`assign_machines`) and reads every task node's
+/// machine off its result. Tasks whose flow routed through an unscheduled
+/// aggregator are reported as [`Placement::Unscheduled`].
 ///
 /// The result is a `BTreeMap` keyed by task id, so iteration order — and
-/// everything derived from it, like the scheduler's action list — is
-/// deterministic by construction rather than by post-hoc sorting.
+/// everything derived from it — is deterministic by construction rather
+/// than by post-hoc sorting.
 ///
 /// # Examples
 ///
@@ -58,6 +61,62 @@ pub enum Placement {
 /// assert_eq!(placed, 4); // Fig 5: all tasks but one are scheduled
 /// ```
 pub fn extract_placements(graph: &FlowGraph) -> BTreeMap<u64, Placement> {
+    let assignments = assign_machines(graph);
+    // Several task nodes may carry one task id; as with inserting in
+    // visit order, the latest assignment wins (an unassigned duplicate
+    // reads as unscheduled). Sorting by (id, order) and keeping each id's
+    // last entry feeds the map already sorted, so it bulk-builds.
+    let mut entries: Vec<(u64, u32, Placement)> = graph
+        .node_ids()
+        .filter_map(|v| match graph.kind(v) {
+            NodeKind::Task { task } => Some(match assignments.latest[v.index()] {
+                (0, _) => (task, 0, Placement::Unscheduled),
+                (order, m) => (task, order, Placement::OnMachine(m)),
+            }),
+            _ => None,
+        })
+        .collect();
+    entries.sort_unstable_by_key(|&(task, order, _)| (task, order));
+    entries.dedup_by(|later, earlier| {
+        let same = later.0 == earlier.0;
+        if same {
+            *earlier = *later;
+        }
+        same
+    });
+    entries
+        .into_iter()
+        .map(|(task, _, placement)| (task, placement))
+        .collect()
+}
+
+/// What [`assign_machines`] leaves behind: the machine each task node's
+/// flow reached, indexed by node.
+#[derive(Debug)]
+pub(crate) struct Assignments {
+    /// Per node: the (1-based) order of its latest assignment, 0 while
+    /// unassigned, and the machine assigned.
+    latest: Vec<(u32, u64)>,
+}
+
+impl Assignments {
+    /// The machine assigned to task node `node`, `None` if its flow
+    /// reached no machine.
+    pub(crate) fn machine(&self, node: NodeId) -> Option<u64> {
+        match self.latest[node.index()] {
+            (0, _) => None,
+            (_, m) => Some(m),
+        }
+    }
+}
+
+/// Listing 1: assigns each unit of machine → sink flow to a task node.
+///
+/// Explicit per-arc move accounting lets nodes whose machine lists fill
+/// up incrementally be revisited until all flow is accounted for. All
+/// state is dense — indexed by node or arc pair — so the pass is a few
+/// linear sweeps with no hashing.
+pub(crate) fn assign_machines(graph: &FlowGraph) -> Assignments {
     let n = graph.node_bound();
     // Each node's machine list is a stack of units threaded through one
     // arena: `top[v]` is the last machine appended to `v`'s list, and each
@@ -70,39 +129,31 @@ pub fn extract_placements(graph: &FlowGraph) -> BTreeMap<u64, Placement> {
     let mut moved: Vec<i64> = vec![0; graph.arc_bound() / 2];
     let mut to_visit: VecDeque<NodeId> = VecDeque::new();
     let mut queued: Vec<bool> = vec![false; n];
-    // Task nodes in node order; each defaults to unscheduled.
-    let mut tasks: Vec<(u64, NodeId)> = Vec::new();
-    // Per task node: the (1-based) order of its latest assignment, 0 while
-    // unassigned, and the machine assigned.
-    let mut assigned: Vec<(u32, u64)> = vec![(0, 0); n];
+    let mut latest: Vec<(u32, u64)> = vec![(0, 0); n];
 
     for v in graph.node_ids() {
-        match graph.kind(v) {
-            NodeKind::Machine { machine } => {
-                // A machine's outgoing flow (to the sink) is the number of
-                // task units placed on it.
-                let placed: i64 = graph
-                    .adj(v)
-                    .iter()
-                    .copied()
-                    .filter(|&a| a.is_forward())
-                    .map(|a| graph.flow(a))
-                    .sum();
-                if placed > 0 {
-                    for _ in 0..placed {
-                        units.push(Unit {
-                            machine,
-                            below: top[v.index()],
-                        });
-                        top[v.index()] = units.len() - 1;
-                    }
-                    len[v.index()] = placed as usize;
-                    to_visit.push_back(v);
-                    queued[v.index()] = true;
+        if let NodeKind::Machine { machine } = graph.kind(v) {
+            // A machine's outgoing flow (to the sink) is the number of
+            // task units placed on it.
+            let placed: i64 = graph
+                .adj(v)
+                .iter()
+                .copied()
+                .filter(|&a| a.is_forward())
+                .map(|a| graph.flow(a))
+                .sum();
+            if placed > 0 {
+                for _ in 0..placed {
+                    units.push(Unit {
+                        machine,
+                        below: top[v.index()],
+                    });
+                    top[v.index()] = units.len() - 1;
                 }
+                len[v.index()] = placed as usize;
+                to_visit.push_back(v);
+                queued[v.index()] = true;
             }
-            NodeKind::Task { task } => tasks.push((task, v)),
-            _ => {}
         }
     }
 
@@ -116,7 +167,7 @@ pub fn extract_placements(graph: &FlowGraph) -> BTreeMap<u64, Placement> {
                 top[i] = unit.below;
                 len[i] -= 1;
                 assignments += 1;
-                assigned[i] = (assignments, unit.machine);
+                latest[i] = (assignments, unit.machine);
             }
             continue;
         }
@@ -155,33 +206,10 @@ pub fn extract_placements(graph: &FlowGraph) -> BTreeMap<u64, Placement> {
             }
         }
     }
-
-    // Several task nodes may carry one task id; as with inserting in
-    // visit order, the latest assignment wins (an unassigned duplicate
-    // reads as unscheduled). Sorting by (id, order) and keeping each id's
-    // last entry feeds the map already sorted, so it bulk-builds.
-    let mut entries: Vec<(u64, u32, Placement)> = tasks
-        .into_iter()
-        .map(|(task, v)| match assigned[v.index()] {
-            (0, _) => (task, 0, Placement::Unscheduled),
-            (order, m) => (task, order, Placement::OnMachine(m)),
-        })
-        .collect();
-    entries.sort_unstable_by_key(|&(task, order, _)| (task, order));
-    entries.dedup_by(|later, earlier| {
-        let same = later.0 == earlier.0;
-        if same {
-            *earlier = *later;
-        }
-        same
-    });
-    entries
-        .into_iter()
-        .map(|(task, _, placement)| (task, placement))
-        .collect()
+    Assignments { latest }
 }
 
-/// End of a machine stack in [`extract_placements`].
+/// End of a machine stack in [`assign_machines`].
 const NIL: usize = usize::MAX;
 
 /// One unit of flow on its way back from a machine to a task.

@@ -51,9 +51,10 @@ use firmament_mcmf::incremental::drain_task_flow;
 use firmament_policies::{AggregateId, ArcBundle, ArcSpec, ArcTarget, CostModel, PolicyError};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-/// A task's handles in the flow network: its node and its arc to its
+/// A task's handles in the flow network — its node and its arc to its
 /// job's unscheduled aggregator `U_j` (the arc that carries the
-/// wait-scaled unscheduled cost, and the preemption arc once it runs).
+/// wait-scaled unscheduled cost, and the preemption arc once it runs) —
+/// and the machine it runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskEntry {
     /// The task node `T`.
@@ -62,11 +63,17 @@ pub struct TaskEntry {
     /// the graph: `U_j` outlives its job's last task, and every arc rewire
     /// keeps the arc into `U_j`.
     pub unsched_arc: ArcId,
+    /// The machine the task runs on, as the events fed to the manager left
+    /// it: set by `TaskPlaced`, cleared by `TaskPreempted` and by the
+    /// removal of that machine; `None` while the task waits. Preemption
+    /// and completion events dirty this machine, and the scheduler's
+    /// action diff skips a task whose extracted machine equals it.
+    pub running: Option<MachineId>,
 }
 
 /// The task table: every task's [`TaskEntry`], kept sorted by `TaskId` in
-/// one contiguous buffer. Lookups binary-search it and a clock advance
-/// walks it in order. Task ids mostly arrive in ascending order, so an
+/// one contiguous buffer. Lookups binary-search it; a clock advance and
+/// the scheduler's action diff walk it in order. Task ids mostly arrive in ascending order, so an
 /// insert is usually a push; a removal leaves a tombstone, and the buffer
 /// is compacted once tombstones outnumber live entries (amortized O(1)).
 /// A single buffer, rather than a tree of small nodes, also keeps the
@@ -107,6 +114,23 @@ impl TaskTable {
                 self.entries.insert(i, (task, Some(entry)));
                 self.live += 1;
                 None
+            }
+        }
+    }
+
+    /// Records the machine `task` runs on (`None`: none), returning the
+    /// one recorded before; `None` as well if `task` has no entry.
+    fn set_running(&mut self, task: TaskId, machine: Option<MachineId>) -> Option<MachineId> {
+        let i = self.position(task).ok()?;
+        let entry = self.entries[i].1.as_mut()?;
+        std::mem::replace(&mut entry.running, machine)
+    }
+
+    /// Forgets `machine` as the running machine of every task on it.
+    fn clear_running_on(&mut self, machine: MachineId) {
+        for (_, entry) in &mut self.entries {
+            if let Some(e) = entry.as_mut().filter(|e| e.running == Some(machine)) {
+                e.running = None;
             }
         }
     }
@@ -156,9 +180,10 @@ pub struct GraphBase {
     pub graph: FlowGraph,
     /// The sink node `S`.
     pub sink: Option<NodeId>,
-    /// The task table, in `TaskId` order: each task's node and unscheduled
-    /// arc. A clock advance walks it in order to re-price every task
-    /// without a lookup per task.
+    /// The task table, in `TaskId` order: each task's node, unscheduled
+    /// arc and running machine. A clock advance walks it in order to
+    /// re-price every task, and the action diff to read every task's
+    /// extracted machine, without a lookup per task.
     pub task_table: TaskTable,
     /// Machine → node.
     pub machine_nodes: HashMap<MachineId, NodeId>,
@@ -234,6 +259,7 @@ impl GraphBase {
             TaskEntry {
                 node: n,
                 unsched_arc,
+                running: None,
             },
         );
         let sink = self.sink();
@@ -456,9 +482,6 @@ pub struct FlowGraphManager {
     /// find the tasks that reference them (dirty-set narrowing) and the
     /// dynamic task re-pricing can detect structural drift.
     task_slots: HashMap<TaskId, Vec<(ArcTarget, Vec<ArcId>)>>,
-    /// Where each running task sits (so preemption/completion events can
-    /// dirty the right machine without consulting stale cluster state).
-    running_on: HashMap<TaskId, MachineId>,
     /// Machines touched by events since the last refresh.
     dirty_machines: HashSet<MachineId>,
     /// Tasks touched by events since the last refresh.
@@ -685,7 +708,7 @@ impl FlowGraphManager {
                 if self.hierarchy_declared {
                     self.dirty_aggs.extend(self.agg_nodes.keys().copied());
                 }
-                self.running_on.retain(|_, m| *m != *machine);
+                self.base.task_table.clear_running_on(*machine);
                 self.dirty_machines.remove(machine);
                 self.base.remove_machine(*machine)?;
                 // A machine failure invalidates waiting arc *sets*, not
@@ -747,7 +770,7 @@ impl FlowGraphManager {
                 self.strip_task_arcs(*task)?;
                 let cost = model.running_arc_cost(state, task_data, *machine);
                 self.base.graph.add_arc(t, m, 1, cost)?;
-                self.running_on.insert(*task, *machine);
+                self.base.task_table.set_running(*task, Some(*machine));
                 self.dirty_machines.insert(*machine);
             }
             ClusterEvent::TaskPreempted { task, .. } => {
@@ -765,7 +788,7 @@ impl FlowGraphManager {
                 drain_task_flow(&mut self.base.graph, t);
                 self.strip_task_arcs(*task)?;
                 self.add_waiting_arcs(model, state, task_data)?;
-                if let Some(m) = self.running_on.remove(task) {
+                if let Some(m) = self.base.task_table.set_running(*task, None) {
                     self.dirty_machines.insert(m);
                 }
                 self.dirty_tasks.insert(*task);
@@ -778,14 +801,15 @@ impl FlowGraphManager {
                     .get(task)
                     .ok_or(PolicyError::UnknownTask(*task))?
                     .job;
-                let node = self
+                let entry = self
                     .base
-                    .task_node(*task)
+                    .task_table
+                    .get(*task)
                     .ok_or(PolicyError::UnknownTask(*task))?;
                 // Efficient task removal (§5.3.2): drain the departing
                 // task's flow before deleting the node so the graph stays
                 // balanced for the incremental solver.
-                drain_task_flow(&mut self.base.graph, node);
+                drain_task_flow(&mut self.base.graph, entry.node);
                 self.base.remove_task(*task, job)?;
                 self.task_slots.remove(task);
                 if let Some(n) = self.live_job_tasks.get_mut(&job) {
@@ -795,7 +819,7 @@ impl FlowGraphManager {
                     }
                 }
                 self.dirty_tasks.remove(task);
-                if let Some(m) = self.running_on.remove(task) {
+                if let Some(m) = entry.running {
                     self.dirty_machines.insert(m);
                 }
             }
@@ -3510,6 +3534,7 @@ mod tests {
                 let entry = TaskEntry {
                     node: NodeId::from_index(step as usize),
                     unsched_arc: ArcId::from_index(2 * step as usize),
+                    running: None,
                 };
                 let task = match rng.below(4) {
                     // Mostly fresh, ascending ids …

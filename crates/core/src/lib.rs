@@ -5,8 +5,9 @@
 //! arc structure; the [`FlowGraphManager`] owns the flow network, turns
 //! cluster events into graph deltas, and runs the two-pass cost update
 //! (§6.3); the [`DualSolver`](firmament_mcmf::DualSolver) — relaxation,
-//! hedged by cost scaling — finds the min-cost flow; and [`extract::extract_placements`]
-//! (Listing 1) turns the optimal flow back into task placements.
+//! hedged by cost scaling — finds the min-cost flow; and Listing 1
+//! ([`extract`]) turns the optimal flow back into task placements, which
+//! the scheduler diffs against the manager's task table.
 //! [`Firmament`] is the scheduler service a cluster manager embeds.
 //!
 //! # Architecture

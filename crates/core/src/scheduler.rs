@@ -12,15 +12,24 @@
 //! it. `schedule` *takes* the graph out of the manager, hands ownership to
 //! the solver (avoiding a full per-round copy), and adopts the winning
 //! flow back so the next incremental solve warm-starts from it.
+//!
+//! The round's tail builds no per-task map. Listing 1 leaves each task
+//! node's machine in a dense vector indexed by node, and the diff walks
+//! the manager's task table in `TaskId` order, which already pairs every
+//! task with its node and the machine the fed events left it running on.
+//! A task whose extracted machine equals that one — a running task that
+//! stays, or a waiting task that stays unscheduled — needs no action and
+//! is never looked up in [`ClusterState`]; in a steady round that is all
+//! but the handful of tasks that change. Only the others are matched
+//! against their cluster state.
 
-use crate::extract::{extract_placements, Placement};
-use crate::graph_manager::FlowGraphManager;
+use crate::extract::{assign_machines, Assignments};
+use crate::graph_manager::{FlowGraphManager, TaskTable};
 use firmament_cluster::{ClusterEvent, ClusterState, JobId, MachineId, TaskId, TaskState};
 use firmament_flow::FlowGraph;
 use firmament_mcmf::dual::{DualConfig, DualSolver};
 use firmament_mcmf::{AlgorithmKind, SolveError, SolveOptions};
 use firmament_policies::{CostModel, PolicyError};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// A scheduling action produced by a round.
@@ -271,6 +280,12 @@ impl<C: CostModel> Firmament<C> {
     }
 
     /// Runs one scheduling round: refresh costs, solve, extract, diff.
+    ///
+    /// `state` must reflect exactly the events fed through
+    /// [`handle_event`](Self::handle_event): each of them applied, and no
+    /// other. The diff trusts the manager's record of where each task runs
+    /// and reads `state` only for tasks whose extracted machine differs
+    /// from that record.
     pub fn schedule(&mut self, state: &ClusterState) -> Result<RoundOutcome, SchedulerError> {
         self.manager.refresh(&self.model, state)?;
         // Drain the typed change feed recorded since the last handoff: the
@@ -305,13 +320,11 @@ impl<C: CostModel> Firmament<C> {
                 }
             };
         self.manager.adopt_graph(outcome.graph);
-        let placements = extract_placements(self.manager.graph());
-        let actions = diff_placements(state, &placements);
+        let assignments = assign_machines(self.manager.graph());
+        let tasks = &self.manager.base().task_table;
+        let (actions, placed) = diff_placements(state, tasks, &assignments);
+        let unscheduled = tasks.len() - placed;
         self.rounds += 1;
-        let placed = placements
-            .values()
-            .filter(|p| matches!(p, Placement::OnMachine(_)))
-            .count();
         let cs = outcome.cs_stats.as_ref();
         Ok(RoundOutcome {
             actions,
@@ -333,49 +346,58 @@ impl<C: CostModel> Firmament<C> {
             },
             objective: outcome.solution.objective,
             placed_tasks: placed,
-            unscheduled_tasks: placements.len() - placed,
+            unscheduled_tasks: unscheduled,
             deferred_gang_jobs: self.manager.deferred_gang_jobs().to_vec(),
         })
     }
 }
 
-/// Diffs extracted placements against current task state, yielding
-/// preemptions (first) and placements/migrations.
+/// Diffs the extracted machines of the tasks in `tasks` against where they
+/// run, yielding preemptions (first) and placements/migrations, and counts
+/// the tasks whose flow reached a machine.
 ///
-/// `placements` is ordered by task id (a `BTreeMap`), so the output order
-/// is deterministic by construction — no post-hoc sorting of hash-map
-/// iteration order.
+/// The walk follows the task table, so the output is in `TaskId` order by
+/// construction. A task whose extracted machine (`None`: unscheduled)
+/// equals its entry's running machine is skipped unread; the rest are
+/// matched against their cluster state.
 fn diff_placements(
     state: &ClusterState,
-    placements: &BTreeMap<u64, Placement>,
-) -> Vec<SchedulingAction> {
+    tasks: &TaskTable,
+    assignments: &Assignments,
+) -> (Vec<SchedulingAction>, usize) {
     let mut preemptions = Vec::new();
     let mut moves = Vec::new();
-    for (&task, placement) in placements {
+    let mut placed = 0;
+    for (task, entry) in tasks.iter() {
+        let machine = assignments.machine(entry.node);
+        placed += usize::from(machine.is_some());
+        if machine == entry.running {
+            continue;
+        }
         let Some(t) = state.tasks.get(&task) else {
             continue;
         };
-        match (t.state, t.machine, placement) {
+        match (t.state, t.machine, machine) {
             // Waiting task gets a machine: place it.
-            (TaskState::Waiting | TaskState::Preempted, _, Placement::OnMachine(m)) => {
-                moves.push(SchedulingAction::Place { task, machine: *m });
+            (TaskState::Waiting | TaskState::Preempted, _, Some(m)) => {
+                moves.push(SchedulingAction::Place { task, machine: m });
             }
             // Running task keeps its machine: no action.
-            (TaskState::Running, Some(cur), Placement::OnMachine(m)) if cur == *m => {}
+            (TaskState::Running, Some(cur), Some(m)) if cur == m => {}
             // Running task moved: migration = preempt + place.
-            (TaskState::Running, Some(_), Placement::OnMachine(m)) => {
+            (TaskState::Running, Some(_), Some(m)) => {
                 preemptions.push(SchedulingAction::Preempt { task });
-                moves.push(SchedulingAction::Place { task, machine: *m });
+                moves.push(SchedulingAction::Place { task, machine: m });
             }
             // Running task lost its flow: preempt it.
-            (TaskState::Running, Some(_), Placement::Unscheduled) => {
+            (TaskState::Running, Some(_), None) => {
                 preemptions.push(SchedulingAction::Preempt { task });
             }
             _ => {}
         }
     }
     preemptions.extend(moves);
-    preemptions
+    (preemptions, placed)
 }
 
 #[cfg(test)]
@@ -570,6 +592,41 @@ mod tests {
         ));
         f.solve_options.cancel = None;
         tick_round_solves(&mut state, &mut f);
+    }
+
+    /// A failed round drops the batch it drained: the next round feeds
+    /// only the changes recorded since (here a clock tick's re-pricings,
+    /// counted on a twin scheduler that drained the same batch itself),
+    /// and solves rather than skipping, although that batch alone would
+    /// let it skip.
+    #[test]
+    fn a_failed_round_drops_its_batch() {
+        let (mut state, mut f) = settled();
+        let (mut twin_state, mut twin) = settled();
+        submit(&mut state, &mut f, 1, 1, 600_000_000);
+        submit(&mut twin_state, &mut twin, 1, 1, 600_000_000);
+        let token = firmament_mcmf::CancelToken::new();
+        token.cancel();
+        f.solve_options.cancel = Some(token);
+        assert!(f.schedule(&state).is_err());
+        f.solve_options.cancel = None;
+        twin.refresh(&twin_state).unwrap();
+        assert!(!twin.manager_mut().take_deltas().is_empty());
+
+        let tick = ClusterEvent::Tick { now: 30_000_000 };
+        for (state, f) in [(&mut state, &mut f), (&mut twin_state, &mut twin)] {
+            state.apply(&tick);
+            f.handle_event(state, &tick).unwrap();
+        }
+        twin.refresh(&twin_state).unwrap();
+        let since = twin.manager_mut().take_deltas();
+        assert!(since.is_reprice_only() && !since.is_empty());
+        let o = f.schedule(&state).unwrap();
+        assert_eq!(o.solver.deltas_fed, since.len(), "{:?}", o.solver);
+        assert_eq!(o.solver.raw_changes, since.raw_len(), "{:?}", o.solver);
+        assert!(!o.solver.race_skipped, "{:?}", o.solver);
+        assert!(firmament_mcmf::verify::is_optimal(f.graph()));
+        assert_eq!((o.placed_tasks, o.unscheduled_tasks), (5, 0));
     }
 
     /// A round stopped by the caller's iteration limit hands back a

@@ -26,10 +26,16 @@
 //!    [`HEDGE_WORK_FACTOR`] × the arc examinations of the most recent
 //!    cost-scaling solve. It works on its own compact copy of the residual
 //!    network, kept in the solver between rounds (see [`relaxation`]), and
-//!    writes the flow back into the graph unless it fails.
+//!    writes the flow back into the graph unless it fails or spends its
+//!    budget.
 //! 4. **Fallback.** Relaxation spent its budget: cold cost scaling resets
 //!    the flow and solves the round, and its work becomes the new
 //!    reference.
+//!
+//! A failed hedged round leaves the graph as it came: a failed or
+//! over-budget relaxation run writes nothing back, and when cold cost
+//! scaling fails (steps 2 and 4) the flow the graph carried before the
+//! call is put back.
 //!
 //! Work is counted in arc examinations ([`SolveStats::arc_scans`]), which
 //! both algorithms count the same way, so the choice depends on the graph
@@ -62,7 +68,7 @@ use crate::cost_scaling;
 use crate::incremental::{IncrementalConfig, IncrementalCostScaling};
 use crate::relaxation::{self, Budgeted, RelaxationConfig, Workspace};
 use firmament_flow::delta::DeltaBatch;
-use firmament_flow::FlowGraph;
+use firmament_flow::{ArcId, FlowGraph};
 use std::time::{Duration, Instant};
 
 /// The hedge's budget multiplier `K`: relaxation may examine `K` times as
@@ -321,7 +327,7 @@ impl DualSolver {
             .cs_reference
             .map(|reference| HEDGE_WORK_FACTOR.saturating_mul(reference));
         if let Some(budget) = work_budget {
-            match relaxation::solve_within(
+            match relaxation::attempt_within(
                 &mut graph,
                 opts,
                 &self.config.relaxation,
@@ -350,7 +356,11 @@ impl DualSolver {
                 Err(e) => return Err((e, graph)),
             }
         }
-        // Steps 2 and 4: cold cost scaling, which resets the flow.
+        // Steps 2 and 4: cold cost scaling, which resets the flow. The
+        // graph still holds the flow it came with (an over-budget attempt
+        // writes nothing back); if cost scaling fails too, that flow goes
+        // back, so the round fails closed.
+        let before = nonzero_flows(&graph);
         match cost_scaling::solve_with(&mut graph, opts, &self.config.incremental.cost_scaling) {
             Ok(mut sol) => {
                 if !sol.terminated_early {
@@ -369,7 +379,13 @@ impl DualSolver {
                     fell_back: work_budget.is_some(),
                 })
             }
-            Err(e) => Err((e, graph)),
+            Err(e) => {
+                graph.reset_flow();
+                for (arc, flow) in before {
+                    graph.set_flow(arc, flow);
+                }
+                Err((e, graph))
+            }
         }
     }
 
@@ -540,6 +556,16 @@ fn reprice_only_quiescent(graph: &FlowGraph, batch: &DeltaBatch) -> bool {
         }
         _ => false,
     })
+}
+
+/// Every flow-carrying arc pair with its flow, for putting a flow back
+/// after a failed cost-scaling solve.
+fn nonzero_flows(graph: &FlowGraph) -> Vec<(ArcId, i64)> {
+    graph
+        .arc_ids()
+        .map(|a| (a, graph.flow(a)))
+        .filter(|&(_, f)| f != 0)
+        .collect()
 }
 
 #[cfg(test)]
@@ -973,7 +999,10 @@ mod tests {
     /// A relaxation run that fails — cancelled, or infeasible — drops its
     /// copy unwritten: the graph comes back bit-identical to its state
     /// before the call, under `Hedged` (relaxation runs once the solver has
-    /// history), `RelaxationOnly` and `relaxation::solve`.
+    /// history), `RelaxationOnly` and `relaxation::solve`. A hedged round
+    /// whose cold cost scaling fails — with no history (step 2), or after
+    /// relaxation spent its budget (step 4) — gives the graph back
+    /// bit-identical too.
     #[test]
     fn a_failed_relaxation_leaves_the_graph_untouched() {
         let token = CancelToken::new();
@@ -1013,6 +1042,46 @@ mod tests {
             let err = crate::relaxation::solve(&mut g, &opts).expect_err("the run fails");
             assert_eq!(err, expected);
             assert_eq!(format!("{g:?}"), before, "relaxation::solve: {expected:?}");
+        }
+
+        // 50 tasks on 5 machines × 4 slots, solved, then the unscheduled →
+        // sink arc cut to 10 units: 20 units cannot be routed. Relaxation
+        // alone runs for minutes before it proves that, so only the hedge's
+        // budget (given by the history solve) bounds the run.
+        let cut = {
+            let spec = InstanceSpec {
+                machines: 5,
+                ..InstanceSpec::default()
+            };
+            let inst = scheduling_instance(36, &spec);
+            let mut g = inst.graph;
+            crate::cost_scaling::solve(&mut g, &SolveOptions::unlimited()).unwrap();
+            let arc = g
+                .adj(inst.unscheduled)
+                .iter()
+                .copied()
+                .find(|&a| a.is_forward() && g.dst(a) == inst.sink)
+                .unwrap();
+            g.set_arc_capacity(arc, 10).unwrap();
+            g
+        };
+        for (graph, history) in [
+            (unroutable_graph_with_flow(), false),
+            (cut.clone(), false),
+            (cut, true),
+        ] {
+            let before = format!("{graph:?}");
+            let mut solver = solver(SolverKind::Hedged);
+            if history {
+                solver
+                    .solve_owned_with_deltas(feasible(), None, &SolveOptions::unlimited())
+                    .unwrap();
+            }
+            let (err, back) = solver
+                .solve_owned_with_deltas(graph, None, &SolveOptions::unlimited())
+                .expect_err("the run fails");
+            assert_eq!(err, SolveError::Infeasible, "history {history}");
+            assert_eq!(format!("{back:?}"), before, "history {history}");
         }
     }
 

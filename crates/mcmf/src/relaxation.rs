@@ -49,7 +49,10 @@
 //! infeasible — drops its copy without writing it back, so the graph is
 //! exactly as it was before the call. A run that finishes writes its flow
 //! back, and so does one that stops early on a limit: an iteration or time
-//! limit, or a scan budget, leaves its pseudoflow in the graph.
+//! limit, or a scan budget, leaves its pseudoflow in the graph. The one
+//! exception is the hedge's budgeted attempt (`attempt_within`), which
+//! drops the copy of a run that spends its budget too: the hedge then
+//! solves with cold cost scaling, which discards any starting flow.
 
 use crate::common::{
     AlgorithmKind, Budget, BudgetStop, Solution, SolveError, SolveOptions, SolveStats,
@@ -192,6 +195,33 @@ pub(crate) fn solve_within(
     scan_budget: u64,
     work: &mut Workspace,
 ) -> Result<Budgeted, SolveError> {
+    solve_cold(graph, opts, config, scan_budget, work, true)
+}
+
+/// As [`solve_within`], except that a run which spends its budget drops
+/// its copy unwritten, as a failed run does: the graph keeps the flow it
+/// had before the call, and the [`Budgeted::OverBudget`] solution's
+/// objective is that flow's.
+pub(crate) fn attempt_within(
+    graph: &mut FlowGraph,
+    opts: &SolveOptions,
+    config: &RelaxationConfig,
+    scan_budget: u64,
+    work: &mut Workspace,
+) -> Result<Budgeted, SolveError> {
+    solve_cold(graph, opts, config, scan_budget, work, false)
+}
+
+/// The cold start of [`solve_within`] and [`attempt_within`]; see [`run`]
+/// for `write_over_budget`.
+fn solve_cold(
+    graph: &mut FlowGraph,
+    opts: &SolveOptions,
+    config: &RelaxationConfig,
+    scan_budget: u64,
+    work: &mut Workspace,
+    write_over_budget: bool,
+) -> Result<Budgeted, SolveError> {
     let budget = Budget::new(opts);
     work.reset(graph.node_bound());
     // A flowless start: every node's excess is its supply.
@@ -205,7 +235,7 @@ pub(crate) fn solve_within(
         return Err(SolveError::UnbalancedSupply { total });
     }
     graph.fill_csr(&mut work.csr, true);
-    run(graph, config, scan_budget, budget, work)
+    run(graph, config, scan_budget, budget, work, write_over_budget)
 }
 
 /// A warm start: treats the graph's current flow as the starting
@@ -231,7 +261,7 @@ pub(crate) fn solve_from(
     work.pot.copy_from_slice(&pot[..n]);
     work.excess = graph.excesses();
     graph.fill_csr(&mut work.csr, false);
-    let r = run(graph, config, scan_limit, budget, &mut work);
+    let r = run(graph, config, scan_limit, budget, &mut work, true);
     if r.is_ok() {
         pot[..n].copy_from_slice(&work.pot);
     }
@@ -286,13 +316,15 @@ fn charge(stats: &mut SolveStats, len: usize, limit: u64) -> bool {
 /// The engine, on the filled copy in `work` with prices `work.pot` and
 /// excesses `work.excess`: repairs complementary slackness and drives all
 /// excess to the deficits, within `scan_limit` arc examinations. Writes the
-/// flow back into `graph` unless the run fails.
+/// flow back into `graph` unless the run fails, or spends `scan_limit`
+/// without `write_over_budget`.
 fn run(
     graph: &mut FlowGraph,
     config: &RelaxationConfig,
     scan_limit: u64,
     mut budget: Budget,
     work: &mut Workspace,
+    write_over_budget: bool,
 ) -> Result<Budgeted, SolveError> {
     let Workspace {
         csr,
@@ -446,7 +478,11 @@ fn run(
         }
     };
     stats.iterations = budget.iterations;
-    let objective = graph.write_back_csr(csr);
+    let objective = if over_budget && !write_over_budget {
+        graph.objective()
+    } else {
+        graph.write_back_csr(csr)
+    };
     let sol = Solution {
         algorithm: AlgorithmKind::Relaxation,
         objective,

@@ -75,10 +75,17 @@
 //!    without a feed is a cold solve.
 //! 5. **Adopt.** [`core::FlowGraphManager::adopt_graph`] installs the
 //!    solved flow, from which the next round starts.
-//! 6. **Extract.** [`core::extract_placements`] (Listing 1) reads each
-//!    task's placement off the optimal flow.
-//! 7. **Diff.** The placements are diffed against the cluster state into
-//!    [`core::SchedulingAction`]s (preemptions first), in task-id order.
+//! 6. **Extract.** Listing 1 walks the flow back from the machines and
+//!    leaves each task node's machine in a dense vector indexed by node.
+//!    [`core::extract_placements`] wraps the same walk into a map keyed
+//!    by task id for callers outside the round.
+//! 7. **Diff.** The round walks the manager's task table
+//!    ([`core::TaskTable`]) in task-id order and turns the extracted
+//!    machines into [`core::SchedulingAction`]s (preemptions first). Each
+//!    entry records the machine the fed events left its task running on;
+//!    a task whose extracted machine equals it needs no action and is not
+//!    looked up. Only the others are matched against the cluster state,
+//!    which must reflect exactly the events fed.
 //!
 //! Per-round telemetry is on [`core::RoundOutcome::solver`].
 

@@ -28,7 +28,11 @@
 //! After every round it also checks the manager's task table against the
 //! graph: each entry's node is the live node of that task, and its
 //! unscheduled arc is alive and runs from that node to its job's `U_j` —
-//! the arc a clock advance re-prices without looking it up.
+//! the arc a clock advance re-prices without looking it up. Each entry's
+//! running machine must be the task's machine in cluster state while it
+//! runs, and `None` otherwise — the record the scheduler's action diff
+//! trusts instead of looking the task up. The rebuilt manager's table is
+//! held to the same invariant.
 //!
 //! Failures print the model, seed, and round, so every divergence is a
 //! deterministic one-line reproduction.
@@ -340,7 +344,8 @@ fn rebuild<C: CostModel>(model: &C, state: &ClusterState) -> FlowGraphManager {
 
 /// The task table ↔ graph invariant: the table walks in strictly rising
 /// `TaskId` order, every entry names its task's live node and a live
-/// `T → U_j` arc out of it, and every task node in the graph has an entry.
+/// `T → U_j` arc out of it and the machine the task runs on in `state`,
+/// and every task node in the graph has an entry.
 fn assert_task_table(
     model: &str,
     seed: u64,
@@ -366,6 +371,9 @@ fn assert_task_table(
             base.unsched_nodes.get(&job).copied(),
             "{at}: arc head is not U_{job}"
         );
+        let t = &state.tasks[&task];
+        let running = t.machine.filter(|_| t.state == TaskState::Running);
+        assert_eq!(entry.running, running, "{at}: running machine");
     }
     let task_nodes = g
         .node_ids()
@@ -649,6 +657,7 @@ fn run_script<C: CostModel>(model: &C, seed: u64) {
             .unwrap_or_else(|e| panic!("{} seed {seed} round {round}: replay: {e}", model.name()));
         assert_replay_matches(model.name(), seed, round, &snapshot, mgr.graph());
         let fresh = rebuild(model, &state);
+        assert_task_table(model.name(), seed, round, &fresh, &state);
         let inc = canonical(mgr.graph());
         let scratch = canonical(fresh.graph());
         assert_eq!(
