@@ -73,9 +73,10 @@ pub struct TaskEntry {
 
 /// The task table: every task's [`TaskEntry`], kept sorted by `TaskId` in
 /// one contiguous buffer. Lookups binary-search it; a clock advance and
-/// the scheduler's action diff walk it in order. Task ids mostly arrive in ascending order, so an
-/// insert is usually a push; a removal leaves a tombstone, and the buffer
-/// is compacted once tombstones outnumber live entries (amortized O(1)).
+/// the scheduler's action diff walk it in order. Task ids mostly arrive
+/// in ascending order, so an insert is usually a push; a removal leaves a
+/// tombstone, and the buffer is compacted once tombstones outnumber live
+/// entries (amortized O(1)).
 /// A single buffer, rather than a tree of small nodes, also keeps the
 /// table's allocations from interleaving with the flow graph's per-node
 /// adjacency lists, which slows the solvers' graph walks.

@@ -323,7 +323,6 @@ impl<C: CostModel> Firmament<C> {
         let assignments = assign_machines(self.manager.graph());
         let tasks = &self.manager.base().task_table;
         let (actions, placed) = diff_placements(state, tasks, &assignments);
-        let unscheduled = tasks.len() - placed;
         self.rounds += 1;
         let cs = outcome.cs_stats.as_ref();
         Ok(RoundOutcome {
@@ -346,7 +345,7 @@ impl<C: CostModel> Firmament<C> {
             },
             objective: outcome.solution.objective,
             placed_tasks: placed,
-            unscheduled_tasks: unscheduled,
+            unscheduled_tasks: tasks.len() - placed,
             deferred_gang_jobs: self.manager.deferred_gang_jobs().to_vec(),
         })
     }
