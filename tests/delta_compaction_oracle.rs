@@ -9,6 +9,11 @@
 //! batches is exercised. Two 30-round `Firmament` runs — Quincy and the
 //! bucketed hierarchy — then compare every round's batch as the
 //! scheduler's own manager compacts it.
+//!
+//! Every batch of all four tests is also pinned by a digest (its raw
+//! length plus the `Debug` of its deltas, as in `delta_pins`), so a change
+//! to the graph's change log that the reference would follow must still
+//! emit the same batches.
 
 mod common;
 
@@ -407,6 +412,23 @@ fn reference_compact(changes: Vec<GraphChange>) -> (Vec<GraphDelta>, usize) {
     (deltas, raw_len)
 }
 
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn digest(batch: &DeltaBatch) -> u64 {
+    fnv1a(format!("{} {:?}", batch.raw_len(), batch.deltas()).as_bytes())
+}
+
+fn assert_pinned(what: &str, got: &[u64], want: &[u64]) {
+    if let Some(b) = (0..got.len().max(want.len())).find(|&b| got.get(b) != want.get(b)) {
+        panic!("{what}: batch {b} changed; recorded {want:#018x?}, got {got:#018x?}");
+    }
+}
+
 fn assert_same(batch: &DeltaBatch, changes: Vec<GraphChange>, what: &str) {
     let (deltas, raw_len) = reference_compact(changes);
     assert_eq!(batch.raw_len(), raw_len, "{what}: raw length");
@@ -520,6 +542,7 @@ fn compactor_matches_reference_on_random_streams() {
             g.add_arc(m, sink, 2, 0).unwrap();
         }
         let mut compactor = DeltaCompactor::default();
+        let mut digests = Vec::with_capacity(6);
         for batch in 0..6 {
             for _ in 0..(1 + rng.below(25)) {
                 mutate(&mut g, &mut rng, sink, &mut next_id);
@@ -530,8 +553,14 @@ fn compactor_matches_reference_on_random_streams() {
             }
             let got = compactor.compact(&changes);
             assert_same(&got, changes, &format!("seed {seed} batch {batch}"));
+            digests.push(digest(&got));
             load(&mut g, &mut rng);
         }
+        assert_pinned(
+            &format!("seed {seed}"),
+            &digests,
+            &RANDOM_STREAMS[seed as usize - 1],
+        );
     }
     assert_eq!(kinds.len(), 8, "every change kind must occur");
 }
@@ -548,8 +577,11 @@ fn compactor_matches_reference_on_targeted_stream() {
     let tm = g.add_arc(t, m, 1, 3).unwrap();
     let ms = g.add_arc(m, s, 2, 0).unwrap();
     let mut compactor = DeltaCompactor::default();
+    let mut digests = Vec::with_capacity(3);
     let changes = g.take_changes();
-    assert_same(&compactor.compact(&changes), changes, "build");
+    let batch = compactor.compact(&changes);
+    digests.push(digest(&batch));
+    assert_same(&batch, changes, "build");
 
     g.push_flow(tm, 1);
     g.push_flow(ms, 1);
@@ -568,6 +600,7 @@ fn compactor_matches_reference_on_targeted_stream() {
         .deltas()
         .iter()
         .any(|d| matches!(d, GraphDelta::FlowTouched { .. })));
+    digests.push(digest(&batch));
     assert_same(&batch, changes, "spill and reuse");
 
     // The slots touched above must read as untouched in the next batch.
@@ -575,14 +608,18 @@ fn compactor_matches_reference_on_targeted_stream() {
     g.set_arc_cost(again, 2).unwrap();
     g.remove_node(m).unwrap();
     let changes = g.take_changes();
-    assert_same(&compactor.compact(&changes), changes, "after reset");
+    let batch = compactor.compact(&changes);
+    digests.push(digest(&batch));
+    assert_same(&batch, changes, "after reset");
+    assert_pinned("targeted", &digests, &TARGETED);
 }
 
 /// Every round's batch of a 30-round run, as the scheduler's manager
-/// compacts it, against the reference over the same raw log. The
+/// compacts it, against the reference over the same raw log and against
+/// the pinned digests `want`. The
 /// relaxation-only solver keeps the run deterministic, and it ignores the
 /// batch, so taking the batch ahead of `schedule` changes nothing.
-fn assert_rounds_match_reference<C: CostModel>(model: C, what: &str) {
+fn assert_rounds_match_reference<C: CostModel>(model: C, what: &str, want: &[u64]) {
     let mut state = common::cluster(24, 4, 6);
     let config = DualConfig {
         kind: SolverKind::RelaxationOnly,
@@ -592,6 +629,7 @@ fn assert_rounds_match_reference<C: CostModel>(model: C, what: &str) {
     common::register(&state, &mut f);
     let mut rng = XorShift64::new(0x0AC1E);
     let mut structural = 0;
+    let mut digests = Vec::with_capacity(30);
     for round in 0..30u64 {
         let mut running: Vec<u64> = state.running_tasks().map(|t| t.id).collect();
         running.sort_unstable();
@@ -620,17 +658,23 @@ fn assert_rounds_match_reference<C: CostModel>(model: C, what: &str) {
             .iter()
             .filter(|d| matches!(d, GraphDelta::NodeRemoved { .. }))
             .count();
+        digests.push(digest(&batch));
         assert_same(&batch, raw, &format!("{what} round {round}"));
         let out = f.schedule(&state).unwrap();
         assert_eq!(out.solver.raw_changes, 0, "{what} round {round}");
         common::apply(&mut state, &mut f, &out.actions);
     }
     assert!(structural > 30, "{what}: the run must churn");
+    assert_pinned(what, &digests, want);
 }
 
 #[test]
 fn compactor_matches_reference_over_quincy_rounds() {
-    assert_rounds_match_reference(QuincyCostModel::new(QuincyConfig::default()), "quincy");
+    assert_rounds_match_reference(
+        QuincyCostModel::new(QuincyConfig::default()),
+        "quincy",
+        &QUINCY_ROUNDS,
+    );
 }
 
 #[test]
@@ -638,5 +682,397 @@ fn compactor_matches_reference_over_bucketed_hierarchy_rounds() {
     assert_rounds_match_reference(
         HierarchicalTopologyCostModel::bucketed(),
         "bucketed hierarchy",
+        &HIERARCHY_ROUNDS,
     );
 }
+
+const RANDOM_STREAMS: [[u64; 6]; 40] = [
+    [
+        0x013cb683fce144df,
+        0x85c5e3f802fc6f35,
+        0xc54d693a86a4c32a,
+        0xe054208e6f8c6874,
+        0x411e334eb1b66950,
+        0x2fde82bda0e3bb63,
+    ],
+    [
+        0xfe465dfe8b6fa1af,
+        0xa9cdfdb1f0b4920e,
+        0xad906fd8f7a9aa63,
+        0xb1f26f7a34e1d233,
+        0x54dfd30c19fa06f1,
+        0x4309be87c567bd87,
+    ],
+    [
+        0x58fb6df91a4057f8,
+        0x9b81466135f92913,
+        0xd74ea7541815523b,
+        0x9660b8a753014727,
+        0x1df12b3577a364bc,
+        0xe2d42d11969522ca,
+    ],
+    [
+        0x051c5e84383ed431,
+        0xf399db716f8d2806,
+        0x125fff63f8d94c43,
+        0x528066b3385d3c42,
+        0x6d3050a01365f41b,
+        0xc2e9f7c8c1461a69,
+    ],
+    [
+        0x35305529826bd7d3,
+        0xdec600d580122866,
+        0x4856185d78b00705,
+        0xbf4bcb67fea814d7,
+        0x0665daea735139ca,
+        0x1ce51d9557efae55,
+    ],
+    [
+        0x4c59f672eb00f960,
+        0x58c4767e224b63c2,
+        0xdb6def6a274bb415,
+        0xcffef1ed8578c18e,
+        0xf45e3f8c80b581e1,
+        0x86280517dbdc434e,
+    ],
+    [
+        0xe1e420241a416aac,
+        0x4ce5679f305bea58,
+        0xf7d72329286816fa,
+        0x781586aa1369f15f,
+        0x5ff2c9ce68ae796a,
+        0x2e2c57b9bc96c65a,
+    ],
+    [
+        0xe89d32a6dbf02958,
+        0x2fd40bd43f066b62,
+        0x6602f26d9445af0f,
+        0x319ea1259760e661,
+        0xdc58af02e63fffe5,
+        0xea52908b8a1da8df,
+    ],
+    [
+        0x84f067b3e343ab72,
+        0xc016f92978251211,
+        0xa18ad076edc62f26,
+        0x52849a68bb560dbd,
+        0xc8a28e78234872cd,
+        0x8fee2b42fd8346da,
+    ],
+    [
+        0x65e1d43c7e5cb666,
+        0x3eba4ce623b1531f,
+        0xc323b22029a122fc,
+        0x10569dc6b21b5c20,
+        0xc3f9d145fe130c77,
+        0xe1e256ae4929acd1,
+    ],
+    [
+        0xcd221714d461f5ec,
+        0xc1fa14f632f7166b,
+        0x8d90085a09540e8f,
+        0x28b1a57d260055df,
+        0xa422af1ad2fe3a93,
+        0x05c677c238c65ea8,
+    ],
+    [
+        0xb6a1d67a45f0b1bb,
+        0x64abaf6ca0fd9a24,
+        0xc2453e074375bc3d,
+        0x00c0cd1c2bb76d7c,
+        0x514abd6f93b5023e,
+        0x43b152c9256bcb87,
+    ],
+    [
+        0x3b9b57a76e2e5afa,
+        0x47cb373d47487324,
+        0x564629677a005f54,
+        0x5f0a2129de83293b,
+        0x237b5b0b60b6049a,
+        0x1ca377629c2dd34b,
+    ],
+    [
+        0x83859c655deb001d,
+        0x65505324edf3a40f,
+        0xb8d2a5102e8a1d9f,
+        0xde30a31b2e0cba7b,
+        0xe68115344fe58440,
+        0x3873febc319393ef,
+    ],
+    [
+        0xb67359f3b1ab9c2e,
+        0xb75171cdb29064b6,
+        0x2016a776a95ef306,
+        0xdc58af02e63fffe5,
+        0x09adb882b41813b6,
+        0xb53b100de8f20940,
+    ],
+    [
+        0x61fe441b1f730789,
+        0x9f0f70652bb26cd9,
+        0xeed76e7ba92d0a35,
+        0xcbb043b673f9d2dc,
+        0xded0463885148765,
+        0xcc051dc5ca70cee2,
+    ],
+    [
+        0x7e1019d87083e2e0,
+        0xf2b1da136299d591,
+        0x7cbd797b76563f77,
+        0x34b72eb75e7ac721,
+        0x82be72592d8e17e2,
+        0x86d72d4a5c6a4433,
+    ],
+    [
+        0x8ddcf4e44f81beb7,
+        0x47069c437f75c418,
+        0x73df339eccd635cf,
+        0x115a59e51bf88f5d,
+        0x534aca21e15ba841,
+        0xf13b9db735e585c7,
+    ],
+    [
+        0x682b6a3ea270b32f,
+        0x20a83371dac7d330,
+        0xd7f7412169c744d4,
+        0x1629d441fac8db8d,
+        0x971d1680d4e1c033,
+        0xe6091c2a836fc7ad,
+    ],
+    [
+        0x25854cc39d69f1bb,
+        0x2f60671a54f6c606,
+        0x4fb52b895b7cd27b,
+        0x655bb372e33ca4cd,
+        0x5360d40b41b50276,
+        0x97cf4129c5214f8f,
+    ],
+    [
+        0xb67359f3b1ab9c2e,
+        0x32f7cde9bc270077,
+        0x316d4193479b50dc,
+        0xb0eabd6c89ec0f8d,
+        0xf3a11b7b4e9be760,
+        0xd417c59a9158c5fb,
+    ],
+    [
+        0xc6dc3822bbe0a637,
+        0x63c3a6e6695da925,
+        0xd0aa373ae2efb6b5,
+        0x40ce7ccfc504aa50,
+        0xe1b070175e33690e,
+        0xc2889636904fde43,
+    ],
+    [
+        0xf4169479fd4358fd,
+        0x300c68d03fd7e1e1,
+        0x843cde23f79c45db,
+        0x0ad150ed71193da8,
+        0x30468ae3399dc2c6,
+        0x25ac0d7d72605a7a,
+    ],
+    [
+        0xe756e0e97fe59ef4,
+        0x5278c0609a0825b3,
+        0x0aef5a61e4b38014,
+        0x1e7ec7676cc0d194,
+        0xefb4b30df646b137,
+        0xd7a1ac53960bb1c7,
+    ],
+    [
+        0xa07926eca2b53e49,
+        0x090dc4f0edfd7b9d,
+        0xafed2d66092c2f81,
+        0x8ca54639410aa232,
+        0x6e7515cae6061f9b,
+        0x49190583ce3ce3dc,
+    ],
+    [
+        0x28d28630a73cde6f,
+        0xd68ba7fac8dd9440,
+        0x3a45ae032d4a83be,
+        0x3b5d3ef8d105b9d5,
+        0x6279881bcc2abd8f,
+        0xb669a2f69c70642f,
+    ],
+    [
+        0xfb485ecdd3f6aedc,
+        0x30c99635417a1555,
+        0xa012230af4f2d9e7,
+        0xf821cfacd3022d51,
+        0x3c49751471b9f17b,
+        0xbe41485b73b6ab6d,
+    ],
+    [
+        0x59431cd82080366e,
+        0x247c3f76ff49225f,
+        0x2d6e005b2d013d36,
+        0x5830ec7b1d15fad8,
+        0x1b99d38ec1a7747a,
+        0x40353e02f1da817c,
+    ],
+    [
+        0x95af030f6f87bfe6,
+        0x8101abac9a0112e3,
+        0xa38c312255fa1d0f,
+        0x699851986eef2b64,
+        0xa9b4021da4ac1bfd,
+        0x3c56ac8356f6f8f3,
+    ],
+    [
+        0x9e6b4fe63f3214be,
+        0x2e6f5df4b8ff52b7,
+        0x74599981e0d83125,
+        0xdb0ce162868b66dd,
+        0x56ae23487ea4206f,
+        0x92c5549c5235f8e6,
+    ],
+    [
+        0xc82fa98a7a0c87d1,
+        0xf3cb465648638326,
+        0xf68d8948e453d7f6,
+        0x4d6c9de032e1522c,
+        0xb83e89c6604a2499,
+        0x87932ce79b967f2a,
+    ],
+    [
+        0xa3a086fff76458fd,
+        0xcd407942935dc456,
+        0x4c8c3109d482bbd1,
+        0x5ebb0537312ba76e,
+        0xc0d8f675d3739df6,
+        0x324ac971953eef9a,
+    ],
+    [
+        0x9e5729441ed8de8d,
+        0xa0e7a46d9e021284,
+        0xa8bc0bb268318dee,
+        0x8a864cad3e326ab9,
+        0x92fa55edcde2ee75,
+        0x46bf45c268a84fe5,
+    ],
+    [
+        0xf253bbd592f248fd,
+        0xbca1f24535620f81,
+        0xec5c96152f01241d,
+        0x2e02cb9d834576fe,
+        0xb272ac524bf86c76,
+        0x599f93bbb943609a,
+    ],
+    [
+        0xb7b905feb739704b,
+        0xa60787ca2b70b4ff,
+        0xc6d0046ea75c233b,
+        0x4f92104e638cec87,
+        0x19d23ab99dbfc3df,
+        0x996bdab369058b13,
+    ],
+    [
+        0x2c1c64b0214c898d,
+        0x80e1e8b7592660eb,
+        0x87d4276ff5f6ad64,
+        0xefb4758e8c46da5f,
+        0xea58ff2523f89357,
+        0x97bc6dce26864b15,
+    ],
+    [
+        0x15b526295d25b6bb,
+        0x244781121ad870d6,
+        0xc61407382aeb0607,
+        0x1bc73941e50c35ab,
+        0xc1c2b3cfb50af066,
+        0x9ab5c742ff0a28a8,
+    ],
+    [
+        0x5848089055c65cd6,
+        0x42afc30f3f4a2646,
+        0x225e64ab18445cfd,
+        0xab5d3e8fd7e6497d,
+        0x7e6e8bdad89f7ea6,
+        0x963b61d174c274ae,
+    ],
+    [
+        0x36b0b8787d84a313,
+        0x1049d563b1791584,
+        0x256b64b4d238cc7e,
+        0xea74f1159d25767f,
+        0x8057cde49aeb3016,
+        0x9408c59c503aca66,
+    ],
+    [
+        0x8d0d95a447d7fa99,
+        0xfbafbd8e1f7beecf,
+        0x39f517dd4b0f0ce6,
+        0xe80c5f78327bc63c,
+        0x0f299285c1f5b8a7,
+        0x2904830a19de8614,
+    ],
+];
+
+const TARGETED: [u64; 3] = [0xaf41c3b6a84d0a24, 0x0c4fcc11b574fd09, 0x31e715dac5d33bc2];
+
+const QUINCY_ROUNDS: [u64; 30] = [
+    0xf3084e36b4d249f4,
+    0xea6fce7c781dcc77,
+    0x7331fb0e412fd198,
+    0x5acf214144cd2ad7,
+    0x18bb9a94be01fd02,
+    0x0c21ce21b5a7fda1,
+    0x9b940af851bc02ae,
+    0xf05d95e8e376c05f,
+    0x728611f571cfc492,
+    0xa2e8fb30cc979d46,
+    0x55ad927494c80ade,
+    0xb37064efb2f3e893,
+    0xfc8178a5aeccd68f,
+    0xab46f9cdea6b9e28,
+    0xa2f38cf2e96e1916,
+    0x5812e4a30e0c2037,
+    0x4f916825f56153a0,
+    0x04afb30ea0503466,
+    0x5140997f4b73f0e6,
+    0xe8b18b0740ec7a6d,
+    0x668cea9a3b1491bb,
+    0x0923550ac0b760c6,
+    0x54855e1960aee0c8,
+    0x8372674a5c8b9b8d,
+    0x395d522650bc8765,
+    0x45a7e16583b34eed,
+    0xabbcd9a77f3ec166,
+    0x4f9b47123dc08682,
+    0x852bd5215a4b08bd,
+    0x7cab838acb6976c0,
+];
+
+const HIERARCHY_ROUNDS: [u64; 30] = [
+    0xb2a6ab68e5d8e9f3,
+    0x42083540e9b6a68a,
+    0x96e546a268566951,
+    0x68e2379ed67ab9d8,
+    0xa0f190d54a93d391,
+    0x7e4942e18182e3bf,
+    0x67dc0897420b68ec,
+    0x4928e56ec4952a34,
+    0x7f96b1ffd04488b9,
+    0x34309dabe1180d42,
+    0xbda35a376015d314,
+    0x35dd87ce53259dfe,
+    0xa2bb5863283766f1,
+    0xf88628aa33e64ae1,
+    0x8866417dca48380d,
+    0xc3baba0217c262aa,
+    0x4c86650281fb75e6,
+    0xa7f968efcb691c0e,
+    0x23a992f9e8ef96f2,
+    0xe98f75db83059e51,
+    0xc4c37bba013af054,
+    0x7175fffee25a213d,
+    0x1ad8a69c6490007a,
+    0x8447a3e9100d8157,
+    0x20b843b3b59c6780,
+    0x63877acda59d9b2b,
+    0xda89ee3dc94cb555,
+    0x74d5d0414207acf5,
+    0xf2a830279c91ea1b,
+    0x69f1e338f20dfb61,
+];
