@@ -3,7 +3,6 @@
 //! `cargo bench --bench solvers`.
 
 use firmament_bench::{bench_case, bench_header};
-use firmament_flow::delta::DeltaBatch;
 use firmament_flow::testgen::{scheduling_instance, InstanceSpec};
 use firmament_mcmf::cost_scaling::{self, CostScalingConfig};
 use firmament_mcmf::incremental::IncrementalCostScaling;
@@ -98,7 +97,7 @@ fn bench_incremental() {
                     .set_arc_cost(arcs[k * 7], (k as i64) + 1)
                     .unwrap();
             }
-            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            let batch = inst.graph.take_deltas();
             (inst.graph, inc, batch)
         },
         |(mut g, mut inc, batch)| {

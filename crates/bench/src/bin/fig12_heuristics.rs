@@ -7,7 +7,6 @@
 use firmament_bench::{header, row, verdict, warmed_cluster, Scale};
 use firmament_cluster::{ClusterEvent, Job, JobClass, Task, TaskState};
 use firmament_core::Firmament;
-use firmament_flow::delta::DeltaBatch;
 use firmament_mcmf::incremental::{drain_task_flow, IncrementalConfig, IncrementalCostScaling};
 use firmament_mcmf::relaxation::{self, RelaxationConfig};
 use firmament_mcmf::SolveOptions;
@@ -64,7 +63,7 @@ fn main() {
         .solve_with_deltas(&mut base_graph, None, &SolveOptions::unlimited())
         .expect("base solve");
     base_graph.set_change_tracking(true);
-    base_graph.take_changes();
+    base_graph.take_deltas();
     // Complete 20% of running tasks — with and without the drain heuristic.
     let victims: Vec<u64> = state
         .tasks
@@ -95,7 +94,7 @@ fn main() {
                 }
             }
         }
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         inc.solve_with_deltas(&mut g, Some(&batch), &SolveOptions::unlimited())
             .expect("incremental")
             .runtime

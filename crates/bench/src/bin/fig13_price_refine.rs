@@ -12,7 +12,6 @@
 
 use firmament_bench::{header, row, verdict, warmed_cluster, Scale};
 use firmament_core::Firmament;
-use firmament_flow::delta::DeltaBatch;
 use firmament_mcmf::incremental::{IncrementalConfig, IncrementalCostScaling};
 use firmament_mcmf::{cost_scaling, relaxation, verify, SolveOptions};
 use firmament_policies::{QuincyConfig, QuincyCostModel};
@@ -41,13 +40,13 @@ fn main() {
         let arcs: Vec<_> = solved.arc_ids().collect();
         let mut changed = solved.clone();
         changed.set_change_tracking(true);
-        changed.take_changes();
+        changed.take_deltas();
         for k in 0..arcs.len() / 20 {
             let a = arcs[k * 20];
             let c = changed.cost(a);
             changed.set_arc_cost(a, (c + 17) % 90 + 1).expect("cost");
         }
-        let batch = DeltaBatch::compact(changed.take_changes());
+        let batch = changed.take_deltas();
         let mut reference = changed.clone();
         let cold = cost_scaling::solve(&mut reference, &SolveOptions::unlimited()).expect("cold");
 

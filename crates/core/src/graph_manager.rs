@@ -45,7 +45,7 @@
 //! bookkeeping below is written once instead of once per policy.
 
 use firmament_cluster::{ClusterEvent, ClusterState, JobId, MachineId, TaskId, Time};
-use firmament_flow::delta::{DeltaBatch, DeltaCompactor};
+use firmament_flow::delta::DeltaBatch;
 use firmament_flow::{ArcId, FlowGraph, NodeId, NodeKind};
 use firmament_mcmf::incremental::drain_task_flow;
 use firmament_policies::{AggregateId, ArcBundle, ArcSpec, ArcTarget, CostModel, PolicyError};
@@ -514,9 +514,6 @@ pub struct FlowGraphManager {
     /// suite would flag the divergence if one did.
     hierarchy_declared: bool,
     stats: RefreshStats,
-    /// Compacts each round's change log; kept across rounds so its
-    /// per-slot fold index is built once.
-    compactor: DeltaCompactor,
 }
 
 impl FlowGraphManager {
@@ -628,13 +625,13 @@ impl FlowGraphManager {
         self.stats
     }
 
-    /// Drains and compacts the graph changes recorded since the last call
-    /// — the typed feed the incremental solver warm-starts from. The
+    /// Takes the batch of graph changes folded since the last call — the
+    /// typed feed the incremental solver warm-starts from. The
     /// scheduler core calls this once per round, after the refresh and
     /// before [`take_graph`](Self::take_graph), so the batch covers
     /// exactly one handoff window.
     pub fn take_deltas(&mut self) -> DeltaBatch {
-        self.compactor.compact(&self.base.graph.take_changes())
+        self.base.graph.take_deltas()
     }
 
     /// Takes the graph out of the manager for an owned (zero-copy) solve.
@@ -3363,11 +3360,12 @@ mod tests {
     }
 
     /// Everything a rejected event must leave as it was: the graph (flow
-    /// included), its pending change log and the task table.
-    fn untouched(mgr: &FlowGraphManager) -> (String, Vec<firmament_flow::GraphChange>, TaskTable) {
+    /// and folded change log included), its pending change count and the
+    /// task table.
+    fn untouched(mgr: &FlowGraphManager) -> (String, usize, TaskTable) {
         (
             format!("{:?}", mgr.graph()),
-            mgr.graph().pending_changes().to_vec(),
+            mgr.graph().pending_changes(),
             mgr.base().task_table.clone(),
         )
     }

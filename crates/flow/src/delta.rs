@@ -1,27 +1,26 @@
 //! The typed graph change log handed from the graph owner to incremental
-//! solvers (§6.2–6.3): compaction of raw [`GraphChange`] streams into
-//! [`GraphDelta`] batches, and exact replay of a batch onto a snapshot.
+//! solvers (§6.2–6.3): [`GraphDelta`] batches, folded by the graph as it
+//! mutates, and exact replay of a batch onto a snapshot.
 //!
 //! # The change-log contract
 //!
 //! Three parties touch the log:
 //!
-//! - **The graph records.** A [`FlowGraph`] with change
-//!   tracking enabled appends one [`GraphChange`] per structural or pricing
-//!   mutation (node/arc add/remove, cost, capacity, supply). Flow pushes
-//!   are *not* recorded: between two solver handoffs every flow move the
-//!   graph owner makes (path drains, rebalancing) preserves conservation
-//!   except at nodes that also appear in the log, so the log plus the live
-//!   flow state is enough to find every node whose excess may be non-zero.
-//! - **The owner compacts and emits.** Whoever owns the graph (the
-//!   `FlowGraphManager` in `firmament-core`) drains the raw log once per
-//!   scheduling round — *after* applying events and the dirty-node cost
-//!   refresh, *before* handing the graph to the solver — and compacts it
-//!   with a [`DeltaCompactor`] it keeps across rounds. The compactor
-//!   finds each change's fold through a `u32` index per node and arc slot
-//!   instead of a hash lookup, and resets only the slots a batch touched,
-//!   so a round's compaction costs O(raw changes).
-//!   [`DeltaBatch::compact`] is the one-shot form for everyone else.
+//! - **The graph folds.** A [`FlowGraph`] with change tracking enabled
+//!   folds each structural or pricing mutation (node/arc add/remove, cost,
+//!   capacity, supply) into its entity's state for the current batch as
+//!   the mutation happens, by the rules below. It finds the entity's fold
+//!   through a `u32` index per node and arc slot instead of a hash lookup,
+//!   and resets only the slots a batch touched, so a batch costs
+//!   O(changes). Flow pushes are *not* recorded: between two solver
+//!   handoffs every flow move the graph owner makes (path drains,
+//!   rebalancing) preserves conservation except at nodes the batch also
+//!   names, so the batch plus the live flow state is enough to find every
+//!   node whose excess may be non-zero.
+//! - **The owner takes.** Whoever owns the graph (the `FlowGraphManager`
+//!   in `firmament-core`) takes the batch with [`FlowGraph::take_deltas`]
+//!   once per scheduling round — *after* applying events and the
+//!   dirty-node cost refresh, *before* handing the graph to the solver.
 //! - **The solver consumes.** An incremental solver warm-starts from the
 //!   batch alone: the touched-node set, the reduced-cost violations, and
 //!   the feasibility damage are all derivable from the deltas plus
@@ -53,16 +52,15 @@
 //! the live graph, not the log), so replayed capacity clamps may spill
 //! differently than the live sequence did.
 
-use crate::changes::GraphChange;
 use crate::graph::{FlowGraph, GraphError};
 use crate::ids::{ArcId, NodeId};
 use crate::node::NodeKind;
 
 /// One compacted graph change, as consumed by incremental solvers.
 ///
-/// Unlike the raw [`GraphChange`] stream, a batch of `GraphDelta`s contains
-/// at most one structural entry per surviving entity and no entries at all
-/// for entities whose round trip (add then remove) cancelled out.
+/// A batch of `GraphDelta`s contains at most one structural entry per
+/// surviving entity and no entries at all for entities whose round trip
+/// (add then remove) cancelled out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphDelta {
     /// A node exists now that did not exist at the last handoff.
@@ -143,8 +141,8 @@ pub enum GraphDelta {
         flow_spilled: i64,
     },
     /// Flow was moved at this surviving node outside a solver run (a
-    /// recorded [`GraphChange::FlowDisturbed`] marker, e.g. the terminus
-    /// of a §5.3.2 drain), so its excess must be re-derived even though no
+    /// [`FlowGraph::note_flow_disturbance`] marker, e.g. the terminus of a
+    /// §5.3.2 drain), so its excess must be re-derived even though no
     /// structural delta names it. No replayable effect.
     FlowTouched {
         /// The node whose conservation may have been broken.
@@ -153,7 +151,7 @@ pub enum GraphDelta {
 }
 
 /// Per-node compaction state machine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct NodeFold {
     /// Did the node exist before the batch? Decided by the first op seen:
     /// `AddNode` first means it did not, anything else means it did.
@@ -177,7 +175,7 @@ struct NodeFold {
 type RemovedArc = (NodeId, NodeId, i64, i64, i64);
 
 /// Per-arc compaction state machine (keyed by forward id).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ArcFold {
     existed_before: bool,
     alive: bool,
@@ -204,7 +202,7 @@ struct ArcFold {
 /// # Examples
 ///
 /// ```
-/// use firmament_flow::delta::{DeltaBatch, GraphDelta};
+/// use firmament_flow::delta::GraphDelta;
 /// use firmament_flow::{FlowGraph, NodeKind};
 ///
 /// let mut g = FlowGraph::new();
@@ -217,7 +215,7 @@ struct ArcFold {
 /// let ghost = g.add_node(NodeKind::Other { tag: 9 }, 0);
 /// g.remove_node(ghost).unwrap();
 ///
-/// let batch = DeltaBatch::compact(g.take_changes());
+/// let batch = g.take_deltas();
 /// assert_eq!(batch.raw_len(), 6);
 /// // Two node adds + one arc add (with the final cost folded in).
 /// assert_eq!(batch.len(), 3);
@@ -238,13 +236,6 @@ impl DeltaBatch {
         DeltaBatch::default()
     }
 
-    /// Compacts a raw change stream into a typed delta batch with a fresh
-    /// [`DeltaCompactor`]. A graph owner compacting every round should keep
-    /// one compactor instead, so its slot index is built once.
-    pub fn compact(changes: Vec<GraphChange>) -> Self {
-        DeltaCompactor::default().compact(&changes)
-    }
-
     /// The compacted deltas, in replay (dependency) order.
     pub fn deltas(&self) -> &[GraphDelta] {
         &self.deltas
@@ -260,7 +251,8 @@ impl DeltaBatch {
         self.deltas.is_empty()
     }
 
-    /// Number of raw change-log entries this batch was compacted from.
+    /// Number of changes the graph recorded for this batch, before
+    /// folding.
     pub fn raw_len(&self) -> usize {
         self.raw_len
     }
@@ -326,8 +318,9 @@ impl DeltaBatch {
 /// Marks a node or arc slot with no fold in the current batch.
 const UNTOUCHED: u32 = u32::MAX;
 
-/// The compaction engine behind [`DeltaBatch::compact`], kept alive by a
-/// graph owner across batches.
+/// The change log a tracking [`FlowGraph`] keeps: each mutation is folded
+/// into its entity's per-batch state as it happens (see the module docs
+/// for the rules), and [`take`](Self::take) emits the batch.
 ///
 /// Each node slot and each arc pair slot holds a `u32` index into a dense
 /// vector of folds for the entities the current batch touched, so a
@@ -335,37 +328,22 @@ const UNTOUCHED: u32 = u32::MAX;
 /// the only state kept between batches — 4 bytes per slot — and after a
 /// batch only the touched slots are reset. The folds themselves live for
 /// one batch, so a burst (a cold start's whole graph) does not pin its
-/// high-water mark. Arcs are named by their forward id, as [`FlowGraph`]
-/// records them.
-///
-/// # Examples
-///
-/// ```
-/// use firmament_flow::delta::{DeltaBatch, DeltaCompactor};
-/// use firmament_flow::{FlowGraph, NodeKind};
-///
-/// let mut g = FlowGraph::new();
-/// g.set_change_tracking(true);
-/// let mut compactor = DeltaCompactor::default();
-/// let t = g.add_node(NodeKind::Task { task: 0 }, 1);
-/// let s = g.add_node(NodeKind::Sink, -1);
-/// let a = g.add_arc(t, s, 1, 5).unwrap();
-/// assert_eq!(compactor.compact(&g.take_changes()).len(), 3);
-///
-/// g.set_arc_cost(a, 7).unwrap();
-/// g.set_arc_cost(a, 9).unwrap();
-/// let changes = g.take_changes();
-/// let batch = compactor.compact(&changes);
-/// assert_eq!(batch, DeltaBatch::compact(changes));
-/// assert_eq!(batch.len(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct DeltaCompactor {
-    /// Node slot → index into the batch's node folds, or [`UNTOUCHED`].
+/// high-water mark. Arcs are named by their forward id.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChangeLog {
+    /// Node slot → index into `nodes`, or [`UNTOUCHED`].
     node_index: Vec<u32>,
-    /// Arc pair slot (forward id / 2) → index into the batch's arc folds,
-    /// or [`UNTOUCHED`].
+    /// Arc pair slot (forward id / 2) → index into `arcs`, or
+    /// [`UNTOUCHED`].
     arc_index: Vec<u32>,
+    /// Folds of the nodes touched this batch, in first-touch order.
+    nodes: Vec<(NodeId, NodeFold)>,
+    /// Folds of the arcs touched this batch, in first-touch order.
+    arcs: Vec<(ArcId, ArcFold)>,
+    /// Flow-disturbance markers: (sequence, node slot).
+    disturbed: Vec<(usize, u32)>,
+    /// Changes recorded this batch; the next change's sequence number.
+    seq: usize,
 }
 
 /// The fold for `slot`, created by `init` on its first touch this batch.
@@ -390,222 +368,207 @@ fn fold_at<'a, K: Copy, F>(
     &mut folds[i].1
 }
 
-impl DeltaCompactor {
-    /// Compacts one batch's raw change stream (see the module docs for the
-    /// rules). The result is identical to [`DeltaBatch::compact`]'s.
-    pub fn compact(&mut self, changes: &[GraphChange]) -> DeltaBatch {
-        // Folds of the entities touched this batch, in first-touch order.
-        let mut node_folds: Vec<(NodeId, NodeFold)> = Vec::new();
-        let mut arc_folds: Vec<(ArcId, ArcFold)> = Vec::new();
-        // Nodes with flow disturbances: (marker sequence, node slot).
-        let mut disturbed: Vec<(usize, u32)> = Vec::new();
-
-        for (seq, change) in changes.iter().enumerate() {
-            match *change {
-                GraphChange::FlowDisturbed { node } => {
-                    disturbed.push((seq, node.index() as u32));
-                }
-                GraphChange::AddNode { node, kind, supply } => {
-                    let f = fold_at(
-                        &mut self.node_index,
-                        &mut node_folds,
-                        node.index(),
-                        node,
-                        || NodeFold {
-                            existed_before: false,
-                            alive: false,
-                            kind: None,
-                            supply: 0,
-                            first_old_supply: 0,
-                            removed: None,
-                            added_seq: 0,
-                            supply_seq: 0,
-                        },
-                    );
-                    f.alive = true;
-                    f.kind = Some(kind);
-                    f.supply = supply;
-                    f.added_seq = seq;
-                }
-                GraphChange::RemoveNode { node, supply } => {
-                    let f = fold_at(
-                        &mut self.node_index,
-                        &mut node_folds,
-                        node.index(),
-                        node,
-                        || NodeFold {
-                            existed_before: true,
-                            alive: true,
-                            kind: None,
-                            supply,
-                            first_old_supply: supply,
-                            removed: None,
-                            added_seq: 0,
-                            supply_seq: 0,
-                        },
-                    );
-                    if f.kind.is_none() && f.existed_before && f.removed.is_none() {
-                        // Removing the pre-existing incarnation.
-                        f.removed = Some((seq, supply));
-                    }
-                    // Otherwise: a within-batch incarnation cancels.
-                    f.alive = false;
-                    f.kind = None;
-                }
-                GraphChange::SupplyChange { node, old, new } => {
-                    let f = fold_at(
-                        &mut self.node_index,
-                        &mut node_folds,
-                        node.index(),
-                        node,
-                        || NodeFold {
-                            existed_before: true,
-                            alive: true,
-                            kind: None,
-                            supply: old,
-                            first_old_supply: old,
-                            removed: None,
-                            added_seq: 0,
-                            supply_seq: 0,
-                        },
-                    );
-                    f.supply = new;
-                    f.supply_seq = seq;
-                }
-                GraphChange::AddArc {
-                    arc,
-                    src,
-                    dst,
-                    capacity,
-                    cost,
-                } => {
-                    let f = fold_at(
-                        &mut self.arc_index,
-                        &mut arc_folds,
-                        arc.index() / 2,
-                        arc,
-                        || ArcFold {
-                            existed_before: false,
-                            alive: false,
-                            endpoints: None,
-                            capacity: 0,
-                            cost: 0,
-                            first_old_cost: None,
-                            first_old_capacity: None,
-                            removed: None,
-                            spilled: 0,
-                            added_seq: 0,
-                            changed_seq: 0,
-                        },
-                    );
-                    f.alive = true;
-                    f.endpoints = Some((src, dst));
-                    f.capacity = capacity;
-                    f.cost = cost;
-                    f.added_seq = seq;
-                }
-                GraphChange::RemoveArc {
-                    arc,
-                    src,
-                    dst,
-                    capacity,
-                    cost,
-                    flow,
-                } => {
-                    let f = fold_at(
-                        &mut self.arc_index,
-                        &mut arc_folds,
-                        arc.index() / 2,
-                        arc,
-                        || ArcFold {
-                            existed_before: true,
-                            alive: true,
-                            endpoints: None,
-                            capacity,
-                            cost,
-                            first_old_cost: Some(cost),
-                            first_old_capacity: Some(capacity),
-                            removed: None,
-                            spilled: 0,
-                            added_seq: 0,
-                            changed_seq: 0,
-                        },
-                    );
-                    if f.endpoints.is_none() && f.existed_before && f.removed.is_none() {
-                        f.removed = Some((seq, (src, dst, capacity, cost, flow)));
-                    } else {
-                        // Within-batch incarnation cancels; the contract
-                        // guarantees it never carried flow (no solver runs
-                        // inside a batch window).
-                        debug_assert_eq!(
-                            flow, 0,
-                            "within-batch arc {arc} removed while carrying flow"
-                        );
-                    }
-                    f.alive = false;
-                    f.endpoints = None;
-                }
-                GraphChange::CostChange { arc, old, new } => {
-                    let f = fold_at(
-                        &mut self.arc_index,
-                        &mut arc_folds,
-                        arc.index() / 2,
-                        arc,
-                        || ArcFold {
-                            existed_before: true,
-                            alive: true,
-                            endpoints: None,
-                            capacity: 0,
-                            cost: old,
-                            first_old_cost: None,
-                            first_old_capacity: None,
-                            removed: None,
-                            spilled: 0,
-                            added_seq: 0,
-                            changed_seq: 0,
-                        },
-                    );
-                    if f.endpoints.is_none() && f.first_old_cost.is_none() {
-                        f.first_old_cost = Some(old);
-                    }
-                    f.cost = new;
-                    f.changed_seq = seq;
-                }
-                GraphChange::CapacityChange {
-                    arc,
-                    old,
-                    new,
-                    flow_spilled,
-                } => {
-                    let f = fold_at(
-                        &mut self.arc_index,
-                        &mut arc_folds,
-                        arc.index() / 2,
-                        arc,
-                        || ArcFold {
-                            existed_before: true,
-                            alive: true,
-                            endpoints: None,
-                            capacity: old,
-                            cost: 0,
-                            first_old_cost: None,
-                            first_old_capacity: None,
-                            removed: None,
-                            spilled: 0,
-                            added_seq: 0,
-                            changed_seq: 0,
-                        },
-                    );
-                    if f.endpoints.is_none() && f.first_old_capacity.is_none() {
-                        f.first_old_capacity = Some(old);
-                    }
-                    f.capacity = new;
-                    f.spilled += flow_spilled;
-                    f.changed_seq = seq;
-                }
-            }
+impl NodeFold {
+    /// A node first touched by anything but its addition existed before
+    /// the batch, with `supply`.
+    fn existing(supply: i64) -> Self {
+        NodeFold {
+            existed_before: true,
+            alive: true,
+            kind: None,
+            supply,
+            first_old_supply: supply,
+            removed: None,
+            added_seq: 0,
+            supply_seq: 0,
         }
+    }
+}
 
+impl ArcFold {
+    /// An arc first touched by anything but its addition existed before
+    /// the batch.
+    fn existing(capacity: i64, cost: i64) -> Self {
+        ArcFold {
+            existed_before: true,
+            alive: true,
+            endpoints: None,
+            capacity,
+            cost,
+            first_old_cost: None,
+            first_old_capacity: None,
+            removed: None,
+            spilled: 0,
+            added_seq: 0,
+            changed_seq: 0,
+        }
+    }
+}
+
+impl ChangeLog {
+    /// Number of changes recorded since the last [`take`](Self::take).
+    pub(crate) fn len(&self) -> usize {
+        self.seq
+    }
+
+    fn next_seq(&mut self) -> usize {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    fn node(&mut self, node: NodeId, init: impl FnOnce() -> NodeFold) -> &mut NodeFold {
+        fold_at(
+            &mut self.node_index,
+            &mut self.nodes,
+            node.index(),
+            node,
+            init,
+        )
+    }
+
+    fn arc(&mut self, arc: ArcId, init: impl FnOnce() -> ArcFold) -> &mut ArcFold {
+        fold_at(
+            &mut self.arc_index,
+            &mut self.arcs,
+            arc.index() / 2,
+            arc,
+            init,
+        )
+    }
+
+    /// A node was added (or restored) at `node`.
+    pub(crate) fn node_added(&mut self, node: NodeId, kind: NodeKind, supply: i64) {
+        let seq = self.next_seq();
+        let f = self.node(node, || NodeFold {
+            existed_before: false,
+            alive: false,
+            ..NodeFold::existing(0)
+        });
+        f.alive = true;
+        f.kind = Some(kind);
+        f.supply = supply;
+        f.added_seq = seq;
+    }
+
+    /// A node holding `supply` was removed; its incident arcs were
+    /// recorded as removed before it.
+    pub(crate) fn node_removed(&mut self, node: NodeId, supply: i64) {
+        let seq = self.next_seq();
+        let f = self.node(node, || NodeFold::existing(supply));
+        if f.kind.is_none() && f.existed_before && f.removed.is_none() {
+            // Removing the pre-existing incarnation.
+            f.removed = Some((seq, supply));
+        }
+        // Otherwise: a within-batch incarnation cancels.
+        f.alive = false;
+        f.kind = None;
+    }
+
+    /// A node's supply changed from `old` to `new`.
+    pub(crate) fn supply_changed(&mut self, node: NodeId, old: i64, new: i64) {
+        let seq = self.next_seq();
+        let f = self.node(node, || NodeFold::existing(old));
+        f.supply = new;
+        f.supply_seq = seq;
+    }
+
+    /// An arc pair was added (or restored) at `arc`.
+    pub(crate) fn arc_added(
+        &mut self,
+        arc: ArcId,
+        src: NodeId,
+        dst: NodeId,
+        capacity: i64,
+        cost: i64,
+    ) {
+        let seq = self.next_seq();
+        let f = self.arc(arc, || ArcFold {
+            existed_before: false,
+            alive: false,
+            ..ArcFold::existing(0, 0)
+        });
+        f.alive = true;
+        f.endpoints = Some((src, dst));
+        f.capacity = capacity;
+        f.cost = cost;
+        f.added_seq = seq;
+    }
+
+    /// An arc pair was removed while carrying `flow`.
+    pub(crate) fn arc_removed(
+        &mut self,
+        arc: ArcId,
+        src: NodeId,
+        dst: NodeId,
+        capacity: i64,
+        cost: i64,
+        flow: i64,
+    ) {
+        let seq = self.next_seq();
+        let f = self.arc(arc, || ArcFold {
+            first_old_cost: Some(cost),
+            first_old_capacity: Some(capacity),
+            ..ArcFold::existing(capacity, cost)
+        });
+        if f.endpoints.is_none() && f.existed_before && f.removed.is_none() {
+            f.removed = Some((seq, (src, dst, capacity, cost, flow)));
+        } else {
+            // Within-batch incarnation cancels; the contract guarantees it
+            // never carried flow (no solver runs inside a batch window).
+            debug_assert_eq!(
+                flow, 0,
+                "within-batch arc {arc} removed while carrying flow"
+            );
+        }
+        f.alive = false;
+        f.endpoints = None;
+    }
+
+    /// An arc's cost changed from `old` to `new`.
+    pub(crate) fn cost_changed(&mut self, arc: ArcId, old: i64, new: i64) {
+        let seq = self.next_seq();
+        let f = self.arc(arc, || ArcFold::existing(0, old));
+        if f.endpoints.is_none() && f.first_old_cost.is_none() {
+            f.first_old_cost = Some(old);
+        }
+        f.cost = new;
+        f.changed_seq = seq;
+    }
+
+    /// An arc's capacity changed from `old` to `new`, clamping `spilled`
+    /// units of flow off it.
+    pub(crate) fn capacity_changed(&mut self, arc: ArcId, old: i64, new: i64, spilled: i64) {
+        let seq = self.next_seq();
+        let f = self.arc(arc, || ArcFold::existing(old, 0));
+        if f.endpoints.is_none() && f.first_old_capacity.is_none() {
+            f.first_old_capacity = Some(old);
+        }
+        f.capacity = new;
+        f.spilled += spilled;
+        f.changed_seq = seq;
+    }
+
+    /// Flow was moved at `node` outside a solver run.
+    pub(crate) fn flow_disturbed(&mut self, node: NodeId) {
+        let seq = self.next_seq();
+        self.disturbed.push((seq, node.index() as u32));
+    }
+
+    /// Drops the batch without emitting it. Only the slots it touched are
+    /// reset, and the folds are freed.
+    pub(crate) fn clear(&mut self) {
+        for (node, _) in std::mem::take(&mut self.nodes) {
+            self.node_index[node.index()] = UNTOUCHED;
+        }
+        for (arc, _) in std::mem::take(&mut self.arcs) {
+            self.arc_index[arc.index() / 2] = UNTOUCHED;
+        }
+        self.disturbed = Vec::new();
+        self.seq = 0;
+    }
+
+    /// Emits the batch recorded since the last call and starts the next.
+    pub(crate) fn take(&mut self) -> DeltaBatch {
         // Emission in dependency order (see module docs); within each
         // category, by the sequence number of the defining operation, so
         // replay follows the live graph's slot-allocation history. Every
@@ -617,8 +580,7 @@ impl DeltaCompactor {
         let mut node_added: Vec<(usize, GraphDelta)> = Vec::new();
         let mut arc_added: Vec<(usize, GraphDelta)> = Vec::new();
         let mut mutated: Vec<(usize, GraphDelta)> = Vec::new();
-
-        for &(arc, ref f) in &arc_folds {
+        for &(arc, ref f) in &self.arcs {
             if let Some((seq, (src, dst, capacity, cost, flow))) = f.removed {
                 arc_removed.push((
                     seq,
@@ -686,7 +648,7 @@ impl DeltaCompactor {
                 }
             }
         }
-        for &(node, ref f) in &node_folds {
+        for &(node, ref f) in &self.nodes {
             if let Some((seq, _removal_supply)) = f.removed {
                 // Report the pre-batch supply, not the removal-time one:
                 // in-batch supply changes were absorbed into this entry,
@@ -732,12 +694,13 @@ impl DeltaCompactor {
         // Flow-disturbance markers survive for nodes still alive at the
         // end of the batch and not already covered by their own
         // added/removed entry.
+        let disturbed = &mut self.disturbed;
         disturbed.sort_unstable_by_key(|&(seq, n)| (n, seq));
         disturbed.dedup_by_key(|&mut (_, n)| n);
-        for (seq, raw) in disturbed {
+        for &(seq, raw) in disturbed.iter() {
             let dead_or_readded = match self.node_index.get(raw as usize) {
                 Some(&i) if i != UNTOUCHED => {
-                    let f = &node_folds[i as usize].1;
+                    let f = &self.nodes[i as usize].1;
                     !f.alive || f.kind.is_some()
                 }
                 _ => false,
@@ -752,24 +715,15 @@ impl DeltaCompactor {
             }
         }
 
-        // Lazy reset: only the slots this batch touched.
-        for &(node, _) in &node_folds {
-            self.node_index[node.index()] = UNTOUCHED;
-        }
-        for &(arc, _) in &arc_folds {
-            self.arc_index[arc.index() / 2] = UNTOUCHED;
-        }
-
+        let raw_len = self.seq;
+        self.clear();
         let mut buffers = [arc_removed, node_removed, node_added, arc_added, mutated];
         let mut deltas = Vec::with_capacity(buffers.iter().map(|v| v.len()).sum());
         for v in &mut buffers {
             v.sort_by_key(|(seq, _)| *seq);
             deltas.extend(v.drain(..).map(|(_, d)| d));
         }
-        DeltaBatch {
-            deltas,
-            raw_len: changes.len(),
-        }
+        DeltaBatch { deltas, raw_len }
     }
 }
 
@@ -814,14 +768,14 @@ mod tests {
         let mut g = tracked();
         let t = g.add_node(NodeKind::Task { task: 1 }, 1);
         let s = g.add_node(NodeKind::Sink, -1);
-        g.take_changes();
+        g.take_deltas();
         let snapshot = g.clone();
 
         let ghost = g.add_node(NodeKind::Other { tag: 5 }, 0);
         let a = g.add_arc(t, ghost, 1, 3).unwrap();
         g.set_arc_cost(a, 9).unwrap();
         g.remove_node(ghost).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert!(batch.is_empty(), "round-trip must cancel: {:?}", batch);
 
         let mut replayed = snapshot;
@@ -836,13 +790,13 @@ mod tests {
         let t = g.add_node(NodeKind::Task { task: 1 }, 1);
         let s = g.add_node(NodeKind::Sink, -1);
         let a = g.add_arc(t, s, 5, 3).unwrap();
-        g.take_changes();
+        g.take_deltas();
 
         g.set_arc_cost(a, 10).unwrap();
         g.set_arc_cost(a, 4).unwrap();
         g.set_arc_capacity(a, 2).unwrap();
         g.set_arc_capacity(a, 7).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(batch.len(), 2);
         assert!(batch.deltas().contains(&GraphDelta::CostChanged {
             arc: a,
@@ -864,18 +818,18 @@ mod tests {
         let s = g.add_node(NodeKind::Sink, -1);
         let a = g.add_arc(t, s, 5, 3).unwrap();
         g.push_flow(a, 4);
-        g.take_changes();
+        g.take_deltas();
 
         g.set_arc_cost(a, 10).unwrap();
         g.set_arc_cost(a, 3).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert!(batch.is_empty(), "netted cost change must vanish");
 
         // Capacity 5 → 1 (spills 3 units) → 5 again: the capacity netted
         // out but the spilled flow is real damage and must be reported.
         g.set_arc_capacity(a, 1).unwrap();
         g.set_arc_capacity(a, 5).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(
             batch.deltas(),
             &[GraphDelta::CapacityChanged {
@@ -893,12 +847,12 @@ mod tests {
         let t = g.add_node(NodeKind::Task { task: 1 }, 1);
         let s = g.add_node(NodeKind::Sink, -1);
         let a = g.add_arc(t, s, 5, 3).unwrap();
-        g.take_changes();
+        g.take_deltas();
         let snapshot = g.clone();
 
         g.set_arc_cost(a, 10).unwrap();
         g.remove_arc(a).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(batch.len(), 1);
         assert!(matches!(
             batch.deltas()[0],
@@ -917,7 +871,7 @@ mod tests {
         let s = g.add_node(NodeKind::Sink, -1);
         let tm = g.add_arc(t, m, 1, 2).unwrap();
         g.add_arc(m, s, 1, 0).unwrap();
-        g.take_changes();
+        g.take_deltas();
         let snapshot = g.clone();
 
         // Remove the machine (freeing its node slot and both arc pairs),
@@ -928,7 +882,7 @@ mod tests {
         assert_eq!(m2, m, "slot reuse expected");
         let tm2 = g.add_arc(t, m2, 3, 8).unwrap();
         assert!(tm2 == tm || g.arc_alive(tm2));
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
 
         let mut replayed = snapshot;
         batch.replay(&mut replayed).unwrap();
@@ -939,12 +893,12 @@ mod tests {
     fn reincarnated_node_emits_remove_then_add() {
         let mut g = tracked();
         let m = g.add_node(NodeKind::Machine { machine: 0 }, 0);
-        g.take_changes();
+        g.take_deltas();
 
         g.remove_node(m).unwrap();
         let m2 = g.add_node(NodeKind::Machine { machine: 7 }, 0);
         assert_eq!(m2, m);
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(batch.len(), 2);
         assert!(matches!(batch.deltas()[0], GraphDelta::NodeRemoved { .. }));
         assert!(matches!(
@@ -966,11 +920,11 @@ mod tests {
         let s = g.add_node(NodeKind::Sink, -1);
         let a = g.add_arc(t, s, 5, 3).unwrap();
         g.push_flow(a, 4);
-        g.take_changes();
+        g.take_deltas();
 
         g.set_arc_capacity(a, 0).unwrap(); // spills all 4 units
         g.remove_arc(a).unwrap(); // removal-time flow is 0
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert!(matches!(
             batch.deltas()[0],
             GraphDelta::ArcRemoved { flow: 0, .. }
@@ -995,13 +949,13 @@ mod tests {
         let mut g = tracked();
         let x = g.add_node(NodeKind::Task { task: 1 }, 3);
         let s = g.add_node(NodeKind::Sink, -3);
-        g.take_changes();
+        g.take_deltas();
 
         g.set_supply(x, 7).unwrap();
         g.set_supply(s, -7).unwrap();
         g.remove_node(x).unwrap();
         g.set_supply(s, 0).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         // Net supply delta across the batch: (removed x: -3) + (sink
         // -3 → 0: +3) = 0 — balanced, as the graph genuinely is.
         let mut delta = 0i64;
@@ -1020,10 +974,10 @@ mod tests {
     fn supply_changes_merge_end_to_end() {
         let mut g = tracked();
         let s = g.add_node(NodeKind::Sink, -3);
-        g.take_changes();
+        g.take_deltas();
         g.set_supply(s, -4).unwrap();
         g.set_supply(s, -6).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(
             batch.deltas(),
             &[GraphDelta::SupplyChanged {
@@ -1034,17 +988,17 @@ mod tests {
         );
         g.set_supply(s, -2).unwrap();
         g.set_supply(s, -6).unwrap();
-        assert!(DeltaBatch::compact(g.take_changes()).is_empty());
+        assert!(g.take_deltas().is_empty());
     }
 
     #[test]
     fn new_node_supply_folds_into_added() {
         let mut g = tracked();
         g.add_node(NodeKind::Sink, 0);
-        g.take_changes();
+        g.take_deltas();
         let t = g.add_node(NodeKind::Task { task: 3 }, 1);
         g.set_supply(t, 2).unwrap();
-        let batch = DeltaBatch::compact(g.take_changes());
+        let batch = g.take_deltas();
         assert_eq!(
             batch.deltas(),
             &[GraphDelta::NodeAdded {
@@ -1068,7 +1022,7 @@ mod tests {
                 g.add_arc(m, sink, 2, 0).unwrap();
                 machines.push(m);
             }
-            g.take_changes();
+            g.take_deltas();
             for round in 0..10 {
                 let snapshot = g.clone();
                 for _ in 0..(1 + rng.below(6)) {
@@ -1115,7 +1069,7 @@ mod tests {
                         }
                     }
                 }
-                let batch = DeltaBatch::compact(g.take_changes());
+                let batch = g.take_deltas();
                 let mut replayed = snapshot;
                 batch
                     .replay(&mut replayed)

@@ -26,8 +26,8 @@
 //! copy without writing it back, and the graph stays exactly as it was
 //! before the call.
 
-use crate::changes::GraphChange;
 use crate::csr::{CsrArc, ResidualCsr};
+use crate::delta::{ChangeLog, DeltaBatch};
 use crate::ids::{ArcId, NodeId};
 use crate::node::NodeKind;
 
@@ -96,7 +96,7 @@ impl ArcSlot {
 /// assert_eq!(g.flow(tm), 1);
 /// assert_eq!(g.objective(), 5);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowGraph {
     nodes: Vec<NodeSlot>,
     arcs: Vec<ArcSlot>,
@@ -107,40 +107,9 @@ pub struct FlowGraph {
     alive_nodes: usize,
     alive_arc_pairs: usize,
     track_changes: bool,
-    changes: Vec<GraphChange>,
-}
-
-/// `clone_from` reuses every buffer of the target — the node and arc
-/// arenas, each adjacency list, the free lists and the change log — so a
-/// graph cloned into the same spare every round allocates only for growth.
-impl Clone for FlowGraph {
-    fn clone(&self) -> Self {
-        FlowGraph {
-            nodes: self.nodes.clone(),
-            arcs: self.arcs.clone(),
-            adj: self.adj.clone(),
-            free_nodes: self.free_nodes.clone(),
-            free_arc_pairs: self.free_arc_pairs.clone(),
-            alive_nodes: self.alive_nodes,
-            alive_arc_pairs: self.alive_arc_pairs,
-            track_changes: self.track_changes,
-            changes: self.changes.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.nodes.clone_from(&source.nodes);
-        self.arcs.clone_from(&source.arcs);
-        // `Vec::clone_from` clones element-wise into the existing inner
-        // lists, so their allocations survive.
-        self.adj.clone_from(&source.adj);
-        self.free_nodes.clone_from(&source.free_nodes);
-        self.free_arc_pairs.clone_from(&source.free_arc_pairs);
-        self.alive_nodes = source.alive_nodes;
-        self.alive_arc_pairs = source.alive_arc_pairs;
-        self.track_changes = source.track_changes;
-        self.changes.clone_from(&source.changes);
-    }
+    /// The batch of changes since the last
+    /// [`take_deltas`](Self::take_deltas), folded as they happen.
+    log: ChangeLog,
 }
 
 /// Errors returned by graph mutations.
@@ -193,10 +162,11 @@ impl FlowGraph {
     }
 
     /// Enables or disables the change log consumed by incremental solvers.
+    /// Turning it off drops the pending batch.
     pub fn set_change_tracking(&mut self, on: bool) {
         self.track_changes = on;
         if !on {
-            self.changes.clear();
+            self.log.clear();
         }
     }
 
@@ -205,21 +175,24 @@ impl FlowGraph {
         self.track_changes
     }
 
-    /// Drains and returns the recorded changes since the last call.
-    pub fn take_changes(&mut self) -> Vec<GraphChange> {
-        std::mem::take(&mut self.changes)
+    /// Emits the compacted batch of changes recorded since the last call
+    /// (see [`crate::delta`]) and starts the next one. Empty when tracking
+    /// is off.
+    pub fn take_deltas(&mut self) -> DeltaBatch {
+        self.log.take()
     }
 
-    /// Returns the recorded changes without draining them.
-    pub fn pending_changes(&self) -> &[GraphChange] {
-        &self.changes
+    /// Number of changes recorded since the last
+    /// [`take_deltas`](Self::take_deltas) — the next batch's
+    /// [`raw_len`](DeltaBatch::raw_len).
+    pub fn pending_changes(&self) -> usize {
+        self.log.len()
     }
 
+    /// The change log, when mutations are being recorded.
     #[inline]
-    fn record(&mut self, change: GraphChange) {
-        if self.track_changes {
-            self.changes.push(change);
-        }
+    fn log(&mut self) -> Option<&mut ChangeLog> {
+        self.track_changes.then_some(&mut self.log)
     }
 
     // ------------------------------------------------------------------
@@ -250,11 +223,9 @@ impl FlowGraph {
             id
         };
         self.alive_nodes += 1;
-        self.record(GraphChange::AddNode {
-            node: id,
-            kind,
-            supply,
-        });
+        if let Some(log) = self.log() {
+            log.node_added(id, kind, supply);
+        }
         id
     }
 
@@ -262,7 +233,7 @@ impl FlowGraph {
     ///
     /// Returns the list of removed arc pairs (forward ids) so callers such as
     /// the incremental solvers can account for disrupted flow. The incident
-    /// arc removals are recorded in the change log *before* the node removal.
+    /// arc removals are logged *before* the node removal.
     pub fn remove_node(&mut self, node: NodeId) -> Result<Vec<ArcId>, GraphError> {
         self.check_node(node)?;
         let incident: Vec<ArcId> = self.adj[node.index()].clone();
@@ -280,7 +251,9 @@ impl FlowGraph {
         slot.supply = 0;
         self.alive_nodes -= 1;
         self.free_nodes.push(node);
-        self.record(GraphChange::RemoveNode { node, supply });
+        if let Some(log) = self.log() {
+            log.node_removed(node, supply);
+        }
         Ok(removed)
     }
 
@@ -324,7 +297,9 @@ impl FlowGraph {
         };
         self.adj[node.index()].clear();
         self.alive_nodes += 1;
-        self.record(GraphChange::AddNode { node, kind, supply });
+        if let Some(log) = self.log() {
+            log.node_added(node, kind, supply);
+        }
         Ok(())
     }
 
@@ -334,11 +309,9 @@ impl FlowGraph {
         let old = self.nodes[node.index()].supply;
         if old != supply {
             self.nodes[node.index()].supply = supply;
-            self.record(GraphChange::SupplyChange {
-                node,
-                old,
-                new: supply,
-            });
+            if let Some(log) = self.log() {
+                log.supply_changed(node, old, supply);
+            }
         }
         Ok(())
     }
@@ -500,13 +473,9 @@ impl FlowGraph {
         self.adj[src.index()].push(fwd);
         self.adj[dst.index()].push(fwd.sister());
         self.alive_arc_pairs += 1;
-        self.record(GraphChange::AddArc {
-            arc: fwd,
-            src,
-            dst,
-            capacity,
-            cost,
-        });
+        if let Some(log) = self.log() {
+            log.arc_added(fwd, src, dst, capacity, cost);
+        }
     }
 
     /// Removes an arc pair given either of its residual arc ids.
@@ -523,14 +492,9 @@ impl FlowGraph {
         self.detach(fwd.sister());
         self.alive_arc_pairs -= 1;
         self.free_arc_pairs.push(fwd.0);
-        self.record(GraphChange::RemoveArc {
-            arc: fwd,
-            src,
-            dst,
-            capacity,
-            cost,
-            flow,
-        });
+        if let Some(log) = self.log() {
+            log.arc_removed(fwd, src, dst, capacity, cost, flow);
+        }
         Ok(())
     }
 
@@ -563,11 +527,9 @@ impl FlowGraph {
         if old != cost {
             self.arcs[fwd.index()].cost = cost;
             self.arcs[fwd.index() + 1].cost = -cost;
-            self.record(GraphChange::CostChange {
-                arc: fwd,
-                old,
-                new: cost,
-            });
+            if let Some(log) = self.log() {
+                log.cost_changed(fwd, old, cost);
+            }
         }
         Ok(())
     }
@@ -594,12 +556,9 @@ impl FlowGraph {
         self.arcs[fwd.index()].capacity = capacity;
         self.arcs[fwd.index()].rescap = capacity - new_flow;
         self.arcs[fwd.index() + 1].rescap = new_flow;
-        self.record(GraphChange::CapacityChange {
-            arc: fwd,
-            old,
-            new: capacity,
-            flow_spilled: spilled,
-        });
+        if let Some(log) = self.log() {
+            log.capacity_changed(fwd, old, capacity, spilled);
+        }
         Ok(())
     }
 
@@ -698,7 +657,9 @@ impl FlowGraph {
     /// solvers re-derive its excess. No-op when tracking is off.
     pub fn note_flow_disturbance(&mut self, node: NodeId) {
         if self.node_alive(node) {
-            self.record(GraphChange::FlowDisturbed { node });
+            if let Some(log) = self.log() {
+                log.flow_disturbed(node);
+            }
         }
     }
 
@@ -1001,9 +962,10 @@ mod tests {
         let a = g.add_arc(t, s, 1, 2).unwrap();
         g.set_arc_cost(a, 3).unwrap();
         g.set_supply(t, 0).unwrap();
-        let changes = g.take_changes();
-        assert_eq!(changes.len(), 5);
-        assert!(g.take_changes().is_empty());
+        assert_eq!(g.pending_changes(), 5);
+        assert_eq!(g.take_deltas().raw_len(), 5);
+        assert_eq!(g.pending_changes(), 0);
+        assert_eq!(g.take_deltas(), DeltaBatch::empty());
     }
 
     #[test]
@@ -1013,11 +975,12 @@ mod tests {
         let t = g.add_node(NodeKind::Task { task: 0 }, 1);
         let s = g.add_node(NodeKind::Sink, -1);
         let a = g.add_arc(t, s, 1, 2).unwrap();
-        g.take_changes();
+        g.take_deltas();
         g.set_arc_cost(a, 2).unwrap();
         g.set_supply(t, 1).unwrap();
         g.set_arc_capacity(a, 1).unwrap();
-        assert!(g.take_changes().is_empty());
+        assert_eq!(g.pending_changes(), 0);
+        assert_eq!(g.take_deltas().raw_len(), 0);
     }
 
     #[test]
@@ -1222,22 +1185,11 @@ mod tests {
         }
     }
 
-    /// `clone_from` into a spare that held a larger, different graph is
-    /// indistinguishable from `clone`: same state (free lists and change
-    /// log included), flows and adjacency order, and the next allocations
-    /// return the same ids.
+    /// `clone` is indistinguishable from its source: same state (free
+    /// lists and change log included), flows and adjacency order, and the
+    /// next allocations return the same ids and fold into the same batch.
     #[test]
-    fn clone_from_a_larger_spare_matches_clone() {
-        let mut spare = FlowGraph::new();
-        let big: Vec<NodeId> = (0..40)
-            .map(|i| spare.add_node(NodeKind::Machine { machine: i }, i as i64))
-            .collect();
-        for w in big.windows(3) {
-            let a = spare.add_arc(w[0], w[2], 5, 2).unwrap();
-            spare.push_flow(a, 3);
-            spare.add_arc(w[1], w[0], 1, 9).unwrap();
-        }
-
+    fn clone_matches_source() {
         let (mut src, t, m, s, tm, ms) = tiny();
         src.set_change_tracking(true);
         let x = src.add_node(NodeKind::ClusterAggregator, 0);
@@ -1249,31 +1201,27 @@ mod tests {
         let u = src.add_node(NodeKind::UnscheduledAggregator { job: 0 }, 0);
         src.add_arc(u, s, 4, 0).unwrap();
         src.remove_node(u).unwrap();
-        assert!(!src.pending_changes().is_empty());
+        assert!(src.pending_changes() > 0);
 
-        let fresh = src.clone();
-        spare.clone_from(&src);
-        for g in [&fresh, &spare] {
-            assert_eq!(format!("{g:?}"), format!("{src:?}"));
-            assert_eq!(g.node_bound(), src.node_bound());
-            assert_eq!(g.arc_bound(), src.arc_bound());
-            for n in src.node_ids() {
-                assert_eq!(g.adj(n), src.adj(n));
-            }
-            for a in src.arc_ids() {
-                assert_eq!(g.flow(a), src.flow(a));
-            }
-            assert_eq!(crate::validate::validate(g), vec![]);
+        let mut fresh = src.clone();
+        assert_eq!(format!("{fresh:?}"), format!("{src:?}"));
+        assert_eq!(fresh.node_bound(), src.node_bound());
+        assert_eq!(fresh.arc_bound(), src.arc_bound());
+        for n in src.node_ids() {
+            assert_eq!(fresh.adj(n), src.adj(n));
         }
-        let mut fresh = fresh;
-        for g in [&mut fresh, &mut spare] {
+        for a in src.arc_ids() {
+            assert_eq!(fresh.flow(a), src.flow(a));
+        }
+        assert_eq!(crate::validate::validate(&fresh), vec![]);
+        for g in [&mut fresh, &mut src] {
             let n = g.add_node(NodeKind::Task { task: 5 }, 1);
             let a = g.add_arc(n, x, 1, 3).unwrap();
             let b = g.add_arc(x, s, 1, 0).unwrap();
             g.remove_arc(xm).unwrap();
             assert_eq!((n, a, b), (NodeId(4), tx, ArcId(8)));
         }
-        assert_eq!(format!("{fresh:?}"), format!("{spare:?}"));
-        assert_eq!(fresh.take_changes(), spare.take_changes());
+        assert_eq!(format!("{fresh:?}"), format!("{src:?}"));
+        assert_eq!(fresh.take_deltas(), src.take_deltas());
     }
 }

@@ -10,13 +10,14 @@
 //!   slot reuse for removed nodes/arcs);
 //! - [`ResidualCsr`]: the compact copy of a graph's residual network that
 //!   a solver fills, works on and writes back;
-//! - [`changes::GraphChange`]: the raw mutation log recorded by a tracked
-//!   graph (§5.2), and the Table 3 analysis of which arc changes require
+//! - [`delta::DeltaBatch`]: the compacted, typed change feed (§5.2). A
+//!   tracked graph folds each mutation into its batch as it happens, the
+//!   graph's owner takes the batch once per scheduling round, and an
+//!   incremental solver consumes it. Add-then-remove pairs cancel,
+//!   repeated re-pricings merge, and the batch replays exactly onto a
+//!   snapshot (see the [`delta`] module docs for the contract);
+//! - [`changes`]: the Table 3 analysis of which arc changes require
 //!   reoptimization;
-//! - [`delta::DeltaBatch`]: the *compacted*, typed change feed handed to
-//!   incremental solvers once per scheduling round — add-then-remove pairs
-//!   cancel, repeated re-pricings merge, and the batch replays exactly
-//!   onto a snapshot (see the [`delta`] module docs for the contract);
 //! - [`SchedulingGraphBuilder`]: ergonomic construction of scheduling-shaped
 //!   networks (tasks, machines, aggregators, unscheduled aggregators, sink);
 //! - DIMACS min-cost-flow import/export ([`dimacs`]);
@@ -56,9 +57,9 @@ pub mod testgen;
 pub mod validate;
 
 pub use builder::SchedulingGraphBuilder;
-pub use changes::{ArcChangeKind, GraphChange, ReoptEffect};
+pub use changes::{ArcChangeKind, ReoptEffect};
 pub use csr::{CsrArc, ResidualCsr};
-pub use delta::{DeltaBatch, DeltaCompactor, GraphDelta};
+pub use delta::{DeltaBatch, GraphDelta};
 pub use graph::{FlowGraph, GraphError};
 pub use ids::{ArcId, NodeId};
 pub use node::NodeKind;

@@ -232,7 +232,7 @@ mod tests {
             let arcs: Vec<ArcId> = warm_inst.graph.arc_ids().collect();
             warm_inst.graph.set_arc_cost(arcs[3], 7).unwrap();
             warm_inst.graph.set_arc_cost(arcs[13], 90).unwrap();
-            let batch = firmament_flow::delta::DeltaBatch::compact(warm_inst.graph.take_changes());
+            let batch = warm_inst.graph.take_deltas();
             let warm = inc
                 .solve_with_deltas(
                     &mut warm_inst.graph,

@@ -710,7 +710,7 @@ mod tests {
             }
         }
         assert!(bumped > 0);
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
+        let batch = inst.graph.take_deltas();
         assert!(batch.is_reprice_only());
         batch
     }
@@ -788,7 +788,7 @@ mod tests {
                 })
                 .unwrap();
             inst.graph.set_arc_cost(a, 0).unwrap();
-            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            let batch = inst.graph.take_deltas();
             assert!(batch.is_reprice_only(), "still a pure re-price batch");
             let out = solver
                 .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())

@@ -735,7 +735,7 @@ mod tests {
 
     /// A warm solve fed the changes recorded since the last solve.
     fn solve_fed(inc: &mut IncrementalCostScaling, graph: &mut FlowGraph) -> Solution {
-        let batch = DeltaBatch::compact(graph.take_changes());
+        let batch = graph.take_deltas();
         inc.solve_with_deltas(graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap()
     }
@@ -859,7 +859,7 @@ mod tests {
             inst.graph.set_supply(inst.sink, d + 1).unwrap();
             grow_unscheduled_capacity(&mut inst, -1);
 
-            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            let batch = inst.graph.take_deltas();
             assert!(!batch.is_empty());
             let warm = inc
                 .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
@@ -934,7 +934,7 @@ mod tests {
         inst.graph.set_supply(inst.sink, d + 1).unwrap();
         grow_unscheduled_capacity(&mut inst, -1);
 
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
+        let batch = inst.graph.take_deltas();
         let warm = inc
             .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();
@@ -1012,7 +1012,7 @@ mod tests {
                 inst.graph.set_supply(inst.sink, d - 1).unwrap();
                 grow_unscheduled_capacity(&mut inst, 1);
             }
-            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            let batch = inst.graph.take_deltas();
 
             let mut scratch_graph = inst.graph.clone();
             let scratch =
@@ -1085,7 +1085,7 @@ mod tests {
                 inst.graph.set_supply(inst.sink, d + 1).unwrap();
                 grow_unscheduled_capacity(&mut inst, -1);
             }
-            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            let batch = inst.graph.take_deltas();
 
             let mut scratch_graph = inst.graph.clone();
             let scratch =
@@ -1154,7 +1154,7 @@ mod tests {
         let d = inst.graph.supply(inst.sink);
         inst.graph.set_supply(inst.sink, d - 1).unwrap();
         grow_unscheduled_capacity(&mut inst, 1);
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
+        let batch = inst.graph.take_deltas();
         inc.solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();
         assert!(is_optimal(&inst.graph));
@@ -1203,7 +1203,7 @@ mod tests {
             }
         }
         assert!(bumped > 0, "instance must have flowless arcs");
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
+        let batch = inst.graph.take_deltas();
         let before = inst.graph.objective();
         let sol = inc
             .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
@@ -1285,17 +1285,19 @@ mod tests {
         }
         assert!(g.adj(sink).len() >= 1_000);
         let before: Vec<(ArcId, i64)> = g.arc_ids().map(|a| (a, g.flow(a))).collect();
-        g.take_changes();
+        g.take_deltas();
 
         assert_eq!(drain_task_flow(&mut g, t), 1);
-        let noted: Vec<NodeId> = g
-            .take_changes()
-            .into_iter()
-            .map(|c| match c {
-                firmament_flow::GraphChange::FlowDisturbed { node } => node,
-                other => panic!("drain only notes disturbances, got {other:?}"),
+        let batch = g.take_deltas();
+        let noted: Vec<NodeId> = batch
+            .deltas()
+            .iter()
+            .map(|d| match *d {
+                GraphDelta::FlowTouched { node } => node,
+                ref other => panic!("drain only notes disturbances, got {other:?}"),
             })
             .collect();
+        assert_eq!(batch.raw_len(), noted.len(), "one marker per node");
         assert_eq!(noted, vec![t, x, m0, sink], "path t → x → m → sink");
         for (a, f) in before {
             let expected = if [tx, xm, m0s].contains(&a) { f - 1 } else { f };

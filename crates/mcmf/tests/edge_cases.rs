@@ -2,7 +2,6 @@
 //! zero capacities, large supplies, and repeated warm rounds — the inputs
 //! a production scheduler will eventually feed its solver.
 
-use firmament_flow::delta::DeltaBatch;
 use firmament_flow::{FlowGraph, NodeKind};
 use firmament_mcmf::incremental::IncrementalCostScaling;
 use firmament_mcmf::verify::is_optimal;
@@ -172,7 +171,7 @@ fn warm_solver_survives_total_workload_turnover() {
         g.add_arc(t, m1, 1, 7).unwrap();
     }
     g.set_supply(sink, -3).unwrap();
-    let batch = DeltaBatch::compact(g.take_changes());
+    let batch = g.take_deltas();
     let warm = inc
         .solve_with_deltas(&mut g, Some(&batch), &SolveOptions::unlimited())
         .unwrap();
@@ -195,7 +194,7 @@ fn ten_consecutive_warm_rounds_stay_exact() {
         let a = arcs[(round * 13 + 5) % arcs.len()];
         let c = inst.graph.cost(a);
         inst.graph.set_arc_cost(a, (c * 3 + 7) % 120 + 1).unwrap();
-        let batch = DeltaBatch::compact(inst.graph.take_changes());
+        let batch = inst.graph.take_deltas();
         let warm = inc
             .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();

@@ -1,32 +1,196 @@
-//! Compaction oracle: the persistent slot-indexed [`DeltaCompactor`]
-//! against a verbatim copy of the `HashMap`-based compaction it replaced.
+//! Compaction oracle: the batches a tracked [`FlowGraph`] folds as it
+//! mutates, against a verbatim copy of the `HashMap`-based compaction of
+//! a raw change stream that the graph once recorded.
 //!
-//! Random change streams are recorded by a live tracked graph, so every
-//! stream is one a graph owner can produce, and cover slot reuse,
-//! add→remove cancellation, re-pricing, capacity spills (flow is pushed
-//! between batches) and `FlowDisturbed` markers. Each script passes its
-//! batches through one compactor, so the lazy per-slot reset between
-//! batches is exercised. Two 30-round `Firmament` runs — Quincy and the
-//! bucketed hierarchy — then compare every round's batch as the
-//! scheduler's own manager compacts it.
+//! A [`Recorder`] wraps the graph and, beside each mutation, logs the raw
+//! [`GraphChange`] the graph used to append, read from the pre-state. So
+//! every stream is one a graph owner can produce. Random streams cover
+//! slot reuse, add→remove cancellation, re-pricing, capacity spills (flow
+//! is pushed between batches) and `FlowDisturbed` markers, and each script
+//! takes six batches from one graph, so the lazy per-slot reset between
+//! batches is exercised. A targeted stream asserts that spills,
+//! cancellations and slot reuse occur.
 //!
-//! Every batch of all four tests is also pinned by a digest (its raw
-//! length plus the `Debug` of its deltas, as in `delta_pins`), so a change
-//! to the graph's change log that the reference would follow must still
-//! emit the same batches.
+//! Every batch is also pinned by a digest (its raw length plus the `Debug`
+//! of its deltas, as in `delta_pins`), recorded when the graph still kept
+//! a raw log beside a separate compactor. Two 30-round `Firmament` runs —
+//! Quincy and the bucketed hierarchy — pin every round's batch as the
+//! scheduler's own manager takes it.
 
 mod common;
 
 use firmament::cluster::ClusterEvent;
 use firmament::core::Firmament;
-use firmament::flow::delta::{DeltaBatch, DeltaCompactor, GraphDelta};
+use firmament::flow::delta::{DeltaBatch, GraphDelta};
 use firmament::flow::testgen::XorShift64;
-use firmament::flow::{ArcId, FlowGraph, GraphChange, NodeId, NodeKind};
+use firmament::flow::{ArcId, FlowGraph, NodeId, NodeKind};
 use firmament::mcmf::{DualConfig, SolverKind};
 use firmament::policies::{
     CostModel, HierarchicalTopologyCostModel, QuincyConfig, QuincyCostModel,
 };
 use std::collections::HashMap;
+
+/// One raw mutation of a [`FlowGraph`], as the graph logged it before it
+/// folded changes into their batch itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum GraphChange {
+    /// A node was added.
+    AddNode {
+        node: NodeId,
+        kind: NodeKind,
+        supply: i64,
+    },
+    /// A node was removed; its incident arc removals come before it.
+    RemoveNode { node: NodeId, supply: i64 },
+    /// A node's supply changed.
+    SupplyChange { node: NodeId, old: i64, new: i64 },
+    /// An arc was added.
+    AddArc {
+        arc: ArcId,
+        src: NodeId,
+        dst: NodeId,
+        capacity: i64,
+        cost: i64,
+    },
+    /// An arc was removed while carrying `flow`.
+    RemoveArc {
+        arc: ArcId,
+        src: NodeId,
+        dst: NodeId,
+        capacity: i64,
+        cost: i64,
+        flow: i64,
+    },
+    /// An arc's capacity changed; `flow_spilled` units were clamped off.
+    CapacityChange {
+        arc: ArcId,
+        old: i64,
+        new: i64,
+        flow_spilled: i64,
+    },
+    /// An arc's cost changed.
+    CostChange { arc: ArcId, old: i64, new: i64 },
+    /// Flow was moved at this node outside a solver run.
+    FlowDisturbed { node: NodeId },
+}
+
+/// The removal entry of the live forward arc `arc`.
+fn removal(g: &FlowGraph, arc: ArcId) -> GraphChange {
+    GraphChange::RemoveArc {
+        arc,
+        src: g.src(arc),
+        dst: g.dst(arc),
+        capacity: g.capacity(arc),
+        cost: g.cost(arc),
+        flow: g.flow(arc),
+    }
+}
+
+/// A tracked graph plus the raw change stream it once recorded: each
+/// mutator reads the pre-state, logs what the graph logged, and then
+/// mutates the graph. Reads go to the graph through `Deref`; there is no
+/// `DerefMut`, so every mutation is logged.
+struct Recorder {
+    g: FlowGraph,
+    log: Vec<GraphChange>,
+}
+
+impl std::ops::Deref for Recorder {
+    type Target = FlowGraph;
+    fn deref(&self) -> &FlowGraph {
+        &self.g
+    }
+}
+
+impl Recorder {
+    fn new() -> Self {
+        let mut g = FlowGraph::new();
+        g.set_change_tracking(true);
+        Recorder { g, log: Vec::new() }
+    }
+
+    fn add_node(&mut self, kind: NodeKind, supply: i64) -> NodeId {
+        let node = self.g.add_node(kind, supply);
+        self.log.push(GraphChange::AddNode { node, kind, supply });
+        node
+    }
+
+    /// Incident arcs first, in adjacency order, as the graph removes them.
+    fn remove_node(&mut self, node: NodeId) {
+        for &a in self.g.adj(node) {
+            self.log.push(removal(&self.g, a.forward()));
+        }
+        let supply = self.g.supply(node);
+        self.log.push(GraphChange::RemoveNode { node, supply });
+        self.g.remove_node(node).unwrap();
+    }
+
+    fn set_supply(&mut self, node: NodeId, new: i64) {
+        let old = self.g.supply(node);
+        if old != new {
+            self.log.push(GraphChange::SupplyChange { node, old, new });
+        }
+        self.g.set_supply(node, new).unwrap();
+    }
+
+    fn add_arc(&mut self, src: NodeId, dst: NodeId, capacity: i64, cost: i64) -> ArcId {
+        let arc = self.g.add_arc(src, dst, capacity, cost).unwrap();
+        self.log.push(GraphChange::AddArc {
+            arc,
+            src,
+            dst,
+            capacity,
+            cost,
+        });
+        arc
+    }
+
+    fn remove_arc(&mut self, arc: ArcId) {
+        self.log.push(removal(&self.g, arc.forward()));
+        self.g.remove_arc(arc).unwrap();
+    }
+
+    fn set_arc_cost(&mut self, arc: ArcId, new: i64) {
+        let arc = arc.forward();
+        let old = self.g.cost(arc);
+        if old != new {
+            self.log.push(GraphChange::CostChange { arc, old, new });
+        }
+        self.g.set_arc_cost(arc, new).unwrap();
+    }
+
+    fn set_arc_capacity(&mut self, arc: ArcId, new: i64) {
+        let arc = arc.forward();
+        let old = self.g.capacity(arc);
+        if old != new {
+            let flow_spilled = (self.g.flow(arc) - new).max(0);
+            self.log.push(GraphChange::CapacityChange {
+                arc,
+                old,
+                new,
+                flow_spilled,
+            });
+        }
+        self.g.set_arc_capacity(arc, new).unwrap();
+    }
+
+    fn note_flow_disturbance(&mut self, node: NodeId) {
+        if self.g.node_alive(node) {
+            self.log.push(GraphChange::FlowDisturbed { node });
+        }
+        self.g.note_flow_disturbance(node);
+    }
+
+    /// Flow is not a change: nothing is logged.
+    fn push_flow(&mut self, arc: ArcId, delta: i64) {
+        self.g.push_flow(arc, delta);
+    }
+
+    /// The graph's batch and the raw stream logged beside it.
+    fn take(&mut self) -> (DeltaBatch, Vec<GraphChange>) {
+        (self.g.take_deltas(), std::mem::take(&mut self.log))
+    }
+}
 
 /// Per-node compaction state machine.
 struct NodeFold {
@@ -72,8 +236,9 @@ struct ArcFold {
     changed_seq: usize,
 }
 
-/// The compaction `DeltaBatch::compact` ran before the persistent
-/// compactor, verbatim except that it returns (deltas, raw length).
+/// The compaction of a raw change stream that `DeltaBatch::compact` ran
+/// before a persistent slot-indexed compactor replaced it, verbatim
+/// except that it returns (deltas, raw length).
 fn reference_compact(changes: Vec<GraphChange>) -> (Vec<GraphDelta>, usize) {
     let raw_len = changes.len();
     let mut nodes: HashMap<u32, NodeFold> = HashMap::new();
@@ -447,7 +612,7 @@ fn pick_arc(g: &FlowGraph, rng: &mut XorShift64) -> Option<ArcId> {
 }
 
 /// One random mutation of a task → machine → sink graph.
-fn mutate(g: &mut FlowGraph, rng: &mut XorShift64, sink: NodeId, next_id: &mut u64) {
+fn mutate(g: &mut Recorder, rng: &mut XorShift64, sink: NodeId, next_id: &mut u64) {
     let is_task = |k: &NodeKind| matches!(k, NodeKind::Task { .. });
     let is_machine = |k: &NodeKind| matches!(k, NodeKind::Machine { .. });
     match rng.below(10) {
@@ -457,48 +622,48 @@ fn mutate(g: &mut FlowGraph, rng: &mut XorShift64, sink: NodeId, next_id: &mut u
             let t = g.add_node(NodeKind::Task { task: *next_id }, 1);
             for _ in 0..2 {
                 if let Some(m) = pick(g, rng, is_machine) {
-                    g.add_arc(t, m, 1, rng.below(50) as i64).unwrap();
+                    g.add_arc(t, m, 1, rng.below(50) as i64);
                 }
             }
         }
         // A task leaves, possibly in the batch it arrived in (cancels).
         2 => {
             if let Some(t) = pick(g, rng, is_task) {
-                g.remove_node(t).unwrap();
+                g.remove_node(t);
             }
         }
         // A machine fails (freeing slots for reuse) or joins.
         3 => {
             if rng.below(2) == 0 {
                 if let Some(m) = pick(g, rng, is_machine) {
-                    g.remove_node(m).unwrap();
+                    g.remove_node(m);
                 }
             } else {
                 *next_id += 1;
                 let m = g.add_node(NodeKind::Machine { machine: *next_id }, 0);
-                g.add_arc(m, sink, 1 + rng.below(4) as i64, 0).unwrap();
+                g.add_arc(m, sink, 1 + rng.below(4) as i64, 0);
             }
         }
         // Re-pricing, sometimes back to the batch's starting cost.
         4 | 5 => {
             if let Some(a) = pick_arc(g, rng) {
                 let cost = g.cost(a);
-                g.set_arc_cost(a, cost + rng.below(5) as i64 - 2).unwrap();
+                g.set_arc_cost(a, cost + rng.below(5) as i64 - 2);
             }
         }
         // A capacity change; shrinking below the flow spills it.
         6 => {
             if let Some(a) = pick_arc(g, rng) {
-                g.set_arc_capacity(a, rng.below(4) as i64).unwrap();
+                g.set_arc_capacity(a, rng.below(4) as i64);
             }
         }
         // An arc removed and a new one added, reusing freed pairs.
         7 => {
             if let Some(a) = pick_arc(g, rng) {
-                g.remove_arc(a).unwrap();
+                g.remove_arc(a);
             }
             if let (Some(t), Some(m)) = (pick(g, rng, is_task), pick(g, rng, is_machine)) {
-                g.add_arc(t, m, 1, rng.below(50) as i64).unwrap();
+                g.add_arc(t, m, 1, rng.below(50) as i64);
             }
         }
         // A drain's terminus: flow moved outside a solver run.
@@ -509,15 +674,14 @@ fn mutate(g: &mut FlowGraph, rng: &mut XorShift64, sink: NodeId, next_id: &mut u
         }
         _ => {
             let supply = g.supply(sink);
-            g.set_supply(sink, supply - 1 + rng.below(3) as i64)
-                .unwrap();
+            g.set_supply(sink, supply - 1 + rng.below(3) as i64);
         }
     }
 }
 
 /// Fills every arc to a random share of its capacity, so later capacity
 /// cuts and removals spill flow.
-fn load(g: &mut FlowGraph, rng: &mut XorShift64) {
+fn load(g: &mut Recorder, rng: &mut XorShift64) {
     let arcs: Vec<ArcId> = g.arc_ids().collect();
     for a in arcs {
         let room = g.rescap(a);
@@ -528,32 +692,29 @@ fn load(g: &mut FlowGraph, rng: &mut XorShift64) {
 }
 
 #[test]
-fn compactor_matches_reference_on_random_streams() {
+fn graph_batches_match_reference_on_random_streams() {
     let mut kinds = HashMap::new();
     for seed in 1..=40u64 {
         let mut rng = XorShift64::new(seed);
-        let mut g = FlowGraph::new();
-        g.set_change_tracking(true);
+        let mut g = Recorder::new();
         let sink = g.add_node(NodeKind::Sink, 0);
         let mut next_id = 0;
         for _ in 0..4 {
             next_id += 1;
             let m = g.add_node(NodeKind::Machine { machine: next_id }, 0);
-            g.add_arc(m, sink, 2, 0).unwrap();
+            g.add_arc(m, sink, 2, 0);
         }
-        let mut compactor = DeltaCompactor::default();
         let mut digests = Vec::with_capacity(6);
         for batch in 0..6 {
             for _ in 0..(1 + rng.below(25)) {
                 mutate(&mut g, &mut rng, sink, &mut next_id);
             }
-            let changes = g.take_changes();
+            let (got, changes) = g.take();
             for c in &changes {
                 *kinds.entry(std::mem::discriminant(c)).or_insert(0) += 1;
             }
-            let got = compactor.compact(&changes);
-            assert_same(&got, changes, &format!("seed {seed} batch {batch}"));
             digests.push(digest(&got));
+            assert_same(&got, changes, &format!("seed {seed} batch {batch}"));
             load(&mut g, &mut rng);
         }
         assert_pinned(
@@ -568,34 +729,30 @@ fn compactor_matches_reference_on_random_streams() {
 /// Spills, cancellations and slot reuse in one stream, each asserted to
 /// occur, so the random matrix above cannot silently lose them.
 #[test]
-fn compactor_matches_reference_on_targeted_stream() {
-    let mut g = FlowGraph::new();
-    g.set_change_tracking(true);
+fn graph_batches_match_reference_on_targeted_stream() {
+    let mut g = Recorder::new();
     let t = g.add_node(NodeKind::Task { task: 1 }, 1);
     let m = g.add_node(NodeKind::Machine { machine: 1 }, 0);
     let s = g.add_node(NodeKind::Sink, -1);
-    let tm = g.add_arc(t, m, 1, 3).unwrap();
-    let ms = g.add_arc(m, s, 2, 0).unwrap();
-    let mut compactor = DeltaCompactor::default();
+    let tm = g.add_arc(t, m, 1, 3);
+    let ms = g.add_arc(m, s, 2, 0);
     let mut digests = Vec::with_capacity(3);
-    let changes = g.take_changes();
-    let batch = compactor.compact(&changes);
+    let (batch, changes) = g.take();
     digests.push(digest(&batch));
     assert_same(&batch, changes, "build");
 
     g.push_flow(tm, 1);
     g.push_flow(ms, 1);
     // Spill then remove; a ghost that cancels; a freed pair reused.
-    g.set_arc_capacity(ms, 0).unwrap();
-    g.remove_arc(ms).unwrap();
+    g.set_arc_capacity(ms, 0);
+    g.remove_arc(ms);
     let ghost = g.add_node(NodeKind::Other { tag: 3 }, 0);
-    g.add_arc(t, ghost, 1, 1).unwrap();
-    g.remove_node(ghost).unwrap();
-    let again = g.add_arc(m, s, 4, 1).unwrap();
+    g.add_arc(t, ghost, 1, 1);
+    g.remove_node(ghost);
+    let again = g.add_arc(m, s, 4, 1);
     assert_eq!(again, ms, "pair reuse");
     g.note_flow_disturbance(t);
-    let changes = g.take_changes();
-    let batch = compactor.compact(&changes);
+    let (batch, changes) = g.take();
     assert!(batch
         .deltas()
         .iter()
@@ -604,22 +761,20 @@ fn compactor_matches_reference_on_targeted_stream() {
     assert_same(&batch, changes, "spill and reuse");
 
     // The slots touched above must read as untouched in the next batch.
-    g.set_arc_cost(tm, 8).unwrap();
-    g.set_arc_cost(again, 2).unwrap();
-    g.remove_node(m).unwrap();
-    let changes = g.take_changes();
-    let batch = compactor.compact(&changes);
+    g.set_arc_cost(tm, 8);
+    g.set_arc_cost(again, 2);
+    g.remove_node(m);
+    let (batch, changes) = g.take();
     digests.push(digest(&batch));
     assert_same(&batch, changes, "after reset");
     assert_pinned("targeted", &digests, &TARGETED);
 }
 
-/// Every round's batch of a 30-round run, as the scheduler's manager
-/// compacts it, against the reference over the same raw log and against
-/// the pinned digests `want`. The
-/// relaxation-only solver keeps the run deterministic, and it ignores the
-/// batch, so taking the batch ahead of `schedule` changes nothing.
-fn assert_rounds_match_reference<C: CostModel>(model: C, what: &str, want: &[u64]) {
+/// Every round's batch of a 30-round run, as the scheduler's manager takes
+/// it, against the pinned digests `want`. The relaxation-only solver keeps
+/// the run deterministic, and it ignores the batch, so taking the batch
+/// ahead of `schedule` changes nothing.
+fn assert_rounds_pinned<C: CostModel>(model: C, what: &str, want: &[u64]) {
     let mut state = common::cluster(24, 4, 6);
     let config = DualConfig {
         kind: SolverKind::RelaxationOnly,
@@ -651,15 +806,15 @@ fn assert_rounds_match_reference<C: CostModel>(model: C, what: &str, want: &[u64
         f.handle_event(&state, &ev).unwrap();
 
         f.refresh(&state).unwrap();
-        let raw = f.graph().pending_changes().to_vec();
+        let pending = f.graph().pending_changes();
         let batch = f.manager_mut().take_deltas();
+        assert_eq!(batch.raw_len(), pending, "{what} round {round}");
         structural += batch
             .deltas()
             .iter()
             .filter(|d| matches!(d, GraphDelta::NodeRemoved { .. }))
             .count();
         digests.push(digest(&batch));
-        assert_same(&batch, raw, &format!("{what} round {round}"));
         let out = f.schedule(&state).unwrap();
         assert_eq!(out.solver.raw_changes, 0, "{what} round {round}");
         common::apply(&mut state, &mut f, &out.actions);
@@ -669,8 +824,8 @@ fn assert_rounds_match_reference<C: CostModel>(model: C, what: &str, want: &[u64
 }
 
 #[test]
-fn compactor_matches_reference_over_quincy_rounds() {
-    assert_rounds_match_reference(
+fn quincy_round_batches_pinned() {
+    assert_rounds_pinned(
         QuincyCostModel::new(QuincyConfig::default()),
         "quincy",
         &QUINCY_ROUNDS,
@@ -678,8 +833,8 @@ fn compactor_matches_reference_over_quincy_rounds() {
 }
 
 #[test]
-fn compactor_matches_reference_over_bucketed_hierarchy_rounds() {
-    assert_rounds_match_reference(
+fn bucketed_hierarchy_round_batches_pinned() {
+    assert_rounds_pinned(
         HierarchicalTopologyCostModel::bucketed(),
         "bucketed hierarchy",
         &HIERARCHY_ROUNDS,

@@ -7,7 +7,6 @@
 //! case derives its parameters from a fixed seed sequence, so failures
 //! reproduce exactly.
 
-use firmament::flow::delta::DeltaBatch;
 use firmament::flow::testgen::{layered_instance, scheduling_instance, InstanceSpec, XorShift64};
 use firmament::flow::validate::check_feasible;
 use firmament::mcmf::{
@@ -129,7 +128,7 @@ fn prop_incremental_matches_scratch() {
                 let a = arcs[idx % arcs.len()];
                 inst.graph.set_arc_cost(a, cost).unwrap();
             }
-            let batch = DeltaBatch::compact(inst.graph.take_changes());
+            let batch = inst.graph.take_deltas();
             let warm = inc
                 .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
                 .unwrap();
