@@ -42,8 +42,8 @@
 //! alone: the same inputs give the same flow on every run, and no round
 //! costs more than the budget plus one cold cost-scaling solve. Measured
 //! on the benchmark workloads, relaxation wins nearly every round of the
-//! race, which still pays for a graph copy, a thread, a cancelled racer
-//! and a whole-graph price refine on each; the hedge pays for none of them.
+//! race, which still pays for a thread, a cancelled racer and a
+//! whole-graph price refine on each; the hedge pays for none of them.
 //!
 //! # The race (`Dual`)
 //!
@@ -58,12 +58,18 @@
 //! on wall-clock time, so placements can differ from run to run where
 //! costs tie.
 //!
-//! Relaxation solves a copy of the round's graph. The copy is made with
-//! `clone_from` into a spare graph the solver keeps between rounds, and the
-//! losing racer's graph becomes the next round's spare, so a raced round
-//! copies the graph without allocating it anew.
+//! Relaxation's compact copy of the residual network is filled from the
+//! round's graph before the cost-scaling thread starts; that thread then
+//! solves the graph in place while relaxation works on its copy, which is
+//! written back over cost scaling's flow only if relaxation wins. No graph
+//! is cloned. Cost scaling's infeasibility is final (its warm start
+//! retries cold first), so it ends the race as a solution does; relaxation
+//! itself does not run the feasibility check described in [`relaxation`],
+//! as the graph is cost scaling's until the join.
 
-use crate::common::{AlgorithmKind, CancelToken, Solution, SolveError, SolveOptions, SolveStats};
+use crate::common::{
+    AlgorithmKind, Budget, CancelToken, Solution, SolveError, SolveOptions, SolveStats,
+};
 use crate::cost_scaling;
 use crate::incremental::{IncrementalConfig, IncrementalCostScaling};
 use crate::relaxation::{self, Budgeted, RelaxationConfig, Workspace};
@@ -178,9 +184,6 @@ pub struct DualSolver {
     /// The buffers every relaxation run works in (its copy of the residual
     /// network and per-node state), reused from round to round.
     workspace: Workspace,
-    /// The previous race's losing graph, reused as the buffer for the next
-    /// race's relaxation copy.
-    spare: FlowGraph,
     /// Hedge: arc examinations of the most recent completed cold
     /// cost-scaling solve, the yardstick of relaxation's budget.
     cs_reference: Option<u64>,
@@ -204,7 +207,6 @@ impl DualSolver {
             config,
             incremental,
             workspace: Workspace::default(),
-            spare: FlowGraph::new(),
             cs_reference: None,
             optimal_flow: None,
         }
@@ -218,14 +220,13 @@ impl DualSolver {
     /// Solves the scheduling graph, handed over by value, together with the
     /// typed change feed recorded since the last solve.
     ///
-    /// The hedge, the single-algorithm configurations and race-skipped
-    /// rounds solve without copying the graph (relaxation works on a
-    /// compact copy of the residual network in buffers the solver keeps);
-    /// the dual race solves cost scaling in place and copies the graph
-    /// once, into the solver's recycled spare, for relaxation. On failure
-    /// the graph is handed back so the caller can restore its state: a
-    /// failed relaxation run leaves it exactly as it was, a failed
-    /// cost-scaling run possibly with partial flow.
+    /// No kind copies the graph: relaxation works on a compact copy of the
+    /// residual network in buffers the solver keeps, and the dual race
+    /// solves cost scaling in place beside it, writing relaxation's flow
+    /// back only if relaxation wins. On failure the graph is handed back so
+    /// the caller can restore its state: a failed relaxation run leaves it
+    /// exactly as it was, a failed cost-scaling run possibly with partial
+    /// flow.
     ///
     /// The feed lets the race's incremental cost scaling warm-start and
     /// lets the race and the hedge skip a provably quiescent round;
@@ -402,8 +403,7 @@ impl DualSolver {
         // on a flowless arc, the common convex-ladder shape under rising
         // load — leaves the warm solver's certificate intact. The warm
         // path proves quiescence in O(Δ); spinning up the relaxation race
-        // (plus its full graph clone) would only burn a cold solve to
-        // reach the same optimum. Falls/flow-carrying rises may expose
+        // would only burn a cold solve to reach the same optimum. Falls/flow-carrying rises may expose
         // violations, so those rounds still race.
         if let Some(batch) = deltas {
             if self.incremental.is_warm() && reprice_only_quiescent(&graph, batch) {
@@ -437,69 +437,58 @@ impl DualSolver {
         let mut cs_opts = opts.clone();
         cs_opts.cancel = Some(cancel_cs.clone());
 
-        let mut g_relax = std::mem::take(&mut self.spare);
-        g_relax.clone_from(&graph);
+        // Relaxation's copy is filled from the graph before cost scaling
+        // takes it; relaxation then touches only its copy, which is
+        // written back after the join if relaxation wins.
+        let relax_budget = Budget::new(&relax_opts);
+        let filled = relaxation::fill_cold(&graph, &mut self.workspace);
         let relax_cfg = &self.config.relaxation;
         let workspace = &mut self.workspace;
         let incremental = &mut self.incremental;
+        let mut graph = graph;
 
-        // Each racer cancels the other only if it actually produced a
-        // solution: a failed finisher (e.g. a spurious infeasibility from a
-        // warm start) must not abort the algorithm that can still succeed.
-        // The inner loops check their token every 256 iterations.
+        // Each racer cancels the other only if it settled the round: a
+        // solution, or — from cost scaling, which retries a warm start's
+        // infeasibility cold — a proof that the input cannot be routed. A
+        // failed finisher otherwise must not abort the algorithm that can
+        // still succeed. The inner loops check their token every 256
+        // iterations.
         let (relax_result, cs_result) = std::thread::scope(|scope| {
-            let mut g_cs = graph;
+            let g_cs = &mut graph;
             let cs_handle = scope.spawn(move || {
-                let r = incremental.solve_with_deltas(&mut g_cs, deltas, &cs_opts);
-                if r.is_ok() {
+                let r = incremental.solve_with_deltas(g_cs, deltas, &cs_opts);
+                if matches!(r, Ok(_) | Err(SolveError::Infeasible)) {
                     cancel_relax.cancel();
                 }
-                (r, g_cs)
+                r
             });
-            let r =
-                relaxation::solve_within(&mut g_relax, &relax_opts, relax_cfg, u64::MAX, workspace)
-                    .map(Budgeted::into_solution);
+            let r = filled.and_then(|()| {
+                relaxation::run(relax_cfg, u64::MAX, relax_budget, workspace, &mut || true)
+            });
             if r.is_ok() {
                 cancel_cs.cancel();
             }
-            let cs = cs_handle.join().expect("cost-scaling thread");
-            ((r, g_relax), cs)
+            (r, cs_handle.join().expect("cost-scaling thread"))
         });
 
         // Prefer whichever produced a real (non-cancelled) solution; if
-        // both finished, take the faster one.
-        let cs_stats = match &cs_result {
-            (Ok(cs), _) => Some(cs.stats.clone()),
-            _ => None,
-        };
-        // The losing graph becomes the next race's spare.
-        let (solution, graph) = match (relax_result, cs_result) {
-            ((Ok(rs), rg), (Ok(cs), cg)) => {
-                if rs.runtime <= cs.runtime {
-                    self.spare = cg;
-                    (rs, rg)
-                } else {
-                    self.spare = rg;
-                    (cs, cg)
-                }
-            }
-            ((Ok(rs), rg), (Err(_), cg)) => {
-                self.spare = cg;
-                (rs, rg)
-            }
-            ((Err(_), rg), (Ok(cs), cg)) => {
-                self.spare = rg;
-                (cs, cg)
-            }
-            ((Err(re), rg), (Err(ce), cg)) => {
+        // both finished, take the faster one. Cost scaling's flow is in the
+        // graph already; relaxation's is written back over it.
+        let cs_stats = cs_result.as_ref().ok().map(|cs| cs.stats.clone());
+        let solution = match (relax_result, cs_result) {
+            (Ok(run), Ok(cs)) if cs.runtime < run.runtime() => cs,
+            (Ok(run), _) => run
+                .finish(&mut graph, &self.workspace, true)
+                .into_solution(),
+            (Err(_), Ok(cs)) => cs,
+            (Err(re), Err(ce)) => {
                 // Both failed: propagate the more informative error and
-                // hand a graph back so the caller can restore its state.
-                self.spare = rg;
+                // hand the graph back so the caller can restore its state.
                 let err = match (&re, &ce) {
                     (SolveError::Cancelled, e) => e.clone(),
                     (e, _) => e.clone(),
                 };
-                return Err((err, cg));
+                return Err((err, graph));
             }
         };
         let outcome = DualOutcome {
@@ -661,38 +650,6 @@ mod tests {
             let a = arcs[(round * 7 + 3) % arcs.len()];
             let c = inst.graph.cost(a);
             inst.graph.set_arc_cost(a, (c + 13) % 97 + 1).unwrap();
-        }
-    }
-
-    /// A raced round copies its graph into the previous race's losing
-    /// graph. Shrinking the graph between rounds leaves that spare larger
-    /// than the next input; the race must still solve exactly the input.
-    #[test]
-    fn raced_rounds_reuse_a_larger_spare() {
-        let mut inst = scheduling_instance(6, &InstanceSpec::default());
-        let mut solver = solver(SolverKind::Dual);
-        for round in 0..4 {
-            let shape = (inst.graph.node_count(), inst.graph.arc_count());
-            let out = solver
-                .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
-                .unwrap();
-            assert!(!out.race_skipped, "round {round}");
-            assert_eq!((out.graph.node_count(), out.graph.arc_count()), shape);
-            assert!(firmament_flow::validate::validate(&out.graph).is_empty());
-            assert!(is_optimal(&out.graph), "round {round}");
-            let mut scratch = out.graph.clone();
-            let cold =
-                crate::cost_scaling::solve(&mut scratch, &SolveOptions::unlimited()).unwrap();
-            assert_eq!(out.solution.objective, cold.objective, "round {round}");
-            inst.graph = out.graph;
-            // Retire five tasks (drained, as the manager does) so the next
-            // input is smaller than the spare.
-            for t in inst.tasks.drain(..5) {
-                crate::incremental::drain_task_flow(&mut inst.graph, t);
-                inst.graph.remove_node(t).unwrap();
-                let d = inst.graph.supply(inst.sink);
-                inst.graph.set_supply(inst.sink, d + 1).unwrap();
-            }
         }
     }
 
@@ -996,13 +953,35 @@ mod tests {
         g
     }
 
+    /// 50 tasks on 5 machines × 4 slots, solved, then the unscheduled →
+    /// sink arc cut to 10 units: 20 units cannot be routed. Relaxation's
+    /// prices fall without end here until its feasibility check stops it.
+    fn cut_unscheduled_arc() -> FlowGraph {
+        let spec = InstanceSpec {
+            machines: 5,
+            ..InstanceSpec::default()
+        };
+        let inst = scheduling_instance(36, &spec);
+        let mut g = inst.graph;
+        crate::cost_scaling::solve(&mut g, &SolveOptions::unlimited()).unwrap();
+        let arc = g
+            .adj(inst.unscheduled)
+            .iter()
+            .copied()
+            .find(|&a| a.is_forward() && g.dst(a) == inst.sink)
+            .unwrap();
+        g.set_arc_capacity(arc, 10).unwrap();
+        g
+    }
+
     /// A relaxation run that fails — cancelled, or infeasible — drops its
     /// copy unwritten: the graph comes back bit-identical to its state
     /// before the call, under `Hedged` (relaxation runs once the solver has
-    /// history), `RelaxationOnly` and `relaxation::solve`. A hedged round
-    /// whose cold cost scaling fails — with no history (step 2), or after
-    /// relaxation spent its budget (step 4) — gives the graph back
-    /// bit-identical too.
+    /// history), `RelaxationOnly` and `relaxation::solve`. That holds for
+    /// an input relaxation rejects at once and for the cut instance, which
+    /// only the feasibility check rejects. A hedged round whose cold cost
+    /// scaling fails — with no history (step 2), or after relaxation spent
+    /// its budget (step 4) — gives the graph back bit-identical too.
     #[test]
     fn a_failed_relaxation_leaves_the_graph_untouched() {
         let token = CancelToken::new();
@@ -1018,6 +997,11 @@ mod tests {
             (feasible(), cancelled, SolveError::Cancelled),
             (
                 unroutable_graph_with_flow(),
+                SolveOptions::unlimited(),
+                SolveError::Infeasible,
+            ),
+            (
+                cut_unscheduled_arc(),
                 SolveOptions::unlimited(),
                 SolveError::Infeasible,
             ),
@@ -1044,27 +1028,7 @@ mod tests {
             assert_eq!(format!("{g:?}"), before, "relaxation::solve: {expected:?}");
         }
 
-        // 50 tasks on 5 machines × 4 slots, solved, then the unscheduled →
-        // sink arc cut to 10 units: 20 units cannot be routed. Relaxation
-        // alone runs for minutes before it proves that, so only the hedge's
-        // budget (given by the history solve) bounds the run.
-        let cut = {
-            let spec = InstanceSpec {
-                machines: 5,
-                ..InstanceSpec::default()
-            };
-            let inst = scheduling_instance(36, &spec);
-            let mut g = inst.graph;
-            crate::cost_scaling::solve(&mut g, &SolveOptions::unlimited()).unwrap();
-            let arc = g
-                .adj(inst.unscheduled)
-                .iter()
-                .copied()
-                .find(|&a| a.is_forward() && g.dst(a) == inst.sink)
-                .unwrap();
-            g.set_arc_capacity(arc, 10).unwrap();
-            g
-        };
+        let cut = cut_unscheduled_arc();
         for (graph, history) in [
             (unroutable_graph_with_flow(), false),
             (cut.clone(), false),
@@ -1083,6 +1047,16 @@ mod tests {
             assert_eq!(err, SolveError::Infeasible, "history {history}");
             assert_eq!(format!("{back:?}"), before, "history {history}");
         }
+    }
+
+    /// The race on the cut instance: cost scaling proves it unroutable, and
+    /// that ends relaxation's run too.
+    #[test]
+    fn race_ends_when_cost_scaling_proves_infeasibility() {
+        let (err, _) = solver(SolverKind::Dual)
+            .solve_owned_with_deltas(cut_unscheduled_arc(), None, &SolveOptions::unlimited())
+            .expect_err("the race fails");
+        assert_eq!(err, SolveError::Infeasible);
     }
 
     #[test]

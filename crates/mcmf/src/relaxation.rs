@@ -57,8 +57,10 @@
 use crate::common::{
     AlgorithmKind, Budget, BudgetStop, Solution, SolveError, SolveOptions, SolveStats,
 };
+use crate::maxflow;
 use firmament_flow::{CsrArc, FlowGraph, ResidualCsr};
 use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 /// Tuning parameters for the relaxation algorithm.
 #[derive(Debug, Clone)]
@@ -212,8 +214,8 @@ pub(crate) fn attempt_within(
     solve_cold(graph, opts, config, scan_budget, work, false)
 }
 
-/// The cold start of [`solve_within`] and [`attempt_within`]; see [`run`]
-/// for `write_over_budget`.
+/// The cold start of [`solve_within`] and [`attempt_within`]; see
+/// [`Run::finish`] for `write_over_budget`.
 fn solve_cold(
     graph: &mut FlowGraph,
     opts: &SolveOptions,
@@ -223,8 +225,15 @@ fn solve_cold(
     write_over_budget: bool,
 ) -> Result<Budgeted, SolveError> {
     let budget = Budget::new(opts);
+    fill_cold(graph, work)?;
+    let run = run(config, scan_budget, budget, work, &mut || feasible(graph))?;
+    Ok(run.finish(graph, work, write_over_budget))
+}
+
+/// Fills `work` for a cold run on `graph`: the copy holds every pair
+/// flowless and every node's excess is its supply. The graph is only read.
+pub(crate) fn fill_cold(graph: &FlowGraph, work: &mut Workspace) -> Result<(), SolveError> {
     work.reset(graph.node_bound());
-    // A flowless start: every node's excess is its supply.
     let mut total = 0i64;
     for v in graph.node_ids() {
         let supply = graph.supply(v);
@@ -235,7 +244,61 @@ fn solve_cold(
         return Err(SolveError::UnbalancedSupply { total });
     }
     graph.fill_csr(&mut work.csr, true);
-    run(graph, config, scan_budget, budget, work, write_over_budget)
+    Ok(())
+}
+
+/// Whether `graph`'s supplies can be routed at all, checked by max flow on
+/// a copy so that `graph` stays as it was.
+fn feasible(graph: &FlowGraph) -> bool {
+    maxflow::is_feasible(&mut graph.clone())
+}
+
+/// A run of the engine on a workspace's copy, not yet written back.
+#[derive(Debug)]
+pub(crate) struct Run {
+    stats: SolveStats,
+    terminated_early: bool,
+    over_budget: bool,
+    /// From the start of the run's budget to the end of the engine.
+    runtime: Duration,
+}
+
+impl Run {
+    /// Time spent so far: the fill (when the budget was started before
+    /// it) and the engine, without the write-back.
+    pub(crate) fn runtime(&self) -> Duration {
+        self.runtime
+    }
+
+    /// Writes the flow of the copy in `work` back into `graph`, the graph
+    /// it was filled from, unless the run spent its scan limit and
+    /// `write_over_budget` is false: then the graph keeps the flow it had,
+    /// and the solution's objective is that flow's.
+    pub(crate) fn finish(
+        self,
+        graph: &mut FlowGraph,
+        work: &Workspace,
+        write_over_budget: bool,
+    ) -> Budgeted {
+        let start = Instant::now();
+        let objective = if self.over_budget && !write_over_budget {
+            graph.objective()
+        } else {
+            graph.write_back_csr(&work.csr)
+        };
+        let sol = Solution {
+            algorithm: AlgorithmKind::Relaxation,
+            objective,
+            terminated_early: self.terminated_early,
+            runtime: self.runtime + start.elapsed(),
+            stats: self.stats,
+        };
+        if self.over_budget {
+            Budgeted::OverBudget(sol)
+        } else {
+            Budgeted::Finished(sol)
+        }
+    }
 }
 
 /// A warm start: treats the graph's current flow as the starting
@@ -261,11 +324,11 @@ pub(crate) fn solve_from(
     work.pot.copy_from_slice(&pot[..n]);
     work.excess = graph.excesses();
     graph.fill_csr(&mut work.csr, false);
-    let r = run(graph, config, scan_limit, budget, &mut work, true);
-    if r.is_ok() {
-        pot[..n].copy_from_slice(&work.pot);
-    }
-    r
+    let r = run(config, scan_limit, budget, &mut work, &mut || {
+        feasible(graph)
+    })?;
+    pot[..n].copy_from_slice(&work.pot);
+    Ok(r.finish(graph, &work, true))
 }
 
 /// Pushes `delta` units along the residual arc at position `p`.
@@ -283,11 +346,14 @@ fn push(arcs: &mut [CsrArc], p: usize, delta: i64) {
 /// turned positive cancels that flow.) Prices are fixed during the pass and
 /// the two directions of a pair have opposite reduced costs, so saturating
 /// one arc never creates a violation on another: one pass over the copy
-/// suffices, and its order does not affect the resulting flow.
-fn restore_slackness(offsets: &[u32], arcs: &mut [CsrArc], pot: &[i64], excess: &mut [i64]) {
+/// suffices, and its order does not affect the resulting flow. Returns the
+/// largest arc cost magnitude `C`.
+fn restore_slackness(offsets: &[u32], arcs: &mut [CsrArc], pot: &[i64], excess: &mut [i64]) -> i64 {
+    let mut max_cost = 0;
     for u in 0..offsets.len() - 1 {
         for p in offsets[u] as usize..offsets[u + 1] as usize {
             let a = arcs[p];
+            max_cost = max_cost.max(a.cost.abs());
             let v = a.dst as usize;
             if a.rescap > 0 && a.cost + pot[u] - pot[v] < 0 {
                 push(arcs, p, a.rescap);
@@ -296,6 +362,7 @@ fn restore_slackness(offsets: &[u32], arcs: &mut [CsrArc], pot: &[i64], excess: 
             }
         }
     }
+    max_cost
 }
 
 /// Charges a scan of `len` residual arcs to `stats.arc_scans`. A scan that
@@ -315,17 +382,25 @@ fn charge(stats: &mut SolveStats, len: usize, limit: u64) -> bool {
 
 /// The engine, on the filled copy in `work` with prices `work.pot` and
 /// excesses `work.excess`: repairs complementary slackness and drives all
-/// excess to the deficits, within `scan_limit` arc examinations. Writes the
-/// flow back into `graph` unless the run fails, or spends `scan_limit`
-/// without `write_over_budget`.
-fn run(
-    graph: &mut FlowGraph,
+/// excess to the deficits, within `scan_limit` arc examinations. It reads
+/// and writes only `work`; the caller writes the copy back
+/// ([`Run::finish`]).
+///
+/// Relaxation proves infeasibility only when a cut has no residual arc
+/// leaving it, and on an unroutable input it may instead lower prices
+/// without end. A feasible input has optimal prices within `n · C` of
+/// zero (`n` node slots, `C` the largest arc cost magnitude), so the
+/// first time the price of a node with excess falls below `−n · C` the
+/// run asks `feasible` once: if the input cannot be routed it fails with
+/// [`SolveError::Infeasible`]; otherwise it goes on and never asks again,
+/// and its flow and counted work are those of a run that never asked.
+pub(crate) fn run(
     config: &RelaxationConfig,
     scan_limit: u64,
     mut budget: Budget,
     work: &mut Workspace,
-    write_over_budget: bool,
-) -> Result<Budgeted, SolveError> {
+    feasible: &mut dyn FnMut() -> bool,
+) -> Result<Run, SolveError> {
     let Workspace {
         csr,
         pot,
@@ -340,7 +415,12 @@ fn run(
     let (offsets, arcs) = csr.parts_mut();
     let mut stats = SolveStats::default();
 
-    restore_slackness(offsets, arcs, pot, excess);
+    let max_cost = restore_slackness(offsets, arcs, pot, excess);
+    let mut price_floor = Some(
+        (offsets.len() as i64 - 1)
+            .saturating_mul(max_cost)
+            .saturating_neg(),
+    );
     for (u, &e) in excess.iter().enumerate() {
         if e > 0 {
             queue.push_back(u as u32);
@@ -363,6 +443,12 @@ fn run(
             Some(BudgetStop::Cancelled) => return Err(SolveError::Cancelled),
             Some(BudgetStop::Exhausted) => break (true, false),
             None => {}
+        }
+        if price_floor.is_some_and(|floor| pot[s] < floor) {
+            if !feasible() {
+                return Err(SolveError::Infeasible);
+            }
+            price_floor = None;
         }
 
         // Every iteration (single- or multi-node) uses a fresh epoch; `s`
@@ -478,22 +564,11 @@ fn run(
         }
     };
     stats.iterations = budget.iterations;
-    let objective = if over_budget && !write_over_budget {
-        graph.objective()
-    } else {
-        graph.write_back_csr(csr)
-    };
-    let sol = Solution {
-        algorithm: AlgorithmKind::Relaxation,
-        objective,
-        terminated_early,
-        runtime: budget.elapsed(),
+    Ok(Run {
         stats,
-    };
-    Ok(if over_budget {
-        Budgeted::OverBudget(sol)
-    } else {
-        Budgeted::Finished(sol)
+        terminated_early,
+        over_budget,
+        runtime: budget.elapsed(),
     })
 }
 
