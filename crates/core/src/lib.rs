@@ -25,8 +25,9 @@
 //!                 placements ◄── extract (Listing 1) ◄────┘
 //! ```
 //!
-//! The manager's graph records its own change log; `schedule` drains it
-//! as a compacted [`firmament_flow::delta::DeltaBatch`] each round; the
+//! The manager's graph folds each change into its current
+//! [`firmament_flow::delta::DeltaBatch`] as it happens; `schedule` takes
+//! the batch each round; the
 //! solver skips a round whose batch provably keeps the last optimal flow
 //! optimal, and the opt-in race's incremental solver warm-starts from the
 //! deltas natively instead of diffing the graph (per-round telemetry on

@@ -288,17 +288,18 @@ impl<C: CostModel> Firmament<C> {
     /// from that record.
     pub fn schedule(&mut self, state: &ClusterState) -> Result<RoundOutcome, SchedulerError> {
         self.manager.refresh(&self.model, state)?;
-        // Drain the typed change feed recorded since the last handoff: the
-        // solver skips a round it proves quiescent, and the race's
-        // incremental solver warm-starts from it instead of diffing the
-        // graph against its warm state.
+        // Take the typed change feed the graph folded since the last
+        // handoff: the solver skips a round it proves quiescent, and the
+        // race's incremental solver warm-starts from it instead of diffing
+        // the graph against its warm state.
         let deltas = self.manager.take_deltas();
         // Hand the solver ownership of the graph. The hedge solves without
         // copying it: relaxation within its work budget (on the solver's own
         // compact copy of the residual network), cold cost scaling past it,
         // or nothing at all on a provably quiescent batch. (The opt-in `Dual`
-        // race copies the graph once into the solver's recycled spare for
-        // relaxation.) Adopting the resulting flow is a move either way.
+        // race fills relaxation's copy the same way and runs cost scaling on
+        // the graph beside it; no kind clones the graph.) Adopting the
+        // resulting flow is a move either way.
         let graph = self.manager.take_graph();
         let outcome =
             match self

@@ -58,8 +58,9 @@
 //!    [`policies::ArcBundle`] whose segments keep stable graph-arc slots,
 //!    so a re-priced ladder is a cost or capacity change, not structural
 //!    churn.
-//! 3. **Deltas.** [`core::FlowGraphManager::take_deltas`] drains the
-//!    graph's change log as a compacted [`flow::delta::DeltaBatch`].
+//! 3. **Deltas.** [`core::FlowGraphManager::take_deltas`] takes the
+//!    [`flow::delta::DeltaBatch`] the graph folded its changes into as they
+//!    happened.
 //! 4. **Solve.** [`mcmf::DualSolver::solve_owned_with_deltas`], the
 //!    solver's one entry, takes the graph by move together with the round's
 //!    batch and, by default, hedges ([`mcmf::SolverKind::Hedged`]):
