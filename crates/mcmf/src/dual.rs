@@ -403,8 +403,9 @@ impl DualSolver {
         // on a flowless arc, the common convex-ladder shape under rising
         // load — leaves the warm solver's certificate intact. The warm
         // path proves quiescence in O(Δ); spinning up the relaxation race
-        // would only burn a cold solve to reach the same optimum. Falls/flow-carrying rises may expose
-        // violations, so those rounds still race.
+        // would only burn a cold solve to reach the same optimum.
+        // Falls/flow-carrying rises may expose violations, so those rounds
+        // still race.
         if let Some(batch) = deltas {
             if self.incremental.is_warm() && reprice_only_quiescent(&graph, batch) {
                 let mut g = graph;
