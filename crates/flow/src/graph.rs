@@ -1185,11 +1185,22 @@ mod tests {
         }
     }
 
-    /// `clone` is indistinguishable from its source: same state (free
+    /// `clone`, and `clone_from` into a spare that held a larger, different
+    /// graph, are indistinguishable from the source: same state (free
     /// lists and change log included), flows and adjacency order, and the
     /// next allocations return the same ids and fold into the same batch.
     #[test]
-    fn clone_matches_source() {
+    fn clone_from_a_larger_spare_matches_clone() {
+        let mut spare = FlowGraph::new();
+        let big: Vec<NodeId> = (0..40)
+            .map(|i| spare.add_node(NodeKind::Machine { machine: i }, i as i64))
+            .collect();
+        for w in big.windows(3) {
+            let a = spare.add_arc(w[0], w[2], 5, 2).unwrap();
+            spare.push_flow(a, 3);
+            spare.add_arc(w[1], w[0], 1, 9).unwrap();
+        }
+
         let (mut src, t, m, s, tm, ms) = tiny();
         src.set_change_tracking(true);
         let x = src.add_node(NodeKind::ClusterAggregator, 0);
@@ -1203,18 +1214,22 @@ mod tests {
         src.remove_node(u).unwrap();
         assert!(src.pending_changes() > 0);
 
-        let mut fresh = src.clone();
-        assert_eq!(format!("{fresh:?}"), format!("{src:?}"));
-        assert_eq!(fresh.node_bound(), src.node_bound());
-        assert_eq!(fresh.arc_bound(), src.arc_bound());
-        for n in src.node_ids() {
-            assert_eq!(fresh.adj(n), src.adj(n));
+        let fresh = src.clone();
+        spare.clone_from(&src);
+        for g in [&fresh, &spare] {
+            assert_eq!(format!("{g:?}"), format!("{src:?}"));
+            assert_eq!(g.node_bound(), src.node_bound());
+            assert_eq!(g.arc_bound(), src.arc_bound());
+            for n in src.node_ids() {
+                assert_eq!(g.adj(n), src.adj(n));
+            }
+            for a in src.arc_ids() {
+                assert_eq!(g.flow(a), src.flow(a));
+            }
+            assert_eq!(crate::validate::validate(g), vec![]);
         }
-        for a in src.arc_ids() {
-            assert_eq!(fresh.flow(a), src.flow(a));
-        }
-        assert_eq!(crate::validate::validate(&fresh), vec![]);
-        for g in [&mut fresh, &mut src] {
+        let mut fresh = fresh;
+        for g in [&mut fresh, &mut spare, &mut src] {
             let n = g.add_node(NodeKind::Task { task: 5 }, 1);
             let a = g.add_arc(n, x, 1, 3).unwrap();
             let b = g.add_arc(x, s, 1, 0).unwrap();
@@ -1222,6 +1237,9 @@ mod tests {
             assert_eq!((n, a, b), (NodeId(4), tx, ArcId(8)));
         }
         assert_eq!(format!("{fresh:?}"), format!("{src:?}"));
-        assert_eq!(fresh.take_deltas(), src.take_deltas());
+        assert_eq!(format!("{spare:?}"), format!("{src:?}"));
+        let batch = src.take_deltas();
+        assert_eq!(fresh.take_deltas(), batch);
+        assert_eq!(spare.take_deltas(), batch);
     }
 }

@@ -15,7 +15,10 @@
 //! of its deltas, as in `delta_pins`), recorded when the graph still kept
 //! a raw log beside a separate compactor. Two 30-round `Firmament` runs —
 //! Quincy and the bucketed hierarchy — pin every round's batch as the
-//! scheduler's own manager takes it.
+//! scheduler's own manager takes it. The tests keep their names from
+//! then: "compactor" is now the graph's own folding, and the two round
+//! tests match the reference through pins recorded while the reference
+//! was compared against the manager's raw log.
 
 mod common;
 
@@ -692,7 +695,7 @@ fn load(g: &mut Recorder, rng: &mut XorShift64) {
 }
 
 #[test]
-fn graph_batches_match_reference_on_random_streams() {
+fn compactor_matches_reference_on_random_streams() {
     let mut kinds = HashMap::new();
     for seed in 1..=40u64 {
         let mut rng = XorShift64::new(seed);
@@ -729,7 +732,7 @@ fn graph_batches_match_reference_on_random_streams() {
 /// Spills, cancellations and slot reuse in one stream, each asserted to
 /// occur, so the random matrix above cannot silently lose them.
 #[test]
-fn graph_batches_match_reference_on_targeted_stream() {
+fn compactor_matches_reference_on_targeted_stream() {
     let mut g = Recorder::new();
     let t = g.add_node(NodeKind::Task { task: 1 }, 1);
     let m = g.add_node(NodeKind::Machine { machine: 1 }, 0);
@@ -824,7 +827,7 @@ fn assert_rounds_pinned<C: CostModel>(model: C, what: &str, want: &[u64]) {
 }
 
 #[test]
-fn quincy_round_batches_pinned() {
+fn compactor_matches_reference_over_quincy_rounds() {
     assert_rounds_pinned(
         QuincyCostModel::new(QuincyConfig::default()),
         "quincy",
@@ -833,7 +836,7 @@ fn quincy_round_batches_pinned() {
 }
 
 #[test]
-fn bucketed_hierarchy_round_batches_pinned() {
+fn compactor_matches_reference_over_bucketed_hierarchy_rounds() {
     assert_rounds_pinned(
         HierarchicalTopologyCostModel::bucketed(),
         "bucketed hierarchy",
