@@ -28,10 +28,7 @@
 //! slots; withdrawing one is a sync with no declaration (or, for dynamic
 //! models, a declaration without capacity). Machine arrival, aggregate
 //! materialization, the refresh and the task-side re-price all go
-//! through it. The slot vectors live in three maps, one per lookup:
-//! aggregate → machine bundles keyed by machine (the dirty-machine pass),
-//! EC→EC bundles keyed by parent (the child sync and the upward dirty
-//! sweep), and each waiting task's bundles in declaration order.
+//! through it.
 //!
 //! Convexity — non-decreasing segment costs — is validated at every
 //! declaration site (for machine arrivals and job submissions, before the
@@ -39,6 +36,24 @@
 //! [`PolicyError::NonConvexBundle`]: a decreasing ladder would let the
 //! min-cost solver fill expensive segments before cheap ones, silently
 //! corrupting the declared cost function.
+//!
+//! # One record per entity
+//!
+//! Besides the graph and its sink, the manager keeps one record per
+//! machine, job and aggregate, each in one map keyed by its id, so an
+//! event arm or the garbage collector adds or drops an entity whole:
+//!
+//! - a machine's record holds its node, its arc to the sink (capacity =
+//!   slots) and its aggregate bundles keyed by aggregate, which the
+//!   dirty-machine pass reads;
+//! - a job's record holds its unscheduled aggregator `U_j`, the
+//!   `U_j → S` arc (capacity = incomplete tasks) and its count of tasks in
+//!   the graph, which the gang pass reads;
+//! - an aggregate's record holds its node and its EC→EC bundles keyed by
+//!   child, which the child sync and the upward dirty sweep read.
+//!
+//! Tasks live in the [`TaskTable`], sorted by id; only waiting tasks have
+//! declared bundles, kept in declaration order in a map of their own.
 //!
 //! This mirrors real Firmament's `FlowGraphManager`/`CostModelInterface`
 //! split, which is what makes new policies cheap: the node and slot
@@ -49,6 +64,7 @@ use firmament_flow::delta::DeltaBatch;
 use firmament_flow::{ArcId, FlowGraph, NodeId, NodeKind};
 use firmament_mcmf::incremental::drain_task_flow;
 use firmament_policies::{AggregateId, ArcBundle, ArcSpec, ArcTarget, CostModel, PolicyError};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// A task's handles in the flow network — its node and its arc to its
@@ -104,7 +120,7 @@ impl TaskTable {
     }
 
     /// Sets the entry for `task`, returning the one it replaces.
-    pub fn insert(&mut self, task: TaskId, entry: TaskEntry) -> Option<TaskEntry> {
+    fn insert(&mut self, task: TaskId, entry: TaskEntry) -> Option<TaskEntry> {
         match self.position(task) {
             Ok(i) => {
                 let old = self.entries[i].1.replace(entry);
@@ -137,7 +153,7 @@ impl TaskTable {
     }
 
     /// Removes and returns the entry for `task`.
-    pub fn remove(&mut self, task: TaskId) -> Option<TaskEntry> {
+    fn remove(&mut self, task: TaskId) -> Option<TaskEntry> {
         let i = self.position(task).ok()?;
         let old = self.entries[i].1.take()?;
         self.live -= 1;
@@ -172,183 +188,35 @@ impl PartialEq for TaskTable {
 
 impl Eq for TaskTable {}
 
-/// Node bookkeeping shared by every policy: the sink, per-task and
-/// per-machine nodes, per-job unscheduled aggregators, and the arcs whose
-/// capacities track cluster quantities.
-#[derive(Debug, Default)]
-pub struct GraphBase {
-    /// The flow network.
-    pub graph: FlowGraph,
-    /// The sink node `S`.
-    pub sink: Option<NodeId>,
-    /// The task table, in `TaskId` order: each task's node, unscheduled
-    /// arc and running machine. A clock advance walks it in order to
-    /// re-price every task, and the action diff to read every task's
-    /// extracted machine, without a lookup per task.
-    pub task_table: TaskTable,
-    /// Machine → node.
-    pub machine_nodes: HashMap<MachineId, NodeId>,
-    /// Machine → its arc to the sink (capacity = slots).
-    pub machine_sink_arcs: HashMap<MachineId, ArcId>,
-    /// Job → unscheduled aggregator `U_j`.
-    pub unsched_nodes: HashMap<JobId, NodeId>,
-    /// Job → the `U_j → S` arc (capacity = incomplete tasks of the job).
-    pub unsched_sink_arcs: HashMap<JobId, ArcId>,
+/// A machine's record: its node, its `slots`-capacity arc to the sink and
+/// its aggregate bundles (aggregate → per-segment arc slots, sorted), so a
+/// dirty machine's refresh touches only its own arcs.
+#[derive(Debug)]
+struct MachineEntry {
+    node: NodeId,
+    sink_arc: ArcId,
+    bundles: BTreeMap<AggregateId, Vec<ArcId>>,
 }
 
-impl GraphBase {
-    /// Creates an empty base with a sink node. Change tracking is enabled
-    /// from the start: the manager's graph records every mutation so each
-    /// round's [`DeltaBatch`] can be handed to the incremental solver.
-    pub fn new() -> Self {
-        let mut base = GraphBase::default();
-        base.graph.set_change_tracking(true);
-        let sink = base.graph.add_node(NodeKind::Sink, 0);
-        base.sink = Some(sink);
-        base
-    }
+/// A job's record: its unscheduled aggregator `U_j`, the `U_j → S` arc
+/// (capacity = incomplete tasks, less an enforced gang minimum) and the
+/// number of its tasks in the graph. The record outlives the job's last
+/// task until garbage collection drops `U_j`.
+#[derive(Debug)]
+struct JobEntry {
+    unsched: NodeId,
+    sink_arc: ArcId,
+    tasks: i64,
+}
 
-    /// The sink node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`GraphBase::new`] created the sink.
-    pub fn sink(&self) -> NodeId {
-        self.sink.expect("GraphBase::new creates the sink")
-    }
-
-    /// Adds a machine node with a `slots`-capacity arc to the sink.
-    pub fn add_machine(&mut self, machine: MachineId, slots: i64) -> Result<NodeId, PolicyError> {
-        if self.machine_nodes.contains_key(&machine) {
-            return Err(PolicyError::DuplicateMachine(machine));
-        }
-        let n = self.graph.add_node(NodeKind::Machine { machine }, 0);
-        let arc = self.graph.add_arc(n, self.sink(), slots, 0)?;
-        self.machine_nodes.insert(machine, n);
-        self.machine_sink_arcs.insert(machine, arc);
-        Ok(n)
-    }
-
-    /// Removes a machine node and its arcs.
-    pub fn remove_machine(&mut self, machine: MachineId) -> Result<(), PolicyError> {
-        let n = self
-            .machine_nodes
-            .remove(&machine)
-            .ok_or(PolicyError::UnknownMachine(machine))?;
-        self.machine_sink_arcs.remove(&machine);
-        self.graph.remove_node(n)?;
-        Ok(())
-    }
-
-    /// Adds a task node with one unit of supply and an arc to its job's
-    /// unscheduled aggregator; grows the sink demand and the `U_j → S`
-    /// capacity accordingly.
-    pub fn add_task(
-        &mut self,
-        task: TaskId,
-        job: JobId,
-        unsched_cost: i64,
-    ) -> Result<NodeId, PolicyError> {
-        if self.task_table.contains(task) {
-            return Err(PolicyError::DuplicateTask(task));
-        }
-        let n = self.graph.add_node(NodeKind::Task { task }, 1);
-        let u = self.ensure_unscheduled(job)?;
-        let unsched_arc = self.graph.add_arc(n, u, 1, unsched_cost)?;
-        self.task_table.insert(
-            task,
-            TaskEntry {
-                node: n,
-                unsched_arc,
-                running: None,
-            },
-        );
-        let sink = self.sink();
-        let d = self.graph.supply(sink);
-        self.graph.set_supply(sink, d - 1)?;
-        let ua = self.unsched_sink_arcs[&job];
-        let cap = self.graph.capacity(ua);
-        self.graph.set_arc_capacity(ua, cap + 1)?;
-        Ok(n)
-    }
-
-    /// Removes a task node (after completion or failure), shrinking the sink
-    /// demand and the job's unscheduled capacity.
-    ///
-    /// The caller is responsible for draining the task's flow first when it
-    /// wants the efficient-task-removal heuristic (§5.3.2);
-    /// [`FlowGraphManager::apply_event`] does so for task completions.
-    pub fn remove_task(&mut self, task: TaskId, job: JobId) -> Result<(), PolicyError> {
-        let entry = self
-            .task_table
-            .remove(task)
-            .ok_or(PolicyError::UnknownTask(task))?;
-        self.graph.remove_node(entry.node)?;
-        let sink = self.sink();
-        let d = self.graph.supply(sink);
-        self.graph.set_supply(sink, d + 1)?;
-        if let Some(&ua) = self.unsched_sink_arcs.get(&job) {
-            let cap = self.graph.capacity(ua);
-            self.graph.set_arc_capacity(ua, (cap - 1).max(0))?;
-        }
-        Ok(())
-    }
-
-    /// Returns (creating if needed) the unscheduled aggregator for a job.
-    pub fn ensure_unscheduled(&mut self, job: JobId) -> Result<NodeId, PolicyError> {
-        if let Some(&n) = self.unsched_nodes.get(&job) {
-            return Ok(n);
-        }
-        let n = self
-            .graph
-            .add_node(NodeKind::UnscheduledAggregator { job }, 0);
-        let arc = self.graph.add_arc(n, self.sink(), 0, 0)?;
-        self.unsched_nodes.insert(job, n);
-        self.unsched_sink_arcs.insert(job, arc);
-        Ok(n)
-    }
-
-    /// Node for a task, if present.
-    pub fn task_node(&self, task: TaskId) -> Option<NodeId> {
-        self.task_table.get(task).map(|e| e.node)
-    }
-
-    /// Node for a machine, if present.
-    pub fn machine_node(&self, machine: MachineId) -> Option<NodeId> {
-        self.machine_nodes.get(&machine).copied()
-    }
-
-    /// Finds the first arc from `src` to `dst` if one exists (forward
-    /// direction). With multi-segment bundles there may be several
-    /// parallel arcs; this returns the earliest in adjacency order.
-    pub fn find_arc(&self, src: NodeId, dst: NodeId) -> Option<ArcId> {
-        self.graph
-            .adj(src)
-            .iter()
-            .copied()
-            .find(|&a| a.is_forward() && self.graph.dst(a) == dst)
-    }
-
-    /// Removes every outgoing forward arc of `node` except those whose
-    /// destination satisfies `keep`; used when a task transitions between
-    /// waiting and running arc sets.
-    pub fn retain_out_arcs(
-        &mut self,
-        node: NodeId,
-        keep: impl Fn(&FlowGraph, NodeId) -> bool,
-    ) -> Result<(), PolicyError> {
-        let to_remove: Vec<ArcId> = self
-            .graph
-            .adj(node)
-            .iter()
-            .copied()
-            .filter(|&a| a.is_forward() && !keep(&self.graph, self.graph.dst(a)))
-            .collect();
-        for a in to_remove {
-            self.graph.remove_arc(a)?;
-        }
-        Ok(())
-    }
+/// A materialized aggregate's record: its node and its EC→EC bundles,
+/// source-major (child aggregate → per-segment arc slots, sorted) — the
+/// multi-level hierarchy edges declared via
+/// [`CostModel::aggregate_to_aggregate`].
+#[derive(Debug)]
+struct AggregateEntry {
+    node: NodeId,
+    children: BTreeMap<AggregateId, Vec<ArcId>>,
 }
 
 /// Rejects bundles that break the convexity contract: segment costs must
@@ -464,19 +332,19 @@ pub struct RefreshStats {
 /// state by querying a [`CostModel`] for the policy-specific numbers.
 ///
 /// See the [module documentation](self) for the division of labor.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FlowGraphManager {
-    base: GraphBase,
-    /// Aggregate id → node.
-    agg_nodes: HashMap<AggregateId, NodeId>,
-    /// Machine → its aggregate bundles (aggregate → per-segment arc
-    /// slots, sorted). Machine-major so a dirty machine's refresh touches
-    /// only its own arcs.
-    machine_agg_arcs: HashMap<MachineId, BTreeMap<AggregateId, Vec<ArcId>>>,
-    /// EC→EC bundles, source-major: parent aggregate → (child aggregate →
-    /// per-segment arc slots). These are the multi-level hierarchy edges
-    /// declared via [`CostModel::aggregate_to_aggregate`].
-    agg_agg_arcs: HashMap<AggregateId, BTreeMap<AggregateId, Vec<ArcId>>>,
+    /// The flow network. Change tracking is on from the start, so each
+    /// round's [`DeltaBatch`] can be handed to the incremental solver.
+    graph: FlowGraph,
+    /// The sink node `S`.
+    sink: NodeId,
+    /// Every task's node, unscheduled arc and running machine, in `TaskId`
+    /// order.
+    task_table: TaskTable,
+    machines: HashMap<MachineId, MachineEntry>,
+    jobs: HashMap<JobId, JobEntry>,
+    aggregates: HashMap<AggregateId, AggregateEntry>,
     /// Waiting task → its declared arc targets with per-segment slots, in
     /// declaration order. Machine targets absent from the cluster are
     /// recorded with empty slot vectors so machine-arrival events can
@@ -495,9 +363,6 @@ pub struct FlowGraphManager {
     /// their gang cap is left unenforced (the job queues) so the network
     /// stays feasible instead of surfacing a solver infeasibility error.
     deferred_gangs: Vec<JobId>,
-    /// Job → number of its tasks still in the graph; keeps the gang pass
-    /// proportional to *live* jobs instead of every job ever submitted.
-    live_job_tasks: HashMap<JobId, i64>,
     /// Virtual time of the last refresh; when unchanged, waiting-task
     /// costs cannot have drifted and are skipped.
     last_refresh_now: Option<Time>,
@@ -516,50 +381,78 @@ pub struct FlowGraphManager {
     stats: RefreshStats,
 }
 
+impl Default for FlowGraphManager {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FlowGraphManager {
     /// Creates a manager with an empty network (sink only).
     pub fn new() -> Self {
+        let mut graph = FlowGraph::new();
+        graph.set_change_tracking(true);
+        let sink = graph.add_node(NodeKind::Sink, 0);
         FlowGraphManager {
-            base: GraphBase::new(),
-            ..Default::default()
+            graph,
+            sink,
+            task_table: TaskTable::default(),
+            machines: HashMap::new(),
+            jobs: HashMap::new(),
+            aggregates: HashMap::new(),
+            task_slots: HashMap::new(),
+            dirty_machines: HashSet::new(),
+            dirty_tasks: HashSet::new(),
+            dirty_aggs: HashSet::new(),
+            deferred_gangs: Vec::new(),
+            last_refresh_now: None,
+            hierarchy_declared: false,
+            stats: RefreshStats::default(),
         }
     }
 
     /// The flow network (read-only; solvers clone or take it via the
     /// scheduler core).
     pub fn graph(&self) -> &FlowGraph {
-        &self.base.graph
-    }
-
-    /// The shared node bookkeeping.
-    pub fn base(&self) -> &GraphBase {
-        &self.base
+        &self.graph
     }
 
     /// The sink node.
     pub fn sink(&self) -> NodeId {
-        self.base.sink()
+        self.sink
+    }
+
+    /// The task table, in `TaskId` order: each task's node, unscheduled
+    /// arc and running machine.
+    pub fn task_table(&self) -> &TaskTable {
+        &self.task_table
     }
 
     /// Node for a task, if present.
     pub fn task_node(&self, task: TaskId) -> Option<NodeId> {
-        self.base.task_node(task)
+        self.task_table.get(task).map(|e| e.node)
     }
 
     /// Node for a machine, if present.
     pub fn machine_node(&self, machine: MachineId) -> Option<NodeId> {
-        self.base.machine_node(machine)
+        self.machines.get(&machine).map(|m| m.node)
+    }
+
+    /// A job's unscheduled aggregator `U_j` and its `U_j → S` arc, while
+    /// `U_j` is in the graph.
+    pub fn unscheduled(&self, job: JobId) -> Option<(NodeId, ArcId)> {
+        self.jobs.get(&job).map(|j| (j.unsched, j.sink_arc))
     }
 
     /// Node for a policy-defined aggregate, if it has been materialized.
     pub fn aggregate_node(&self, aggregate: AggregateId) -> Option<NodeId> {
-        self.agg_nodes.get(&aggregate).copied()
+        self.aggregates.get(&aggregate).map(|a| a.node)
     }
 
     /// Number of currently materialized policy aggregates (excludes the
     /// per-job unscheduled aggregators).
     pub fn aggregate_count(&self) -> usize {
-        self.agg_nodes.len()
+        self.aggregates.len()
     }
 
     /// The per-segment arc slots of an aggregate → machine bundle, if
@@ -569,9 +462,9 @@ impl FlowGraphManager {
         aggregate: AggregateId,
         machine: MachineId,
     ) -> Option<&[ArcId]> {
-        self.machine_agg_arcs
+        self.machines
             .get(&machine)
-            .and_then(|m| m.get(&aggregate))
+            .and_then(|m| m.bundles.get(&aggregate))
             .map(|v| v.as_slice())
     }
 
@@ -595,9 +488,9 @@ impl FlowGraphManager {
         parent: AggregateId,
         child: AggregateId,
     ) -> Option<&[ArcId]> {
-        self.agg_agg_arcs
+        self.aggregates
             .get(&parent)
-            .and_then(|m| m.get(&child))
+            .and_then(|a| a.children.get(&child))
             .map(|v| v.as_slice())
     }
 
@@ -631,7 +524,7 @@ impl FlowGraphManager {
     /// before [`take_graph`](Self::take_graph), so the batch covers
     /// exactly one handoff window.
     pub fn take_deltas(&mut self) -> DeltaBatch {
-        self.base.graph.take_deltas()
+        self.graph.take_deltas()
     }
 
     /// Takes the graph out of the manager for an owned (zero-copy) solve.
@@ -639,7 +532,7 @@ impl FlowGraphManager {
     /// preserves node/arc ids — via [`adopt_graph`](Self::adopt_graph)
     /// before the next event or refresh.
     pub fn take_graph(&mut self) -> FlowGraph {
-        std::mem::take(&mut self.base.graph)
+        std::mem::take(&mut self.graph)
     }
 
     /// Installs `graph` as the authoritative network. `graph` must be the
@@ -647,7 +540,7 @@ impl FlowGraphManager {
     /// output derived from it (ids preserved); adopting the winning flow
     /// lets the next incremental solve warm-start from it.
     pub fn adopt_graph(&mut self, graph: FlowGraph) {
-        self.base.graph = graph;
+        self.graph = graph;
     }
 
     /// Applies one cluster event to the flow network, querying `model` for
@@ -662,21 +555,34 @@ impl FlowGraphManager {
         match event {
             ClusterEvent::Tick { .. } => {}
             ClusterEvent::MachineAdded { machine } => {
+                let id = machine.id;
+                if self.machines.contains_key(&id) {
+                    return Err(PolicyError::DuplicateMachine(id));
+                }
                 // Declare and validate every bundle before adding the
                 // machine, so a rejected declaration leaves the graph
                 // untouched.
-                let mut aggs: Vec<AggregateId> = self.agg_nodes.keys().copied().collect();
+                let mut aggs: Vec<AggregateId> = self.aggregates.keys().copied().collect();
                 aggs.sort_unstable();
                 let declared = aggs
                     .into_iter()
                     .map(|agg| Ok((agg, declare_aggregate_arc(model, state, agg, machine)?)))
                     .collect::<Result<Vec<_>, PolicyError>>()?;
-                self.base.add_machine(machine.id, machine.slots as i64)?;
+                let node = self.graph.add_node(NodeKind::Machine { machine: id }, 0);
+                let slots = machine.slots as i64;
+                let sink_arc = self.graph.add_arc(node, self.sink, slots, 0)?;
+                let bundles = BTreeMap::new();
+                let entry = MachineEntry {
+                    node,
+                    sink_arc,
+                    bundles,
+                };
+                self.machines.insert(id, entry);
                 let dynamic = model.dynamic_aggregate_arcs();
                 for (agg, bundle) in declared {
-                    self.sync_machine_bundle(agg, machine.id, bundle.as_ref(), dynamic)?;
+                    self.sync_machine_bundle(agg, id, bundle.as_ref(), dynamic)?;
                 }
-                self.dirty_machines.insert(machine.id);
+                self.dirty_machines.insert(id);
                 // Machine-set changes can alter EC→EC capacities (which
                 // aggregate subtree slots) and even create hierarchy levels
                 // (first machine of a new rack), so every aggregate's
@@ -689,7 +595,7 @@ impl FlowGraphManager {
                 // adjacent to the touched machine is not re-queried — see
                 // `hierarchy_declared` for the documented limits.)
                 if self.hierarchy_declared {
-                    self.dirty_aggs.extend(self.agg_nodes.keys().copied());
+                    self.dirty_aggs.extend(self.aggregates.keys().copied());
                 }
                 // And they can change waiting tasks' declared arc *sets*:
                 // a model that names this machine (or its rack) as a
@@ -697,18 +603,23 @@ impl FlowGraphManager {
                 // build gets but the old incremental graph lacks.
                 // Machine-local models narrow this to the tasks whose
                 // declared targets reference the new machine.
-                self.resync_waiting_arcs(model, state, Some(machine.id))?;
+                self.resync_waiting_arcs(model, state, Some(id))?;
             }
             ClusterEvent::MachineRemoved { machine, .. } => {
-                self.machine_agg_arcs.remove(machine);
+                // The lookup comes first, so an unknown machine changes
+                // nothing.
+                let entry = self
+                    .machines
+                    .remove(machine)
+                    .ok_or(PolicyError::UnknownMachine(*machine))?;
                 // See `MachineAdded`: the blanket re-sync only exists for
                 // EC→EC hierarchies.
                 if self.hierarchy_declared {
-                    self.dirty_aggs.extend(self.agg_nodes.keys().copied());
+                    self.dirty_aggs.extend(self.aggregates.keys().copied());
                 }
-                self.base.task_table.clear_running_on(*machine);
+                self.task_table.clear_running_on(*machine);
                 self.dirty_machines.remove(machine);
-                self.base.remove_machine(*machine)?;
+                self.graph.remove_node(entry.node)?;
                 // A machine failure invalidates waiting arc *sets*, not
                 // just those of the displaced tasks: block replicas died
                 // with the machine, so locality-driven preference arcs
@@ -722,7 +633,7 @@ impl FlowGraphManager {
                 // Reject duplicate ids and invalid task-arc declarations
                 // before adding any task, so a bad submission leaves the
                 // graph untouched.
-                let known = |t: &&firmament_cluster::Task| self.base.task_table.contains(t.id);
+                let known = |t: &&firmament_cluster::Task| self.task_table.contains(t.id);
                 if let Some(id) =
                     repeated_id(tasks).or_else(|| tasks.iter().find(known).map(|t| t.id))
                 {
@@ -733,23 +644,16 @@ impl FlowGraphManager {
                     .map(|task| declare_task_arcs(model, state, task))
                     .collect::<Result<Vec<_>, _>>()?;
                 for (task, declared) in tasks.iter().zip(declared) {
-                    self.base.add_task(
-                        task.id,
-                        job.id,
-                        model.task_unscheduled_cost(state, task),
-                    )?;
+                    self.add_task(task.id, job.id, model.task_unscheduled_cost(state, task))?;
                     self.install_waiting_arcs(model, state, task, declared)?;
                     self.dirty_tasks.insert(task.id);
-                    *self.live_job_tasks.entry(job.id).or_insert(0) += 1;
                 }
             }
             ClusterEvent::TaskPlaced { task, machine, .. } => {
                 let t = self
-                    .base
                     .task_node(*task)
                     .ok_or(PolicyError::UnknownTask(*task))?;
                 let m = self
-                    .base
                     .machine_node(*machine)
                     .ok_or(PolicyError::UnknownMachine(*machine))?;
                 let task_data = state
@@ -761,19 +665,18 @@ impl FlowGraphManager {
                 // flow-carrying waiting arc would strand stale flow on the
                 // aggregates below, unbalancing the warm start and pinning
                 // otherwise-dead aggregates past garbage collection.
-                drain_task_flow(&mut self.base.graph, t);
+                drain_task_flow(&mut self.graph, t);
                 // A running task keeps exactly two arcs: the zero-ish-cost
                 // arc to its machine and the preemption arc to U_j, so
                 // migrations always go through explicit preemption.
                 self.strip_task_arcs(*task)?;
                 let cost = model.running_arc_cost(state, task_data, *machine);
-                self.base.graph.add_arc(t, m, 1, cost)?;
-                self.base.task_table.set_running(*task, Some(*machine));
+                self.graph.add_arc(t, m, 1, cost)?;
+                self.task_table.set_running(*task, Some(*machine));
                 self.dirty_machines.insert(*machine);
             }
             ClusterEvent::TaskPreempted { task, .. } => {
                 let t = self
-                    .base
                     .task_node(*task)
                     .ok_or(PolicyError::UnknownTask(*task))?;
                 let task_data = state
@@ -783,10 +686,10 @@ impl FlowGraphManager {
                 // Drain before dropping the running arc, for the same
                 // reason as in `TaskPlaced`: its flow must not be stranded
                 // on the machine → sink arc.
-                drain_task_flow(&mut self.base.graph, t);
+                drain_task_flow(&mut self.graph, t);
                 self.strip_task_arcs(*task)?;
                 self.add_waiting_arcs(model, state, task_data)?;
-                if let Some(m) = self.base.task_table.set_running(*task, None) {
+                if let Some(m) = self.task_table.set_running(*task, None) {
                     self.dirty_machines.insert(m);
                 }
                 self.dirty_tasks.insert(*task);
@@ -800,22 +703,22 @@ impl FlowGraphManager {
                     .ok_or(PolicyError::UnknownTask(*task))?
                     .job;
                 let entry = self
-                    .base
                     .task_table
-                    .get(*task)
+                    .remove(*task)
                     .ok_or(PolicyError::UnknownTask(*task))?;
                 // Efficient task removal (§5.3.2): drain the departing
                 // task's flow before deleting the node so the graph stays
                 // balanced for the incremental solver.
-                drain_task_flow(&mut self.base.graph, entry.node);
-                self.base.remove_task(*task, job)?;
-                self.task_slots.remove(task);
-                if let Some(n) = self.live_job_tasks.get_mut(&job) {
-                    *n -= 1;
-                    if *n <= 0 {
-                        self.live_job_tasks.remove(&job);
-                    }
+                drain_task_flow(&mut self.graph, entry.node);
+                self.graph.remove_node(entry.node)?;
+                self.graph
+                    .set_supply(self.sink, self.graph.supply(self.sink) + 1)?;
+                if let Some(j) = self.jobs.get_mut(&job) {
+                    let cap = self.graph.capacity(j.sink_arc);
+                    self.graph.set_arc_capacity(j.sink_arc, (cap - 1).max(0))?;
+                    j.tasks = (j.tasks - 1).max(0);
                 }
+                self.task_slots.remove(task);
                 self.dirty_tasks.remove(task);
                 if let Some(m) = entry.running {
                     self.dirty_machines.insert(m);
@@ -832,7 +735,7 @@ impl FlowGraphManager {
     /// *up* multi-level EC→EC chains); pass 2 re-queries the model for
     /// exactly those and applies the deltas. A quiescent round (no events,
     /// clock unchanged) touches nothing. A clock advance re-prices every
-    /// task by walking the task table ([`GraphBase::task_table`]) in
+    /// task by walking the task table ([`task_table`](Self::task_table)) in
     /// `TaskId` order: each entry already holds the task's `T → U_j` arc,
     /// so the walk costs one model call and one cost update per task.
     ///
@@ -885,10 +788,10 @@ impl FlowGraphManager {
             let machine = &state.machines[&mid];
             aggs.clear();
             if dynamic {
-                aggs.extend(self.agg_nodes.keys());
+                aggs.extend(self.aggregates.keys());
                 aggs.sort_unstable();
-            } else if let Some(arcs) = self.machine_agg_arcs.get(&mid) {
-                aggs.extend(arcs.keys());
+            } else if let Some(m) = self.machines.get(&mid) {
+                aggs.extend(m.bundles.keys());
             }
             for &agg in &aggs {
                 let bundle = declare_aggregate_arc(model, state, agg, machine)?;
@@ -908,24 +811,21 @@ impl FlowGraphManager {
                 // Bundle re-pricing needs the whole manager (it may
                 // rewire arcs and materialize aggregates), so it walks a
                 // copy of the table.
-                let table: Vec<(TaskId, TaskEntry)> = self.base.task_table.iter().collect();
+                let table: Vec<(TaskId, TaskEntry)> = self.task_table.iter().collect();
                 for (tid, entry) in table {
                     self.reprice_task(model, state, tid, entry, true)?;
                 }
             } else {
-                let GraphBase {
-                    graph, task_table, ..
-                } = &mut self.base;
-                for (tid, entry) in task_table.iter() {
-                    reprice_unscheduled(graph, model, state, tid, entry)?;
+                for (tid, entry) in self.task_table.iter() {
+                    reprice_unscheduled(&mut self.graph, model, state, tid, entry)?;
                 }
             }
-            self.base.task_table.len()
+            self.task_table.len()
         } else {
             let mut tasks: Vec<TaskId> = self.dirty_tasks.iter().copied().collect();
             tasks.sort_unstable();
             for &tid in &tasks {
-                if let Some(entry) = self.base.task_table.get(tid) {
+                if let Some(entry) = self.task_table.get(tid) {
                     self.reprice_task(model, state, tid, entry, reprice_bundles)?;
                 }
             }
@@ -947,14 +847,18 @@ impl FlowGraphManager {
         // then surfaces as a solver error. Only jobs with tasks still in
         // the graph are consulted, so the pass stays proportional to live
         // work, not total jobs submitted; a job's incomplete count is its
-        // live-task counter, not a scan of its task list.
+        // record's task count, not a scan of its task list.
         self.deferred_gangs.clear();
-        let mut jobs: Vec<(JobId, i64)> =
-            self.live_job_tasks.iter().map(|(&j, &n)| (j, n)).collect();
+        let mut jobs: Vec<(JobId, i64, ArcId)> = self
+            .jobs
+            .iter()
+            .filter(|(_, j)| j.tasks > 0)
+            .map(|(&id, j)| (id, j.tasks, j.sink_arc))
+            .collect();
         jobs.sort_unstable();
         let budget: i64 = state.machines.values().map(|m| m.slots as i64).sum();
         let mut committed: i64 = 0;
-        for (jid, incomplete) in jobs {
+        for (jid, incomplete, ua) in jobs {
             let Some(job) = state.jobs.get(&jid) else {
                 continue;
             };
@@ -962,18 +866,14 @@ impl FlowGraphManager {
             if gang <= 0 {
                 continue;
             }
-            let Some(&ua) = self.base.unsched_sink_arcs.get(&jid) else {
-                continue;
-            };
             let forced = gang.min(incomplete);
             if committed + forced > budget || forced > self.job_reachable_machine_capacity(job) {
                 self.deferred_gangs.push(jid);
-                self.base.graph.set_arc_capacity(ua, incomplete)?;
+                self.graph.set_arc_capacity(ua, incomplete)?;
                 continue;
             }
             committed += forced;
-            self.base
-                .graph
+            self.graph
                 .set_arc_capacity(ua, (incomplete - gang).max(0))?;
         }
 
@@ -1005,18 +905,18 @@ impl FlowGraphManager {
         dirty_machines: &[MachineId],
     ) -> BTreeSet<AggregateId> {
         let mut set: BTreeSet<AggregateId> = if dynamic {
-            self.agg_nodes.keys().copied().collect()
+            self.aggregates.keys().copied().collect()
         } else {
             let mut set: BTreeSet<AggregateId> = self.dirty_aggs.iter().copied().collect();
             for m in dirty_machines {
-                if let Some(arcs) = self.machine_agg_arcs.get(m) {
-                    set.extend(arcs.keys().copied());
+                if let Some(m) = self.machines.get(m) {
+                    set.extend(m.bundles.keys().copied());
                 }
             }
             // Reverse EC→EC edges (child → parents) for the upward sweep.
             let mut parents: HashMap<AggregateId, Vec<AggregateId>> = HashMap::new();
-            for (&parent, children) in &self.agg_agg_arcs {
-                for &child in children.keys() {
+            for (&parent, a) in &self.aggregates {
+                for &child in a.children.keys() {
                     parents.entry(child).or_default().push(parent);
                 }
             }
@@ -1032,7 +932,7 @@ impl FlowGraphManager {
             }
             set
         };
-        set.retain(|a| self.agg_nodes.contains_key(a));
+        set.retain(|a| self.aggregates.contains_key(a));
         set
     }
 
@@ -1064,11 +964,8 @@ impl FlowGraphManager {
                 self.sync_child_bundle(model, state, agg, *child, Some(bundle), stack)?;
             }
         }
-        let stale: Vec<AggregateId> = self
-            .agg_agg_arcs
-            .get(&agg)
-            .map(|m| m.keys().filter(|c| !seen.contains(c)).copied().collect())
-            .unwrap_or_default();
+        let children = self.aggregates[&agg].children.keys();
+        let stale: Vec<AggregateId> = children.filter(|c| !seen.contains(c)).copied().collect();
         for child in stale {
             self.sync_child_bundle(model, state, agg, child, None, stack)?;
         }
@@ -1092,12 +989,9 @@ impl FlowGraphManager {
         stack: &mut Vec<AggregateId>,
     ) -> Result<(), PolicyError> {
         let dynamic = model.dynamic_aggregate_arcs();
-        let connected = self
-            .agg_agg_arcs
-            .get(&parent)
-            .is_some_and(|m| m.contains_key(&child));
+        let connected = self.aggregates[&parent].children.contains_key(&child);
         let cn = if connected {
-            self.agg_nodes[&child]
+            self.aggregates[&child].node
         } else if declared_segments(declared, dynamic).is_empty() {
             return Ok(());
         } else {
@@ -1107,9 +1001,19 @@ impl FlowGraphManager {
             }
             cn
         };
-        let pn = self.agg_nodes[&parent];
-        let arcs = self.agg_agg_arcs.entry(parent).or_default();
-        sync_entry(&mut self.base.graph, arcs, child, pn, cn, declared, dynamic)
+        let p = self
+            .aggregates
+            .get_mut(&parent)
+            .expect("a synced parent is materialized");
+        sync_entry(
+            &mut self.graph,
+            &mut p.children,
+            child,
+            p.node,
+            cn,
+            declared,
+            dynamic,
+        )
     }
 
     /// Re-prices one task: its unscheduled arc, then — when
@@ -1125,8 +1029,7 @@ impl FlowGraphManager {
         entry: TaskEntry,
         reprice_bundles: bool,
     ) -> Result<(), PolicyError> {
-        let Some(task) = reprice_unscheduled(&mut self.base.graph, model, state, tid, entry)?
-        else {
+        let Some(task) = reprice_unscheduled(&mut self.graph, model, state, tid, entry)? else {
             return Ok(());
         };
         if reprice_bundles && self.task_slots.contains_key(&tid) {
@@ -1161,9 +1064,7 @@ impl FlowGraphManager {
                         ArcTarget::Machine(m) if !state.machines.contains_key(m) => {
                             slots.is_empty()
                         }
-                        _ => {
-                            !slots.is_empty() && slots.iter().all(|&a| self.base.graph.arc_alive(a))
-                        }
+                        _ => !slots.is_empty() && slots.iter().all(|&a| self.graph.arc_alive(a)),
                     }
             });
         if !structural_match {
@@ -1174,15 +1075,15 @@ impl FlowGraphManager {
         }
         for ((target, slots), (_, bundle)) in entry.iter_mut().zip(&declared) {
             let dst = match target {
-                ArcTarget::Aggregate(agg) => self.agg_nodes[agg],
-                ArcTarget::Machine(m) => match self.base.machine_node(*m) {
+                ArcTarget::Aggregate(agg) => self.aggregates[agg].node,
+                ArcTarget::Machine(m) => match self.machine_node(*m) {
                     Some(mn) => mn,
                     None => continue, // absent machine: parked reference
                 },
             };
             // Parking (not removal) on shrink keeps slot identity so the
             // segment can revive as a pure capacity change later.
-            sync_bundle(&mut self.base.graph, slots, tn, dst, Some(bundle), false)?;
+            sync_bundle(&mut self.graph, slots, tn, dst, Some(bundle), false)?;
         }
         self.task_slots.insert(task.id, entry);
         Ok(())
@@ -1194,11 +1095,11 @@ impl FlowGraphManager {
     /// by gang admission control. Not a max flow: interior bottlenecks
     /// are ignored, so this can overestimate, never underestimate.
     fn job_reachable_machine_capacity(&self, job: &firmament_cluster::Job) -> i64 {
-        let g = &self.base.graph;
+        let g = &self.graph;
         let mut work: Vec<NodeId> = job
             .tasks
             .iter()
-            .filter_map(|t| self.base.task_node(*t))
+            .filter_map(|t| self.task_node(*t))
             .collect();
         let mut visited: HashSet<NodeId> = work.iter().copied().collect();
         let mut cap = 0i64;
@@ -1213,8 +1114,8 @@ impl FlowGraphManager {
                 }
                 match g.kind(dst) {
                     NodeKind::Machine { machine } => {
-                        if let Some(&ms) = self.base.machine_sink_arcs.get(&machine) {
-                            cap += g.capacity(ms);
+                        if let Some(m) = self.machines.get(&machine) {
+                            cap += g.capacity(m.sink_arc);
                         }
                     }
                     NodeKind::UnscheduledAggregator { .. } | NodeKind::Sink => {}
@@ -1236,8 +1137,8 @@ impl FlowGraphManager {
             if !visited.insert(a) {
                 continue;
             }
-            if let Some(children) = self.agg_agg_arcs.get(&a) {
-                for &c in children.keys() {
+            if let Some(agg) = self.aggregates.get(&a) {
+                for &c in agg.children.keys() {
                     if c == target {
                         return true;
                     }
@@ -1260,18 +1161,15 @@ impl FlowGraphManager {
         let mut collected = 0usize;
         loop {
             let mut victim_aggs: Vec<AggregateId> = self
-                .agg_nodes
+                .aggregates
                 .iter()
-                .filter(|(_, &n)| self.node_is_collectable(n))
+                .filter(|(_, a)| self.node_is_collectable(a.node))
                 .map(|(&a, _)| a)
                 .collect();
             let mut victim_jobs: Vec<JobId> = self
-                .base
-                .unsched_nodes
+                .jobs
                 .iter()
-                .filter(|(j, &n)| {
-                    !self.live_job_tasks.contains_key(j) && self.node_is_collectable(n)
-                })
+                .filter(|(_, j)| j.tasks == 0 && self.node_is_collectable(j.unsched))
                 .map(|(&j, _)| j)
                 .collect();
             if victim_aggs.is_empty() && victim_jobs.is_empty() {
@@ -1281,12 +1179,11 @@ impl FlowGraphManager {
             victim_jobs.sort_unstable();
             let victim_set: HashSet<AggregateId> = victim_aggs.iter().copied().collect();
             for &agg in &victim_aggs {
-                let n = self
-                    .agg_nodes
+                let a = self
+                    .aggregates
                     .remove(&agg)
-                    .expect("victim came from agg_nodes");
-                self.base.graph.remove_node(n)?;
-                self.agg_agg_arcs.remove(&agg);
+                    .expect("victim is an aggregate");
+                self.graph.remove_node(a.node)?;
                 self.dirty_aggs.remove(&agg);
                 collected += 1;
             }
@@ -1294,21 +1191,16 @@ impl FlowGraphManager {
             // (draining many per-job aggregates at once) stays linear in
             // map size instead of victims × map size.
             if !victim_set.is_empty() {
-                for arcs in self.agg_agg_arcs.values_mut() {
-                    arcs.retain(|c, _| !victim_set.contains(c));
+                for a in self.aggregates.values_mut() {
+                    a.children.retain(|c, _| !victim_set.contains(c));
                 }
-                for arcs in self.machine_agg_arcs.values_mut() {
-                    arcs.retain(|a, _| !victim_set.contains(a));
+                for m in self.machines.values_mut() {
+                    m.bundles.retain(|a, _| !victim_set.contains(a));
                 }
             }
             for job in victim_jobs {
-                let n = self
-                    .base
-                    .unsched_nodes
-                    .remove(&job)
-                    .expect("victim came from unsched_nodes");
-                self.base.unsched_sink_arcs.remove(&job);
-                self.base.graph.remove_node(n)?;
+                let j = self.jobs.remove(&job).expect("victim is a job");
+                self.graph.remove_node(j.unsched)?;
                 collected += 1;
             }
         }
@@ -1320,7 +1212,7 @@ impl FlowGraphManager {
     /// arc of a rack whose machines all departed) — and no incident arc
     /// carries flow (so removal cannot unbalance a warm-started solve).
     fn node_is_collectable(&self, n: NodeId) -> bool {
-        let g = &self.base.graph;
+        let g = &self.graph;
         g.adj(n).iter().all(|&a| {
             let fwd = a.forward();
             if a.is_forward() {
@@ -1370,7 +1262,7 @@ impl FlowGraphManager {
                     }
                 }
             }
-            if !self.base.task_table.contains(tid) {
+            if !self.task_table.contains(tid) {
                 continue;
             }
             self.strip_task_arcs(tid)?;
@@ -1409,7 +1301,6 @@ impl FlowGraphManager {
         declared: Vec<(ArcTarget, ArcBundle)>,
     ) -> Result<(), PolicyError> {
         let t = self
-            .base
             .task_node(task.id)
             .ok_or(PolicyError::UnknownTask(task.id))?;
         let mut entry: Vec<(ArcTarget, Vec<ArcId>)> = Vec::with_capacity(declared.len());
@@ -1420,18 +1311,11 @@ impl FlowGraphManager {
                 }
                 // An absent machine keeps empty slots: the parked
                 // reference lets arrival re-derivation find this task.
-                ArcTarget::Machine(mid) => self.base.machine_node(mid),
+                ArcTarget::Machine(mid) => self.machine_node(mid),
             };
             let mut slots = Vec::new();
             if let Some(dst) = dst {
-                sync_bundle(
-                    &mut self.base.graph,
-                    &mut slots,
-                    t,
-                    dst,
-                    Some(&bundle),
-                    false,
-                )?;
+                sync_bundle(&mut self.graph, &mut slots, t, dst, Some(&bundle), false)?;
             }
             entry.push((target, slots));
         }
@@ -1455,19 +1339,21 @@ impl FlowGraphManager {
         stack: &mut Vec<AggregateId>,
     ) -> Result<NodeId, PolicyError> {
         // The stack check must precede the node lookup: an aggregate under
-        // materialization is already in `agg_nodes`, and reaching it again
+        // materialization already has a record, and reaching it again
         // through its own descendants is exactly the cycle case.
         if stack.contains(&agg) {
             return Err(PolicyError::AggregateCycle(agg));
         }
-        if let Some(&n) = self.agg_nodes.get(&agg) {
-            return Ok(n);
+        if let Some(a) = self.aggregates.get(&agg) {
+            return Ok(a.node);
         }
         stack.push(agg);
-        let an = self.base.graph.add_node(model.aggregate_kind(agg), 0);
-        self.agg_nodes.insert(agg, an);
+        let node = self.graph.add_node(model.aggregate_kind(agg), 0);
+        let children = BTreeMap::new();
+        self.aggregates
+            .insert(agg, AggregateEntry { node, children });
         let dynamic = model.dynamic_aggregate_arcs();
-        let mut machines: Vec<MachineId> = self.base.machine_nodes.keys().copied().collect();
+        let mut machines: Vec<MachineId> = self.machines.keys().copied().collect();
         machines.sort_unstable();
         for mid in machines {
             let Some(machine) = state.machines.get(&mid) else {
@@ -1480,7 +1366,7 @@ impl FlowGraphManager {
         }
         self.sync_aggregate_children(model, state, agg, stack)?;
         stack.pop();
-        Ok(an)
+        Ok(node)
     }
 
     /// Syncs `agg`'s bundle to machine `mid` with an already validated
@@ -1501,24 +1387,72 @@ impl FlowGraphManager {
         {
             return Ok(());
         }
-        let (Some(&an), Some(mn)) = (self.agg_nodes.get(&agg), self.base.machine_node(mid)) else {
+        let (Some(a), Some(m)) = (self.aggregates.get(&agg), self.machines.get_mut(&mid)) else {
             return Ok(());
         };
-        let arcs = self.machine_agg_arcs.entry(mid).or_default();
-        sync_entry(&mut self.base.graph, arcs, agg, an, mn, declared, dynamic)
+        sync_entry(
+            &mut self.graph,
+            &mut m.bundles,
+            agg,
+            a.node,
+            m.node,
+            declared,
+            dynamic,
+        )
+    }
+
+    /// Adds a task node with one unit of supply and its arc to the job's
+    /// unscheduled aggregator `U_j`, creating `U_j` and its `U_j → S` arc
+    /// after the task node on the job's first task; grows the sink demand
+    /// and the `U_j → S` capacity by one.
+    fn add_task(&mut self, task: TaskId, job: JobId, unsched_cost: i64) -> Result<(), PolicyError> {
+        let node = self.graph.add_node(NodeKind::Task { task }, 1);
+        let j = match self.jobs.entry(job) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let kind = NodeKind::UnscheduledAggregator { job };
+                let unsched = self.graph.add_node(kind, 0);
+                let sink_arc = self.graph.add_arc(unsched, self.sink, 0, 0)?;
+                e.insert(JobEntry {
+                    unsched,
+                    sink_arc,
+                    tasks: 0,
+                })
+            }
+        };
+        j.tasks += 1;
+        let unsched_arc = self.graph.add_arc(node, j.unsched, 1, unsched_cost)?;
+        let entry = TaskEntry {
+            node,
+            unsched_arc,
+            running: None,
+        };
+        self.task_table.insert(task, entry);
+        self.graph
+            .set_supply(self.sink, self.graph.supply(self.sink) - 1)?;
+        let cap = self.graph.capacity(j.sink_arc);
+        self.graph.set_arc_capacity(j.sink_arc, cap + 1)?;
+        Ok(())
     }
 
     /// Strips a task down to its `T → U_j` arc and forgets its declared
     /// slots: the first step of every change to a task's arc set.
     fn strip_task_arcs(&mut self, task: TaskId) -> Result<(), PolicyError> {
         let entry = self
-            .base
             .task_table
             .get(task)
             .ok_or(PolicyError::UnknownTask(task))?;
-        let u = self.base.graph.dst(entry.unsched_arc);
-        self.base
-            .retain_out_arcs(entry.node, move |_, dst| dst == u)?;
+        let g = &self.graph;
+        let u = g.dst(entry.unsched_arc);
+        let doomed: Vec<ArcId> = g
+            .adj(entry.node)
+            .iter()
+            .copied()
+            .filter(|&a| a.is_forward() && g.dst(a) != u)
+            .collect();
+        for a in doomed {
+            self.graph.remove_arc(a)?;
+        }
         self.task_slots.remove(&task);
         Ok(())
     }
@@ -1602,49 +1536,100 @@ mod tests {
     use firmament_flow::delta::GraphDelta;
     use firmament_policies::{ArcBundle, ArcSpec};
 
+    /// The first forward arc from `src` to `dst`, if any.
+    fn find_arc(g: &FlowGraph, src: NodeId, dst: NodeId) -> Option<ArcId> {
+        (g.adj(src).iter().copied()).find(|&a| a.is_forward() && g.dst(a) == dst)
+    }
+
     #[test]
     fn base_bookkeeping_roundtrip() {
-        let mut b = GraphBase::new();
-        let m = b.add_machine(0, 4).unwrap();
-        let t = b.add_task(10, 0, 50).unwrap();
-        assert_eq!(b.graph.supply(b.sink()), -1);
-        assert_eq!(b.machine_node(0), Some(m));
-        assert_eq!(b.task_node(10), Some(t));
-        // Unscheduled agg exists with capacity 1.
-        let ua = b.unsched_sink_arcs[&0];
-        assert_eq!(b.graph.capacity(ua), 1);
+        let (mut state, mut mgr) = setup(1, 4);
+        let sink = mgr.sink();
+        submit(&mut state, &mut mgr, 0, 1);
+        let g = mgr.graph();
+        let (u, ua) = mgr.unscheduled(0).expect("U_0 exists");
+        assert_eq!(g.kind(u), NodeKind::UnscheduledAggregator { job: 0 });
+        assert_eq!((g.src(ua), g.dst(ua)), (u, sink));
+        assert_eq!(g.dst(mgr.task_table().get(0).unwrap().unsched_arc), u);
+        // Submitting the task moved the sink demand and `U_0 → S` by one.
+        assert_eq!(g.supply(sink), -1);
+        assert_eq!(g.capacity(ua), 1);
 
-        b.remove_task(10, 0).unwrap();
-        assert_eq!(b.graph.supply(b.sink()), 0);
-        assert_eq!(b.graph.capacity(ua), 0);
-        assert!(b.task_node(10).is_none());
-        b.remove_machine(0).unwrap();
-        assert!(b.machine_node(0).is_none());
+        for ev in [
+            ClusterEvent::TaskPlaced {
+                task: 0,
+                machine: 0,
+                now: 1,
+            },
+            ClusterEvent::TaskCompleted { task: 0, now: 2 },
+        ] {
+            state.apply(&ev);
+            mgr.apply_event(&TestModel, &state, &ev).unwrap();
+        }
+        // Completing it moved both back.
+        assert_eq!(mgr.graph().supply(sink), 0);
+        assert_eq!(mgr.graph().capacity(ua), 0);
+        assert!(mgr.task_node(0).is_none());
+        assert!(mgr.task_table().is_empty());
+
+        let ev = ClusterEvent::MachineRemoved { machine: 0, now: 3 };
+        state.apply(&ev);
+        mgr.apply_event(&TestModel, &state, &ev).unwrap();
+        assert!(mgr.machine_node(0).is_none());
     }
 
     #[test]
     fn duplicate_rejected() {
-        let mut b = GraphBase::new();
-        b.add_machine(0, 1).unwrap();
-        assert!(matches!(
-            b.add_machine(0, 1),
-            Err(PolicyError::DuplicateMachine(0))
-        ));
-        b.add_task(5, 0, 10).unwrap();
-        assert!(matches!(
-            b.add_task(5, 0, 10),
-            Err(PolicyError::DuplicateTask(5))
-        ));
+        let (mut state, mut mgr) = setup(1, 1);
+        submit(&mut state, &mut mgr, 0, 1);
+        mgr.refresh(&TestModel, &state).unwrap();
+        let before = untouched(&mgr);
+        let stats = mgr.stats();
+        let machine = state.machines[&0].clone();
+        let ev = ClusterEvent::MachineAdded { machine };
+        let err = mgr.apply_event(&TestModel, &state, &ev);
+        assert!(
+            matches!(err, Err(PolicyError::DuplicateMachine(0))),
+            "{err:?}"
+        );
+        assert_eq!(untouched(&mgr), before);
+        mgr.refresh(&TestModel, &state).unwrap();
+        assert_eq!(mgr.stats().last_machines_touched, 0);
+        assert_eq!(mgr.stats().waiting_rederived, stats.waiting_rederived);
     }
 
     #[test]
     fn unscheduled_shared_per_job() {
-        let mut b = GraphBase::new();
-        b.add_task(1, 7, 10).unwrap();
-        b.add_task(2, 7, 10).unwrap();
-        assert_eq!(b.unsched_nodes.len(), 1);
-        let ua = b.unsched_sink_arcs[&7];
-        assert_eq!(b.graph.capacity(ua), 2);
+        let (mut state, mut mgr) = setup(1, 1);
+        submit(&mut state, &mut mgr, 7, 2);
+        let (u, ua) = mgr.unscheduled(7).expect("U_7 exists");
+        let g = mgr.graph();
+        for (_, entry) in mgr.task_table().iter() {
+            assert_eq!(g.dst(entry.unsched_arc), u);
+        }
+        let unsched = g.node_ids().filter(|&n| g.kind(n) == g.kind(u)).count();
+        assert_eq!(unsched, 1);
+        assert_eq!(g.capacity(ua), 2);
+    }
+
+    /// A default-built manager is as usable as a `new` one.
+    #[test]
+    fn default_manager_schedules() {
+        let mut state = ClusterState::with_topology(&TopologySpec {
+            machines: 1,
+            machines_per_rack: 1,
+            slots_per_machine: 1,
+        });
+        let mut mgr = FlowGraphManager::default();
+        let machine = state.machines[&0].clone();
+        let ev = ClusterEvent::MachineAdded { machine };
+        mgr.apply_event(&TestModel, &state, &ev).unwrap();
+        submit(&mut state, &mut mgr, 0, 1);
+        mgr.refresh(&TestModel, &state).unwrap();
+        assert!(mgr.machine_node(0).is_some());
+        assert_eq!(mgr.graph().kind(mgr.sink()), NodeKind::Sink);
+        assert_eq!(mgr.graph().supply(mgr.sink()), -1);
+        assert_eq!(mgr.graph().capacity(mgr.unscheduled(0).unwrap().1), 1);
     }
 
     /// A minimal cost model for manager tests: one cluster aggregate,
@@ -1854,7 +1839,7 @@ mod tests {
         // The displaced task got its aggregate arc back.
         let t = mgr.task_node(0).unwrap();
         let agg = mgr.aggregate_node(AGG).unwrap();
-        assert!(mgr.base().find_arc(t, agg).is_some());
+        assert!(find_arc(mgr.graph(), t, agg).is_some());
     }
 
     #[test]
@@ -2920,7 +2905,7 @@ mod tests {
         mgr.apply_event(&NarrowGangModel, &state, &ev).unwrap();
         let m = mgr.machine_node(0).unwrap();
         assert!(
-            mgr.base().find_arc(t, m).is_some(),
+            find_arc(mgr.graph(), t, m).is_some(),
             "late-arriving preference machine must get the declared arc"
         );
     }
@@ -2957,7 +2942,7 @@ mod tests {
             "structurally unreachable gang must defer, not go infeasible"
         );
         assert_eq!(
-            mgr.graph().capacity(mgr.base().unsched_sink_arcs[&0]),
+            mgr.graph().capacity(mgr.unscheduled(0).unwrap().1),
             3,
             "deferred gang leaves U_0 → S unconstrained"
         );
@@ -3039,7 +3024,7 @@ mod tests {
         state.apply(&ev);
         mgr.apply_event(&GangModel, &state, &ev).unwrap();
         mgr.refresh(&GangModel, &state).unwrap();
-        let ua = mgr.base().unsched_sink_arcs[&0];
+        let (_, ua) = mgr.unscheduled(0).unwrap();
         // 3 incomplete tasks − gang minimum 2 = capacity 1.
         assert_eq!(mgr.graph().capacity(ua), 1);
     }
@@ -3073,8 +3058,9 @@ mod tests {
         mgr.refresh(&GangModel, &state).unwrap();
         // Job 0 is admitted (cap 3−2=1); job 1 is deferred (cap stays 3).
         assert_eq!(mgr.deferred_gang_jobs(), &[1]);
-        assert_eq!(mgr.graph().capacity(mgr.base().unsched_sink_arcs[&0]), 1);
-        assert_eq!(mgr.graph().capacity(mgr.base().unsched_sink_arcs[&1]), 3);
+        let cap = |job| mgr.graph().capacity(mgr.unscheduled(job).unwrap().1);
+        assert_eq!(cap(0), 1);
+        assert_eq!(cap(1), 3);
         // Capacity appears: two more machines admit the second gang.
         for id in [10u64, 11] {
             let m = Machine::new(id, 0, 1);
@@ -3084,7 +3070,7 @@ mod tests {
         }
         mgr.refresh(&GangModel, &state).unwrap();
         assert!(mgr.deferred_gang_jobs().is_empty());
-        assert_eq!(mgr.graph().capacity(mgr.base().unsched_sink_arcs[&1]), 1);
+        assert_eq!(mgr.graph().capacity(mgr.unscheduled(1).unwrap().1), 1);
     }
 
     /// A flat model that counts its `aggregate_to_aggregate` queries, to
@@ -3366,7 +3352,7 @@ mod tests {
         (
             format!("{:?}", mgr.graph()),
             mgr.graph().pending_changes(),
-            mgr.base().task_table.clone(),
+            mgr.task_table().clone(),
         )
     }
 
@@ -3402,6 +3388,49 @@ mod tests {
         let before = untouched(&mgr);
         let err = mgr.apply_event(&TestModel, &state, &ev);
         assert!(matches!(err, Err(PolicyError::UnknownTask(0))), "{err:?}");
+        assert_eq!(untouched(&mgr), before);
+    }
+
+    /// Removing an unknown machine is rejected before it dirties anything,
+    /// even under a hierarchy model, whose machine events dirty every
+    /// aggregate.
+    #[test]
+    fn rejected_machine_removal_changes_nothing() {
+        let model = firmament_policies::HierarchicalTopologyCostModel::new();
+        let mut state = ClusterState::with_topology(&TopologySpec {
+            machines: 8,
+            machines_per_rack: 4,
+            slots_per_machine: 2,
+        });
+        let mut mgr = FlowGraphManager::new();
+        let mut machines: Vec<Machine> = state.machines.values().cloned().collect();
+        machines.sort_by_key(|m| m.id);
+        for machine in machines {
+            let ev = ClusterEvent::MachineAdded { machine };
+            mgr.apply_event(&model, &state, &ev).unwrap();
+        }
+        let ev = ClusterEvent::JobSubmitted {
+            job: Job::new(0, JobClass::Batch, 0, state.now),
+            tasks: vec![Task::new(0, 0, state.now, 1_000_000)],
+        };
+        state.apply(&ev);
+        mgr.apply_event(&model, &state, &ev).unwrap();
+        mgr.refresh(&model, &state).unwrap();
+        assert!(mgr.aggregate_count() > 1, "the model builds a hierarchy");
+
+        let before = untouched(&mgr);
+        let ev = ClusterEvent::MachineRemoved {
+            machine: 999,
+            now: state.now,
+        };
+        let err = mgr.apply_event(&model, &state, &ev);
+        assert!(
+            matches!(err, Err(PolicyError::UnknownMachine(999))),
+            "{err:?}"
+        );
+        assert_eq!(untouched(&mgr), before);
+        mgr.refresh(&model, &state).unwrap();
+        assert_eq!(mgr.stats().last_aggregates_touched, 0);
         assert_eq!(untouched(&mgr), before);
     }
 

@@ -41,5 +41,5 @@ pub mod graph_manager;
 pub mod scheduler;
 
 pub use extract::{extract_placements, Placement};
-pub use graph_manager::{FlowGraphManager, GraphBase, RefreshStats, TaskEntry, TaskTable};
+pub use graph_manager::{FlowGraphManager, RefreshStats, TaskEntry, TaskTable};
 pub use scheduler::{Firmament, RoundOutcome, SchedulerError, SchedulingAction, SolverStats};

@@ -322,7 +322,7 @@ impl<C: CostModel> Firmament<C> {
             };
         self.manager.adopt_graph(outcome.graph);
         let assignments = assign_machines(self.manager.graph());
-        let tasks = &self.manager.base().task_table;
+        let tasks = self.manager.task_table();
         let (actions, placed) = diff_placements(state, tasks, &assignments);
         self.rounds += 1;
         let cs = outcome.cs_stats.as_ref();

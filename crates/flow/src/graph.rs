@@ -162,12 +162,13 @@ impl FlowGraph {
     }
 
     /// Enables or disables the change log consumed by incremental solvers.
-    /// Turning it off drops the pending batch.
+    /// Turning it off pauses recording and keeps the pending batch, so a
+    /// helper that pauses around scratch nodes and arcs (the feasibility
+    /// checks do) hands the batch back as it found it. Changes made while
+    /// tracking is paused are not recorded: a caller that pauses must undo
+    /// them before recording resumes.
     pub fn set_change_tracking(&mut self, on: bool) {
         self.track_changes = on;
-        if !on {
-            self.log.clear();
-        }
     }
 
     /// Returns `true` if mutations are being recorded.

@@ -184,6 +184,43 @@ mod tests {
         assert!(!is_feasible(&mut g));
     }
 
+    /// Both feasibility helpers pause a tracked graph's change log around
+    /// their scratch nodes and arcs, so a pending batch comes back as it
+    /// was: same change count, same deltas, same adjacency.
+    #[test]
+    fn feasibility_checks_keep_the_pending_batch() {
+        for seed in 0..5 {
+            let mut g = scheduling_instance(seed, &InstanceSpec::default()).graph;
+            g.set_change_tracking(true);
+            let arcs: Vec<_> = g.arc_ids().collect();
+            let (a, b, c) = (arcs[0], arcs[arcs.len() / 2], arcs[arcs.len() - 1]);
+            g.set_arc_cost(a, g.cost(a) + 3).unwrap();
+            g.set_arc_capacity(b, g.capacity(b) + 1).unwrap();
+            let (src, dst) = (g.src(c), g.dst(c));
+            g.remove_arc(c).unwrap();
+            let n = g.add_node(NodeKind::Other { tag: seed }, 0);
+            g.add_arc(src, n, 1, 0).unwrap();
+            g.add_arc(n, dst, 1, 0).unwrap();
+            assert!(g.pending_changes() > 0);
+            let twin = g.clone();
+
+            assert!(is_feasible(&mut g), "seed {seed}");
+            let mut solved = twin.clone();
+            crate::cycle_canceling::solve(&mut solved, &crate::SolveOptions::unlimited()).unwrap();
+            for (helper, mut h) in [("is_feasible", g), ("cycle_canceling", solved)] {
+                let at = format!("seed {seed}, {helper}");
+                let mut twin = twin.clone();
+                assert_eq!(h.pending_changes(), twin.pending_changes(), "{at}");
+                assert!(h.node_ids().eq(twin.node_ids()), "{at}: nodes");
+                for v in twin.node_ids() {
+                    assert_eq!(h.adj(v), twin.adj(v), "{at}: adjacency of {v}");
+                }
+                let (got, want) = (h.take_deltas(), twin.take_deltas());
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{at}");
+            }
+        }
+    }
+
     #[test]
     fn is_feasible_restores_graph_shape() {
         let mut inst = scheduling_instance(1, &InstanceSpec::default());

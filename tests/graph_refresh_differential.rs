@@ -345,7 +345,12 @@ fn rebuild<C: CostModel>(model: &C, state: &ClusterState) -> FlowGraphManager {
 /// The task table ↔ graph invariant: the table walks in strictly rising
 /// `TaskId` order, every entry names its task's live node and a live
 /// `T → U_j` arc out of it and the machine the task runs on in `state`,
-/// and every task node in the graph has an entry.
+/// and every task node in the graph has an entry. The manager's machine
+/// and job records match the graph too: every machine in `state` has a
+/// live `Machine` node with a forward arc to the sink of its slot
+/// capacity, every task's job has a live `U_j → S` arc, and every
+/// `Machine` and `UnscheduledAggregator` node in the graph is the one its
+/// machine's or job's record names.
 fn assert_task_table(
     model: &str,
     seed: u64,
@@ -353,10 +358,11 @@ fn assert_task_table(
     mgr: &FlowGraphManager,
     state: &ClusterState,
 ) {
-    let base = mgr.base();
+    let table = mgr.task_table();
     let g = mgr.graph();
+    let sink = mgr.sink();
     let mut prev = None;
-    for (task, entry) in base.task_table.iter() {
+    for (task, entry) in table.iter() {
         let at = format!("{model} seed {seed} round {round}: task {task}");
         assert!(prev < Some(task), "{at}: out of TaskId order");
         prev = Some(task);
@@ -366,11 +372,12 @@ fn assert_task_table(
         assert!(g.arc_alive(arc) && arc.is_forward(), "{at}: dead arc");
         assert_eq!(g.src(arc), entry.node, "{at}: arc tail");
         let job = state.tasks[&task].job;
-        assert_eq!(
-            Some(g.dst(arc)),
-            base.unsched_nodes.get(&job).copied(),
-            "{at}: arc head is not U_{job}"
-        );
+        let (u, ua) = mgr
+            .unscheduled(job)
+            .unwrap_or_else(|| panic!("{at}: no U_{job}"));
+        assert_eq!(g.dst(arc), u, "{at}: arc head is not U_{job}");
+        assert!(g.arc_alive(ua) && ua.is_forward(), "{at}: dead U_{job} arc");
+        assert_eq!((g.src(ua), g.dst(ua)), (u, sink), "{at}: U_{job} arc");
         let t = &state.tasks[&task];
         let running = t.machine.filter(|_| t.state == TaskState::Running);
         assert_eq!(entry.running, running, "{at}: running machine");
@@ -381,9 +388,38 @@ fn assert_task_table(
         .count();
     assert_eq!(
         task_nodes,
-        base.task_table.len(),
+        table.len(),
         "{model} seed {seed} round {round}: task nodes without a table entry"
     );
+    for (&id, machine) in &state.machines {
+        let at = format!("{model} seed {seed} round {round}: machine {id}");
+        let n = mgr
+            .machine_node(id)
+            .unwrap_or_else(|| panic!("{at}: no node"));
+        assert!(g.node_alive(n), "{at}: dead node");
+        assert_eq!(g.kind(n), NodeKind::Machine { machine: id }, "{at}: node");
+        let slots = machine.slots as i64;
+        assert!(
+            g.adj(n)
+                .iter()
+                .any(|&a| a.is_forward() && g.dst(a) == sink && g.capacity(a) == slots),
+            "{at}: no sink arc of capacity {slots}"
+        );
+    }
+    for n in g.node_ids() {
+        let at = format!("{model} seed {seed} round {round}: node {n}");
+        match g.kind(n) {
+            NodeKind::Machine { machine } => {
+                assert!(state.machines.contains_key(&machine), "{at}: stale");
+                assert_eq!(mgr.machine_node(machine), Some(n), "{at}: no record");
+            }
+            NodeKind::UnscheduledAggregator { job } => {
+                let u = mgr.unscheduled(job).map(|(u, _)| u);
+                assert_eq!(u, Some(n), "{at}: not U_{job}");
+            }
+            _ => {}
+        }
+    }
 }
 
 /// The delta-replay oracle: slot-exact structural equality between the
