@@ -192,11 +192,6 @@ pub fn row(cells: &[String]) {
     println!("{}", cells.join("\t"));
 }
 
-/// Formats seconds with millisecond precision.
-pub fn secs(d: Duration) -> String {
-    format!("{:.4}", d.as_secs_f64())
-}
-
 /// Prints the shape-check verdict line (`# VERDICT <experiment>: …`).
 pub fn verdict(experiment: &str, holds: bool, detail: &str) {
     println!(

@@ -137,11 +137,6 @@ impl SchedulingGraphBuilder {
         self.graph.add_arc(src, dst, capacity, cost)
     }
 
-    /// Returns a mutable reference to the graph under construction.
-    pub fn graph_mut(&mut self) -> &mut FlowGraph {
-        &mut self.graph
-    }
-
     /// Consumes the builder and returns the graph.
     pub fn finish(self) -> FlowGraph {
         self.graph

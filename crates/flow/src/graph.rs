@@ -329,13 +329,6 @@ impl FlowGraph {
         self.nodes[node.index()].kind
     }
 
-    /// Replaces the kind of a node (used by policies when repurposing slots).
-    pub fn set_kind(&mut self, node: NodeId, kind: NodeKind) -> Result<(), GraphError> {
-        self.check_node(node)?;
-        self.nodes[node.index()].kind = kind;
-        Ok(())
-    }
-
     /// Returns `true` if the node id refers to a live node.
     #[inline]
     pub fn node_alive(&self, node: NodeId) -> bool {

@@ -82,12 +82,6 @@ impl Samples {
             })
             .collect()
     }
-
-    /// All samples, sorted ascending.
-    pub fn sorted_values(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.values
-    }
 }
 
 #[cfg(test)]

@@ -6,10 +6,10 @@
 //! silently diverge from the declarative [`CostModel`] intent, especially
 //! now that EC→EC hierarchy arcs multiply the refresh surface. Each test
 //! drives one cost model through 50 seeded random event scripts (machine
-//! add/remove, job submission, task placement/completion/preemption, clock
-//! advance) and, after *every* refresh round, rebuilds the graph from
-//! scratch out of current cluster state and asserts the two are identical
-//! under a canonical form:
+//! add/remove, job submission, task placement/completion/preemption,
+//! direct migration of a running task, clock advance) and, after *every*
+//! refresh round, rebuilds the graph from scratch out of current cluster
+//! state and asserts the two are identical under a canonical form:
 //!
 //! - same node kinds (aggregate GC must leave exactly the reachable set),
 //! - same per-kind supplies,
@@ -537,20 +537,32 @@ fn random_event<C: CostModel>(
         }
         // Place a waiting task on a machine with a free slot (synthetic
         // scheduler decision — the manager must cope with any placement).
+        // One draw in four instead moves a running task directly onto
+        // another machine with a free slot (a migration without a
+        // preemption first).
         30..=49 => {
-            let mut waiting: Vec<u64> = state.waiting_tasks().map(|t| t.id).collect();
-            waiting.sort_unstable();
+            let migrate = rng.below(4) == 0;
+            let mut tasks: Vec<u64> = if migrate {
+                state.running_tasks().map(|t| t.id).collect()
+            } else {
+                state.waiting_tasks().map(|t| t.id).collect()
+            };
+            tasks.sort_unstable();
+            if tasks.is_empty() {
+                return;
+            }
+            let task = tasks[rng.below(tasks.len() as u64) as usize];
+            let from = state.tasks[&task].machine;
             let mut free: Vec<u64> = state
                 .machines
                 .values()
-                .filter(|m| m.has_free_slot())
+                .filter(|m| m.has_free_slot() && Some(m.id) != from)
                 .map(|m| m.id)
                 .collect();
             free.sort_unstable();
-            if waiting.is_empty() || free.is_empty() {
+            if free.is_empty() {
                 return;
             }
-            let task = waiting[rng.below(waiting.len() as u64) as usize];
             let machine = free[rng.below(free.len() as u64) as usize];
             apply_both(
                 state,
