@@ -2,11 +2,12 @@
 //! nodes it leaves dirty for the next refresh.
 
 use super::bundles::{declare_aggregate_arc, declare_task_arcs};
+use super::refresh::price_unscheduled;
 use super::{FlowGraphManager, JobEntry, MachineEntry, TaskEntry};
 use firmament_cluster::{ClusterEvent, ClusterState, JobId, MachineId, Task, TaskId};
 use firmament_flow::NodeKind;
 use firmament_mcmf::incremental::drain_task_flow;
-use firmament_policies::{AggregateId, ArcTarget, CostModel, PolicyError};
+use firmament_policies::{whole_seconds, AggregateId, ArcTarget, CostModel, PolicyError};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
@@ -63,22 +64,28 @@ impl FlowGraphManager {
                 self.machine_set_changed(model, state, *machine)?;
             }
             ClusterEvent::JobSubmitted { job, tasks } => {
-                // Reject duplicate ids and invalid task-arc declarations
-                // before adding any task, so a bad submission leaves the
-                // graph untouched.
+                // Reject duplicate ids, invalid task-arc declarations and
+                // overflowing wait costs before adding any task, so a bad
+                // submission leaves the graph untouched.
                 let known = |t: &&Task| self.task_table.contains(t.id);
                 if let Some(id) =
                     repeated_id(tasks).or_else(|| tasks.iter().find(known).map(|t| t.id))
                 {
                     return Err(PolicyError::DuplicateTask(id));
                 }
+                let epoch = self.epoch.unwrap_or(whole_seconds(state.now));
                 let declared = tasks
                     .iter()
-                    .map(|task| declare_task_arcs(model, state, task))
-                    .collect::<Result<Vec<_>, _>>()?;
-                for (task, declared) in tasks.iter().zip(declared) {
-                    self.add_task(task.id, job.id, model.task_unscheduled_cost(state, task))?;
-                    self.install_waiting_arcs(model, state, task, declared)?;
+                    .map(|task| {
+                        let arcs = declare_task_arcs(model, state, task)?;
+                        Ok((arcs, price_unscheduled(model, state, task, epoch)?))
+                    })
+                    .collect::<Result<Vec<_>, PolicyError>>()?;
+                self.epoch = Some(epoch);
+                for (task, (arcs, (base, cost))) in tasks.iter().zip(declared) {
+                    self.min_base = self.min_base.min(base);
+                    self.add_task(task.id, job.id, cost)?;
+                    self.install_waiting_arcs(model, state, task, arcs)?;
                     self.dirty_tasks.insert(task.id);
                 }
             }
@@ -124,8 +131,10 @@ impl FlowGraphManager {
 
     /// Moves `task` onto machine `to` (`TaskPlaced`) or back to the waiting
     /// pool (`TaskPreempted`, `to` = `None`). The lookups — the task's
-    /// node, then `to`'s node, then the task in `state` — all precede the
-    /// first mutation, so a rejected event changes nothing.
+    /// node, then `to`'s node, then the task in `state` — and, for a
+    /// preemption, the declaration and validation of the task's waiting
+    /// arcs all precede the first mutation, so a rejected event changes
+    /// nothing.
     ///
     /// The task's old flow (which may route through aggregator chains) is
     /// drained before its arcs are rewired: removing a flow-carrying arc
@@ -151,6 +160,10 @@ impl FlowGraphManager {
             .tasks
             .get(&task)
             .ok_or(PolicyError::UnknownTask(task))?;
+        let declared = match to {
+            Some(_) => Vec::new(),
+            None => declare_task_arcs(model, state, task_data)?,
+        };
         drain_task_flow(&mut self.graph, t);
         self.strip_task_arcs(task)?;
         if let (Some(m), Some(mn)) = (to, mn) {
@@ -158,7 +171,6 @@ impl FlowGraphManager {
             self.graph.add_arc(t, mn, 1, cost)?;
             self.dirty_machines.insert(m);
         } else {
-            let declared = declare_task_arcs(model, state, task_data)?;
             self.install_waiting_arcs(model, state, task_data, declared)?;
             self.dirty_tasks.insert(task);
         }
@@ -226,8 +238,9 @@ impl FlowGraphManager {
 
     /// Adds a task node with one unit of supply and its arc to the job's
     /// unscheduled aggregator `U_j`, creating `U_j` and its `U_j → S` arc
-    /// after the task node on the job's first task; grows the sink demand
-    /// and the `U_j → S` capacity by one.
+    /// (at the clock's current cost) after the task node on the job's
+    /// first task; grows the sink demand and the `U_j → S` capacity by
+    /// one.
     fn add_task(&mut self, task: TaskId, job: JobId, unsched_cost: i64) -> Result<(), PolicyError> {
         let node = self.graph.add_node(NodeKind::Task { task }, 1);
         let j = match self.jobs.entry(job) {
@@ -235,7 +248,7 @@ impl FlowGraphManager {
             Entry::Vacant(e) => {
                 let kind = NodeKind::UnscheduledAggregator { job };
                 let unsched = self.graph.add_node(kind, 0);
-                let sink_arc = self.graph.add_arc(unsched, self.sink, 0, 0)?;
+                let sink_arc = self.graph.add_arc(unsched, self.sink, 0, self.clock_cost)?;
                 e.insert(JobEntry {
                     unsched,
                     sink_arc,

@@ -16,8 +16,9 @@
 //!   and dirty nodes;
 //! - `refresh` runs the two-pass cost update of §6.3 (collect dirty nodes
 //!   — propagating dirtiness *up* multi-level aggregator chains — then
-//!   re-query the model for exactly those), and admission-controls and
-//!   enforces gang constraints through the `U_j → S` capacities;
+//!   re-query the model for exactly those), prices the clock on the
+//!   jobs' `U_j → S` arcs, and admission-controls and enforces gang
+//!   constraints through their capacities;
 //! - `hierarchy` materializes the aggregator nodes a model refers to
 //!   (whole EC→EC hierarchies, recursively and cycle-checked) and
 //!   garbage-collects those no task can reach.
@@ -40,6 +41,38 @@
 //! Tasks live in the [`TaskTable`], sorted by id; only waiting tasks have
 //! declared bundles, kept in declaration order in a map of their own.
 //!
+//! # Waiting time on the jobs' arcs
+//!
+//! Leaving a task unscheduled costs the model's clock-free base plus
+//! [`wait_cost_per_sec`](firmament_policies::CostModel::wait_cost_per_sec)
+//! × (⌊now⌋ − ⌊submit⌋), in whole seconds. The manager splits that sum
+//! at an epoch `E` (whole seconds), so the clock lives on one arc per job
+//! instead of one per task:
+//!
+//! - `T → U_j` costs base + per_sec × (E − ⌊submit⌋), fixed while `E` is;
+//! - `U_j → S` costs per_sec × (⌊now⌋ − E), the same on every job's arc.
+//!
+//! Every unscheduled path `T → U_j → S` then costs exactly base +
+//! per_sec × (⌊now⌋ − ⌊submit⌋), and a clock tick is one `CostChanged` per
+//! job with tasks in the graph instead of a re-price of every task. `E`
+//! is set by the first task arrival or refresh, and re-based to ⌊now⌋ by
+//! one walk over the task table only when the next `U_j → S` cost would
+//! exceed the smallest base of any live task (or the clock went back):
+//! the walk keeps every `T → U_j` cost at or above its base and
+//! recomputes that minimum, which otherwise only falls as tasks arrive.
+//! Every wait-time product and sum is checked; an overflow is
+//! [`PolicyError::WaitCostOverflow`](firmament_policies::PolicyError::WaitCostOverflow).
+//!
+//! The clock is not one shared `W → S` arc behind a wait node `W` that
+//! every `U_j` drains into, although that would make a tick a single
+//! change: relaxation routes every unscheduled unit through `W`, which is
+//! not a deficit node, so each such augmentation scans `W`'s whole
+//! adjacency, one arc per job. On contended-hier that took relaxation
+//! from 4.1 to 7.4 M arc scans a round with the shared arc priced at 0,
+//! and to 14.4 M priced. A cost on `U_j → S` moves `U_j`'s optimal price
+//! instead, which the solver's sink-arc price seed absorbs (see
+//! `firmament_mcmf::dual`).
+//!
 //! This mirrors real Firmament's `FlowGraphManager`/`CostModelInterface`
 //! split, which is what makes new policies cheap: the node and slot
 //! bookkeeping is written once instead of once per policy.
@@ -56,9 +89,9 @@ use firmament_policies::{AggregateId, ArcTarget};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A task's handles in the flow network — its node and its arc to its
-/// job's unscheduled aggregator `U_j` (the arc that carries the
-/// wait-scaled unscheduled cost, and the preemption arc once it runs) —
-/// and the machine it runs on.
+/// job's unscheduled aggregator `U_j` (the arc that carries the base
+/// unscheduled cost and the wait before the epoch, and the preemption arc
+/// once it runs) — and the machine it runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskEntry {
     /// The task node `T`.
@@ -76,11 +109,11 @@ pub struct TaskEntry {
 }
 
 /// The task table: every task's [`TaskEntry`], kept sorted by `TaskId` in
-/// one contiguous buffer. Lookups binary-search it; a clock advance and
-/// the scheduler's action diff walk it in order. Task ids mostly arrive
-/// in ascending order, so an insert is usually a push; a removal leaves a
-/// tombstone, and the buffer is compacted once tombstones outnumber live
-/// entries (amortized O(1)).
+/// one contiguous buffer. Lookups binary-search it; an epoch re-base, the
+/// dynamic task-arc re-price and the scheduler's action diff walk it in
+/// order. Task ids mostly arrive in ascending order, so an insert is
+/// usually a push; a removal leaves a tombstone, and the buffer is
+/// compacted once tombstones outnumber live entries (amortized O(1)).
 /// A single buffer, rather than a tree of small nodes, also keeps the
 /// table's allocations from interleaving with the flow graph's per-node
 /// adjacency lists, which slows the solvers' graph walks.
@@ -187,9 +220,10 @@ struct MachineEntry {
 }
 
 /// A job's record: its unscheduled aggregator `U_j`, the `U_j → S` arc
-/// (capacity = incomplete tasks, less an enforced gang minimum) and the
-/// number of its tasks in the graph. The record outlives the job's last
-/// task until garbage collection drops `U_j`.
+/// (capacity = incomplete tasks, less an enforced gang minimum; cost =
+/// the clock's share of waiting) and the number of its tasks in the
+/// graph. The record outlives the job's last task until garbage
+/// collection drops `U_j`.
 #[derive(Debug)]
 struct JobEntry {
     unsched: NodeId,
@@ -216,7 +250,10 @@ pub struct RefreshStats {
     pub rounds: u64,
     /// Machines whose aggregate arcs were re-evaluated, cumulative.
     pub machines_touched: u64,
-    /// Tasks whose unscheduled cost was re-evaluated, cumulative.
+    /// Tasks re-priced — their `T → U_j` cost, or for
+    /// [`dynamic_task_arcs`](firmament_policies::CostModel::dynamic_task_arcs)
+    /// models their preference bundles — cumulative. A clock tick adds
+    /// none unless the model has dynamic task arcs or the epoch re-bases.
     pub tasks_touched: u64,
     /// Aggregates whose EC→EC arcs were re-synchronized, cumulative.
     pub aggregates_touched: u64,
@@ -248,6 +285,17 @@ pub struct FlowGraphManager {
     graph: FlowGraph,
     /// The sink node `S`.
     sink: NodeId,
+    /// The clock's share of waiting: per_sec × (⌊now⌋ − E) at the last
+    /// refresh, the cost of every job's `U_j → S` arc (see the module
+    /// docs).
+    clock_cost: i64,
+    /// The wait epoch `E` in whole seconds, once a task arrival or refresh
+    /// has set it.
+    epoch: Option<i64>,
+    /// No more than the smallest base unscheduled cost of any live task
+    /// (`i64::MAX` for none): lowered as tasks are priced, recomputed by
+    /// each re-base.
+    min_base: i64,
     /// Every task's node, unscheduled arc and running machine, in `TaskId`
     /// order.
     task_table: TaskTable,
@@ -272,8 +320,8 @@ pub struct FlowGraphManager {
     /// their gang cap is left unenforced (the job queues) so the network
     /// stays feasible instead of surfacing a solver infeasibility error.
     deferred_gangs: Vec<JobId>,
-    /// Virtual time of the last refresh; when unchanged, waiting-task
-    /// costs cannot have drifted and are skipped.
+    /// Virtual time of the last refresh; when unchanged, dynamic task
+    /// bundles cannot have drifted and are skipped.
     last_refresh_now: Option<Time>,
     /// Whether the model has *ever* declared an EC→EC child. Flat models
     /// (the common case) never do, so machine-set events skip the blanket
@@ -305,6 +353,9 @@ impl FlowGraphManager {
         FlowGraphManager {
             graph,
             sink,
+            clock_cost: 0,
+            epoch: None,
+            min_base: i64::MAX,
             task_table: TaskTable::default(),
             machines: HashMap::new(),
             jobs: HashMap::new(),

@@ -1,32 +1,95 @@
 //! The refresh: the two-pass cost update of §6.3 over the dirty nodes,
-//! the clock-tick re-price and gang admission control.
+//! the clock on the jobs' `U_j → S` arcs and gang admission control.
 
 use super::bundles::{declare_task_arcs, sync_bundle};
 use super::{FlowGraphManager, TaskEntry};
 use firmament_cluster::{ClusterState, Job, JobId, MachineId, Task, TaskId};
 use firmament_flow::{ArcId, NodeId, NodeKind};
-use firmament_policies::{AggregateId, ArcTarget, CostModel, PolicyError};
+use firmament_policies::{
+    wait_cost, whole_seconds, AggregateId, ArcTarget, CostModel, PolicyError,
+};
 use std::collections::{BTreeSet, HashMap, HashSet};
+
+/// One re-priced `T → U_j` arc: the task, the arc and its new cost.
+type Priced = (TaskId, ArcId, i64);
+
+/// What one refresh sets on the clock's arcs, all computed before the
+/// refresh changes the graph.
+struct Clock {
+    /// The wait epoch `E` after this refresh.
+    epoch: i64,
+    /// The cost of every job's `U_j → S` arc: per_sec × (⌊now⌋ −
+    /// `epoch`).
+    wait_cost: i64,
+    /// `(task, T → U_j arc, cost)` in `TaskId` order: the dirty tasks, or
+    /// every task when the epoch re-bases.
+    tasks: Vec<Priced>,
+    /// The running minimum of live tasks' bases after this refresh.
+    min_base: i64,
+}
+
+/// A task's base unscheduled cost and its `T → U_j` cost at `epoch`:
+/// base + per_sec × (`epoch` − ⌊submit⌋), checked.
+pub(super) fn price_unscheduled<C: CostModel>(
+    model: &C,
+    state: &ClusterState,
+    task: &Task,
+    epoch: i64,
+) -> Result<(i64, i64), PolicyError> {
+    let base = model.task_unscheduled_cost(state, task);
+    let submit = whole_seconds(task.submit_time);
+    wait_cost(model.wait_cost_per_sec(), submit, epoch)
+        .and_then(|waited| base.checked_add(waited))
+        .map(|cost| (base, cost))
+        .ok_or(PolicyError::WaitCostOverflow {
+            task: Some(task.id),
+        })
+}
+
+/// Prices the `T → U_j` arcs of `entries` at `epoch`, lowering `min_base`
+/// by each base. A task the cluster state no longer knows is skipped.
+fn price_tasks<C: CostModel>(
+    model: &C,
+    state: &ClusterState,
+    entries: impl Iterator<Item = (TaskId, TaskEntry)>,
+    epoch: i64,
+    min_base: &mut i64,
+) -> Result<Vec<Priced>, PolicyError> {
+    let mut priced = Vec::new();
+    for (tid, entry) in entries {
+        let Some(task) = state.tasks.get(&tid) else {
+            continue;
+        };
+        let (base, cost) = price_unscheduled(model, state, task, epoch)?;
+        *min_base = (*min_base).min(base);
+        priced.push((tid, entry.unsched_arc, cost));
+    }
+    Ok(priced)
+}
 
 impl FlowGraphManager {
     /// The two-pass cost update (§6.3): pass 1 collects the dirty node
     /// sets (machines touched by events — all of them, and every
-    /// aggregate, for models with dynamic arcs — plus waiting tasks whose
-    /// wait-time cost drifted, plus aggregates above any dirty machine,
-    /// with dirtiness propagated *up* multi-level EC→EC chains); pass 2
-    /// re-queries the model for exactly those and applies the deltas. A
-    /// quiescent round (no events, clock unchanged) touches nothing. A
-    /// clock advance re-prices every task by walking the task table
-    /// ([`task_table`](Self::task_table)) in `TaskId` order: each entry
-    /// already holds the task's `T → U_j` arc, so the walk costs one model
-    /// call and one cost update per task.
+    /// aggregate, for models with dynamic arcs — plus tasks touched by
+    /// events, plus aggregates above any dirty machine, with dirtiness
+    /// propagated *up* multi-level EC→EC chains); pass 2 re-queries the
+    /// model for exactly those and applies the deltas. A quiescent round
+    /// (no events, clock unchanged) touches nothing.
+    ///
+    /// A clock advance costs one `CostChanged` per job with tasks in the
+    /// graph, on its `U_j → S` arc (see the
+    /// [module docs](crate::graph_manager) on waiting time), and none when
+    /// the whole second did not change. It walks the task table only to
+    /// re-base the epoch, which is rare, or for models with
+    /// [`CostModel::dynamic_task_arcs`], whose waiting tasks' preference
+    /// bundles are re-priced here (the task-side mirror of the dynamic
+    /// aggregate-arc refresh). The clock's costs are computed and checked
+    /// first, so a [`PolicyError::WaitCostOverflow`] leaves the graph
+    /// untouched.
     ///
     /// Pass 2 re-syncs bundles **in place**: segment slots keep their
     /// identity, so a re-priced ladder reaches the incremental solver as
-    /// cost/capacity deltas, never as structural churn. Models with
-    /// [`CostModel::dynamic_task_arcs`] additionally get their waiting
-    /// tasks' preference bundles re-priced here (the task-side mirror of
-    /// the dynamic aggregate-arc refresh).
+    /// cost/capacity deltas, never as structural churn.
     ///
     /// The refresh also runs gang admission control (deferring gang caps
     /// that would make the network infeasible; see
@@ -37,6 +100,7 @@ impl FlowGraphManager {
         model: &C,
         state: &ClusterState,
     ) -> Result<(), PolicyError> {
+        let clock = self.price_clock(model, state)?;
         // Pass 1: dirty-set collection. A dynamic model's arcs react to
         // monitored state, so every machine and aggregate is dirty.
         let dynamic = model.dynamic_aggregate_arcs();
@@ -78,33 +142,36 @@ impl FlowGraphManager {
                 self.sync_machine_bundle(model, state, agg, machine)?;
             }
         }
-        // Task re-price, in TaskId order: each task's unscheduled cost,
-        // then (dynamic task-arc models) its preference bundles.
-        let tasks_touched = if time_advanced {
-            // Every task still in the graph: waiting tasks' unscheduled
-            // arcs *and* running tasks' preemption arcs carry the
-            // wait-scaled cost, and both drift with the clock. The task
-            // table is already in TaskId order and holds each task's
-            // unscheduled arc, so the walk needs no per-task lookup. It
-            // goes by position: a re-price may rewire arcs and materialize
-            // aggregates, but adds or removes no task.
-            for i in 0..self.task_table.entries.len() {
-                if let (tid, Some(entry)) = self.task_table.entries[i] {
-                    self.reprice_task(model, state, tid, entry)?;
+        // The priced `T → U_j` arcs in TaskId order; the jobs' `U_j → S`
+        // arcs take the clock in the job pass below.
+        for &(_, arc, cost) in &clock.tasks {
+            self.graph.set_arc_cost(arc, cost)?;
+        }
+        self.epoch = Some(clock.epoch);
+        self.min_base = clock.min_base;
+        self.clock_cost = clock.wait_cost;
+        let mut tasks_touched = clock.tasks.len();
+        if model.dynamic_task_arcs() {
+            if time_advanced {
+                // Every waiting task's bundles may drift with the clock.
+                // The walk goes by position: a re-price may rewire arcs
+                // and materialize aggregates, but adds or removes no task.
+                for i in 0..self.task_table.entries.len() {
+                    if let (tid, Some(entry)) = self.task_table.entries[i] {
+                        self.reprice_task(model, state, tid, entry)?;
+                    }
+                }
+                tasks_touched = self.task_table.len();
+            } else {
+                for &(tid, _, _) in &clock.tasks {
+                    if let Some(entry) = self.task_table.get(tid) {
+                        self.reprice_task(model, state, tid, entry)?;
+                    }
                 }
             }
-            self.task_table.len()
-        } else {
-            let mut tasks: Vec<TaskId> = self.dirty_tasks.iter().copied().collect();
-            tasks.sort_unstable();
-            for &tid in &tasks {
-                if let Some(entry) = self.task_table.get(tid) {
-                    self.reprice_task(model, state, tid, entry)?;
-                }
-            }
-            tasks.len()
-        };
-        // Gang constraints with admission control: cap `U_j → S` at
+        }
+        // The clock on every `U_j → S` arc, in JobId order, then gang
+        // constraints with admission control: cap `U_j → S` at
         // incomplete − minimum so at least `minimum` of the job's tasks
         // are forced through machines — but only while (a) the sum of
         // forced flows fits in total machine capacity and (b) the job's
@@ -132,6 +199,7 @@ impl FlowGraphManager {
         let budget: i64 = state.machines.values().map(|m| m.slots as i64).sum();
         let mut committed: i64 = 0;
         for (jid, incomplete, ua) in jobs {
+            self.graph.set_arc_cost(ua, clock.wait_cost)?;
             let Some(job) = state.jobs.get(&jid) else {
                 continue;
             };
@@ -199,13 +267,54 @@ impl FlowGraphManager {
         set
     }
 
-    /// Re-prices one task: its `T → U_j` arc with the model's current
-    /// unscheduled cost, then — for models with
-    /// [`CostModel::dynamic_task_arcs`], while the task waits — its
-    /// declared preference bundles (Execution-Templates style: the cached
-    /// structure is kept and only the parameters are patched; structural
-    /// drift falls back to a full re-derive). A task the cluster state no
-    /// longer knows is left alone.
+    /// The clock's costs for this refresh, computed and checked before
+    /// any graph change: the `T → U_j` costs of the dirty tasks at the
+    /// current epoch, and the `U_j → S` cost for ⌊now⌋. When that cost
+    /// would exceed the smallest base of any live task (or the clock went
+    /// back), the epoch re-bases to ⌊now⌋ instead: `U_j → S` drops to 0 and
+    /// every task is re-priced, which keeps every `T → U_j` cost at or
+    /// above its base and recomputes the minimum.
+    fn price_clock<C: CostModel>(
+        &self,
+        model: &C,
+        state: &ClusterState,
+    ) -> Result<Clock, PolicyError> {
+        let now = whole_seconds(state.now);
+        let per_sec = model.wait_cost_per_sec();
+        let epoch = self.epoch.unwrap_or(now);
+        let mut dirty: Vec<TaskId> = self.dirty_tasks.iter().copied().collect();
+        dirty.sort_unstable();
+        let entries = dirty
+            .into_iter()
+            .filter_map(|t| Some((t, self.task_table.get(t)?)));
+        let mut min_base = self.min_base;
+        let tasks = price_tasks(model, state, entries, epoch, &mut min_base)?;
+        let overflow = PolicyError::WaitCostOverflow { task: None };
+        let wait_cost = wait_cost(per_sec, epoch, now).ok_or(overflow)?;
+        if per_sec == 0 || (now >= epoch && wait_cost <= min_base) {
+            return Ok(Clock {
+                epoch,
+                wait_cost,
+                tasks,
+                min_base,
+            });
+        }
+        let mut min_base = i64::MAX;
+        let tasks = price_tasks(model, state, self.task_table.iter(), now, &mut min_base)?;
+        Ok(Clock {
+            epoch: now,
+            wait_cost: 0,
+            tasks,
+            min_base,
+        })
+    }
+
+    /// Re-prices one waiting task's declared preference bundles for a
+    /// model with [`CostModel::dynamic_task_arcs`] (Execution-Templates
+    /// style: the cached structure is kept and only the parameters are
+    /// patched; structural drift falls back to a full re-derive). A
+    /// running task, or one the cluster state no longer knows, is left
+    /// alone.
     fn reprice_task<C: CostModel>(
         &mut self,
         model: &C,
@@ -213,15 +322,12 @@ impl FlowGraphManager {
         tid: TaskId,
         entry: TaskEntry,
     ) -> Result<(), PolicyError> {
-        let Some(task) = state.tasks.get(&tid) else {
-            return Ok(());
-        };
-        let cost = model.task_unscheduled_cost(state, task);
-        self.graph.set_arc_cost(entry.unsched_arc, cost)?;
-        if model.dynamic_task_arcs() && self.task_slots.contains_key(&tid) {
-            self.reprice_task_bundles(model, state, task, entry.node)?;
+        match state.tasks.get(&tid) {
+            Some(task) if self.task_slots.contains_key(&tid) => {
+                self.reprice_task_bundles(model, state, task, entry.node)
+            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Re-prices one waiting task's declared bundles in place. The cheap

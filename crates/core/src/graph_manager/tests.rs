@@ -109,8 +109,11 @@ impl CostModel for TestModel {
     fn name(&self) -> &'static str {
         "test"
     }
-    fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
-        10_000 + (state.now.saturating_sub(task.submit_time) / 1_000_000) as i64
+    fn task_unscheduled_cost(&self, _: &ClusterState, _: &Task) -> i64 {
+        10_000
+    }
+    fn wait_cost_per_sec(&self) -> i64 {
+        1
     }
     fn task_arcs(&self, _: &ClusterState, _: &Task) -> Vec<(ArcTarget, ArcBundle)> {
         vec![(ArcTarget::Aggregate(AGG), ArcBundle::cost(1))]
@@ -2154,4 +2157,304 @@ fn task_table_matches_an_ordered_map() {
         assert!(table.is_empty() && table.iter().next().is_none());
         assert_eq!(table, TaskTable::default());
     }
+}
+
+// ------------------------------------------------------------------
+// Waiting time on the jobs' arcs: the clock tick, the epoch re-base and
+// the checked wait-cost arithmetic.
+// ------------------------------------------------------------------
+
+/// `TestModel`'s arcs with a chosen base and slope, counting its
+/// `task_unscheduled_cost` calls.
+struct SlopeModel {
+    base: i64,
+    per_sec: i64,
+    calls: std::cell::Cell<usize>,
+}
+
+impl SlopeModel {
+    fn new(base: i64, per_sec: i64) -> Self {
+        SlopeModel {
+            base,
+            per_sec,
+            calls: std::cell::Cell::new(0),
+        }
+    }
+}
+
+impl CostModel for SlopeModel {
+    fn name(&self) -> &'static str {
+        "slope"
+    }
+    fn task_unscheduled_cost(&self, _: &ClusterState, _: &Task) -> i64 {
+        self.calls.set(self.calls.get() + 1);
+        self.base
+    }
+    fn wait_cost_per_sec(&self) -> i64 {
+        self.per_sec
+    }
+    fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
+        TestModel.task_arcs(state, task)
+    }
+    fn aggregate_arc(
+        &self,
+        state: &ClusterState,
+        aggregate: AggregateId,
+        machine: &Machine,
+    ) -> Option<ArcBundle> {
+        TestModel.aggregate_arc(state, aggregate, machine)
+    }
+}
+
+/// Feeds `ev` to the state and then to the manager.
+fn feed<C: CostModel>(
+    state: &mut ClusterState,
+    mgr: &mut FlowGraphManager,
+    model: &C,
+    ev: ClusterEvent,
+) -> Result<(), PolicyError> {
+    state.apply(&ev);
+    mgr.apply_event(model, state, &ev)
+}
+
+/// `jobs` jobs of `per_job` tasks each, submitted at `state.now`, with
+/// task ids from `first`.
+fn submit_jobs<C: CostModel>(
+    state: &mut ClusterState,
+    mgr: &mut FlowGraphManager,
+    model: &C,
+    first: TaskId,
+    jobs: u64,
+    per_job: u64,
+) {
+    for j in 0..jobs {
+        let job = first + j;
+        let tasks = (0..per_job)
+            .map(|i| Task::new(first + j * per_job + i, job, state.now, 10_000_000))
+            .collect();
+        let job = Job::new(job, JobClass::Batch, 0, state.now);
+        feed(state, mgr, model, ClusterEvent::JobSubmitted { job, tasks }).unwrap();
+    }
+}
+
+/// The clock's share of waiting: the cost of job `job`'s `U_j → S` arc.
+fn clock_cost(mgr: &FlowGraphManager, job: u64) -> i64 {
+    mgr.graph().cost(mgr.unscheduled(job).unwrap().1)
+}
+
+/// What leaving each task unscheduled costs along `T → U_j → S`, checked
+/// against base + per_sec × (⌊now⌋ − ⌊submit⌋), with every `T → U_j` and
+/// `U_j → S` cost at or above zero.
+fn assert_path_costs(mgr: &FlowGraphManager, state: &ClusterState, base: i64, per_sec: i64) {
+    let g = mgr.graph();
+    for (tid, entry) in mgr.task_table().iter() {
+        let task = &state.tasks[&tid];
+        let clock = clock_cost(mgr, task.job);
+        assert!(clock >= 0, "task {tid}: U_j → S costs {clock}");
+        let waited = firmament_policies::whole_seconds(state.now)
+            - firmament_policies::whole_seconds(task.submit_time);
+        let arc = g.cost(entry.unsched_arc);
+        assert!(arc >= 0, "task {tid}: T → U_j costs {arc}");
+        assert_eq!(arc + clock, base + per_sec * waited, "task {tid}");
+    }
+}
+
+/// A tick-only round re-prices no task at any task count: no base is
+/// queried, no task is touched, and the batch holds exactly one cost
+/// change per job, on its `U_j → S` arc, or nothing when the whole second
+/// did not change.
+#[test]
+fn clock_tick_is_one_cost_change_per_job_at_any_task_count() {
+    const JOBS: u64 = 8;
+    for tasks in [64u64, 128, 256] {
+        let model = SlopeModel::new(10_000, 3);
+        let (mut state, mut mgr) = setup(4, 4);
+        submit_jobs(&mut state, &mut mgr, &model, 0, JOBS, tasks / JOBS);
+        // Two tasks run, so preemption arcs are in the table too.
+        for (task, machine) in [(0, 0), (1, 1)] {
+            let now = state.now;
+            let ev = ClusterEvent::TaskPlaced { task, machine, now };
+            feed(&mut state, &mut mgr, &model, ev).unwrap();
+        }
+        mgr.refresh(&model, &state).unwrap();
+        mgr.take_deltas();
+        let mut clocks: Vec<ArcId> = (0..JOBS).map(|j| mgr.unscheduled(j).unwrap().1).collect();
+        clocks.sort_unstable();
+        for (now, changed) in [(1_000_000, true), (1_700_000, false), (4_200_000, true)] {
+            feed(&mut state, &mut mgr, &model, ClusterEvent::Tick { now }).unwrap();
+            model.calls.set(0);
+            mgr.refresh(&model, &state).unwrap();
+            assert_eq!(model.calls.get(), 0, "{tasks} tasks, now {now}");
+            assert_eq!(mgr.stats().last_tasks_touched, 0, "{tasks} tasks");
+            let batch = mgr.take_deltas();
+            let new = 3 * firmament_policies::whole_seconds(now);
+            if changed {
+                let mut arcs: Vec<ArcId> = (batch.deltas().iter())
+                    .map(|d| match d {
+                        GraphDelta::CostChanged { arc, new: c, .. } if *c == new => *arc,
+                        d => panic!("{tasks} tasks, now {now}: {d:?}"),
+                    })
+                    .collect();
+                arcs.sort_unstable();
+                assert_eq!(arcs, clocks, "{tasks} tasks, now {now}");
+            } else {
+                assert!(batch.is_empty(), "{tasks} tasks: {:?}", batch.deltas());
+            }
+            assert_path_costs(&mgr, &state, 10_000, 3);
+        }
+    }
+}
+
+/// Once the next `U_j → S` cost would exceed the smallest base, the epoch
+/// re-bases to ⌊now⌋: `U_j → S` drops to 0, every task is re-priced from
+/// its base, and no `T → U_j` cost is negative — including a task that
+/// arrived priced at the old epoch.
+#[test]
+fn epoch_rebases_past_the_smallest_base() {
+    let model = SlopeModel::new(1_000, 100);
+    let (mut state, mut mgr) = setup(2, 2);
+    submit_jobs(&mut state, &mut mgr, &model, 0, 2, 3);
+    mgr.refresh(&model, &state).unwrap();
+    assert_eq!(mgr.epoch, Some(0));
+    let tick = |now| ClusterEvent::Tick { now };
+    feed(&mut state, &mut mgr, &model, tick(5_000_000)).unwrap();
+    submit_jobs(&mut state, &mut mgr, &model, 100, 1, 2);
+    mgr.refresh(&model, &state).unwrap();
+    // 100 × 5 s ≤ 1,000: no re-base; the late tasks sit 500 below base.
+    assert_eq!(mgr.epoch, Some(0));
+    assert_eq!(clock_cost(&mgr, 0), 500);
+    assert_eq!(clock_cost(&mgr, 100), 500);
+    assert_path_costs(&mgr, &state, 1_000, 100);
+
+    // At 12 s a task arriving at the old epoch would cost 1,000 − 1,200.
+    feed(&mut state, &mut mgr, &model, tick(12_000_000)).unwrap();
+    submit_jobs(&mut state, &mut mgr, &model, 200, 1, 1);
+    model.calls.set(0);
+    mgr.refresh(&model, &state).unwrap();
+    assert_eq!(mgr.epoch, Some(12));
+    assert_eq!(clock_cost(&mgr, 0), 0);
+    assert_eq!(mgr.min_base, 1_000);
+    assert_eq!(mgr.stats().last_tasks_touched, mgr.task_table().len());
+    assert_eq!(model.calls.get(), 1 + mgr.task_table().len());
+    assert_path_costs(&mgr, &state, 1_000, 100);
+    let late = mgr.task_table().get(200).unwrap().unsched_arc;
+    assert_eq!(mgr.graph().cost(late), 1_000);
+
+    // The next tick is one cost change per job again.
+    feed(&mut state, &mut mgr, &model, tick(13_000_000)).unwrap();
+    mgr.take_deltas();
+    mgr.refresh(&model, &state).unwrap();
+    assert_eq!(mgr.take_deltas().len(), 4);
+    assert_path_costs(&mgr, &state, 1_000, 100);
+}
+
+/// A slope whose wait cost overflows `i64` is rejected with the typed
+/// error before the graph changes: on the `U_j → S` arcs at refresh, and on
+/// a late task's `T → U_j` arc at submission.
+#[test]
+fn wait_cost_overflow_leaves_the_manager_untouched() {
+    let model = SlopeModel::new(10_000, i64::MAX / 4);
+    let (mut state, mut mgr) = setup(2, 2);
+    submit_jobs(&mut state, &mut mgr, &model, 0, 1, 3);
+    mgr.refresh(&model, &state).unwrap();
+    let ev = ClusterEvent::Tick { now: 8_000_000 };
+    feed(&mut state, &mut mgr, &model, ev).unwrap();
+    let before = untouched(&mgr);
+    let stats = mgr.stats();
+    let err = mgr.refresh(&model, &state);
+    assert!(
+        matches!(err, Err(PolicyError::WaitCostOverflow { task: None })),
+        "{err:?}"
+    );
+    assert_eq!(untouched(&mgr), before);
+    assert_eq!(mgr.stats().rounds, stats.rounds);
+    assert_eq!(mgr.epoch, Some(0));
+
+    // A task submitted at 8 s is 8 s past the epoch: its own term
+    // overflows too, and the submission adds nothing.
+    let tasks = vec![Task::new(50, 5, state.now, 10_000_000)];
+    let job = Job::new(5, JobClass::Batch, 0, state.now);
+    let err = feed(
+        &mut state,
+        &mut mgr,
+        &model,
+        ClusterEvent::JobSubmitted { job, tasks },
+    );
+    assert!(
+        matches!(err, Err(PolicyError::WaitCostOverflow { task: Some(50) })),
+        "{err:?}"
+    );
+    assert_eq!(untouched(&mgr), before);
+    assert!(mgr.unscheduled(5).is_none());
+}
+
+/// Task arcs that turn non-convex once the task has run:
+/// `ladder([9, 2])` to machine 0.
+struct RanThereModel;
+
+impl CostModel for RanThereModel {
+    fn name(&self) -> &'static str {
+        "ran-there"
+    }
+    fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
+        TestModel.task_unscheduled_cost(state, task)
+    }
+    fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
+        if task.executed > 0 {
+            vec![(ArcTarget::Machine(0), ArcBundle::ladder([9, 2]))]
+        } else {
+            TestModel.task_arcs(state, task)
+        }
+    }
+    fn aggregate_arc(
+        &self,
+        state: &ClusterState,
+        aggregate: AggregateId,
+        machine: &Machine,
+    ) -> Option<ArcBundle> {
+        TestModel.aggregate_arc(state, aggregate, machine)
+    }
+}
+
+/// A preemption whose re-declared waiting arcs are rejected leaves the
+/// task running where it was: the declaration is validated before the
+/// task's flow is drained or its arcs stripped.
+#[test]
+fn rejected_preemption_leaves_the_task_running() {
+    let model = RanThereModel;
+    let (mut state, mut mgr) = setup(2, 2);
+    submit_jobs(&mut state, &mut mgr, &model, 0, 1, 1);
+    let ev = ClusterEvent::TaskPlaced {
+        task: 0,
+        machine: 0,
+        now: 1_000_000,
+    };
+    feed(&mut state, &mut mgr, &model, ev).unwrap();
+    mgr.refresh(&model, &state).unwrap();
+    // Route the running task's flow, so a premature drain would show.
+    let mut g = mgr.take_graph();
+    firmament_mcmf::relaxation::solve(&mut g, &firmament_mcmf::SolveOptions::unlimited()).unwrap();
+    mgr.adopt_graph(g);
+    mgr.take_deltas();
+
+    let ev = ClusterEvent::TaskPreempted {
+        task: 0,
+        now: 5_000_000,
+    };
+    state.apply(&ev);
+    let before = untouched(&mgr);
+    let err = mgr.apply_event(&model, &state, &ev);
+    assert!(
+        matches!(
+            err,
+            Err(PolicyError::NonConvexBundle {
+                hook: "task_arcs",
+                prev: 9,
+                next: 2
+            })
+        ),
+        "{err:?}"
+    );
+    assert_eq!(untouched(&mgr), before);
+    assert_eq!(mgr.task_table().get(0).unwrap().running, Some(0));
 }

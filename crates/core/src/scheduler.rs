@@ -519,9 +519,9 @@ mod tests {
     }
 
     /// The re-price-only race short-circuit, end to end: once everything
-    /// is placed, a pure clock advance only *raises* costs on flowless
-    /// arcs (wait-scaled unscheduled costs of placed tasks, upper ladder
-    /// segments), so the round is proven quiescent and the dual executor
+    /// is placed, a pure clock advance only *raises* the costs of the
+    /// jobs' `U_j → S` arcs, which carry no flow while no task waits, so
+    /// the round is proven quiescent and the dual executor
     /// runs the warm path alone — `RoundOutcome::solver.race_skipped`
     /// records the skip, and the placements stay put.
     #[test]
@@ -535,8 +535,8 @@ mod tests {
         let o2 = f.schedule(&state).unwrap();
         apply_actions(&mut state, &mut f, &o2.actions.clone());
 
-        // Pure clock advance: every surviving cost change is a wait-cost
-        // rise on a flowless arc.
+        // Pure clock advance: every cost change is the wait cost's rise on
+        // a flowless `U_j → S` arc.
         let ev = ClusterEvent::Tick { now: 30_000_000 };
         state.apply(&ev);
         f.handle_event(&state, &ev).unwrap();

@@ -32,6 +32,16 @@
 //!    the flow and solves the round, and its work becomes the new
 //!    reference.
 //!
+//! Every relaxation run of this solver (hedged, raced or alone) starts
+//! from sink-arc prices rather than zero: a node whose arcs all enter the
+//! sink, at a positive cost, starts at minus the cheapest, so that arc is
+//! balanced from the start (see `relaxation::seed_sink_prices`). A
+//! scheduler that parks the wait clock on each job's `U_j → S` arc then
+//! gets the same relaxation run as one that put it on every task's arc:
+//! on contended-hier, unseeded relaxation spent 10.9 M arc scans a round
+//! on that graph against 4.1 M with the clock on the task arcs, and seeded
+//! relaxation 4.2 M.
+//!
 //! A failed hedged round leaves the graph as it came: a failed or
 //! over-budget relaxation run writes nothing back, and when cold cost
 //! scaling fails (steps 2 and 4) the flow the graph carried before the
@@ -246,7 +256,7 @@ impl DualSolver {
         match self.config.kind {
             SolverKind::RelaxationOnly => {
                 let mut g = graph;
-                let relaxation = relaxation::solve_within(
+                let relaxation = relaxation::attempt_within(
                     &mut g,
                     opts,
                     &self.config.relaxation,
@@ -443,6 +453,9 @@ impl DualSolver {
         // written back after the join if relaxation wins.
         let relax_budget = Budget::new(&relax_opts);
         let filled = relaxation::fill_cold(&graph, &mut self.workspace);
+        if filled.is_ok() {
+            relaxation::seed_sink_prices(&mut self.workspace);
+        }
         let relax_cfg = &self.config.relaxation;
         let workspace = &mut self.workspace;
         let incremental = &mut self.incremental;

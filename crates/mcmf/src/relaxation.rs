@@ -197,13 +197,17 @@ pub(crate) fn solve_within(
     scan_budget: u64,
     work: &mut Workspace,
 ) -> Result<Budgeted, SolveError> {
-    solve_cold(graph, opts, config, scan_budget, work, true)
+    let budget = Budget::new(opts);
+    fill_cold(graph, work)?;
+    let run = run(config, scan_budget, budget, work, &mut || feasible(graph))?;
+    Ok(run.finish(graph, work, true))
 }
 
-/// As [`solve_within`], except that a run which spends its budget drops
-/// its copy unwritten, as a failed run does: the graph keeps the flow it
-/// had before the call, and the [`Budgeted::OverBudget`] solution's
-/// objective is that flow's.
+/// As [`solve_within`], except that the run starts from the sink-arc
+/// prices of [`seed_sink_prices`] rather than zero, and that a run which
+/// spends its budget drops its copy unwritten, as a failed run does: the
+/// graph keeps the flow it had before the call, and the
+/// [`Budgeted::OverBudget`] solution's objective is that flow's.
 pub(crate) fn attempt_within(
     graph: &mut FlowGraph,
     opts: &SolveOptions,
@@ -211,23 +215,11 @@ pub(crate) fn attempt_within(
     scan_budget: u64,
     work: &mut Workspace,
 ) -> Result<Budgeted, SolveError> {
-    solve_cold(graph, opts, config, scan_budget, work, false)
-}
-
-/// The cold start of [`solve_within`] and [`attempt_within`]; see
-/// [`Run::finish`] for `write_over_budget`.
-fn solve_cold(
-    graph: &mut FlowGraph,
-    opts: &SolveOptions,
-    config: &RelaxationConfig,
-    scan_budget: u64,
-    work: &mut Workspace,
-    write_over_budget: bool,
-) -> Result<Budgeted, SolveError> {
     let budget = Budget::new(opts);
     fill_cold(graph, work)?;
+    seed_sink_prices(work);
     let run = run(config, scan_budget, budget, work, &mut || feasible(graph))?;
-    Ok(run.finish(graph, work, write_over_budget))
+    Ok(run.finish(graph, work, false))
 }
 
 /// Fills `work` for a cold run on `graph`: the copy holds every pair
@@ -245,6 +237,36 @@ pub(crate) fn fill_cold(graph: &FlowGraph, work: &mut Workspace) -> Result<(), S
     }
     graph.fill_csr(&mut work.csr, true);
     Ok(())
+}
+
+/// Prices every node of a cold copy (filled by [`fill_cold`]) whose
+/// residual out-arcs all enter one deficit node, at a positive cost, at
+/// minus the cheapest of those costs. The cheapest arc then starts
+/// balanced and no arc of non-negative cost starts with a negative
+/// reduced cost, so a cost that a graph parks on arcs into the sink, such
+/// as the wait clock a scheduler puts on each job's `U_j → S` arc, sits
+/// where the optimal prices put it: the dual ascent does not have to
+/// lower the price of the node in front of it first, which pushed flow
+/// back to every task already routed through that node. A graph whose
+/// arcs into deficit nodes all cost 0 keeps all-zero prices.
+pub(crate) fn seed_sink_prices(work: &mut Workspace) {
+    let (offsets, arcs) = (work.csr.offsets(), work.csr.arcs());
+    for u in 0..offsets.len() - 1 {
+        let span = &arcs[offsets[u] as usize..offsets[u + 1] as usize];
+        let mut out = span.iter().filter(|a| a.rescap > 0);
+        let Some(first) = out.next() else {
+            continue;
+        };
+        if work.excess[first.dst as usize] >= 0 {
+            continue;
+        }
+        let cheapest = out.try_fold(first.cost, |c, a| {
+            (a.dst == first.dst).then(|| c.min(a.cost))
+        });
+        if let Some(c) = cheapest.filter(|&c| c > 0) {
+            work.pot[u] = -c;
+        }
+    }
 }
 
 /// Whether `graph`'s supplies can be routed at all, checked by max flow on
@@ -732,6 +754,44 @@ mod tests {
     use firmament_flow::builder::figure5;
     use firmament_flow::testgen::{layered_instance, scheduling_instance, InstanceSpec};
     use firmament_flow::{ArcId, NodeId, NodeKind};
+
+    /// A seeded run does the same work, and finds the same objective, on a
+    /// graph whose unscheduled cost is split between the task arcs and the
+    /// arc into the sink as on the graph with all of it on the task arcs.
+    /// The instances are oversubscribed, so the unscheduled route carries
+    /// flow.
+    #[test]
+    fn sink_arc_prices_absorb_a_cost_moved_onto_the_sink_arc() {
+        let spec = InstanceSpec {
+            tasks: 120,
+            ..InstanceSpec::default()
+        };
+        let solve = |g: &mut FlowGraph| {
+            let opts = SolveOptions::unlimited();
+            let config = RelaxationConfig::default();
+            attempt_within(g, &opts, &config, u64::MAX, &mut Workspace::default())
+                .expect("feasible")
+                .into_solution()
+        };
+        for seed in 0..6 {
+            let inst = scheduling_instance(seed, &spec);
+            let mut split = inst.graph.clone();
+            let clock = 37;
+            for a in inst.graph.arc_ids() {
+                let cost = split.cost(a);
+                if split.dst(a) == inst.unscheduled {
+                    split.set_arc_cost(a, cost - clock).unwrap();
+                } else if split.src(a) == inst.unscheduled {
+                    split.set_arc_cost(a, cost + clock).unwrap();
+                }
+            }
+            let mut whole = inst.graph.clone();
+            let (a, b) = (solve(&mut whole), solve(&mut split));
+            assert_eq!(a.stats.arc_scans, b.stats.arc_scans, "seed {seed}");
+            assert_eq!(a.objective, b.objective, "seed {seed}");
+            assert!(is_optimal(&split), "seed {seed}");
+        }
+    }
 
     #[test]
     fn solves_figure5_optimally() {

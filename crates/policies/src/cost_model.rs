@@ -27,8 +27,11 @@
 //!    *dirty* (touched by an event since the last refresh; see
 //!    [`CostModel::dynamic_aggregate_arcs`] for monitoring-driven arcs).
 //! 3. **What does leaving the task unscheduled cost?**
-//!    [`CostModel::task_unscheduled_cost`] — typically grows with wait
-//!    time so starving tasks eventually win contended slots.
+//!    [`CostModel::task_unscheduled_cost`] declares a clock-free base and
+//!    [`CostModel::wait_cost_per_sec`] a slope: waiting costs base +
+//!    slope × whole seconds waited, so starving tasks eventually win
+//!    contended slots. The slope is one number for the whole model, which
+//!    lets the manager price every task's waiting time on one shared arc.
 //! 4. **What does a running task's arc cost?**
 //!    [`CostModel::running_arc_cost`] — usually 0 (data already local).
 //!
@@ -84,6 +87,10 @@
 //!     fn task_unscheduled_cost(&self, _: &ClusterState, _: &Task) -> i64 {
 //!         100_000
 //!     }
+//!     fn wait_cost_per_sec(&self) -> i64 {
+//!         // Every second a task waits adds 100 to leaving it unscheduled.
+//!         100
+//!     }
 //!     fn task_arcs(&self, _: &ClusterState, _: &Task) -> Vec<(ArcTarget, ArcBundle)> {
 //!         vec![(ArcTarget::Aggregate(CLUSTER), ArcBundle::cost(0))]
 //!     }
@@ -103,7 +110,7 @@
 //! }
 //! ```
 
-use firmament_cluster::{ClusterState, Job, Machine, MachineId, RackId, Task};
+use firmament_cluster::{ClusterState, Job, Machine, MachineId, RackId, Task, Time};
 use firmament_flow::NodeKind;
 use std::collections::BTreeMap;
 
@@ -401,10 +408,31 @@ pub trait CostModel {
     /// Human-readable policy name.
     fn name(&self) -> &'static str;
 
-    /// Cost of leaving `task` unscheduled right now (its arc to the job's
-    /// unscheduled aggregator `U_j`). Re-evaluated for every waiting task
-    /// whenever virtual time advances.
+    /// The clock-free base cost of leaving `task` unscheduled. What
+    /// waiting costs at time `now` is this base plus
+    /// [`wait_cost_per_sec`](CostModel::wait_cost_per_sec) × (⌊now⌋ −
+    /// ⌊submit⌋), in whole seconds (see [`wait_cost`]).
+    ///
+    /// **Must not read `state.now`**: the manager queries the base when the
+    /// task arrives or an event touches it, never on a clock tick. A clock
+    /// tick re-prices only the arcs that carry the clock's share of
+    /// waiting, one per job, so a base that drifted with the clock would
+    /// go stale (the differential fuzz suite shows it as incremental ≠
+    /// rebuild).
     fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64;
+
+    /// What each whole second of waiting adds to leaving a task
+    /// unscheduled, the same for every task. Defaults to 0: waiting never
+    /// gets more expensive.
+    ///
+    /// The manager prices the slope once per job, not once per task: each
+    /// job's `U_j → S` arc costs slope × (⌊now⌋ − E) for an epoch `E`,
+    /// while each `T → U_j` arc costs base + slope × (E − ⌊submit⌋). A
+    /// clock tick then changes one cost per job, however many tasks the
+    /// graph holds.
+    fn wait_cost_per_sec(&self) -> i64 {
+        0
+    }
 
     /// The arc set of a *waiting* task: `(target, bundle)` pairs. Called
     /// when the task is submitted, preempted, or displaced by a machine
@@ -521,8 +549,9 @@ pub trait CostModel {
     ///
     /// When `true`, the §6.3 refresh re-queries [`task_arcs`] for every
     /// waiting task in its dirty-task set (every waiting task when the
-    /// virtual clock advanced, exactly like unscheduled-cost re-pricing)
-    /// and re-syncs the declared bundles onto the cached arc slots:
+    /// virtual clock advanced: only these models make a clock tick walk
+    /// the task table, since waiting time itself is priced on one shared
+    /// arc) and re-syncs the declared bundles onto the cached arc slots:
     /// per-segment costs and capacities are patched in place (cheap
     /// `CostChanged`/`CapacityChanged` deltas for the warm solver),
     /// grown bundles append segments, shrunk bundles park the tail — and
@@ -594,6 +623,10 @@ impl<T: CostModel + ?Sized> CostModel for Box<T> {
         (**self).task_unscheduled_cost(state, task)
     }
 
+    fn wait_cost_per_sec(&self) -> i64 {
+        (**self).wait_cost_per_sec()
+    }
+
     fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
         (**self).task_arcs(state, task)
     }
@@ -662,25 +695,51 @@ pub fn rack_capacities(state: &ClusterState) -> Vec<(RackId, i64, i64)> {
         .collect()
 }
 
-/// Linear wait-time cost growth shared by the built-in models: the base
-/// unscheduled cost plus `per_sec` for every second the task has waited.
-pub(crate) fn wait_scaled_cost(state: &ClusterState, task: &Task, base: i64, per_sec: i64) -> i64 {
-    let wait_sec = state.now.saturating_sub(task.submit_time) / 1_000_000;
-    base + per_sec * wait_sec as i64
+/// A virtual time (microseconds) in whole seconds, rounded down: the
+/// clock that [`CostModel::wait_cost_per_sec`] counts.
+pub fn whole_seconds(t: Time) -> i64 {
+    (t / 1_000_000) as i64
+}
+
+/// `per_sec` × (`to` − `from`) for two whole-second clock readings, or
+/// `None` if it does not fit in an `i64`: the wait-time term of an
+/// unscheduled cost. Leaving a task unscheduled at `now` costs its base
+/// plus `wait_cost(per_sec, whole_seconds(submit), whole_seconds(now))`.
+///
+/// # Examples
+///
+/// ```
+/// use firmament_policies::{wait_cost, whole_seconds};
+///
+/// // Submitted at 2.9 s, now 5.1 s: ⌊5.1⌋ − ⌊2.9⌋ = 3 whole seconds.
+/// let waited = wait_cost(100, whole_seconds(2_900_000), whole_seconds(5_100_000));
+/// assert_eq!(waited, Some(300));
+/// assert_eq!(wait_cost(i64::MAX, 0, 2), None);
+/// ```
+pub fn wait_cost(per_sec: i64, from: i64, to: i64) -> Option<i64> {
+    per_sec.checked_mul(to.checked_sub(from)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use firmament_cluster::Task;
 
     #[test]
     fn wait_cost_grows_linearly() {
-        let mut state = ClusterState::default();
-        let t = Task::new(0, 0, 0, 1_000_000);
-        assert_eq!(wait_scaled_cost(&state, &t, 100, 7), 100);
-        state.now = 30 * 1_000_000;
-        assert_eq!(wait_scaled_cost(&state, &t, 100, 7), 100 + 30 * 7);
+        let submit = whole_seconds(0);
+        assert_eq!(wait_cost(7, submit, submit), Some(0));
+        assert_eq!(
+            wait_cost(7, submit, whole_seconds(30 * 1_000_000)),
+            Some(30 * 7)
+        );
+        // Whole seconds on both ends: ⌊now⌋ − ⌊submit⌋, not ⌊now − submit⌋.
+        let late = whole_seconds(1_900_000);
+        assert_eq!(wait_cost(7, late, whole_seconds(3_100_000)), Some(2 * 7));
+        // A reading before `from` gives a negative term, not a clamp.
+        assert_eq!(wait_cost(7, 5, 3), Some(-14));
+        // Overflow in the product or the difference is reported, not wrapped.
+        assert_eq!(wait_cost(i64::MAX / 2, 0, 3), None);
+        assert_eq!(wait_cost(1, i64::MIN, 1), None);
     }
 
     #[test]

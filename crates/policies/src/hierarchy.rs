@@ -23,7 +23,7 @@
 //! topology-aware policies scale (§3.3, Fig 6).
 
 use crate::cost_model::{
-    rack_capacities, wait_scaled_cost, AggregateId, ArcBundle, ArcTarget, BundleShape, CostModel,
+    rack_capacities, AggregateId, ArcBundle, ArcTarget, BundleShape, CostModel,
 };
 use firmament_cluster::{ClusterState, Machine, RackId, Task};
 use firmament_flow::NodeKind;
@@ -129,13 +129,12 @@ impl CostModel for HierarchicalTopologyCostModel {
         "hierarchical-topology"
     }
 
-    fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
-        wait_scaled_cost(
-            state,
-            task,
-            self.config.base_unscheduled_cost,
-            self.config.wait_cost_per_sec,
-        )
+    fn task_unscheduled_cost(&self, _state: &ClusterState, _task: &Task) -> i64 {
+        self.config.base_unscheduled_cost
+    }
+
+    fn wait_cost_per_sec(&self) -> i64 {
+        self.config.wait_cost_per_sec
     }
 
     /// Every task enters the hierarchy at the cluster root; the topology

@@ -59,7 +59,8 @@ pub mod octopus;
 pub mod quincy;
 
 pub use cost_model::{
-    rack_capacities, AggregateId, ArcBundle, ArcSpec, ArcTarget, BundleShape, CostModel,
+    rack_capacities, wait_cost, whole_seconds, AggregateId, ArcBundle, ArcSpec, ArcTarget,
+    BundleShape, CostModel,
 };
 pub use hierarchy::{HierarchicalTopologyCostModel, TopologyConfig};
 pub use load_spreading::LoadSpreadingCostModel;
@@ -105,6 +106,15 @@ pub enum PolicyError {
         /// Cost of the later (cheaper — that's the bug) segment.
         next: i64,
     },
+    /// A wait-time cost does not fit in an `i64`: the model's
+    /// [`CostModel::wait_cost_per_sec`] times the seconds waited, or that
+    /// product plus the base, overflows. The event or refresh that would
+    /// have set the cost returns this before it changes the graph.
+    WaitCostOverflow {
+        /// The task whose `T → U_j` cost overflowed, or `None` for the
+        /// clock's share on the jobs' `U_j → S` arcs.
+        task: Option<TaskId>,
+    },
     /// An underlying graph mutation failed.
     Graph(firmament_flow::GraphError),
 }
@@ -130,6 +140,12 @@ impl std::fmt::Display for PolicyError {
                     f,
                     "non-convex arc bundle from {hook}: segment cost falls {prev} \u{2192} {next}"
                 )
+            }
+            PolicyError::WaitCostOverflow { task: Some(t) } => {
+                write!(f, "wait-time cost of task {t} overflows i64")
+            }
+            PolicyError::WaitCostOverflow { task: None } => {
+                write!(f, "wait-time cost of the U_j \u{2192} S arcs overflows i64")
             }
             PolicyError::Graph(e) => write!(f, "graph error: {e}"),
         }

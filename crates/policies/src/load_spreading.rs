@@ -24,9 +24,7 @@
 //! and with them the re-priced arcs — catch up. The `convex_spreading`
 //! bench bin demonstrates the difference.
 
-use crate::cost_model::{
-    wait_scaled_cost, AggregateId, ArcBundle, ArcTarget, BundleShape, CostModel,
-};
+use crate::cost_model::{AggregateId, ArcBundle, ArcTarget, BundleShape, CostModel};
 use firmament_cluster::{ClusterState, Machine, Task};
 use firmament_flow::NodeKind;
 
@@ -112,9 +110,13 @@ impl CostModel for LoadSpreadingCostModel {
         }
     }
 
-    fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
+    fn task_unscheduled_cost(&self, _state: &ClusterState, _task: &Task) -> i64 {
+        UNSCHEDULED_COST
+    }
+
+    fn wait_cost_per_sec(&self) -> i64 {
         // Grows with wait time so long-waiting tasks win contended slots.
-        wait_scaled_cost(state, task, UNSCHEDULED_COST, WAIT_COST_PER_SEC)
+        WAIT_COST_PER_SEC
     }
 
     fn task_arcs(&self, _state: &ClusterState, _task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
@@ -160,6 +162,7 @@ impl CostModel for LoadSpreadingCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost_model::{wait_cost, whole_seconds};
     use firmament_cluster::{Machine, TopologySpec};
 
     #[test]
@@ -246,7 +249,10 @@ mod tests {
         let model = LoadSpreadingCostModel::new();
         let fresh = model.task_unscheduled_cost(&state, &t);
         state.now = 30 * 1_000_000;
-        let waited = model.task_unscheduled_cost(&state, &t);
+        // The base is clock-free; the slope prices the 30 s waited.
+        assert_eq!(model.task_unscheduled_cost(&state, &t), fresh);
+        let waited =
+            fresh + wait_cost(model.wait_cost_per_sec(), 0, whole_seconds(state.now)).unwrap();
         assert_eq!(waited - fresh, 30 * WAIT_COST_PER_SEC);
     }
 }

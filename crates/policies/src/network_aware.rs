@@ -15,7 +15,7 @@
 //! [`dynamic_aggregate_arcs`](CostModel::dynamic_aggregate_arcs) so the
 //! graph manager re-evaluates every machine each round.
 
-use crate::cost_model::{wait_scaled_cost, AggregateId, ArcBundle, ArcTarget, CostModel};
+use crate::cost_model::{AggregateId, ArcBundle, ArcTarget, CostModel};
 use firmament_cluster::{ClusterState, Machine, Task};
 use firmament_flow::NodeKind;
 
@@ -64,8 +64,12 @@ impl CostModel for NetworkAwareCostModel {
         "network-aware"
     }
 
-    fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
-        wait_scaled_cost(state, task, UNSCHEDULED_COST, WAIT_COST_PER_SEC)
+    fn task_unscheduled_cost(&self, _state: &ClusterState, _task: &Task) -> i64 {
+        UNSCHEDULED_COST
+    }
+
+    fn wait_cost_per_sec(&self) -> i64 {
+        WAIT_COST_PER_SEC
     }
 
     fn task_arcs(&self, _state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {

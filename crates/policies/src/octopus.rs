@@ -23,9 +23,7 @@
 //! leverage: a genuinely different placement behavior in ~40 lines of
 //! cost arithmetic, with zero graph bookkeeping.
 
-use crate::cost_model::{
-    wait_scaled_cost, AggregateId, ArcBundle, ArcTarget, BundleShape, CostModel,
-};
+use crate::cost_model::{AggregateId, ArcBundle, ArcTarget, BundleShape, CostModel};
 use firmament_cluster::{ClusterState, Machine, Task};
 use firmament_flow::NodeKind;
 
@@ -96,13 +94,12 @@ impl CostModel for OctopusCostModel {
         "octopus"
     }
 
-    fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
-        wait_scaled_cost(
-            state,
-            task,
-            self.config.base_unscheduled_cost,
-            self.config.wait_cost_per_sec,
-        )
+    fn task_unscheduled_cost(&self, _state: &ClusterState, _task: &Task) -> i64 {
+        self.config.base_unscheduled_cost
+    }
+
+    fn wait_cost_per_sec(&self) -> i64 {
+        self.config.wait_cost_per_sec
     }
 
     fn task_arcs(&self, _state: &ClusterState, _task: &Task) -> Vec<(ArcTarget, ArcBundle)> {

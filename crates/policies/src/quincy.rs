@@ -24,9 +24,7 @@
 //! only breaks ties among equally-local options toward emptier racks and
 //! machines — and does so in a single solve instead of across rounds.
 
-use crate::cost_model::{
-    rack_capacities, wait_scaled_cost, AggregateId, ArcBundle, ArcSpec, ArcTarget, CostModel,
-};
+use crate::cost_model::{rack_capacities, AggregateId, ArcBundle, ArcSpec, ArcTarget, CostModel};
 use firmament_cluster::{ClusterState, Machine, RackId, Task};
 use firmament_flow::NodeKind;
 
@@ -130,14 +128,13 @@ impl CostModel for QuincyCostModel {
         "quincy"
     }
 
-    fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
+    fn task_unscheduled_cost(&self, _state: &ClusterState, _task: &Task) -> i64 {
+        self.config.base_unscheduled_cost
+    }
+
+    fn wait_cost_per_sec(&self) -> i64 {
         // The Quincy trade-off between wait time and data locality.
-        wait_scaled_cost(
-            state,
-            task,
-            self.config.base_unscheduled_cost,
-            self.config.wait_cost_per_sec,
-        )
+        self.config.wait_cost_per_sec
     }
 
     /// The waiting-task arc set: a fallback arc to `X` (worst case:
@@ -239,6 +236,7 @@ impl CostModel for QuincyCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost_model::{wait_cost, whole_seconds};
     use firmament_cluster::{ClusterState, TopologySpec};
 
     fn setup() -> (ClusterState, QuincyCostModel) {
@@ -395,7 +393,10 @@ mod tests {
         let t = make_task(&mut state, 1, vec![0]);
         let before = model.task_unscheduled_cost(&state, &t);
         state.now = 30 * 1_000_000;
-        let after = model.task_unscheduled_cost(&state, &t);
+        // The base is clock-free; the slope prices the 30 s waited.
+        assert_eq!(model.task_unscheduled_cost(&state, &t), before);
+        let waited = wait_cost(model.wait_cost_per_sec(), 0, whole_seconds(state.now));
+        let after = before + waited.unwrap();
         assert_eq!(
             after - before,
             30 * QuincyConfig::default().wait_cost_per_sec

@@ -36,10 +36,14 @@ impl CostModel for RackAffinity {
         "rack-affinity-hierarchy"
     }
 
-    fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
+    fn task_unscheduled_cost(&self, _state: &ClusterState, _task: &Task) -> i64 {
+        50_000
+    }
+
+    fn wait_cost_per_sec(&self) -> i64 {
         // Waiting gets expensive fast: full rescheduling should drain the
         // queue within a few rounds.
-        50_000 + 500 * (state.now.saturating_sub(task.submit_time) / 1_000_000) as i64
+        500
     }
 
     fn task_arcs(&self, _state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {

@@ -57,7 +57,13 @@
 //!    the model for exactly those. Every declared arc is a convex
 //!    [`policies::ArcBundle`] whose segments keep stable graph-arc slots,
 //!    so a re-priced ladder is a cost or capacity change, not structural
-//!    churn.
+//!    churn. The clock is priced once per job: each job's arc from its
+//!    unscheduled aggregator to the sink carries the slope
+//!    ([`policies::CostModel::wait_cost_per_sec`]) times the whole seconds
+//!    since an epoch, so a clock tick changes one cost per job however
+//!    many tasks wait; each task's own arc keeps its clock-free base
+//!    ([`policies::CostModel::task_unscheduled_cost`]) and its wait before
+//!    the epoch.
 //! 3. **Deltas.** [`core::FlowGraphManager::take_deltas`] takes the
 //!    [`flow::delta::DeltaBatch`] the graph folded its changes into as they
 //!    happened.

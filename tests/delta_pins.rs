@@ -157,16 +157,19 @@ fn run<C: CostModel>(model: C, seed: u64) -> Vec<u64> {
 const DECAY_AGG: AggregateId = 7;
 
 /// Preference costs that fade as a task waits, re-priced in place by the
-/// refresh's `dynamic_task_arcs` hook, over a wait-scaled unscheduled
-/// cost and a load-dependent cluster aggregate.
+/// refresh's `dynamic_task_arcs` hook, over a base unscheduled cost with
+/// a wait slope and a load-dependent cluster aggregate.
 struct DecayingPreference;
 
 impl CostModel for DecayingPreference {
     fn name(&self) -> &'static str {
         "decaying-preference"
     }
-    fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
-        200 + (state.now.saturating_sub(task.submit_time) / 1_000_000) as i64 * 15
+    fn task_unscheduled_cost(&self, _: &ClusterState, _: &Task) -> i64 {
+        200
+    }
+    fn wait_cost_per_sec(&self) -> i64 {
+        15
     }
     fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
         let wait_sec = (state.now.saturating_sub(task.submit_time) / 1_000_000) as i64;

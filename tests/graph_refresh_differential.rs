@@ -14,7 +14,10 @@
 //! - same node kinds (aggregate GC must leave exactly the reachable set),
 //! - same per-kind supplies,
 //! - same positive-capacity arcs with equal capacity and cost (parked
-//!   capacity-0 arcs are semantic no-ops, so both sides drop them).
+//!   capacity-0 arcs are semantic no-ops, so both sides drop them), where
+//!   a `T → U_j` arc's cost is that of the path `T → U_j → S`: the
+//!   clock's share of waiting sits on each job's `U_j → S` arc, split from
+//!   the tasks' at a wait epoch that a rebuild sets afresh.
 //!
 //! The suite also carries the **delta-replay oracle**: after every round,
 //! the manager's recorded `GraphDelta` batch is replayed onto a snapshot
@@ -28,7 +31,7 @@
 //! After every round it also checks the manager's task table against the
 //! graph: each entry's node is the live node of that task, and its
 //! unscheduled arc is alive and runs from that node to its job's `U_j` —
-//! the arc a clock advance re-prices without looking it up. Each entry's
+//! the arc an epoch re-base re-prices without looking it up. Each entry's
 //! running machine must be the task's machine in cluster state while it
 //! runs, and `None` otherwise — the record the scheduler's action diff
 //! trusts instead of looking the task up. The rebuilt manager's table is
@@ -103,6 +106,9 @@ impl<C: CostModel> CostModel for ConvexFuzzWrapper<C> {
     }
     fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
         self.inner.task_unscheduled_cost(state, task)
+    }
+    fn wait_cost_per_sec(&self) -> i64 {
+        self.inner.wait_cost_per_sec()
     }
     fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
         // Clock-dependent re-pricing on top of the inner declaration:
@@ -259,6 +265,9 @@ impl<C: CostModel> CostModel for BucketedFuzzWrapper<C> {
 /// Canonical, id-independent form of a scheduling flow network: sorted
 /// node kinds, sorted nonzero supplies by kind, and sorted
 /// positive-capacity forward arcs as `(src kind, dst kind, cap, cost)`.
+/// Each `U_j → S` cost is folded into its job's `T → U_j` arcs (and reads
+/// 0 on `U_j → S` itself), so each unscheduled path is compared by what it
+/// costs end to end.
 type Canonical = (
     Vec<String>,
     Vec<(String, i64)>,
@@ -274,16 +283,25 @@ fn canonical(g: &FlowGraph) -> Canonical {
         .map(|n| (g.kind(n).to_string(), g.supply(n)))
         .collect();
     supplies.sort();
+    let into_sink = |a: ArcId| g.kind(g.dst(a)) == NodeKind::Sink;
+    let clock = |u: NodeId| {
+        let mut out = g.adj(u).iter().copied();
+        out.find(|&a| a.is_forward() && into_sink(a))
+            .map_or(0, |a| g.cost(a))
+    };
     let mut arcs: Vec<(String, String, i64, i64)> = g
         .arc_ids()
         .filter(|&a| g.capacity(a) > 0)
         .map(|a| {
-            (
-                g.kind(g.src(a)).to_string(),
-                g.kind(g.dst(a)).to_string(),
-                g.capacity(a),
-                g.cost(a),
-            )
+            let (src, dst) = (g.kind(g.src(a)), g.kind(g.dst(a)));
+            let cost = match (src, dst) {
+                (NodeKind::Task { .. }, NodeKind::UnscheduledAggregator { .. }) => {
+                    g.cost(a) + clock(g.dst(a))
+                }
+                (NodeKind::UnscheduledAggregator { .. }, _) if into_sink(a) => 0,
+                _ => g.cost(a),
+            };
+            (src.to_string(), dst.to_string(), g.capacity(a), cost)
         })
         .collect();
     arcs.sort();
@@ -611,7 +629,7 @@ fn random_event<C: CostModel>(
                 },
             );
         }
-        // Advance the virtual clock (drifts every waiting cost).
+        // Advance the virtual clock (drifts every waiting path's cost).
         75..=84 => {
             let now = state.now + 1_000_000 * (1 + rng.below(30));
             apply_both(state, mgr, model, &ClusterEvent::Tick { now });
