@@ -1171,66 +1171,66 @@ const TARGETED: [u64; 3] = [0xaf41c3b6a84d0a24, 0x0c4fcc11b574fd09, 0x31e715dac5
 
 const QUINCY_ROUNDS: [u64; 30] = [
     0xf3084e36b4d249f4,
-    0xea6fce7c781dcc77,
-    0x7331fb0e412fd198,
-    0x5acf214144cd2ad7,
-    0x18bb9a94be01fd02,
-    0x0c21ce21b5a7fda1,
-    0x9b940af851bc02ae,
-    0xf05d95e8e376c05f,
-    0x728611f571cfc492,
-    0xa2e8fb30cc979d46,
-    0x55ad927494c80ade,
-    0xb37064efb2f3e893,
-    0xfc8178a5aeccd68f,
-    0xab46f9cdea6b9e28,
-    0xa2f38cf2e96e1916,
-    0x5812e4a30e0c2037,
-    0x4f916825f56153a0,
-    0x04afb30ea0503466,
-    0x5140997f4b73f0e6,
-    0xe8b18b0740ec7a6d,
-    0x668cea9a3b1491bb,
-    0x0923550ac0b760c6,
-    0x54855e1960aee0c8,
-    0x8372674a5c8b9b8d,
-    0x395d522650bc8765,
-    0x45a7e16583b34eed,
-    0xabbcd9a77f3ec166,
-    0x4f9b47123dc08682,
-    0x852bd5215a4b08bd,
-    0x7cab838acb6976c0,
+    0xd1442905873b94d2,
+    0x3e047950e6cf7ed8,
+    0x13676717c8010109,
+    0xbe53cc28c1724a93,
+    0xd0a3e4553b0d42ab,
+    0x1922e1dd9998a5e4,
+    0x5476f2d0b23309ab,
+    0xf650db6f27e0d98d,
+    0xaa5507746733c290,
+    0x62859dd5f637a081,
+    0x6bb52ee5bdd17d1d,
+    0x038f985a373f624e,
+    0x47d902f5313157f5,
+    0x4577d057f26e3cdb,
+    0x54cb05a5e94b34e6,
+    0xada5fe5b689dc0a1,
+    0xfd6ef3384fd87e8d,
+    0x9fa740ff60e689af,
+    0x0c3084b32b7a995f,
+    0x6bf9d0f94f819ef6,
+    0x5b27b08929d55dc4,
+    0x8209af47c6ba52b3,
+    0x6088954e478f680f,
+    0x4efcda717cf0f5bd,
+    0xd993f47c08b01390,
+    0x0c1974bca3b0e615,
+    0x50e60eda13afe9d4,
+    0xc41e6c4c457f28f3,
+    0xa9e4c17365aaa281,
 ];
 
 const HIERARCHY_ROUNDS: [u64; 30] = [
     0xb2a6ab68e5d8e9f3,
-    0x42083540e9b6a68a,
-    0x96e546a268566951,
-    0x68e2379ed67ab9d8,
-    0xa0f190d54a93d391,
-    0x7e4942e18182e3bf,
-    0x67dc0897420b68ec,
-    0x4928e56ec4952a34,
-    0x7f96b1ffd04488b9,
-    0x34309dabe1180d42,
-    0xbda35a376015d314,
-    0x35dd87ce53259dfe,
-    0xa2bb5863283766f1,
-    0xf88628aa33e64ae1,
-    0x8866417dca48380d,
-    0xc3baba0217c262aa,
-    0x4c86650281fb75e6,
-    0xa7f968efcb691c0e,
-    0x23a992f9e8ef96f2,
-    0xe98f75db83059e51,
-    0xc4c37bba013af054,
-    0x7175fffee25a213d,
-    0x1ad8a69c6490007a,
-    0x8447a3e9100d8157,
-    0x20b843b3b59c6780,
-    0x63877acda59d9b2b,
-    0xda89ee3dc94cb555,
-    0x74d5d0414207acf5,
-    0xf2a830279c91ea1b,
-    0x69f1e338f20dfb61,
+    0x4f77dae504ea31e4,
+    0xb507ab95589b8a9b,
+    0x3d71ea7a55fd3ce5,
+    0x978e2726a90d5c1a,
+    0x50cf79d42207435c,
+    0xca6312d33841a58e,
+    0x81b69d433816d97c,
+    0x86f3f8f44d30bdf0,
+    0x24847fa0ffc2020e,
+    0xbf44dbe3e1f1769b,
+    0x55454140abfbdd78,
+    0x34e6c4dc47278646,
+    0x4eb0d924e994bc41,
+    0x7d41c26e60220e41,
+    0x059f798f2eb81eab,
+    0x5ccf1f7f307d6ba2,
+    0x7c30631cdc4aab9f,
+    0x0bfd3f0bdf30fa89,
+    0x63f1108e25d2e7db,
+    0xce6f3e7d1dcbee68,
+    0x7ad969dd5f09b57c,
+    0x87c9bc495dda3fd2,
+    0xc5f255b83c1ddfdf,
+    0x4ec5ff078f936503,
+    0x5ce10c6fc8388593,
+    0x174580d17c702b23,
+    0x677ceb2e6081364e,
+    0xfe617a87f564c049,
+    0x9ab84fdfaf3c07e9,
 ];

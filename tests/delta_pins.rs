@@ -237,215 +237,215 @@ fn bucketed_hierarchy_batches_pinned() {
 
 const QUINCY: [u64; ROUNDS] = [
     0xc69bc2bb8c29844a,
-    0x8ea8a7e6da4dcbd9,
-    0xa5e283c5a50ff731,
-    0x9d2b2bd75553b654,
-    0x4ff0a2d58e380b3b,
-    0x5ab9eb238680e5c4,
-    0x47f79f6a61127158,
-    0x5e964fa108ae46d4,
-    0x1055ef0bb1595af6,
-    0x650ecb342504a9e4,
-    0x287b187e9d06b91a,
-    0x47a71fefa89d0052,
-    0x682d62b759b67293,
-    0xa0961ee4f1379c8a,
-    0x61302e94dd175563,
-    0x75a8c118a6283aef,
-    0xe08448059ad541cd,
-    0x70640c4c3b847ffa,
-    0xb300f4ced70c0858,
-    0xc82f893d540e24dd,
-    0x0e33eaafa63c1951,
-    0x84bd04e22f51532d,
-    0xf7ee4b7f9c72e20a,
-    0x50b3cb3d079146d2,
-    0xfd9fe93828467c37,
-    0x0f652a8750b83435,
-    0xa866d39b86836241,
-    0xdb221c24ec5ab9ee,
-    0xf255f21ff8b18c7a,
-    0xf2907f308fbf4f62,
-    0x9bc095ccb3095c5c,
-    0x96c831b4d30892a7,
-    0xcf1ba733b0469d33,
-    0xba707b5a90b91521,
-    0xe21eee534b5bcf8c,
-    0xe20cd7b8816040a8,
-    0xbcfb35946b3a6a42,
-    0x724aa0cafa1b30e9,
-    0x3dc708708caae640,
-    0x6ad349a31689c5c7,
+    0x62bd4084e04e534f,
+    0x71c9fbf35d1397a3,
+    0xc8b8bf899b0b1fd7,
+    0x46b7133d6f4b86ef,
+    0xe745b69bca439025,
+    0xa3175af7db015521,
+    0x13235f1141c8c74d,
+    0xd319bd6d984924ea,
+    0xdd39b5b9949ef65c,
+    0xd8101d9f2e1522bf,
+    0x9356decc78a30224,
+    0x9401702be8d69095,
+    0x1649e3611d50c4ac,
+    0xbf50239a23c02e89,
+    0x4c6799f10637533e,
+    0x8e5f29ad0129752f,
+    0xe11f9100a5c38ed2,
+    0xeeb4dcdd3239a91f,
+    0xdb669d06018a2dab,
+    0x0fa38479331245b6,
+    0x807388061dedbd94,
+    0x50d341665208b3c3,
+    0xccc18a3c58ae8599,
+    0x45d0c3d4845943cc,
+    0x63dee1e5a45beb9f,
+    0xcba7112e0eb7999b,
+    0x58542e1a419f3bae,
+    0x205086a2cd5ad035,
+    0xdd17f36abba5bcf2,
+    0xf1882256332b5156,
+    0x397a77ba5e4e2803,
+    0x6c18fb09a9e1dcb2,
+    0xdb194557f2d9d120,
+    0xff9e6706338a2551,
+    0x42ace3dc34a38923,
+    0x7b66858c840923d8,
+    0xf957619653952c03,
+    0xd01bcbe33504a460,
+    0xe575540d6fff550d,
 ];
 
 const BUCKETED: [u64; ROUNDS] = [
     0x8e4326795634ba3a,
     0x3cbcf928b67c6ffb,
-    0x7a832bca3d81c3ef,
-    0x8ceb0d85e0b04e02,
-    0x4a8ba10167af9ef3,
-    0xd70ada1e01afc108,
-    0x408ef6d9d3cf9829,
-    0xbb76c7053c330041,
-    0x5366403831e07fee,
-    0x61d374745b8fca27,
-    0xa57c5748710322c8,
-    0x2aad1aae122985ce,
-    0x4bc2428560ab3101,
-    0x65fc76991f017e50,
-    0x700a49347aee0903,
-    0xaf0e50921299ab9c,
-    0x029934c91668b756,
-    0xed31363d240c06e7,
-    0x385a1d1e30d5dd15,
-    0xb80ddea9a2e1a3dd,
-    0x54a82e720bb855d5,
-    0x1659f1d9de74485b,
-    0x90a57647f606bf2c,
-    0x72926d1097f75263,
-    0xa2d2a199a77b7920,
-    0x3e94e7739fd07d00,
-    0xc61defc62a2c92da,
-    0x4a730002ada9a3dd,
-    0xbb442a76cc04847c,
-    0xd9e04dae96753761,
-    0x5cfd026d8d160159,
-    0x9590f4eb6cd34929,
-    0xeee38aea5b7a90c0,
-    0xb9d14e248f7c1d7e,
-    0xd3b2924bda3e0ea2,
-    0x30b118e53f59d7e4,
-    0x9274cf985ed44c87,
-    0x847b6081f5d2d275,
-    0x4c6d96817936db19,
-    0xb345730aa2242f40,
+    0x9eb3c77ffcacf2ad,
+    0x91a4ce7df4a5b605,
+    0x474d92f83e553f93,
+    0x1d351605cae06edc,
+    0x478eaf150f0ea680,
+    0x2af454ac58da24af,
+    0x29ab48f91377cb69,
+    0xdfecb647326cc573,
+    0x4523a8511c6ff42b,
+    0xc414ac66c8c64ac6,
+    0x7bcf1d75f0ac6f20,
+    0x659ce474cf91ed43,
+    0x745949d1bb8d0b7c,
+    0x9e5127213dd48755,
+    0x86c6238a07bc1c3c,
+    0xb6baae2c46c8967c,
+    0x5021e095489cd600,
+    0x814057517ec674a0,
+    0xe0edb72068df57d7,
+    0x04f8cd403ee914f7,
+    0x1b42ff5745d78558,
+    0xc2aa669d8c6b74da,
+    0xb7e9955c0000db5b,
+    0xf755e039eee36193,
+    0xfa5171df93f273a4,
+    0x25111f07415b35ce,
+    0x47414f9b5e6476b0,
+    0x82cc1a02f35303e6,
+    0xe1f3c58da64a7c6b,
+    0x80b37cf3278bae20,
+    0xf3e70e2e75c7fce9,
+    0x1784f2b4b842268b,
+    0x3340744a758c5c27,
+    0x8548f24d514e9ea5,
+    0x51b522d2ebadb87d,
+    0x639e354043940fc8,
+    0x5ffe52ce87b3eefb,
+    0xf55a96a7ba7cac42,
 ];
 
 const DYNAMIC: [u64; ROUNDS] = [
-    0x779dd7a4b4b5c788,
-    0x39aa3f72fe53e4bd,
-    0xd4fabca68676845f,
-    0x5d98f121bca6cf65,
-    0xeadf7c765e7f2b27,
-    0x3d905092e7f3b080,
-    0x0bc78bc415179593,
-    0x06ffcb01839baee0,
-    0xb0644ee70986c7ad,
-    0x12a25382206a9b50,
-    0x09332d647f6bf6d3,
-    0x0ec6f33b81bc5d81,
-    0x7b0958522a877c90,
-    0xcbf329d0e6bc6320,
-    0x526679e4ccfc6481,
-    0x65937bed12bde6d1,
-    0x6d0b59ba9e18639c,
-    0x5cc4cf73b16fc67f,
-    0xd243ffaaaa424582,
-    0xeffd47f7f4a02b65,
-    0xf7f1751d7ddb1888,
-    0x34f3352466677119,
-    0x000ffe4c011dddcb,
-    0x1f85ae951f1fe20d,
-    0xbf5159260432a61a,
-    0x56b9bf9fd65741c1,
-    0xd5a636532b839606,
-    0x78311a670dc7887b,
-    0x8db23aa048a966c9,
-    0xe0b992f2cd025e26,
-    0x436851536d5abf1c,
-    0x9206602f71d8ee89,
-    0x57438d2ec79839af,
-    0xb069bc5246ade44e,
-    0x1ac9b1618443ca66,
-    0x360702645e712368,
-    0xa34c0528ce6bb8a1,
-    0x70d99e0eccde085e,
-    0x03193007b51eea40,
-    0x187cdbd5173b2ccb,
+    0xda2c27104321ba55,
+    0x51f29423a9fd589d,
+    0xd2ce385c6f1d4b97,
+    0x0290596f53ceb277,
+    0x71e3ade8afa9f959,
+    0x301fea35bcbc128c,
+    0xe3268414c2173a38,
+    0x4eb6547ff929b7e4,
+    0x7c55847d08d82c74,
+    0xa28b90f6659f0c38,
+    0x6232242f4f90b48c,
+    0xb33714ad6f76254d,
+    0x64e816ab6dd974a4,
+    0x2037a8ab50f398e9,
+    0x6078720e1cf2f046,
+    0x4f13cec900556840,
+    0x470f53dbb7a6d6a6,
+    0xeb3689a4d5f0db06,
+    0x65e5e2ad14373495,
+    0xd5fb815c362008e0,
+    0xb88d12bf142cf831,
+    0x0285171c5ad9f94b,
+    0xd51d45bebbbd7107,
+    0x6ec38b54b5fd256b,
+    0xb981bcfcfb6e847d,
+    0x7a77a83535b035fd,
+    0x4e7744668fbe21a6,
+    0xb093318762eda332,
+    0x5bcb1fe7f4da71d1,
+    0x92c08b4240a477ef,
+    0xb757c5e2172f9ac6,
+    0x8a7bdffa270b4129,
+    0xf020a07e7908deb7,
+    0x1687eb115243ca93,
+    0x6bbd45b6e182ef1f,
+    0xc282224463c5677f,
+    0x918af9f2b5dd363f,
+    0x0d697940a23d53e0,
+    0xdb196b6e0c10e0a8,
+    0xbe77566a7e2214b3,
 ];
 
 const NETWORK_AWARE: [u64; ROUNDS] = [
-    0xc1c90eedc808e6c1,
-    0x4b0e3ce8b8439210,
-    0x3a4878123dfea12a,
-    0xf5a851d0d02e8fab,
-    0xe0dfa6e47557c396,
-    0xef828c876d8e448e,
-    0x607042139f86ea10,
-    0x52428e13ece9cb0f,
-    0x73d45c343f20992c,
-    0x034d420b23b31d6f,
-    0xf241f84c1ca0a044,
-    0x0428ba0d4ccb2410,
-    0xb4e61ed44a217b3b,
-    0x6abb24b9930562f9,
-    0x517825a7af0e60f6,
-    0x8ba6d1667a508814,
-    0x77cc1f70b30d14be,
-    0xbcc8921dc0960460,
-    0x259c596f6180dac0,
-    0xa599775af94987ec,
-    0x96f164d95eba536e,
-    0x5a005ddc41644b48,
-    0x56dff221193f259a,
-    0x8763775c62a8a941,
-    0x9f7424d902649f39,
-    0x258ffcd4f423ed0b,
-    0x53955047ce7f99f5,
-    0xba4c41b438d27cae,
-    0xaaa0d16da33aa23b,
-    0x4829689488c32f4c,
-    0xc8010c6e0f1cff11,
-    0xf0a482f36203b1c7,
-    0x8a31fcc2512f80e3,
-    0x3b30daa742e3192e,
-    0x3606b0b914c05b47,
-    0x05874a69499a227b,
-    0x0025064b9ae1af18,
-    0x437ed92b56a25164,
-    0xf64037fc40ec44e5,
-    0xf494a96cd981c8eb,
+    0x029398dbf46a79b4,
+    0x1b8256a1aecfe160,
+    0xb819bdd2a7771f31,
+    0x7c5d9a2c44932d2f,
+    0x3819fd33236d48cd,
+    0x695498888e3e4f41,
+    0xb835e97926905980,
+    0xcf2cbc42eb6f011d,
+    0xbd5457dd154b794d,
+    0x61d8d7ac6fdcd76c,
+    0x5e45ce232f33c076,
+    0x067df815e0a3dcef,
+    0xba513c56978d1ba6,
+    0x56d51b735df20f50,
+    0xc7674e6be7dddf0f,
+    0xb783e39bda5096b4,
+    0x4115048487120887,
+    0xe8b8c833dc874132,
+    0xf714f62bfbd6b01f,
+    0xb8fd1a2e6c25acd0,
+    0xeafa830bf71502a1,
+    0x817f7cdb6d3d2230,
+    0x84349ee900f22b32,
+    0x89aca10ec62b44e4,
+    0xf65a586a1c9e92de,
+    0x3c32a5901a22e7b3,
+    0xfedc608f5467fbd6,
+    0x1fd012ec6e86386f,
+    0x62adf95860b188c4,
+    0xfd116a0ffacdf23e,
+    0x33909a63e0e46d1e,
+    0x9ab2d23d75b48042,
+    0x666c2928061d4ded,
+    0xf09845032736449d,
+    0xc71ee80771727dc9,
+    0xce62f89e842fdfda,
+    0x8e9d94f743efdf4a,
+    0x9c6fc52048f99659,
+    0x80133c9859e1b417,
+    0xfa9457067ecb9662,
 ];
 
 const HIERARCHY: [u64; ROUNDS] = [
-    0x3a063597fbb797d9,
-    0xae81d41dd7203a5f,
-    0xf2f8b425117201ad,
-    0x366d463ee6c2cc14,
-    0x89eeb05a10139fe4,
-    0x7900b1a78e24b289,
-    0x71bc929e45963cd9,
-    0x65e16c45403c6245,
-    0xa89a0f49a95f5730,
-    0xcae117b48d0fab62,
-    0x065b5c5003dcbf0c,
-    0x60ec8d7b9bab8ab0,
-    0x28b4961cf3627d94,
-    0xd831b0054a2af6ea,
-    0xadfa0bfd9b9f17f2,
-    0xcdf0eff53acd9bbc,
-    0x8d7156e66b97d977,
-    0x1cf7ae44e67e9ad2,
-    0x310003e1ec4efc7e,
-    0x32d321e759cc8a52,
-    0xb430374048299e1d,
-    0x1a2717f30159ef31,
-    0xf9a270dd1496d91a,
-    0x00f37b7f34359769,
-    0x6d886f961f5b7694,
-    0x257fd52cf2f71bbd,
-    0xac13a462a8a7ab8d,
-    0xb1930d5c2a6d05f7,
-    0x8bed41d0de6d4987,
-    0xdbdba544462035f5,
-    0x098f77ed75e00061,
-    0x1af8d136d2ebacfb,
-    0xa062e42031a6ca0f,
-    0xf68f2360e66935d2,
-    0x759a22cb681c1466,
-    0xe87ce2e3f3915613,
-    0xca7d3fdcd59efc30,
-    0x78fd1164dad58049,
-    0xbdf108ef3d3cf4ce,
-    0x6dda180fe2536f23,
+    0xea38acf76bbebeef,
+    0x397b42158a422117,
+    0xd2ca09831c18b84e,
+    0xeccf2f4aa8f1266b,
+    0xd5c7e377cec71937,
+    0x53c8e891a2b902ad,
+    0xbaaaf8c1ba9e7929,
+    0x0304a971c4f152e6,
+    0x049e4f17785cc888,
+    0x6774c1c418dcec4a,
+    0xbf1d75a85f5bffe1,
+    0x15ff278b0198c160,
+    0xd6e4e1ee2a3575b4,
+    0x7e5a4c76816b136c,
+    0x05d4201c1953a7a2,
+    0xd32b9667739ae7b9,
+    0x274aaf3bcc240e74,
+    0xd8ef9a3faf4fd9a8,
+    0xe16f35a8b7abbea9,
+    0x2e5c19b983711add,
+    0xc966a21a614238f1,
+    0x48ef4ac7fcdba0ca,
+    0x8de8ca100701aa6b,
+    0xb1c14cb73d2fb8a7,
+    0x756ee5b5e47e33ee,
+    0x27284d05dfb4061d,
+    0x53559c84417b97bd,
+    0xd83ae4894b90bb00,
+    0xb03cd767b4aeebdd,
+    0xfceeb448c76cca09,
+    0x027a63f59e14a1f0,
+    0xcf8da0ccd0afaaf3,
+    0x6fdeed7dd4a94484,
+    0x1b7805ecdbecd114,
+    0x84b75942c67e789f,
+    0xf3e2fddadf0de143,
+    0xf80168acbf07c7bd,
+    0x53b313b5eba41e2d,
+    0x3a4ed793c06c5797,
+    0xee20fb790fc489c6,
 ];
