@@ -7,7 +7,8 @@
 //! now that EC→EC hierarchy arcs multiply the refresh surface. Each test
 //! drives one cost model through 50 seeded random event scripts (machine
 //! add/remove, job submission, task placement/completion/preemption,
-//! direct migration of a running task, clock advance) and, after *every*
+//! direct migration of a running task, clock advance, now and then far
+//! enough to re-base the wait epoch) and, after *every*
 //! refresh round, rebuilds the graph from scratch out of current cluster
 //! state and asserts the two are identical under a canonical form:
 //!
@@ -630,8 +631,15 @@ fn random_event<C: CostModel>(
             );
         }
         // Advance the virtual clock (drifts every waiting path's cost).
+        // One advance in five jumps 300–1,500 s, past the point where the
+        // shipped models' wait epochs re-base.
         75..=84 => {
-            let now = state.now + 1_000_000 * (1 + rng.below(30));
+            let secs = if rng.below(5) == 0 {
+                300 + rng.below(1_200)
+            } else {
+                1 + rng.below(30)
+            };
+            let now = state.now + 1_000_000 * secs;
             apply_both(state, mgr, model, &ClusterEvent::Tick { now });
         }
         // Add a machine — sometimes into a brand-new rack (growing the
