@@ -31,7 +31,8 @@
 //!    [`CostModel::wait_cost_per_sec`] a slope: waiting costs base +
 //!    slope × whole seconds waited, so starving tasks eventually win
 //!    contended slots. The slope is one number for the whole model, which
-//!    lets the manager price every task's waiting time on one shared arc.
+//!    lets the manager price waiting time on one arc per job rather than
+//!    on every task's arc.
 //! 4. **What does a running task's arc cost?**
 //!    [`CostModel::running_arc_cost`] — usually 0 (data already local).
 //!
@@ -550,8 +551,8 @@ pub trait CostModel {
     /// When `true`, the §6.3 refresh re-queries [`task_arcs`] for every
     /// waiting task in its dirty-task set (every waiting task when the
     /// virtual clock advanced: only these models make a clock tick walk
-    /// the task table, since waiting time itself is priced on one shared
-    /// arc) and re-syncs the declared bundles onto the cached arc slots:
+    /// the task table, since waiting time itself is priced on one arc per
+    /// job) and re-syncs the declared bundles onto the cached arc slots:
     /// per-segment costs and capacities are patched in place (cheap
     /// `CostChanged`/`CapacityChanged` deltas for the warm solver),
     /// grown bundles append segments, shrunk bundles park the tail — and
