@@ -186,10 +186,8 @@ impl FlowGraphManager {
     /// Machine-set changes can alter EC→EC capacities (which aggregate
     /// subtree slots) and even create hierarchy levels (first machine of a
     /// new rack), so every aggregate's EC→EC arcs are re-synced at the next
-    /// refresh — but only for models that have ever declared a hierarchy.
-    /// Flat aggregates have no EC→EC arcs to re-sync, so dirtying them
-    /// would only trigger no-op model queries (see `hierarchy_declared` for
-    /// the documented limits).
+    /// refresh. A flat model holds one or a few aggregates, whose
+    /// `aggregate_to_aggregate` query returns nothing.
     ///
     /// They also change waiting tasks' declared arc *sets*, not just those
     /// of displaced tasks: a model that names an arriving machine (or its
@@ -209,9 +207,7 @@ impl FlowGraphManager {
         state: &ClusterState,
         machine: MachineId,
     ) -> Result<(), PolicyError> {
-        if self.hierarchy_declared {
-            self.dirty_aggs.extend(self.aggregates.keys().copied());
-        }
+        self.dirty_aggs.extend(self.aggregates.keys().copied());
         let narrow = model.task_arcs_machine_local();
         let mut waiting: Vec<TaskId> = state.waiting_tasks().map(|t| t.id).collect();
         waiting.sort_unstable();

@@ -66,9 +66,6 @@ impl FlowGraphManager {
         stack: &mut Vec<AggregateId>,
     ) -> Result<(), PolicyError> {
         let declared = model.aggregate_to_aggregate(state, agg);
-        if !declared.is_empty() {
-            self.hierarchy_declared = true;
-        }
         let mut seen: BTreeSet<AggregateId> = BTreeSet::new();
         for (child, bundle) in &declared {
             if *child == agg {

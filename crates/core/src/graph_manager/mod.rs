@@ -70,8 +70,8 @@
 //! adjacency, one arc per job. On contended-hier that took relaxation
 //! from 4.1 to 7.4 M arc scans a round with the shared arc priced at 0,
 //! and to 14.4 M priced. A cost on `U_j → S` moves `U_j`'s optimal price
-//! instead, which the solver's sink-arc price seed absorbs (see
-//! `firmament_mcmf::dual`).
+//! instead, which relaxation's start rule absorbs (see
+//! `firmament_mcmf::relaxation`).
 //!
 //! This mirrors real Firmament's `FlowGraphManager`/`CostModelInterface`
 //! split, which is what makes new policies cheap: the node and slot
@@ -323,18 +323,6 @@ pub struct FlowGraphManager {
     /// Virtual time of the last refresh; when unchanged, dynamic task
     /// bundles cannot have drifted and are skipped.
     last_refresh_now: Option<Time>,
-    /// Whether the model has *ever* declared an EC→EC child. Flat models
-    /// (the common case) never do, so machine-set events skip the blanket
-    /// aggregate-dirtying that exists only to re-sync hierarchy arcs and
-    /// their subtree capacities. Sticky: once a hierarchy is seen, machine
-    /// events always re-dirty every aggregate (hierarchies may grow with
-    /// the machine set). Known limit: a model that has never declared any
-    /// EC→EC child and whose *first* declaration appears, in response to
-    /// a machine-set change, on an existing aggregate with no arc to the
-    /// touched machine is not re-queried (the flag can only flip inside a
-    /// query). No shipped model behaves this way; the differential fuzz
-    /// suite would flag the divergence if one did.
-    hierarchy_declared: bool,
     stats: RefreshStats,
 }
 
@@ -366,7 +354,6 @@ impl FlowGraphManager {
             dirty_aggs: HashSet::new(),
             deferred_gangs: Vec::new(),
             last_refresh_now: None,
-            hierarchy_declared: false,
             stats: RefreshStats::default(),
         }
     }

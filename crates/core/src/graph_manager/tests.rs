@@ -1533,97 +1533,104 @@ fn gang_beyond_capacity_is_deferred_not_infeasible() {
     assert_eq!(mgr.graph().capacity(mgr.unscheduled(1).unwrap().1), 1);
 }
 
-/// A flat model that counts its `aggregate_to_aggregate` queries, to
-/// pin the dirty-set narrowing: machine events on hierarchy-free
-/// models must not trigger per-aggregate no-op EC→EC queries.
-struct CountingFlatModel {
-    a2a_queries: std::cell::Cell<u64>,
-}
+/// A model whose first EC→EC child appears only once machine
+/// `LATE_MACHINE` exists: tasks enter `LATE_PARENT`, which has arcs to
+/// every other machine, and `LATE_CHILD`, the parent's child from then on,
+/// has the one arc to `LATE_MACHINE`.
+struct LateHierarchyModel;
+const LATE_PARENT: AggregateId = 400;
+const LATE_CHILD: AggregateId = 401;
+const LATE_MACHINE: MachineId = 50;
 
-impl CostModel for CountingFlatModel {
+impl CostModel for LateHierarchyModel {
     fn name(&self) -> &'static str {
-        "counting-flat"
+        "late-hierarchy"
     }
     fn task_unscheduled_cost(&self, _: &ClusterState, _: &Task) -> i64 {
         10_000
     }
-    fn task_arcs(&self, _: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
-        // Per-job aggregates, so the manager holds many flat aggregates.
-        vec![(ArcTarget::Aggregate(500 + task.job), ArcBundle::cost(1))]
+    fn task_arcs(&self, _: &ClusterState, _: &Task) -> Vec<(ArcTarget, ArcBundle)> {
+        vec![(ArcTarget::Aggregate(LATE_PARENT), ArcBundle::cost(1))]
     }
     fn aggregate_arc(
         &self,
         _: &ClusterState,
-        _: AggregateId,
+        aggregate: AggregateId,
         machine: &Machine,
     ) -> Option<ArcBundle> {
-        Some(ArcBundle::single(machine.slots as i64, 1))
+        ((aggregate == LATE_CHILD) == (machine.id == LATE_MACHINE))
+            .then(|| ArcBundle::single(machine.slots as i64, 2))
     }
     fn aggregate_to_aggregate(
         &self,
-        _: &ClusterState,
-        _: AggregateId,
+        state: &ClusterState,
+        aggregate: AggregateId,
     ) -> Vec<(AggregateId, ArcBundle)> {
-        self.a2a_queries.set(self.a2a_queries.get() + 1);
-        Vec::new()
+        let late = state.machines.get(&LATE_MACHINE);
+        match late {
+            Some(m) if aggregate == LATE_PARENT => {
+                vec![(LATE_CHILD, ArcBundle::single(m.slots as i64, 3))]
+            }
+            _ => Vec::new(),
+        }
     }
 }
 
+/// Id-independent form of a network: its forward arcs with capacity, as
+/// `(src kind, dst kind, capacity, cost)`, sorted.
+fn arc_shapes(g: &FlowGraph) -> Vec<(String, String, i64, i64)> {
+    let mut arcs: Vec<_> = (g.arc_ids().filter(|&a| g.capacity(a) > 0))
+        .map(|a| {
+            let (src, dst) = (g.kind(g.src(a)), g.kind(g.dst(a)));
+            (src.to_string(), dst.to_string(), g.capacity(a), g.cost(a))
+        })
+        .collect();
+    arcs.sort();
+    arcs
+}
+
+/// A model's first EC→EC child can appear on a machine arrival, on an
+/// aggregate with no arc to the arriving machine: the refresh must query
+/// that aggregate again and grow the hierarchy a rebuild would build.
 #[test]
-fn flat_models_skip_aggregate_resync_on_machine_events() {
-    let model = CountingFlatModel {
-        a2a_queries: std::cell::Cell::new(0),
-    };
+fn a_first_hierarchy_on_a_machine_arrival_matches_a_rebuild() {
+    let model = LateHierarchyModel;
     let mut state = ClusterState::with_topology(&TopologySpec {
         machines: 2,
         machines_per_rack: 20,
         slots_per_machine: 2,
     });
-    let mut mgr = FlowGraphManager::new();
-    for m in state.machines.values().cloned().collect::<Vec<_>>() {
-        mgr.apply_event(&model, &state, &ClusterEvent::MachineAdded { machine: m })
-            .unwrap();
-    }
-    // Ten jobs → ten flat per-job aggregates (queried once each at
-    // materialization).
-    for job in 0..10u64 {
-        let j = Job::new(job, JobClass::Batch, 0, 0);
-        let tasks = vec![Task::new(job * 100, job, 0, 1_000_000)];
-        let ev = ClusterEvent::JobSubmitted { job: j, tasks };
-        state.apply(&ev);
-        mgr.apply_event(&model, &state, &ev).unwrap();
-    }
-    mgr.refresh(&model, &state).unwrap();
-    let before = model.a2a_queries.get();
-
-    // A machine joins and another leaves. Without narrowing, every
-    // one of the ten aggregates would be re-synced (one EC→EC query
-    // each, twice); with it, only aggregates adjacent to the touched
-    // machine are — and their sync cost is already paid by the
-    // machine-arc pass.
-    let m = Machine::new(77, 0, 2);
-    let ev = ClusterEvent::MachineAdded { machine: m };
-    state.apply(&ev);
-    mgr.apply_event(&model, &state, &ev).unwrap();
-    mgr.refresh(&model, &state).unwrap();
-    let ev = ClusterEvent::MachineRemoved {
-        machine: 77,
-        now: 5,
+    let add_machines = |state: &ClusterState, mgr: &mut FlowGraphManager| {
+        let mut machines: Vec<Machine> = state.machines.values().cloned().collect();
+        machines.sort_by_key(|m| m.id);
+        for machine in machines {
+            let ev = ClusterEvent::MachineAdded { machine };
+            mgr.apply_event(&model, state, &ev).unwrap();
+        }
     };
-    state.apply(&ev);
-    mgr.apply_event(&model, &state, &ev).unwrap();
+    let mut mgr = FlowGraphManager::new();
+    add_machines(&state, &mut mgr);
+    let job = Job::new(0, JobClass::Batch, 0, 0);
+    let tasks: Vec<Task> = (0..3).map(|i| Task::new(i, 0, 0, 1_000_000)).collect();
+    let submitted = ClusterEvent::JobSubmitted { job, tasks };
+    state.apply(&submitted);
+    mgr.apply_event(&model, &state, &submitted).unwrap();
+    mgr.refresh(&model, &state).unwrap();
+    assert!(mgr.aggregate_node(LATE_CHILD).is_none());
+
+    let arrival = ClusterEvent::MachineAdded {
+        machine: Machine::new(LATE_MACHINE, 0, 2),
+    };
+    state.apply(&arrival);
+    mgr.apply_event(&model, &state, &arrival).unwrap();
     mgr.refresh(&model, &state).unwrap();
 
-    let after = model.a2a_queries.get();
-    // The machine-add still syncs aggregates that gained an arc to the
-    // new machine (they become dirty through adjacency); the blanket
-    // all-aggregate sweep — 20 queries here — must be gone. Machine
-    // *removal* must trigger none at all.
-    assert!(
-        after - before <= 10,
-        "machine events triggered {} EC→EC queries on a flat model",
-        after - before
-    );
+    let mut rebuilt = FlowGraphManager::new();
+    add_machines(&state, &mut rebuilt);
+    rebuilt.apply_event(&model, &state, &submitted).unwrap();
+    rebuilt.refresh(&model, &state).unwrap();
+    assert!(mgr.aggregate_node(LATE_CHILD).is_some());
+    assert_eq!(arc_shapes(mgr.graph()), arc_shapes(rebuilt.graph()));
 }
 
 /// Counts task_arcs queries, to pin the waiting-task half of the
@@ -1715,10 +1722,9 @@ fn machine_local_models_skip_waiting_task_rederivation() {
 
 #[test]
 fn hierarchical_models_still_resync_on_machine_events() {
-    // The narrowing must not regress hierarchy growth: this is the
-    // `machine_in_new_rack_extends_hierarchy_on_refresh` scenario,
-    // re-checked here because it is exactly what the blanket dirtying
-    // existed for.
+    // The `machine_in_new_rack_extends_hierarchy_on_refresh` scenario,
+    // re-checked here because it is exactly what the blanket dirtying of
+    // every aggregate on a machine event exists for.
     let (mut state, mut mgr) = hier_setup(2, 2, 1);
     hier_submit(&mut state, &mut mgr, 0, 1);
     let m = Machine::new(50, 7, 1);

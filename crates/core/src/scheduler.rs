@@ -91,11 +91,11 @@ pub struct SolverStats {
     /// `true` when the hedge's relaxation spent its budget and cold cost
     /// scaling solved the round instead.
     pub fell_back: bool,
-    /// `true` when the round ran no full solve: its batch was re-price-only
-    /// with no exposed violation (all cost rises on flowless arcs — the
-    /// convex-ladder clock-advance shape). The hedge then hands the last
-    /// optimal flow back untouched; the race runs only the warm
-    /// cost-scaling path, in O(Δ).
+    /// `true` when the round ran no solver: the last round's flow was
+    /// optimal and this round's batch was re-price-only with no exposed
+    /// violation (all cost rises on flowless arcs — the convex-ladder
+    /// clock-advance shape), so the hedge and the race alike hand that
+    /// flow back untouched.
     pub race_skipped: bool,
     /// Which MCMF algorithm produced the round's flow — a convenience copy
     /// of [`RoundOutcome::winner`] so this struct is self-contained when
@@ -297,9 +297,9 @@ impl<C: CostModel> Firmament<C> {
         // copying it: relaxation within its work budget (on the solver's own
         // compact copy of the residual network), cold cost scaling past it,
         // or nothing at all on a provably quiescent batch. (The opt-in `Dual`
-        // race fills relaxation's copy the same way and runs cost scaling on
-        // the graph beside it; no kind clones the graph.) Adopting the
-        // resulting flow is a move either way.
+        // race skips the same rounds, fills relaxation's copy the same way
+        // and runs cost scaling on the graph beside it; no kind clones the
+        // graph.) Adopting the resulting flow is a move either way.
         let graph = self.manager.take_graph();
         let outcome =
             match self
@@ -311,8 +311,8 @@ impl<C: CostModel> Firmament<C> {
                     // Restore the network so the manager stays consistent; the
                     // failed run may have left partial flow behind. (The
                     // drained delta batch is intentionally dropped: a failed
-                    // solve leaves the solver holding no optimal flow — the
-                    // hedge cannot skip and the race's incremental solver is
+                    // solve leaves the solver holding no optimal flow — no
+                    // round can skip and the race's incremental solver is
                     // cold — so the next round solves in full and needs no
                     // feed.)
                     graph.reset_flow();
@@ -404,15 +404,29 @@ fn diff_placements(
 mod tests {
     use super::*;
     use firmament_cluster::{Job, JobClass, Task, TopologySpec};
+    use firmament_mcmf::dual::SolverKind;
+    use firmament_mcmf::verify::is_optimal;
     use firmament_policies::LoadSpreadingCostModel;
 
     fn setup(machines: usize, slots: u32) -> (ClusterState, Firmament<LoadSpreadingCostModel>) {
+        setup_with(machines, slots, SolverKind::Hedged)
+    }
+
+    fn setup_with(
+        machines: usize,
+        slots: u32,
+        kind: SolverKind,
+    ) -> (ClusterState, Firmament<LoadSpreadingCostModel>) {
         let state = ClusterState::with_topology(&TopologySpec {
             machines,
             machines_per_rack: 20,
             slots_per_machine: slots,
         });
-        let mut f = Firmament::new(LoadSpreadingCostModel::new());
+        let config = DualConfig {
+            kind,
+            ..DualConfig::default()
+        };
+        let mut f = Firmament::with_solver(LoadSpreadingCostModel::new(), config);
         let ms: Vec<_> = state.machines.values().cloned().collect();
         for m in ms {
             f.handle_event(&state, &ClusterEvent::MachineAdded { machine: m })
@@ -518,12 +532,11 @@ mod tests {
         );
     }
 
-    /// The re-price-only race short-circuit, end to end: once everything
-    /// is placed, a pure clock advance only *raises* the costs of the
-    /// jobs' `U_j → S` arcs, which carry no flow while no task waits, so
-    /// the round is proven quiescent and the dual executor
-    /// runs the warm path alone — `RoundOutcome::solver.race_skipped`
-    /// records the skip, and the placements stay put.
+    /// The skip, end to end: once everything is placed, a pure clock
+    /// advance only *raises* the costs of the jobs' `U_j → S` arcs, which
+    /// carry no flow while no task waits, so the round is proven quiescent
+    /// and runs no solver — `RoundOutcome::solver.race_skipped` records
+    /// the skip, and the placements stay put.
     #[test]
     fn reprice_only_clock_advance_skips_the_race() {
         let (mut state, mut f) = setup(3, 2);
@@ -639,6 +652,108 @@ mod tests {
         f.schedule(&state).unwrap();
         f.solve_options.iteration_limit = None;
         tick_round_solves(&mut state, &mut f);
+    }
+
+    /// Schedules and applies the actions until a round has none left, so
+    /// the solver ends holding an optimal flow of a settled cluster.
+    fn settle(state: &mut ClusterState, f: &mut Firmament<LoadSpreadingCostModel>) {
+        loop {
+            let o = f.schedule(state).unwrap();
+            if o.actions.is_empty() {
+                return;
+            }
+            apply_actions(state, f, &o.actions);
+        }
+    }
+
+    /// Advances the clock to `secs` only, then schedules; returns whether
+    /// the round was skipped. The round must end optimal either way.
+    fn tick_round(
+        state: &mut ClusterState,
+        f: &mut Firmament<LoadSpreadingCostModel>,
+        secs: u64,
+    ) -> bool {
+        let ev = ClusterEvent::Tick {
+            now: secs * 1_000_000,
+        };
+        state.apply(&ev);
+        f.handle_event(state, &ev).unwrap();
+        let o = f.schedule(state).unwrap();
+        assert!(is_optimal(f.graph()), "{:?}", o.solver);
+        o.solver.race_skipped
+    }
+
+    /// The hedge and the race share one skip: they skip the same tick-only
+    /// rounds — one after a settled round, none after a round stopped early
+    /// or a round that failed.
+    #[test]
+    fn hedged_and_dual_skip_the_same_tick_rounds() {
+        let skips = |kind| {
+            let (mut state, mut f) = setup_with(3, 2, kind);
+            let (state, f) = (&mut state, &mut f);
+            submit(state, f, 0, 4, 600_000_000);
+            settle(state, f);
+            let mut skipped = vec![tick_round(state, f, 30)];
+
+            submit(state, f, 1, 1, 600_000_000);
+            f.solve_options.iteration_limit = Some(1);
+            assert!(f.schedule(state).unwrap().solver.winner.is_some());
+            f.solve_options.iteration_limit = None;
+            skipped.push(tick_round(state, f, 60));
+            settle(state, f);
+            skipped.push(tick_round(state, f, 90));
+
+            submit(state, f, 2, 1, 600_000_000);
+            let token = firmament_mcmf::CancelToken::new();
+            token.cancel();
+            f.solve_options.cancel = Some(token);
+            assert!(f.schedule(state).is_err());
+            f.solve_options.cancel = None;
+            skipped.push(tick_round(state, f, 120));
+            settle(state, f);
+            skipped.push(tick_round(state, f, 150));
+            skipped
+        };
+        let expected = vec![true, false, true, false, true];
+        assert_eq!(skips(SolverKind::Hedged), expected, "Hedged");
+        assert_eq!(skips(SolverKind::Dual), expected, "Dual");
+    }
+
+    /// `relaxation::solve` and the `RelaxationOnly` solver start from the
+    /// same prices: on a scheduler graph whose clock has advanced, so that
+    /// each job's `U_j → S` arc is priced and carries waiting tasks, they
+    /// give the same flow on every arc for the same counted work.
+    #[test]
+    fn relaxation_solve_matches_relaxation_only_on_a_priced_clock() {
+        let (mut state, mut f) = setup(3, 2);
+        for job in 0..3 {
+            submit(&mut state, &mut f, job, 4, 600_000_000);
+        }
+        let ev = ClusterEvent::Tick { now: 30_000_000 };
+        state.apply(&ev);
+        f.handle_event(&state, &ev).unwrap();
+        f.refresh(&state).unwrap();
+        let graph = f.graph().clone();
+        let clock_arcs: Vec<_> = (0..3)
+            .map(|job| f.manager().unscheduled(job).unwrap().1)
+            .collect();
+        assert!(clock_arcs.iter().all(|&a| graph.cost(a) > 0), "priced");
+
+        let mut solved = graph.clone();
+        let sol =
+            firmament_mcmf::relaxation::solve(&mut solved, &SolveOptions::unlimited()).unwrap();
+        let mut only = DualSolver::new(DualConfig {
+            kind: SolverKind::RelaxationOnly,
+            ..DualConfig::default()
+        });
+        let out = only
+            .solve_owned_with_deltas(graph, None, &SolveOptions::unlimited())
+            .unwrap();
+        assert!(clock_arcs.iter().any(|&a| solved.flow(a) > 0), "tasks wait");
+        assert_eq!(sol.stats.arc_scans, out.solution.stats.arc_scans);
+        for a in solved.arc_ids() {
+            assert_eq!(solved.flow(a), out.graph.flow(a), "arc {a}");
+        }
     }
 
     #[test]

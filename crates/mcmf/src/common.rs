@@ -162,6 +162,9 @@ pub enum SolveError {
     /// [`canonicalize_flow`](crate::canonical::canonicalize_flow) called
     /// on a non-optimal or early-terminated solution).
     NotOptimal,
+    /// A solver thread panicked before it settled the round (the dual
+    /// race's cost-scaling racer, when relaxation did not succeed either).
+    SolverPanicked,
 }
 
 impl std::fmt::Display for SolveError {
@@ -175,6 +178,7 @@ impl std::fmt::Display for SolveError {
             SolveError::NotOptimal => {
                 write!(f, "the graph's flow is not optimal")
             }
+            SolveError::SolverPanicked => write!(f, "a solver thread panicked"),
         }
     }
 }

@@ -11,40 +11,41 @@
 //! hedged request in the sense of Dean and Barroso ("The Tail at Scale",
 //! CACM 2013) that costs nothing on the common path.
 //!
+//! # The skip
+//!
+//! A hedged or raced round runs no solver at all when the previous round
+//! of the same solver ended with an optimal flow and the round's delta
+//! batch provably exposes no reduced-cost violation (see
+//! `reprice_only_quiescent`): every change is a cost rise on a flowless
+//! arc. The graph is handed back unchanged, credited to the algorithm
+//! whose flow it keeps. Such a batch also leaves the race's incremental
+//! cost-scaling certificate valid, so that solver needs no feed for the
+//! round.
+//!
 //! # The hedge (the default)
 //!
-//! A hedged round takes the first of these paths that applies:
+//! A hedged round that is not skipped takes the first of these paths that
+//! applies:
 //!
-//! 1. **Skip.** The previous round ended with an optimal flow and the
-//!    round's delta batch provably exposes no reduced-cost violation (see
-//!    `reprice_only_quiescent`): no solver runs and the graph is handed
-//!    back unchanged.
-//! 2. **No history.** No cost-scaling solve has run yet: cold cost scaling
+//! 1. **No history.** No cost-scaling solve has run yet: cold cost scaling
 //!    solves the round in place. Relaxation's cold solve of a freshly built
 //!    cluster can take ten times longer than cost scaling's.
-//! 3. **Relaxation.** Relaxation solves from scratch, limited to
+//! 2. **Relaxation.** Relaxation solves from scratch, limited to
 //!    [`HEDGE_WORK_FACTOR`] × the arc examinations of the most recent
 //!    cost-scaling solve. It works on its own compact copy of the residual
 //!    network, kept in the solver between rounds (see [`relaxation`]), and
 //!    writes the flow back into the graph unless it fails or spends its
 //!    budget.
-//! 4. **Fallback.** Relaxation spent its budget: cold cost scaling resets
+//! 3. **Fallback.** Relaxation spent its budget: cold cost scaling resets
 //!    the flow and solves the round, and its work becomes the new
 //!    reference.
 //!
-//! Every relaxation run of this solver (hedged, raced or alone) starts
-//! from sink-arc prices rather than zero: a node whose arcs all enter the
-//! sink, at a positive cost, starts at minus the cheapest, so that arc is
-//! balanced from the start (see `relaxation::seed_sink_prices`). A
-//! scheduler that parks the wait clock on each job's `U_j → S` arc then
-//! gets the same relaxation run as one that put it on every task's arc:
-//! on contended-hier, unseeded relaxation spent 10.9 M arc scans a round
-//! on that graph against 4.1 M with the clock on the task arcs, and seeded
-//! relaxation 4.2 M.
+//! Every relaxation run of this solver, hedged, raced or alone, starts from
+//! the same prices as [`relaxation::solve`] (see [`relaxation`]).
 //!
 //! A failed hedged round leaves the graph as it came: a failed or
 //! over-budget relaxation run writes nothing back, and when cold cost
-//! scaling fails (steps 2 and 4) the flow the graph carried before the
+//! scaling fails (steps 1 and 3) the flow the graph carried before the
 //! call is put back.
 //!
 //! Work is counted in arc examinations ([`SolveStats::arc_scans`]), which
@@ -76,6 +77,11 @@
 //! retries cold first), so it ends the race as a solution does; relaxation
 //! itself does not run the feasibility check described in [`relaxation`],
 //! as the graph is cost scaling's until the join.
+//!
+//! A cost-scaling racer that panics settles nothing: it does not cancel
+//! relaxation, whose flow wins if relaxation succeeds; otherwise the round
+//! fails with [`SolveError::SolverPanicked`] and the graph is handed back.
+//! Either way the incremental solver starts the next round cold.
 
 use crate::common::{
     AlgorithmKind, Budget, CancelToken, Solution, SolveError, SolveOptions, SolveStats,
@@ -153,18 +159,18 @@ pub struct DualOutcome {
     /// authoritative graph; node/arc ids are preserved from the input).
     pub graph: FlowGraph,
     /// Which algorithm produced the flow: the race's first finisher, the
-    /// hedge's solver, or — on a skipped hedged round — the algorithm whose
-    /// flow was kept.
+    /// hedge's solver, or — on a skipped round — the algorithm whose flow
+    /// was kept.
     pub winner: AlgorithmKind,
     /// Statistics of the cost-scaling run when it completed: the race's
     /// incremental racer (even as the loser), with its delta-fed warm-start
     /// telemetry (nodes touched, bailouts), or the hedge's cold solve.
+    /// `None` on a skipped round.
     pub cs_stats: Option<SolveStats>,
-    /// `true` when the round ran no full solve because its delta batch was
-    /// re-price-only and provably quiescent (no exposed reduced-cost
-    /// violation). The race then runs the warm cost-scaling path alone in
-    /// O(Δ); the hedge runs no solver at all. Always `false` for the
-    /// single-algorithm kinds.
+    /// `true` when the round ran no solver (see the module docs' skip): the
+    /// last hedged or raced flow was optimal and the round's batch only
+    /// raises costs on flowless arcs, so the graph is handed back
+    /// unchanged. Always `false` for the single-algorithm kinds.
     pub race_skipped: bool,
     /// Arc examinations of the hedge's relaxation run (equal to
     /// `work_budget` when it fell back); 0 for the other kinds.
@@ -178,15 +184,32 @@ pub struct DualOutcome {
     pub fell_back: bool,
 }
 
+impl DualOutcome {
+    /// The outcome of a round that ran `solution`'s algorithm alone.
+    fn solved(solution: Solution, graph: FlowGraph, cs_stats: Option<SolveStats>) -> Self {
+        DualOutcome {
+            winner: solution.algorithm,
+            solution,
+            graph,
+            cs_stats,
+            race_skipped: false,
+            relaxation_work: 0,
+            work_budget: None,
+            fell_back: false,
+        }
+    }
+}
+
 /// Firmament's MCMF solver: relaxation hedged by cold cost scaling (the
 /// default), the paper's race of relaxation against incremental cost
 /// scaling, or either algorithm alone (see [`SolverKind`]).
 ///
-/// The solver keeps state across rounds: the hedge's work reference and
-/// whether its last flow was optimal, and the race's cost-scaling warm
-/// state. Its one entry, [`solve_owned_with_deltas`](Self::solve_owned_with_deltas),
-/// moves the graph through the solve instead of copying it every round; a
-/// caller that must keep its input copies it first.
+/// The solver keeps state across rounds: whether its last hedged or raced
+/// flow was optimal, the hedge's work reference, and the race's
+/// cost-scaling warm state. Its one entry,
+/// [`solve_owned_with_deltas`](Self::solve_owned_with_deltas), moves the
+/// graph through the solve instead of copying it every round; a caller
+/// that must keep its input copies it first.
 #[derive(Debug)]
 pub struct DualSolver {
     config: DualConfig,
@@ -197,10 +220,14 @@ pub struct DualSolver {
     /// Hedge: arc examinations of the most recent completed cold
     /// cost-scaling solve, the yardstick of relaxation's budget.
     cs_reference: Option<u64>,
-    /// Hedge: the algorithm that produced the flow handed back by the last
-    /// solve, when that flow is optimal. Cleared at the start of every
-    /// solve, so an error or an early stop leaves it clear.
+    /// The algorithm that produced the flow handed back by the last hedged
+    /// or raced solve, when that flow is optimal. Cleared at the start of
+    /// every solve, so an error or an early stop leaves it clear.
     optimal_flow: Option<AlgorithmKind>,
+    /// Makes the race's cost-scaling racer panic, for tests of the race's
+    /// recovery.
+    #[cfg(test)]
+    cs_racer_panics: bool,
 }
 
 impl Default for DualSolver {
@@ -219,6 +246,8 @@ impl DualSolver {
             workspace: Workspace::default(),
             cs_reference: None,
             optimal_flow: None,
+            #[cfg(test)]
+            cs_racer_panics: false,
         }
     }
 
@@ -238,10 +267,11 @@ impl DualSolver {
     /// exactly as it was, a failed cost-scaling run possibly with partial
     /// flow.
     ///
-    /// The feed lets the race's incremental cost scaling warm-start and
-    /// lets the race and the hedge skip a provably quiescent round;
-    /// relaxation itself ignores it. Without a feed (`None`) no round is
-    /// skipped and the race's incremental cost scaling solves cold.
+    /// The feed lets the hedge and the race skip a provably quiescent round
+    /// (the module docs' skip), and lets the race's incremental cost
+    /// scaling warm-start; relaxation itself ignores it. Without a feed
+    /// (`None`) no round is skipped and the race's incremental cost scaling
+    /// solves cold.
     ///
     /// `opts` applies to each algorithm run. Every kind honours its
     /// cancellation token: the race gives each racer a child of it, so
@@ -249,66 +279,13 @@ impl DualSolver {
     #[allow(clippy::result_large_err)] // the Err graph is the point: ownership returns on failure
     pub fn solve_owned_with_deltas(
         &mut self,
-        graph: FlowGraph,
-        deltas: Option<&DeltaBatch>,
-        opts: &SolveOptions,
-    ) -> Result<DualOutcome, (SolveError, FlowGraph)> {
-        match self.config.kind {
-            SolverKind::RelaxationOnly => {
-                let mut g = graph;
-                let relaxation = relaxation::attempt_within(
-                    &mut g,
-                    opts,
-                    &self.config.relaxation,
-                    u64::MAX,
-                    &mut self.workspace,
-                );
-                match relaxation.map(Budgeted::into_solution) {
-                    Ok(sol) => Ok(DualOutcome {
-                        winner: sol.algorithm,
-                        solution: sol,
-                        graph: g,
-                        cs_stats: None,
-                        race_skipped: false,
-                        relaxation_work: 0,
-                        work_budget: None,
-                        fell_back: false,
-                    }),
-                    Err(e) => Err((e, g)),
-                }
-            }
-            SolverKind::CostScalingOnly => {
-                let mut g = graph;
-                match self.incremental.solve_with_deltas(&mut g, deltas, opts) {
-                    Ok(sol) => Ok(DualOutcome {
-                        winner: sol.algorithm,
-                        cs_stats: Some(sol.stats.clone()),
-                        solution: sol,
-                        graph: g,
-                        race_skipped: false,
-                        relaxation_work: 0,
-                        work_budget: None,
-                        fell_back: false,
-                    }),
-                    Err(e) => Err((e, g)),
-                }
-            }
-            SolverKind::Dual => self.solve_dual(graph, deltas, opts),
-            SolverKind::Hedged => self.solve_hedged(graph, deltas, opts),
-        }
-    }
-
-    /// The hedge: skip, cold cost scaling with no history, budgeted
-    /// relaxation, or cold cost scaling past the budget (module docs).
-    #[allow(clippy::result_large_err)] // see solve_owned_with_deltas
-    fn solve_hedged(
-        &mut self,
         mut graph: FlowGraph,
         deltas: Option<&DeltaBatch>,
         opts: &SolveOptions,
     ) -> Result<DualOutcome, (SolveError, FlowGraph)> {
         let start = Instant::now();
-        // Step 1: a quiescent batch keeps an optimal flow optimal.
+        // The skip: a quiescent batch keeps an optimal flow optimal. Only
+        // the hedge and the race record an optimal flow.
         if let (Some(kept), Some(batch)) = (self.optimal_flow.take(), deltas) {
             if reprice_only_quiescent(&graph, batch) {
                 self.optimal_flow = Some(kept);
@@ -320,18 +297,47 @@ impl DualSolver {
                     stats: SolveStats::default(),
                 };
                 return Ok(DualOutcome {
-                    solution,
-                    graph,
-                    winner: kept,
-                    cs_stats: None,
                     race_skipped: true,
-                    relaxation_work: 0,
-                    work_budget: None,
-                    fell_back: false,
+                    ..DualOutcome::solved(solution, graph, None)
                 });
             }
         }
-        // Step 3: relaxation within K × the last cost-scaling solve's work.
+        match self.config.kind {
+            SolverKind::RelaxationOnly => {
+                match relaxation::attempt_within(
+                    &mut graph,
+                    opts,
+                    &self.config.relaxation,
+                    u64::MAX,
+                    &mut self.workspace,
+                ) {
+                    Ok(r) => Ok(DualOutcome::solved(r.into_solution(), graph, None)),
+                    Err(e) => Err((e, graph)),
+                }
+            }
+            SolverKind::CostScalingOnly => {
+                match self.incremental.solve_with_deltas(&mut graph, deltas, opts) {
+                    Ok(sol) => {
+                        let cs_stats = Some(sol.stats.clone());
+                        Ok(DualOutcome::solved(sol, graph, cs_stats))
+                    }
+                    Err(e) => Err((e, graph)),
+                }
+            }
+            SolverKind::Dual => self.solve_dual(graph, deltas, opts),
+            SolverKind::Hedged => self.solve_hedged(graph, opts),
+        }
+    }
+
+    /// The hedge: cold cost scaling with no history, budgeted relaxation,
+    /// or cold cost scaling past the budget (module docs).
+    #[allow(clippy::result_large_err)] // see solve_owned_with_deltas
+    fn solve_hedged(
+        &mut self,
+        mut graph: FlowGraph,
+        opts: &SolveOptions,
+    ) -> Result<DualOutcome, (SolveError, FlowGraph)> {
+        // Step 2: relaxation within K × the last cost-scaling solve's work.
         let mut relaxation_work = 0;
         let mut relaxation_time = Duration::ZERO;
         let work_budget = self
@@ -350,14 +356,9 @@ impl DualSolver {
                         self.optimal_flow = Some(sol.algorithm);
                     }
                     return Ok(DualOutcome {
-                        winner: sol.algorithm,
                         relaxation_work: sol.stats.arc_scans,
-                        solution: sol,
-                        graph,
-                        cs_stats: None,
-                        race_skipped: false,
                         work_budget,
-                        fell_back: false,
+                        ..DualOutcome::solved(sol, graph, None)
                     });
                 }
                 Ok(Budgeted::OverBudget(sol)) => {
@@ -367,7 +368,7 @@ impl DualSolver {
                 Err(e) => return Err((e, graph)),
             }
         }
-        // Steps 2 and 4: cold cost scaling, which resets the flow. The
+        // Steps 1 and 3: cold cost scaling, which resets the flow. The
         // graph still holds the flow it came with (an over-budget attempt
         // writes nothing back); if cost scaling fails too, that flow goes
         // back, so the round fails closed.
@@ -379,15 +380,12 @@ impl DualSolver {
                     self.optimal_flow = Some(sol.algorithm);
                 }
                 sol.runtime += relaxation_time;
+                let cs_stats = Some(sol.stats.clone());
                 Ok(DualOutcome {
-                    winner: sol.algorithm,
-                    cs_stats: Some(sol.stats.clone()),
-                    solution: sol,
-                    graph,
-                    race_skipped: false,
                     relaxation_work,
                     work_budget,
                     fell_back: work_budget.is_some(),
+                    ..DualOutcome::solved(sol, graph, cs_stats)
                 })
             }
             Err(e) => {
@@ -403,37 +401,10 @@ impl DualSolver {
     #[allow(clippy::result_large_err)] // see solve_owned_with_deltas
     fn solve_dual(
         &mut self,
-        graph: FlowGraph,
+        mut graph: FlowGraph,
         deltas: Option<&DeltaBatch>,
         opts: &SolveOptions,
     ) -> Result<DualOutcome, (SolveError, FlowGraph)> {
-        // Re-price-only short-circuit (ROADMAP "re-price-only rounds could
-        // skip the solver race"): a round whose whole batch is cost drift
-        // and exposes no reduced-cost violation — every change a cost rise
-        // on a flowless arc, the common convex-ladder shape under rising
-        // load — leaves the warm solver's certificate intact. The warm
-        // path proves quiescence in O(Δ); spinning up the relaxation race
-        // would only burn a cold solve to reach the same optimum.
-        // Falls/flow-carrying rises may expose violations, so those rounds
-        // still race.
-        if let Some(batch) = deltas {
-            if self.incremental.is_warm() && reprice_only_quiescent(&graph, batch) {
-                let mut g = graph;
-                return match self.incremental.solve_with_deltas(&mut g, deltas, opts) {
-                    Ok(sol) => Ok(DualOutcome {
-                        winner: sol.algorithm,
-                        cs_stats: Some(sol.stats.clone()),
-                        solution: sol,
-                        graph: g,
-                        race_skipped: true,
-                        relaxation_work: 0,
-                        work_budget: None,
-                        fell_back: false,
-                    }),
-                    Err(e) => Err((e, g)),
-                };
-            }
-        }
         // Each racer's token is a child of the caller's: cancelling the call
         // cancels both racers, and either racer can cancel the other alone.
         let racer_token = || {
@@ -452,14 +423,12 @@ impl DualSolver {
         // takes it; relaxation then touches only its copy, which is
         // written back after the join if relaxation wins.
         let relax_budget = Budget::new(&relax_opts);
-        let filled = relaxation::fill_cold(&graph, &mut self.workspace);
-        if filled.is_ok() {
-            relaxation::seed_sink_prices(&mut self.workspace);
-        }
+        let filled = relaxation::fill(&graph, &mut self.workspace);
         let relax_cfg = &self.config.relaxation;
         let workspace = &mut self.workspace;
         let incremental = &mut self.incremental;
-        let mut graph = graph;
+        #[cfg(test)]
+        let cs_racer_panics = self.cs_racer_panics;
 
         // Each racer cancels the other only if it settled the round: a
         // solution, or — from cost scaling, which retries a warm start's
@@ -467,9 +436,11 @@ impl DualSolver {
         // failed finisher otherwise must not abort the algorithm that can
         // still succeed. The inner loops check their token every 256
         // iterations.
-        let (relax_result, cs_result) = std::thread::scope(|scope| {
+        let (relax_result, cs_joined) = std::thread::scope(|scope| {
             let g_cs = &mut graph;
             let cs_handle = scope.spawn(move || {
+                #[cfg(test)]
+                assert!(!cs_racer_panics, "injected cost-scaling fault");
                 let r = incremental.solve_with_deltas(g_cs, deltas, &cs_opts);
                 if matches!(r, Ok(_) | Err(SolveError::Infeasible)) {
                     cancel_relax.cancel();
@@ -482,7 +453,12 @@ impl DualSolver {
             if r.is_ok() {
                 cancel_cs.cancel();
             }
-            (r, cs_handle.join().expect("cost-scaling thread"))
+            (r, cs_handle.join())
+        });
+        // A panicked racer may have left its warm state half-written.
+        let cs_result = cs_joined.unwrap_or_else(|_| {
+            self.incremental = IncrementalCostScaling::new(self.config.incremental.clone());
+            Err(SolveError::SolverPanicked)
         });
 
         // Prefer whichever produced a real (non-cancelled) solution; if
@@ -491,48 +467,23 @@ impl DualSolver {
         let cs_stats = cs_result.as_ref().ok().map(|cs| cs.stats.clone());
         let solution = match (relax_result, cs_result) {
             (Ok(run), Ok(cs)) if cs.runtime < run.runtime() => cs,
-            (Ok(run), _) => run
-                .finish(&mut graph, &self.workspace, true)
-                .into_solution(),
+            (Ok(run), _) => run.finish(&mut graph, &self.workspace).into_solution(),
             (Err(_), Ok(cs)) => cs,
-            (Err(re), Err(ce)) => {
-                // Both failed: propagate the more informative error and
-                // hand the graph back so the caller can restore its state.
-                let err = match (&re, &ce) {
-                    (SolveError::Cancelled, e) => e.clone(),
-                    (e, _) => e.clone(),
-                };
-                return Err((err, graph));
-            }
-        };
-        let outcome = DualOutcome {
-            winner: solution.algorithm,
-            solution,
-            graph,
-            cs_stats,
-            race_skipped: false,
-            relaxation_work: 0,
-            work_budget: None,
-            fell_back: false,
+            // Both failed: propagate the more informative error and hand
+            // the graph back so the caller can restore its state.
+            (Err(SolveError::Cancelled), Err(e)) | (Err(e), Err(_)) => return Err((e, graph)),
         };
 
-        // Handoff (§6.2): make sure the incremental solver can warm-start
-        // from the winning flow next round.
-        match outcome.winner {
-            AlgorithmKind::Relaxation => {
-                self.incremental.adopt_solution(&outcome.graph);
-            }
-            // The incremental solver already certifies its own solution —
-            // but only the one in *its* clone. Re-adopt to be safe if it
-            // lost the race and was cancelled.
-            AlgorithmKind::IncrementalCostScaling | AlgorithmKind::CostScaling
-                if !self.incremental.is_warm() =>
-            {
-                self.incremental.adopt_solution(&outcome.graph);
-            }
-            _ => {}
+        // Handoff (§6.2): the incremental solver warm-starts next round
+        // from the flow handed back, so it adopts a flow it did not
+        // produce.
+        if !solution.terminated_early {
+            self.optimal_flow = Some(solution.algorithm);
         }
-        Ok(outcome)
+        if solution.algorithm == AlgorithmKind::Relaxation || !self.incremental.is_warm() {
+            self.incremental.adopt_solution(&graph);
+        }
+        Ok(DualOutcome::solved(solution, graph, cs_stats))
     }
 }
 
@@ -686,9 +637,10 @@ mod tests {
         batch
     }
 
-    /// The re-price-only short-circuit of the race: a warm round whose
-    /// batch is all flowless cost rises must skip the relaxation race and
-    /// run the warm path only — in O(Δ), touching nothing.
+    /// The race's skip: after a raced round that ended optimal, a round
+    /// whose batch is all flowless cost rises runs no solver — no racer
+    /// starts, so `cs_stats` is `None` — and hands the flow back untouched,
+    /// credited to the algorithm that produced it.
     #[test]
     fn reprice_only_round_skips_the_race() {
         let mut inst = scheduling_instance(21, &InstanceSpec::default());
@@ -697,22 +649,130 @@ mod tests {
             .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
             .unwrap();
         assert!(!out.race_skipped, "first (structural) round races");
+        let first = out.winner;
         inst.graph = out.graph;
 
+        let flows: Vec<i64> = inst.graph.arc_ids().map(|a| inst.graph.flow(a)).collect();
         let batch = raise_flowless_costs(&mut inst);
         let before = inst.graph.objective();
         let out = solver
             .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();
         assert!(out.race_skipped, "proven-quiescent round must not race");
-        assert_eq!(out.winner, AlgorithmKind::IncrementalCostScaling);
+        assert_eq!(out.winner, first);
+        assert!(out.cs_stats.is_none(), "no solver runs");
         assert_eq!(out.solution.objective, before, "flow untouched");
-        assert_eq!(
-            out.cs_stats.as_ref().unwrap().nodes_touched,
-            0,
-            "warm path proves quiescence without repair work"
-        );
+        let after: Vec<i64> = out.graph.arc_ids().map(|a| out.graph.flow(a)).collect();
+        assert_eq!(flows, after);
         assert!(is_optimal(&out.graph));
+    }
+
+    /// Adds a cheap preference arc from five tasks to five machines, a
+    /// structural change that moves flow, and returns the batch.
+    fn add_preference_arcs(inst: &mut firmament_flow::testgen::Instance) -> DeltaBatch {
+        for k in 0..5 {
+            let (task, machine) = (inst.tasks[k * 7], inst.machines[k]);
+            inst.graph.add_arc(task, machine, 1, 0).unwrap();
+        }
+        inst.graph.take_deltas()
+    }
+
+    /// A skipped batch is never fed to the race's incremental solver: its
+    /// certificate stays valid under flowless cost rises, so the next
+    /// structural round's warm solve, fed only that round's batch, is
+    /// optimal and matches a cold cost-scaling solve; so is the next race.
+    #[test]
+    fn structural_round_after_a_race_skip_solves_warm() {
+        let skipped = || {
+            let mut inst = scheduling_instance(26, &InstanceSpec::default());
+            let mut solver = solver(SolverKind::Dual);
+            let out = solver
+                .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
+                .unwrap();
+            inst.graph = out.graph;
+            let batch = raise_flowless_costs(&mut inst);
+            let out = solver
+                .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
+                .unwrap();
+            assert!(out.race_skipped && out.cs_stats.is_none());
+            assert!(solver.incremental.is_warm());
+            inst.graph = out.graph;
+            let batch = add_preference_arcs(&mut inst);
+            (solver, inst, batch)
+        };
+        let (mut solver, mut inst, batch) = skipped();
+        let mut cold = inst.graph.clone();
+        let cold = crate::cost_scaling::solve(&mut cold, &SolveOptions::unlimited()).unwrap();
+        let sol = solver
+            .incremental
+            .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
+            .unwrap();
+        assert_eq!(sol.stats.bailouts, 0, "the warm start held");
+        assert!(is_optimal(&inst.graph));
+        assert_eq!(sol.objective, cold.objective);
+
+        let (mut solver, inst, batch) = skipped();
+        let out = solver
+            .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
+            .unwrap();
+        assert!(!out.race_skipped);
+        assert!(is_optimal(&out.graph));
+        assert_eq!(out.solution.objective, cold.objective);
+    }
+
+    /// A cost-scaling racer that panics does not panic the caller. If
+    /// relaxation succeeds its flow wins; if relaxation fails too the round
+    /// fails with a typed error and hands the graph back. Either way the
+    /// incremental solver's state is dropped, and the next round solves.
+    #[test]
+    fn a_panicking_racer_does_not_panic_the_caller() {
+        let inst = scheduling_instance(27, &InstanceSpec::default());
+        let mut reference = inst.graph.clone();
+        let optimum = crate::cost_scaling::solve(&mut reference, &SolveOptions::unlimited())
+            .unwrap()
+            .objective;
+
+        let mut solver = solver(SolverKind::Dual);
+        solver.cs_racer_panics = true;
+        let out = solver
+            .solve_owned_with_deltas(inst.graph.clone(), None, &SolveOptions::unlimited())
+            .unwrap();
+        assert_eq!(out.winner, AlgorithmKind::Relaxation);
+        assert!(out.cs_stats.is_none());
+        assert!(is_optimal(&out.graph));
+        assert_eq!(out.solution.objective, optimum);
+
+        let token = CancelToken::new();
+        token.cancel();
+        let before = format!("{:?}", inst.graph);
+        let mut solver = solver_with_history(&inst);
+        assert!(solver.incremental.is_warm());
+        solver.cs_racer_panics = true;
+        let (err, back) = solver
+            .solve_owned_with_deltas(inst.graph.clone(), None, &SolveOptions::with_cancel(token))
+            .expect_err("both racers fail");
+        assert_eq!(err, SolveError::SolverPanicked);
+        assert!(
+            !solver.incremental.is_warm(),
+            "the panicked state is dropped"
+        );
+        assert_eq!(format!("{back:?}"), before, "the racer panicked first");
+
+        solver.cs_racer_panics = false;
+        let out = solver
+            .solve_owned_with_deltas(back, None, &SolveOptions::unlimited())
+            .unwrap();
+        assert!(is_optimal(&out.graph));
+        assert_eq!(out.solution.objective, optimum);
+    }
+
+    /// A race solver that has solved `inst` once.
+    fn solver_with_history(inst: &firmament_flow::testgen::Instance) -> DualSolver {
+        let mut solver = solver(SolverKind::Dual);
+        solver
+            .solve_owned_with_deltas(inst.graph.clone(), None, &SolveOptions::unlimited())
+            .unwrap();
+        solver
     }
 
     /// A fully quiescent round (empty batch) also skips the race.

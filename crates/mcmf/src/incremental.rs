@@ -172,13 +172,15 @@ impl IncrementalCostScaling {
     /// applied; this is what guarantees price refine can find prices that
     /// satisfy complementary slackness without modifying the flow.
     ///
-    /// Returns `false` (and goes cold) if the flow is not optimal.
+    /// Returns `false` (and goes cold) if the flow is not optimal, a
+    /// pseudoflow that leaves excess included.
     pub fn adopt_solution(&mut self, solution_graph: &FlowGraph) -> bool {
         self.state.fit(solution_graph.node_bound());
         // Without price refine there are no prices for the foreign flow, so
         // the warm state is dropped and the next run is from scratch.
         self.warm = false;
-        if self.config.price_refine_on_adopt {
+        let feasible = solution_graph.excesses().iter().all(|&e| e == 0);
+        if self.config.price_refine_on_adopt && feasible {
             if let Some(prices) = price_refine(solution_graph, self.state.scale) {
                 self.state.potentials = prices;
                 self.warm = true;
@@ -1383,6 +1385,28 @@ mod tests {
         crate::relaxation::solve(&mut inst.graph, &SolveOptions::unlimited()).unwrap();
         let mut inc = IncrementalCostScaling::new(IncrementalConfig {
             price_refine_on_adopt: false,
+            ..Default::default()
+        });
+        assert!(!inc.adopt_solution(&inst.graph));
+        assert!(!inc.is_warm());
+    }
+
+    /// Relaxation stopped early leaves a pseudoflow that price refine can
+    /// certify, as no residual cycle is negative; adopting it must still
+    /// go cold, or the next fed solve would look for excess only where its
+    /// batch points.
+    #[test]
+    fn adopting_a_pseudoflow_goes_cold() {
+        let mut inst = scheduling_instance(12, &InstanceSpec::default());
+        let one = SolveOptions {
+            iteration_limit: Some(1),
+            ..SolveOptions::default()
+        };
+        let sol = crate::relaxation::solve(&mut inst.graph, &one).unwrap();
+        assert!(sol.terminated_early);
+        assert!(price_refine(&inst.graph, 1).is_some());
+        let mut inc = IncrementalCostScaling::new(IncrementalConfig {
+            price_refine_on_adopt: true,
             ..Default::default()
         });
         assert!(!inc.adopt_solution(&inst.graph));

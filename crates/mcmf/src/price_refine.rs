@@ -82,18 +82,16 @@ mod tests {
         // are unnecessarily large; canonical prices are bounded by the
         // longest shortest path.
         let mut inst = scheduling_instance(4, &InstanceSpec::default());
-        let mut prices = vec![0; inst.graph.node_bound()];
-        inst.graph.reset_flow();
-        let cfg = crate::relaxation::RelaxationConfig::default();
-        crate::relaxation::solve_from(
+        let mut work = crate::relaxation::Workspace::default();
+        crate::relaxation::attempt_within(
             &mut inst.graph,
             &SolveOptions::unlimited(),
-            &cfg,
-            &mut prices,
+            &crate::relaxation::RelaxationConfig::default(),
             u64::MAX,
+            &mut work,
         )
         .unwrap();
-        let max_relaxation = prices.iter().map(|p| p.abs()).max().unwrap_or(0);
+        let max_relaxation = work.prices().iter().map(|p| p.abs()).max().unwrap_or(0);
         let refined = price_refine(&inst.graph, 1).expect("optimal");
         let max_refined = refined.iter().map(|p| p.abs()).max().unwrap_or(0);
         let max_cost = inst.graph.max_cost();

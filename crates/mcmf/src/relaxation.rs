@@ -45,14 +45,28 @@
 //! engine's per-node buffers in one `Workspace`, so a steady round
 //! allocates nothing.
 //!
-//! **Errors leave the graph untouched.** A run that fails — cancelled, or
-//! infeasible — drops its copy without writing it back, so the graph is
-//! exactly as it was before the call. A run that finishes writes its flow
-//! back, and so does one that stops early on a limit: an iteration or time
-//! limit, or a scan budget, leaves its pseudoflow in the graph. The one
-//! exception is the hedge's budgeted attempt (`attempt_within`), which
-//! drops the copy of a run that spends its budget too: the hedge then
-//! solves with cold cost scaling, which discards any starting flow.
+//! # The start
+//!
+//! Every run — [`solve`], [`solve_with`] and each run of
+//! [`DualSolver`](crate::dual::DualSolver) — starts from the same prices,
+//! set when the copy is filled: a node whose residual arcs all enter one
+//! deficit node at a positive cost starts at minus the cheapest of those
+//! costs, so that arc is balanced from the start, and every other node
+//! starts at zero. A scheduler that parks the wait clock on each job's
+//! `U_j → S` arc then gets the same run as one that put it on every task's
+//! arc: the dual ascent need not first lower the price of `U_j`, which
+//! pushed flow back from every task already routed through it. On
+//! contended-hier, a zero-price start spent 10.9 M arc scans a round on
+//! that graph against 4.1 M with the clock on the task arcs, and the
+//! seeded start 4.2 M. A graph whose arcs into deficit nodes all cost 0
+//! starts at all-zero prices.
+//!
+//! **A run that does not finish leaves the graph untouched.** A run that
+//! fails — cancelled, or infeasible — or that spends its scan budget drops
+//! its copy without writing it back, so the graph is exactly as it was
+//! before the call. A run that finishes writes its flow back, and so does
+//! one that stops early on an iteration or time limit of the caller's
+//! [`SolveOptions`]: it leaves its pseudoflow in the graph.
 
 use crate::common::{
     AlgorithmKind, Budget, BudgetStop, Solution, SolveError, SolveOptions, SolveStats,
@@ -78,8 +92,9 @@ impl Default for RelaxationConfig {
     }
 }
 
-/// Solves min-cost max-flow by relaxation from scratch, leaving the optimal
-/// flow in the graph. On error the graph is left as it was.
+/// Solves min-cost max-flow by relaxation from scratch (from the prices of
+/// the module docs' start rule), leaving the optimal flow in the graph. On
+/// error the graph is left as it was.
 ///
 /// # Examples
 ///
@@ -102,7 +117,7 @@ pub fn solve_with(
     opts: &SolveOptions,
     config: &RelaxationConfig,
 ) -> Result<Solution, SolveError> {
-    solve_within(graph, opts, config, u64::MAX, &mut Workspace::default())
+    attempt_within(graph, opts, config, u64::MAX, &mut Workspace::default())
         .map(Budgeted::into_solution)
 }
 
@@ -113,7 +128,8 @@ pub(crate) enum Budgeted {
     /// [`SolveOptions`], before its work budget ran out.
     Finished(Solution),
     /// The run spent its whole work budget first (`stats.arc_scans` equals
-    /// the budget) and stopped; the graph holds a pseudoflow.
+    /// the budget) and stopped; the graph keeps the flow it had, and the
+    /// objective is that flow's.
     OverBudget(Solution),
 }
 
@@ -166,6 +182,12 @@ impl Workspace {
         self.frontier.clear();
     }
 
+    /// The prices a run left, by raw node index.
+    #[cfg(test)]
+    pub(crate) fn prices(&self) -> &[i64] {
+        &self.pot
+    }
+
     /// The capacity of every buffer, for tests of steady-state reuse.
     #[cfg(test)]
     pub(crate) fn capacities(&self) -> Vec<usize> {
@@ -185,29 +207,12 @@ impl Workspace {
     }
 }
 
-/// Solves from scratch like [`solve_with`], in the buffers of `work`, but
-/// stops once the run has examined `scan_budget` arcs (see
-/// [`SolveStats::arc_scans`]). Work is charged one span (one node's
-/// residual arcs) at a time: the scan that would take the count past the
-/// budget is not made, and the count is set to the budget.
-pub(crate) fn solve_within(
-    graph: &mut FlowGraph,
-    opts: &SolveOptions,
-    config: &RelaxationConfig,
-    scan_budget: u64,
-    work: &mut Workspace,
-) -> Result<Budgeted, SolveError> {
-    let budget = Budget::new(opts);
-    fill_cold(graph, work)?;
-    let run = run(config, scan_budget, budget, work, &mut || feasible(graph))?;
-    Ok(run.finish(graph, work, true))
-}
-
-/// As [`solve_within`], except that the run starts from the sink-arc
-/// prices of [`seed_sink_prices`] rather than zero, and that a run which
-/// spends its budget drops its copy unwritten, as a failed run does: the
-/// graph keeps the flow it had before the call, and the
-/// [`Budgeted::OverBudget`] solution's objective is that flow's.
+/// Solves from scratch, in the buffers of `work`, and stops once the run
+/// has examined `scan_budget` arcs (see [`SolveStats::arc_scans`]). Work is
+/// charged one span (one node's residual arcs) at a time: the scan that
+/// would take the count past the budget is not made, and the count is set
+/// to the budget. A run that spends its budget writes nothing back
+/// ([`Run::finish`]).
 pub(crate) fn attempt_within(
     graph: &mut FlowGraph,
     opts: &SolveOptions,
@@ -216,15 +221,15 @@ pub(crate) fn attempt_within(
     work: &mut Workspace,
 ) -> Result<Budgeted, SolveError> {
     let budget = Budget::new(opts);
-    fill_cold(graph, work)?;
-    seed_sink_prices(work);
+    fill(graph, work)?;
     let run = run(config, scan_budget, budget, work, &mut || feasible(graph))?;
-    Ok(run.finish(graph, work, false))
+    Ok(run.finish(graph, work))
 }
 
-/// Fills `work` for a cold run on `graph`: the copy holds every pair
-/// flowless and every node's excess is its supply. The graph is only read.
-pub(crate) fn fill_cold(graph: &FlowGraph, work: &mut Workspace) -> Result<(), SolveError> {
+/// Fills `work` for a run on `graph`, read only: the copy holds every pair
+/// flowless, every node's excess is its supply, and the prices follow the
+/// start rule of the module docs.
+pub(crate) fn fill(graph: &FlowGraph, work: &mut Workspace) -> Result<(), SolveError> {
     work.reset(graph.node_bound());
     let mut total = 0i64;
     for v in graph.node_ids() {
@@ -236,20 +241,15 @@ pub(crate) fn fill_cold(graph: &FlowGraph, work: &mut Workspace) -> Result<(), S
         return Err(SolveError::UnbalancedSupply { total });
     }
     graph.fill_csr(&mut work.csr, true);
+    seed_sink_prices(work);
     Ok(())
 }
 
-/// Prices every node of a cold copy (filled by [`fill_cold`]) whose
-/// residual out-arcs all enter one deficit node, at a positive cost, at
-/// minus the cheapest of those costs. The cheapest arc then starts
-/// balanced and no arc of non-negative cost starts with a negative
-/// reduced cost, so a cost that a graph parks on arcs into the sink, such
-/// as the wait clock a scheduler puts on each job's `U_j → S` arc, sits
-/// where the optimal prices put it: the dual ascent does not have to
-/// lower the price of the node in front of it first, which pushed flow
-/// back to every task already routed through that node. A graph whose
-/// arcs into deficit nodes all cost 0 keeps all-zero prices.
-pub(crate) fn seed_sink_prices(work: &mut Workspace) {
+/// Prices every node of a flowless copy whose residual out-arcs all enter
+/// one deficit node, at a positive cost, at minus the cheapest of those
+/// costs. The cheapest arc then starts balanced and no arc of
+/// non-negative cost starts with a negative reduced cost.
+fn seed_sink_prices(work: &mut Workspace) {
     let (offsets, arcs) = (work.csr.offsets(), work.csr.arcs());
     for u in 0..offsets.len() - 1 {
         let span = &arcs[offsets[u] as usize..offsets[u + 1] as usize];
@@ -293,17 +293,12 @@ impl Run {
     }
 
     /// Writes the flow of the copy in `work` back into `graph`, the graph
-    /// it was filled from, unless the run spent its scan limit and
-    /// `write_over_budget` is false: then the graph keeps the flow it had,
-    /// and the solution's objective is that flow's.
-    pub(crate) fn finish(
-        self,
-        graph: &mut FlowGraph,
-        work: &Workspace,
-        write_over_budget: bool,
-    ) -> Budgeted {
+    /// it was filled from, unless the run spent its scan limit: then the
+    /// graph keeps the flow it had, and the solution's objective is that
+    /// flow's.
+    pub(crate) fn finish(self, graph: &mut FlowGraph, work: &Workspace) -> Budgeted {
         let start = Instant::now();
-        let objective = if self.over_budget && !write_over_budget {
+        let objective = if self.over_budget {
             graph.objective()
         } else {
             graph.write_back_csr(&work.csr)
@@ -321,36 +316,6 @@ impl Run {
             Budgeted::Finished(sol)
         }
     }
-}
-
-/// A warm start: treats the graph's current flow as the starting
-/// pseudoflow and `pot` (indexed by raw node index, unscaled cost units, at
-/// least `node_bound()` long) as its prices, within `scan_limit` arc
-/// examinations. The final prices are left in `pot` unless the run fails.
-#[cfg(test)]
-pub(crate) fn solve_from(
-    graph: &mut FlowGraph,
-    opts: &SolveOptions,
-    config: &RelaxationConfig,
-    pot: &mut [i64],
-    scan_limit: u64,
-) -> Result<Budgeted, SolveError> {
-    let budget = Budget::new(opts);
-    let total: i64 = graph.node_ids().map(|v| graph.supply(v)).sum();
-    if total != 0 {
-        return Err(SolveError::UnbalancedSupply { total });
-    }
-    let n = graph.node_bound();
-    let mut work = Workspace::default();
-    work.reset(n);
-    work.pot.copy_from_slice(&pot[..n]);
-    work.excess = graph.excesses();
-    graph.fill_csr(&mut work.csr, false);
-    let r = run(config, scan_limit, budget, &mut work, &mut || {
-        feasible(graph)
-    })?;
-    pot[..n].copy_from_slice(&work.pot);
-    Ok(r.finish(graph, &work, true))
 }
 
 /// Pushes `delta` units along the residual arc at position `p`.
@@ -755,7 +720,7 @@ mod tests {
     use firmament_flow::testgen::{layered_instance, scheduling_instance, InstanceSpec};
     use firmament_flow::{ArcId, NodeId, NodeKind};
 
-    /// A seeded run does the same work, and finds the same objective, on a
+    /// [`solve`] does the same work, and finds the same objective, on a
     /// graph whose unscheduled cost is split between the task arcs and the
     /// arc into the sink as on the graph with all of it on the task arcs.
     /// The instances are oversubscribed, so the unscheduled route carries
@@ -766,13 +731,7 @@ mod tests {
             tasks: 120,
             ..InstanceSpec::default()
         };
-        let solve = |g: &mut FlowGraph| {
-            let opts = SolveOptions::unlimited();
-            let config = RelaxationConfig::default();
-            attempt_within(g, &opts, &config, u64::MAX, &mut Workspace::default())
-                .expect("feasible")
-                .into_solution()
-        };
+        let solve = |g: &mut FlowGraph| solve(g, &SolveOptions::unlimited()).expect("feasible");
         for seed in 0..6 {
             let inst = scheduling_instance(seed, &spec);
             let mut split = inst.graph.clone();
@@ -833,17 +792,16 @@ mod tests {
     #[test]
     fn final_potentials_satisfy_reduced_cost_optimality() {
         let mut inst = scheduling_instance(7, &InstanceSpec::default());
-        let mut prices = vec![0; inst.graph.node_bound()];
-        inst.graph.reset_flow();
-        solve_from(
+        let mut work = Workspace::default();
+        attempt_within(
             &mut inst.graph,
             &SolveOptions::unlimited(),
             &RelaxationConfig::default(),
-            &mut prices,
             u64::MAX,
+            &mut work,
         )
         .unwrap();
-        assert!(check_reduced_cost_optimality(&inst.graph, &prices).is_ok());
+        assert!(check_reduced_cost_optimality(&inst.graph, work.prices()).is_ok());
     }
 
     #[test]
@@ -907,8 +865,8 @@ mod tests {
     }
 
     /// The slackness pass over the copy must leave exactly the flow the
-    /// per-node adjacency pass leaves, both from a reset flow and zero prices (the
-    /// cold start of `solve_with`) and from a solved flow under arbitrary
+    /// per-node adjacency pass leaves, both from a reset flow and zero prices
+    /// and from a solved flow under arbitrary
     /// prices (a warm start) — on graphs with negative costs, where both
     /// starts have work to do. The cold solve must match SSP.
     #[test]

@@ -2,10 +2,12 @@
 //! took its own copy of the residual network: in place, on the live
 //! `FlowGraph`, one `ArcId` read from an adjacency list and one arena slot
 //! read per arc examined. Every function below is verbatim from that
-//! engine. The tests at the end assert that the engine in the parent module
-//! gives the same flow on every arc, the same final prices, the same
-//! `SolveStats` (counted work included) and the same [`Budgeted`] variant
-//! on every case, so the hedge's fallback decisions cannot drift.
+//! engine, apart from the cold start's price seed, which applies the
+//! engine's start rule over adjacency lists. The tests at the end assert
+//! that the engine in the parent module gives the same flow on every arc,
+//! the same final prices, the same `SolveStats` (counted work included) and
+//! the same [`Budgeted`] variant on every case, so the hedge's fallback
+//! decisions cannot drift.
 
 use super::{Budgeted, RelaxationConfig};
 use crate::common::{
@@ -14,19 +16,46 @@ use crate::common::{
 use firmament_flow::{ArcId, FlowGraph, NodeId};
 use std::collections::VecDeque;
 
-/// Solves from scratch like [`solve_with`], but stops once the run has
-/// examined `scan_budget` arcs (see [`SolveStats::arc_scans`]). Work is
-/// charged one adjacency list at a time: the scan that would take the
-/// count past the budget is not made, and the count is set to the budget.
-pub(crate) fn solve_within(
+/// Solves from scratch like [`solve_with`](super::solve_with): from a reset
+/// flow and the start rule's prices ([`seed_sink_prices`]), but stops once
+/// the run has examined `scan_budget` arcs (see [`SolveStats::arc_scans`]).
+/// Work is charged one adjacency list at a time: the scan that would take
+/// the count past the budget is not made, and the count is set to the
+/// budget. A stopped run leaves its pseudoflow in the graph.
+pub(crate) fn solve_cold(
     graph: &mut FlowGraph,
     opts: &SolveOptions,
     config: &RelaxationConfig,
     scan_budget: u64,
 ) -> Result<Budgeted, SolveError> {
     graph.reset_flow();
-    let mut prices = vec![0; graph.node_bound()];
+    let mut prices = seed_sink_prices(graph);
     solve_from(graph, opts, config, &mut prices, scan_budget)
+}
+
+/// The start rule over adjacency lists, for a flowless graph: a node whose
+/// residual out-arcs all enter one node of negative supply, at a positive
+/// cost, is priced at minus the cheapest of those costs; every other node
+/// at zero.
+fn seed_sink_prices(graph: &FlowGraph) -> Vec<i64> {
+    let mut pot = vec![0; graph.node_bound()];
+    for u in graph.node_ids() {
+        let mut out = graph.adj(u).iter().filter(|&&a| graph.rescap(a) > 0);
+        let Some(&first) = out.next() else {
+            continue;
+        };
+        let d = graph.dst(first);
+        if graph.supply(d) >= 0 {
+            continue;
+        }
+        let cheapest = out.try_fold(graph.cost(first), |c, &a| {
+            (graph.dst(a) == d).then(|| c.min(graph.cost(a)))
+        });
+        if let Some(c) = cheapest.filter(|&c| c > 0) {
+            pot[u.index()] = -c;
+        }
+    }
+    pot
 }
 
 /// Restores complementary slackness against `pot`: saturates every
@@ -433,12 +462,31 @@ fn requeue(s: NodeId, excess: &[i64], queue: &mut VecDeque<u32>, in_queue: &mut 
 }
 
 mod tests {
+    use super::super::Workspace;
     use super::*;
     use crate::common::CancelToken;
     use firmament_flow::testgen::{
         layered_instance, scheduling_instance, InstanceSpec, XorShift64,
     };
     use firmament_flow::NodeKind;
+
+    /// Runs the engine under test on the copy filled in `work` and writes
+    /// the copy back however the run ended, so that a run stopped by its
+    /// scan budget leaves its pseudoflow in `graph` as the oracle's does.
+    fn engine_run(
+        graph: &mut FlowGraph,
+        opts: &SolveOptions,
+        config: &RelaxationConfig,
+        limit: u64,
+        work: &mut Workspace,
+    ) -> Result<Budgeted, SolveError> {
+        let budget = Budget::new(opts);
+        let run = super::super::run(config, limit, budget, work, &mut || {
+            super::super::feasible(graph)
+        })?;
+        graph.write_back_csr(&work.csr);
+        Ok(run.finish(graph, work))
+    }
 
     /// The engine under test, cold, returning its final prices.
     fn engine_cold(
@@ -447,12 +495,14 @@ mod tests {
         config: &RelaxationConfig,
         budget: u64,
     ) -> (Result<Budgeted, SolveError>, Vec<i64>) {
-        let mut work = super::super::Workspace::default();
-        let r = super::super::solve_within(graph, opts, config, budget, &mut work);
+        let mut work = Workspace::default();
+        let r = super::super::fill(graph, &mut work)
+            .and_then(|()| engine_run(graph, opts, config, budget, &mut work));
         (r, work.pot)
     }
 
-    /// The engine under test, warm: from the graph's flow and `pot`.
+    /// The engine under test, warm: from the graph's flow and `pot`, whose
+    /// final values it leaves in `pot` unless the run fails.
     fn engine_warm(
         graph: &mut FlowGraph,
         opts: &SolveOptions,
@@ -460,7 +510,15 @@ mod tests {
         pot: &mut [i64],
         limit: u64,
     ) -> Result<Budgeted, SolveError> {
-        super::super::solve_from(graph, opts, config, pot, limit)
+        let n = graph.node_bound();
+        let mut work = Workspace::default();
+        work.reset(n);
+        work.pot.copy_from_slice(&pot[..n]);
+        work.excess = graph.excesses();
+        graph.fill_csr(&mut work.csr, false);
+        let r = engine_run(graph, opts, config, limit, &mut work)?;
+        pot[..n].copy_from_slice(&work.pot);
+        Ok(r)
     }
 
     /// What a run left behind that the two engines must agree on: the
@@ -495,7 +553,9 @@ mod tests {
     }
 
     /// Runs the oracle and the engine under test cold on copies of `graph`
-    /// and asserts they agree; returns the oracle's outcome.
+    /// and asserts they agree; returns the oracle's outcome. The engine's
+    /// own entry must report the same run and, when the run spends its
+    /// budget, leave the graph as it was.
     fn check_cold(
         graph: &FlowGraph,
         opts: &SolveOptions,
@@ -505,11 +565,11 @@ mod tests {
     ) -> Result<(bool, i64, bool, SolveStats), SolveError> {
         let mut old = graph.clone();
         old.reset_flow();
-        let mut old_prices = vec![0; graph.node_bound()];
+        let mut old_prices = seed_sink_prices(&old);
         let old_r = solve_from(&mut old, opts, config, &mut old_prices, budget);
         // The oracle's own cold entry is that reset and those prices.
         let mut cold = graph.clone();
-        let cold_r = solve_within(&mut cold, opts, config, budget);
+        let cold_r = solve_cold(&mut cold, opts, config, budget);
         assert_eq!(summary(&cold_r), summary(&old_r), "{what}: oracle entries");
 
         let mut new = graph.clone();
@@ -522,6 +582,27 @@ mod tests {
                 old_prices[..],
                 "{what}: prices"
             );
+        }
+
+        let mut entry = graph.clone();
+        let mut work = Workspace::default();
+        let entry_r = super::super::attempt_within(&mut entry, opts, config, budget, &mut work);
+        match (&entry_r, summary(&old_r)) {
+            (Ok(Budgeted::OverBudget(sol)), Ok((true, _, early, stats))) => {
+                assert_eq!(
+                    (sol.terminated_early, &sol.stats),
+                    (early, &stats),
+                    "{what}"
+                );
+                assert_eq!(sol.objective, graph.objective(), "{what}: entry");
+                assert_eq!(format!("{entry:?}"), format!("{graph:?}"), "{what}: entry");
+            }
+            (Ok(Budgeted::Finished(_)), Ok((false, ..))) => {
+                assert_eq!(summary(&entry_r), summary(&old_r), "{what}: entry");
+                assert_same_flow(&entry, &old, what);
+            }
+            (Err(e), Err(old_e)) => assert_eq!(e, &old_e, "{what}: entry"),
+            (r, old) => panic!("{what}: entry {r:?}, oracle {old:?}"),
         }
         summary(&old_r)
     }
@@ -717,7 +798,7 @@ mod tests {
             if seed % 2 == 1 {
                 inject_negative_costs(&mut g, &mut rng);
             }
-            solve_within(
+            solve_cold(
                 &mut g,
                 &SolveOptions::unlimited(),
                 &RelaxationConfig::default(),

@@ -70,16 +70,17 @@
 //! 4. **Solve.** [`mcmf::DualSolver::solve_owned_with_deltas`], the
 //!    solver's one entry, takes the graph by move together with the round's
 //!    batch and, by default, hedges ([`mcmf::SolverKind::Hedged`]):
-//!    relaxation solves in place within a budget of counted arc
-//!    examinations, and cold cost scaling solves the round only once the
-//!    budget runs out (or on the first round, before any cost-scaling
-//!    solve has set the budget's reference). Counted work, not time, picks
-//!    the algorithm, so placements are the same on every run. A round whose
-//!    batch only raises costs on flowless arcs runs no solver when the last
-//!    flow was optimal. The paper's race of relaxation against incremental
-//!    cost scaling stays available as [`mcmf::SolverKind::Dual`]; there the
-//!    batch is what lets incremental cost scaling warm-start, since a solve
-//!    without a feed is a cold solve.
+//!    relaxation solves on its own copy of the graph within a budget of
+//!    counted arc examinations, and cold cost scaling solves the round only
+//!    once the budget runs out (or on the first round, before any
+//!    cost-scaling solve has set the budget's reference). Counted work, not
+//!    time, picks the algorithm, so placements are the same on every run. A
+//!    round whose batch only raises costs on flowless arcs runs no solver
+//!    when the last flow was optimal, under the hedge and the race alike.
+//!    The paper's race of relaxation against incremental cost scaling stays
+//!    available as [`mcmf::SolverKind::Dual`]; there the batch is also what
+//!    lets incremental cost scaling warm-start, since a solve without a feed
+//!    is a cold solve.
 //! 5. **Adopt.** [`core::FlowGraphManager::adopt_graph`] installs the
 //!    solved flow, from which the next round starts.
 //! 6. **Extract.** Listing 1 walks the flow back from the machines and
