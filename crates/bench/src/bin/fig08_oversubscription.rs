@@ -3,6 +3,9 @@
 //! Starting from a 90 %-utilized cluster, submit increasingly large jobs
 //! and measure relaxation vs cost scaling. Paper: relaxation overtakes
 //! cost scaling around 93 % utilization and reaches >400 s oversubscribed.
+//! Each burst prints both algorithms' counted work (arc scans) next to
+//! their timings; the shape VERDICT reads the counts, which do not move
+//! from run to run the way wall-clock ratios do.
 //!
 //! The `hedged_*` columns run the default solver on the same burst: the
 //! round's counted work (arc examinations) over its budget. The binary
@@ -23,15 +26,15 @@ fn main() {
         "utilization_pct",
         "relaxation_s",
         "cost_scaling_s",
+        "relaxation_scans",
+        "cost_scaling_scans",
         "hedged_s",
         "hedged_work_per_budget",
     ]);
     let mut crossed = false;
     let mut hedge_holds = true;
-    let mut rx_first = None;
-    let mut rx_last = 0.0f64;
-    let mut cs_first = None;
-    let mut cs_last = 0.0f64;
+    let mut first = None;
+    let mut last = (0u64, 0u64);
     for target_pct in [91usize, 93, 95, 97, 99, 100, 103, 106, 110] {
         let (mut state, mut firmament, _) = warmed_cluster(
             machines,
@@ -56,48 +59,44 @@ fn main() {
         // Plain relaxation: Fig 8 predates the arc-prioritization
         // heuristic that Fig 12a later introduces.
         let mut g = graph.clone();
-        let rx = relaxation::solve_with(
-            &mut g,
-            &SolveOptions::unlimited(),
-            &RelaxationConfig {
-                arc_prioritization: false,
-            },
-        )
-        .expect("relaxation")
-        .runtime
-        .as_secs_f64();
+        let plain = RelaxationConfig {
+            arc_prioritization: false,
+        };
+        let rx =
+            relaxation::solve_with(&mut g, &SolveOptions::unlimited(), &plain).expect("relaxation");
         let mut g = graph.clone();
         let cold = cost_scaling::solve(&mut g, &SolveOptions::unlimited()).expect("cost scaling");
-        let cs = cold.runtime.as_secs_f64();
+        let scans = (rx.stats.arc_scans, cold.stats.arc_scans);
         // The default solver on the same burst: relaxation (with arc
         // prioritization) within its work budget, cost scaling past it.
         let hedged = hedged_round(&state, &mut firmament, cold.stats.arc_scans);
         hedge_holds &= hedged.bound_holds;
         row(&[
             target_pct.to_string(),
-            format!("{rx:.4}"),
-            format!("{cs:.4}"),
+            format!("{:.4}", rx.runtime.as_secs_f64()),
+            format!("{:.4}", cold.runtime.as_secs_f64()),
+            scans.0.to_string(),
+            scans.1.to_string(),
             format!("{:.4}", hedged.seconds),
             format!("{:.3}", hedged.work as f64 / hedged.budget.max(1) as f64),
         ]);
-        if rx > cs {
-            crossed = true;
-        }
-        rx_first.get_or_insert(rx);
-        rx_last = rx;
-        cs_first.get_or_insert(cs);
-        cs_last = cs;
+        crossed |= rx.runtime > cold.runtime;
+        first.get_or_insert(scans);
+        last = scans;
     }
-    // The shape claim: relaxation degenerates towards oversubscription
-    // while cost scaling stays flat. The absolute crossover point is
-    // scale-dependent (paper: ~93% at 12,500 machines).
-    let rx_growth = rx_last / rx_first.unwrap_or(1.0).max(1e-9);
-    let cs_growth = cs_last / cs_first.unwrap_or(1.0).max(1e-9);
+    // The shape claim, on counted work: relaxation degenerates towards
+    // oversubscription while cost scaling stays flat. A relaxation scan
+    // is cheaper than a cost-scaling one, so the crossover is read off
+    // the timings and only reported; its point is scale-dependent (paper:
+    // ~93% at 12,500 machines).
+    let (rx_first, cs_first) = first.unwrap_or((1, 1));
+    let rx_growth = last.0 as f64 / rx_first.max(1) as f64;
+    let cs_growth = last.1 as f64 / cs_first.max(1) as f64;
     verdict(
         "fig08",
-        crossed || (rx_growth > 3.0 && cs_growth < 3.0),
+        rx_growth > 3.0 && cs_growth < 3.0,
         &format!(
-            "relaxation grows {rx_growth:.1}x towards oversubscription, cost scaling {cs_growth:.1}x (crossover: {crossed})"
+            "relaxation's arc scans grow {rx_growth:.1}x towards oversubscription, cost scaling's {cs_growth:.1}x (wall-clock crossover: {crossed})"
         ),
     );
     verdict(

@@ -13,8 +13,8 @@
 //! it (dynamic models). Materializing a bundle is a sync into empty
 //! slots; withdrawing one is a sync with no declaration (or, for dynamic
 //! models, a declaration without capacity). Machine arrival, aggregate
-//! materialization, the refresh and the task-side re-price all go
-//! through it.
+//! materialization, task arc installation and the refresh all go through
+//! it.
 //!
 //! Convexity — non-decreasing segment costs — is validated at every
 //! declaration site (for machine arrivals and job submissions, before the

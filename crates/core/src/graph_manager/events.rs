@@ -7,9 +7,14 @@ use super::{FlowGraphManager, JobEntry, MachineEntry, TaskEntry};
 use firmament_cluster::{ClusterEvent, ClusterState, JobId, MachineId, Task, TaskId};
 use firmament_flow::NodeKind;
 use firmament_mcmf::incremental::drain_task_flow;
-use firmament_policies::{whole_seconds, AggregateId, ArcTarget, CostModel, PolicyError};
+use firmament_policies::{
+    whole_seconds, AggregateId, ArcBundle, ArcTarget, CostModel, PolicyError,
+};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+
+/// Waiting tasks' re-declared arc sets, validated, in `TaskId` order.
+type Rederived = Vec<(TaskId, Vec<(ArcTarget, ArcBundle)>)>;
 
 impl FlowGraphManager {
     /// Applies one cluster event to the flow network, querying `model` for
@@ -28,13 +33,15 @@ impl FlowGraphManager {
                 if self.machines.contains_key(&id) {
                     return Err(PolicyError::DuplicateMachine(id));
                 }
-                // Validate every bundle before adding the machine, so a
+                // Validate every bundle, the aggregates' and the waiting
+                // tasks' it re-derives, before adding the machine, so a
                 // rejected declaration leaves the graph untouched.
                 let mut aggs: Vec<AggregateId> = self.aggregates.keys().copied().collect();
                 aggs.sort_unstable();
                 for &agg in &aggs {
                     declare_aggregate_arc(model, state, agg, machine)?;
                 }
+                let rederived = self.declare_rederived(model, state, id)?;
                 let node = self.graph.add_node(NodeKind::Machine { machine: id }, 0);
                 let slots = machine.slots as i64;
                 let sink_arc = self.graph.add_arc(node, self.sink, slots, 0)?;
@@ -49,19 +56,21 @@ impl FlowGraphManager {
                     self.sync_machine_bundle(model, state, agg, machine)?;
                 }
                 self.dirty_machines.insert(id);
-                self.machine_set_changed(model, state, id)?;
+                self.machine_set_changed(model, state, rederived)?;
             }
             ClusterEvent::MachineRemoved { machine, .. } => {
-                // The lookup comes first, so an unknown machine changes
-                // nothing.
-                let entry = self
-                    .machines
-                    .remove(machine)
+                // The lookup and the waiting tasks' re-declarations come
+                // first, so an unknown machine or a rejected declaration
+                // changes nothing.
+                let node = self
+                    .machine_node(*machine)
                     .ok_or(PolicyError::UnknownMachine(*machine))?;
+                let rederived = self.declare_rederived(model, state, *machine)?;
+                self.machines.remove(machine);
                 self.task_table.clear_running_on(*machine);
                 self.dirty_machines.remove(machine);
-                self.graph.remove_node(entry.node)?;
-                self.machine_set_changed(model, state, *machine)?;
+                self.graph.remove_node(node)?;
+                self.machine_set_changed(model, state, rederived)?;
             }
             ClusterEvent::JobSubmitted { job, tasks } => {
                 // Reject duplicate ids, invalid task-arc declarations and
@@ -86,7 +95,6 @@ impl FlowGraphManager {
                     self.min_base = self.min_base.min(base);
                     self.add_task(task.id, job.id, cost)?;
                     self.install_waiting_arcs(model, state, task, arcs)?;
-                    self.dirty_tasks.insert(task.id);
                 }
             }
             ClusterEvent::TaskPlaced { task, machine, .. } => {
@@ -180,52 +188,68 @@ impl FlowGraphManager {
         Ok(())
     }
 
+    /// The waiting tasks whose arc sets a machine arrival or removal
+    /// changes, each with its new declaration, validated. The event calls
+    /// this before its first graph change, so a rejected declaration
+    /// leaves the graph and the records as they were.
+    ///
+    /// A machine-set change alters waiting tasks' declared arc *sets*, not
+    /// just those of displaced tasks: a model that names an arriving
+    /// machine (or its rack) as a preference target declares arcs the old
+    /// graph lacks, and block replicas die with a failed machine, so
+    /// locality-driven arcs (e.g. a rack arc whose holders are gone) may
+    /// no longer be declared. Waiting tasks' arcs are re-derived from the
+    /// model, exactly as a from-scratch build would; the differential fuzz
+    /// suite pins it. For models whose task arcs are **machine-local**
+    /// ([`CostModel::task_arcs_machine_local`]), re-derivation is narrowed
+    /// to the waiting tasks whose declared targets reference `machine` —
+    /// every other task's declaration cannot have changed, by the model's
+    /// own contract.
+    fn declare_rederived<C: CostModel>(
+        &self,
+        model: &C,
+        state: &ClusterState,
+        machine: MachineId,
+    ) -> Result<Rederived, PolicyError> {
+        let narrow = model.task_arcs_machine_local();
+        let mut waiting: Vec<&Task> = state.waiting_tasks().collect();
+        waiting.sort_unstable_by_key(|t| t.id);
+        let mut rederived = Vec::new();
+        for task in waiting {
+            // A task without a cached declaration just became waiting
+            // (displaced by this very machine removal) and derives its arc
+            // set from scratch regardless of narrowing.
+            let unaffected = narrow
+                && self.task_slots.get(&task.id).is_some_and(|slots| {
+                    !slots.iter().any(|(t, _)| *t == ArcTarget::Machine(machine))
+                });
+            if unaffected || !self.task_table.contains(task.id) {
+                continue;
+            }
+            rederived.push((task.id, declare_task_arcs(model, state, task)?));
+        }
+        Ok(rederived)
+    }
+
     /// The fallout of a machine arrival or removal, once the machine's own
-    /// node and record are in step.
+    /// node and record are in step: installs the waiting tasks' arc sets
+    /// [`declare_rederived`](Self::declare_rederived) re-declared.
     ///
     /// Machine-set changes can alter EC→EC capacities (which aggregate
     /// subtree slots) and even create hierarchy levels (first machine of a
     /// new rack), so every aggregate's EC→EC arcs are re-synced at the next
     /// refresh. A flat model holds one or a few aggregates, whose
     /// `aggregate_to_aggregate` query returns nothing.
-    ///
-    /// They also change waiting tasks' declared arc *sets*, not just those
-    /// of displaced tasks: a model that names an arriving machine (or its
-    /// rack) as a preference target declares arcs the old graph lacks, and
-    /// block replicas die with a failed machine, so locality-driven arcs
-    /// (e.g. a rack arc whose holders are gone) may no longer be declared.
-    /// Waiting tasks' arcs are re-derived from the model, exactly as a
-    /// from-scratch build would; the differential fuzz suite pins it. For
-    /// models whose task arcs are **machine-local**
-    /// ([`CostModel::task_arcs_machine_local`]), re-derivation is narrowed
-    /// to the waiting tasks whose declared targets reference `machine` —
-    /// every other task's declaration cannot have changed, by the model's
-    /// own contract.
     fn machine_set_changed<C: CostModel>(
         &mut self,
         model: &C,
         state: &ClusterState,
-        machine: MachineId,
+        rederived: Rederived,
     ) -> Result<(), PolicyError> {
         self.dirty_aggs.extend(self.aggregates.keys().copied());
-        let narrow = model.task_arcs_machine_local();
-        let mut waiting: Vec<TaskId> = state.waiting_tasks().map(|t| t.id).collect();
-        waiting.sort_unstable();
-        for tid in waiting {
-            // A task without a cached declaration just became waiting
-            // (displaced by this very machine removal) and derives its arc
-            // set from scratch regardless of narrowing.
-            let unaffected = narrow
-                && self.task_slots.get(&tid).is_some_and(|slots| {
-                    !slots.iter().any(|(t, _)| *t == ArcTarget::Machine(machine))
-                });
-            if unaffected || !self.task_table.contains(tid) {
-                continue;
-            }
-            let task = &state.tasks[&tid];
+        for (tid, declared) in rederived {
             self.strip_task_arcs(tid)?;
-            let declared = declare_task_arcs(model, state, task)?;
-            self.install_waiting_arcs(model, state, task, declared)?;
+            self.install_waiting_arcs(model, state, &state.tasks[&tid], declared)?;
             self.dirty_tasks.insert(tid);
             self.stats.waiting_rederived += 1;
         }

@@ -82,7 +82,7 @@ mod events;
 mod hierarchy;
 mod refresh;
 
-use firmament_cluster::{JobId, MachineId, TaskId, Time};
+use firmament_cluster::{JobId, MachineId, TaskId};
 use firmament_flow::delta::DeltaBatch;
 use firmament_flow::{ArcId, FlowGraph, NodeId, NodeKind};
 use firmament_policies::{AggregateId, ArcTarget};
@@ -109,11 +109,11 @@ pub struct TaskEntry {
 }
 
 /// The task table: every task's [`TaskEntry`], kept sorted by `TaskId` in
-/// one contiguous buffer. Lookups binary-search it; an epoch re-base, the
-/// dynamic task-arc re-price and the scheduler's action diff walk it in
-/// order. Task ids mostly arrive in ascending order, so an insert is
-/// usually a push; a removal leaves a tombstone, and the buffer is
-/// compacted once tombstones outnumber live entries (amortized O(1)).
+/// one contiguous buffer. Lookups binary-search it; an epoch re-base and
+/// the scheduler's action diff walk it in order. Task ids mostly arrive
+/// in ascending order, so an insert is usually a push; a removal leaves a
+/// tombstone, and the buffer is compacted once tombstones outnumber live
+/// entries (amortized O(1)).
 /// A single buffer, rather than a tree of small nodes, also keeps the
 /// table's allocations from interleaving with the flow graph's per-node
 /// adjacency lists, which slows the solvers' graph walks.
@@ -250,10 +250,8 @@ pub struct RefreshStats {
     pub rounds: u64,
     /// Machines whose aggregate arcs were re-evaluated, cumulative.
     pub machines_touched: u64,
-    /// Tasks re-priced — their `T → U_j` cost, or for
-    /// [`dynamic_task_arcs`](firmament_policies::CostModel::dynamic_task_arcs)
-    /// models their preference bundles — cumulative. A clock tick adds
-    /// none unless the model has dynamic task arcs or the epoch re-bases.
+    /// Tasks whose `T → U_j` cost the refresh re-priced, cumulative. A
+    /// clock tick adds none unless the epoch re-bases.
     pub tasks_touched: u64,
     /// Aggregates whose EC→EC arcs were re-synchronized, cumulative.
     pub aggregates_touched: u64,
@@ -305,8 +303,7 @@ pub struct FlowGraphManager {
     /// Waiting task → its declared arc targets with per-segment slots, in
     /// declaration order. Machine targets absent from the cluster are
     /// recorded with empty slot vectors so machine-arrival events can
-    /// find the tasks that reference them (dirty-set narrowing) and the
-    /// dynamic task re-pricing can detect structural drift.
+    /// find the tasks that reference them (dirty-set narrowing).
     task_slots: HashMap<TaskId, Vec<(ArcTarget, Vec<ArcId>)>>,
     /// Machines touched by events since the last refresh.
     dirty_machines: HashSet<MachineId>,
@@ -320,9 +317,6 @@ pub struct FlowGraphManager {
     /// their gang cap is left unenforced (the job queues) so the network
     /// stays feasible instead of surfacing a solver infeasibility error.
     deferred_gangs: Vec<JobId>,
-    /// Virtual time of the last refresh; when unchanged, dynamic task
-    /// bundles cannot have drifted and are skipped.
-    last_refresh_now: Option<Time>,
     stats: RefreshStats,
 }
 
@@ -353,7 +347,6 @@ impl FlowGraphManager {
             dirty_tasks: HashSet::new(),
             dirty_aggs: HashSet::new(),
             deferred_gangs: Vec::new(),
-            last_refresh_now: None,
             stats: RefreshStats::default(),
         }
     }

@@ -1,13 +1,10 @@
 //! The refresh: the two-pass cost update of §6.3 over the dirty nodes,
 //! the clock on the jobs' `U_j → S` arcs and gang admission control.
 
-use super::bundles::{declare_task_arcs, sync_bundle};
 use super::{FlowGraphManager, TaskEntry};
 use firmament_cluster::{ClusterState, Job, JobId, MachineId, Task, TaskId};
 use firmament_flow::{ArcId, NodeId, NodeKind};
-use firmament_policies::{
-    wait_cost, whole_seconds, AggregateId, ArcTarget, CostModel, PolicyError,
-};
+use firmament_policies::{wait_cost, whole_seconds, AggregateId, CostModel, PolicyError};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// One re-priced `T → U_j` arc: the task, the arc and its new cost.
@@ -80,12 +77,13 @@ impl FlowGraphManager {
     /// graph, on its `U_j → S` arc (see the
     /// [module docs](crate::graph_manager) on waiting time), and none when
     /// the whole second did not change. It walks the task table only to
-    /// re-base the epoch, which is rare, or for models with
-    /// [`CostModel::dynamic_task_arcs`], whose waiting tasks' preference
-    /// bundles are re-priced here (the task-side mirror of the dynamic
-    /// aggregate-arc refresh). The clock's costs are computed and checked
-    /// first, so a [`PolicyError::WaitCostOverflow`] leaves the graph
-    /// untouched.
+    /// re-base the epoch, which is rare. The refresh's only task work is
+    /// pricing `T → U_j` arcs: the dirty tasks' (a preemption or a
+    /// machine-set change re-derived their arcs), or every task's on a
+    /// re-base. A waiting task's preference bundles keep the costs its
+    /// last declaration gave them. The clock's costs are computed and
+    /// checked first, so a [`PolicyError::WaitCostOverflow`] leaves the
+    /// graph untouched.
     ///
     /// Pass 2 re-syncs bundles **in place**: segment slots keep their
     /// identity, so a re-priced ladder reaches the incremental solver as
@@ -112,7 +110,6 @@ impl FlowGraphManager {
             .filter(|m| state.machines.contains_key(m))
             .collect();
         machines.sort_unstable();
-        let time_advanced = self.last_refresh_now != Some(state.now);
         let dirty_aggs = self.collect_dirty_aggregates(&machines);
 
         // EC→EC re-sync: for every dirty aggregate, bring its declared
@@ -150,26 +147,7 @@ impl FlowGraphManager {
         self.epoch = Some(clock.epoch);
         self.min_base = clock.min_base;
         self.clock_cost = clock.wait_cost;
-        let mut tasks_touched = clock.tasks.len();
-        if model.dynamic_task_arcs() {
-            if time_advanced {
-                // Every waiting task's bundles may drift with the clock.
-                // The walk goes by position: a re-price may rewire arcs
-                // and materialize aggregates, but adds or removes no task.
-                for i in 0..self.task_table.entries.len() {
-                    if let (tid, Some(entry)) = self.task_table.entries[i] {
-                        self.reprice_task(model, state, tid, entry)?;
-                    }
-                }
-                tasks_touched = self.task_table.len();
-            } else {
-                for &(tid, _, _) in &clock.tasks {
-                    if let Some(entry) = self.task_table.get(tid) {
-                        self.reprice_task(model, state, tid, entry)?;
-                    }
-                }
-            }
-        }
+        let tasks_touched = clock.tasks.len();
         // The clock on every `U_j → S` arc, in JobId order, then gang
         // constraints with admission control: cap `U_j → S` at
         // incomplete − minimum so at least `minimum` of the job's tasks
@@ -231,7 +209,6 @@ impl FlowGraphManager {
         self.dirty_machines.clear();
         self.dirty_tasks.clear();
         self.dirty_aggs.clear();
-        self.last_refresh_now = Some(state.now);
         Ok(())
     }
 
@@ -307,78 +284,6 @@ impl FlowGraphManager {
             tasks,
             min_base,
         })
-    }
-
-    /// Re-prices one waiting task's declared preference bundles for a
-    /// model with [`CostModel::dynamic_task_arcs`] (Execution-Templates
-    /// style: the cached structure is kept and only the parameters are
-    /// patched; structural drift falls back to a full re-derive). A
-    /// running task, or one the cluster state no longer knows, is left
-    /// alone.
-    fn reprice_task<C: CostModel>(
-        &mut self,
-        model: &C,
-        state: &ClusterState,
-        tid: TaskId,
-        entry: TaskEntry,
-    ) -> Result<(), PolicyError> {
-        match state.tasks.get(&tid) {
-            Some(task) if self.task_slots.contains_key(&tid) => {
-                self.reprice_task_bundles(model, state, task, entry.node)
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Re-prices one waiting task's declared bundles in place. The cheap
-    /// path applies when the declared target sequence matches the cached
-    /// slots (and every slot is still alive): per-segment costs and
-    /// capacities are patched, grown bundles append, shrunk bundles park
-    /// — all slot-stable. Structural drift (targets added, removed, or
-    /// reordered; slots killed by machine removal or aggregate GC) falls
-    /// back to a full arc re-derivation, exactly what a structural event
-    /// would do.
-    fn reprice_task_bundles<C: CostModel>(
-        &mut self,
-        model: &C,
-        state: &ClusterState,
-        task: &Task,
-        tn: NodeId,
-    ) -> Result<(), PolicyError> {
-        let declared = declare_task_arcs(model, state, task)?;
-        let Some(mut entry) = self.task_slots.remove(&task.id) else {
-            return Ok(());
-        };
-        let structural_match = entry.len() == declared.len()
-            && entry.iter().zip(&declared).all(|((t0, slots), (t1, _))| {
-                t0 == t1
-                    && match t0 {
-                        ArcTarget::Machine(m) if !state.machines.contains_key(m) => {
-                            slots.is_empty()
-                        }
-                        _ => !slots.is_empty() && slots.iter().all(|&a| self.graph.arc_alive(a)),
-                    }
-            });
-        if !structural_match {
-            self.strip_task_arcs(task.id)?;
-            // Rebuild from the declaration already computed (and
-            // validated) above — no second model query.
-            return self.install_waiting_arcs(model, state, task, declared);
-        }
-        for ((target, slots), (_, bundle)) in entry.iter_mut().zip(&declared) {
-            let dst = match target {
-                ArcTarget::Aggregate(agg) => self.aggregates[agg].node,
-                ArcTarget::Machine(m) => match self.machine_node(*m) {
-                    Some(mn) => mn,
-                    None => continue, // absent machine: parked reference
-                },
-            };
-            // Parking (not removal) on shrink keeps slot identity so the
-            // segment can revive as a pure capacity change later.
-            sync_bundle(&mut self.graph, slots, tn, dst, Some(bundle), false)?;
-        }
-        self.task_slots.insert(task.id, entry);
-        Ok(())
     }
 
     /// Machine → sink capacity reachable from `job`'s task nodes through

@@ -283,7 +283,22 @@ fn quiescent_refresh_touches_nothing() {
     let (mut state, mut mgr) = setup(3, 2);
     submit(&mut state, &mut mgr, 0, 2);
     mgr.refresh(&TestModel, &state).unwrap();
-    assert!(mgr.stats().last_tasks_touched > 0);
+    // The machines' arrivals dirtied them; the submission priced its
+    // tasks, so the refresh re-prices none.
+    assert_eq!(mgr.stats().last_machines_touched, 3);
+    assert_eq!(mgr.stats().last_tasks_touched, 0);
+    // A preemption re-derives its task's arcs, and the refresh prices it.
+    let now = state.now;
+    let placed = ClusterEvent::TaskPlaced {
+        task: 0,
+        machine: 0,
+        now,
+    };
+    feed(&mut state, &mut mgr, &TestModel, placed).unwrap();
+    let preempted = ClusterEvent::TaskPreempted { task: 0, now };
+    feed(&mut state, &mut mgr, &TestModel, preempted).unwrap();
+    mgr.refresh(&TestModel, &state).unwrap();
+    assert_eq!(mgr.stats().last_tasks_touched, 1);
     // Same state, same clock: the two-pass update finds no dirty nodes.
     mgr.refresh(&TestModel, &state).unwrap();
     assert_eq!(mgr.stats().last_machines_touched, 0);
@@ -789,168 +804,6 @@ fn non_convex_bundles_rejected_from_every_hook() {
             "{from}: expected NonConvexBundle, got {err:?}"
         );
     }
-}
-
-// ------------------------------------------------------------------
-// Dynamic task-arc re-pricing
-// ------------------------------------------------------------------
-
-/// Preference costs decay with wait time (e.g. locality that matters
-/// less the longer a task starves): the dynamic_task_arcs hook lets
-/// the refresh patch them without structural events.
-struct DecayingPrefModel;
-
-impl CostModel for DecayingPrefModel {
-    fn name(&self) -> &'static str {
-        "decaying-pref"
-    }
-    fn task_unscheduled_cost(&self, _: &ClusterState, _: &Task) -> i64 {
-        100_000
-    }
-    fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
-        let wait_sec = state.now.saturating_sub(task.submit_time) / 1_000_000;
-        // The machine preference fades as the task waits.
-        vec![
-            (ArcTarget::Aggregate(AGG), ArcBundle::cost(50)),
-            (
-                ArcTarget::Machine(0),
-                ArcBundle::cost((40i64 - wait_sec as i64).max(0)),
-            ),
-        ]
-    }
-    fn aggregate_arc(
-        &self,
-        _: &ClusterState,
-        _: AggregateId,
-        machine: &Machine,
-    ) -> Option<ArcBundle> {
-        Some(ArcBundle::single(machine.slots as i64, 0))
-    }
-    fn aggregate_kind(&self, _: AggregateId) -> NodeKind {
-        NodeKind::ClusterAggregator
-    }
-    fn dynamic_task_arcs(&self) -> bool {
-        true
-    }
-}
-
-#[test]
-fn dynamic_task_arcs_reprice_in_place_on_clock_advance() {
-    let mut state = ClusterState::with_topology(&TopologySpec {
-        machines: 2,
-        machines_per_rack: 20,
-        slots_per_machine: 1,
-    });
-    let mut mgr = FlowGraphManager::new();
-    let mut ms: Vec<_> = state.machines.values().cloned().collect();
-    ms.sort_by_key(|m| m.id);
-    for m in ms {
-        mgr.apply_event(
-            &DecayingPrefModel,
-            &state,
-            &ClusterEvent::MachineAdded { machine: m },
-        )
-        .unwrap();
-    }
-    let j = Job::new(0, JobClass::Batch, 0, 0);
-    let ev = ClusterEvent::JobSubmitted {
-        job: j,
-        tasks: vec![Task::new(0, 0, 0, 60_000_000)],
-    };
-    state.apply(&ev);
-    mgr.apply_event(&DecayingPrefModel, &state, &ev).unwrap();
-    mgr.refresh(&DecayingPrefModel, &state).unwrap();
-    let slots_before: Vec<(ArcTarget, Vec<ArcId>)> = mgr.task_arc_slots(0).unwrap().to_vec();
-    let pref = slots_before
-        .iter()
-        .find(|(t, _)| *t == ArcTarget::Machine(0))
-        .unwrap()
-        .1[0];
-    assert_eq!(mgr.graph().cost(pref), 40);
-
-    // 10 seconds pass: the preference cost decays — in place.
-    let ev = ClusterEvent::Tick { now: 10_000_000 };
-    state.apply(&ev);
-    mgr.apply_event(&DecayingPrefModel, &state, &ev).unwrap();
-    mgr.take_deltas();
-    mgr.refresh(&DecayingPrefModel, &state).unwrap();
-    assert_eq!(
-        mgr.task_arc_slots(0).unwrap().to_vec(),
-        slots_before,
-        "re-pricing must not rebuild the arc set"
-    );
-    assert_eq!(mgr.graph().cost(pref), 30, "decayed by 10s");
-    // And the batch carries no structural deltas for the task arcs.
-    let batch = mgr.take_deltas();
-    assert!(!batch.deltas().iter().any(|d| matches!(
-        d,
-        GraphDelta::ArcAdded { .. } | GraphDelta::ArcRemoved { .. }
-    )));
-}
-
-/// Target-set drift under dynamic_task_arcs forces a full re-derive.
-struct TargetDriftModel;
-
-impl CostModel for TargetDriftModel {
-    fn name(&self) -> &'static str {
-        "target-drift"
-    }
-    fn task_unscheduled_cost(&self, _: &ClusterState, _: &Task) -> i64 {
-        100_000
-    }
-    fn task_arcs(&self, state: &ClusterState, _: &Task) -> Vec<(ArcTarget, ArcBundle)> {
-        // After 5 s the task also wants a second aggregate.
-        let mut arcs = vec![(ArcTarget::Aggregate(AGG), ArcBundle::cost(1))];
-        if state.now >= 5_000_000 {
-            arcs.push((ArcTarget::Aggregate(77), ArcBundle::cost(3)));
-        }
-        arcs
-    }
-    fn aggregate_arc(
-        &self,
-        _: &ClusterState,
-        _: AggregateId,
-        machine: &Machine,
-    ) -> Option<ArcBundle> {
-        Some(ArcBundle::single(machine.slots as i64, 0))
-    }
-    fn dynamic_task_arcs(&self) -> bool {
-        true
-    }
-}
-
-#[test]
-fn dynamic_task_arcs_rebuild_on_target_set_change() {
-    let mut state = ClusterState::with_topology(&TopologySpec {
-        machines: 1,
-        machines_per_rack: 20,
-        slots_per_machine: 1,
-    });
-    let mut mgr = FlowGraphManager::new();
-    let m0 = state.machines.values().next().unwrap().clone();
-    mgr.apply_event(
-        &TargetDriftModel,
-        &state,
-        &ClusterEvent::MachineAdded { machine: m0 },
-    )
-    .unwrap();
-    let j = Job::new(0, JobClass::Batch, 0, 0);
-    let ev = ClusterEvent::JobSubmitted {
-        job: j,
-        tasks: vec![Task::new(0, 0, 0, 60_000_000)],
-    };
-    state.apply(&ev);
-    mgr.apply_event(&TargetDriftModel, &state, &ev).unwrap();
-    assert_eq!(mgr.task_arc_slots(0).unwrap().len(), 1);
-    assert!(mgr.aggregate_node(77).is_none());
-
-    let ev = ClusterEvent::Tick { now: 6_000_000 };
-    state.apply(&ev);
-    mgr.apply_event(&TargetDriftModel, &state, &ev).unwrap();
-    mgr.refresh(&TargetDriftModel, &state).unwrap();
-    let slots = mgr.task_arc_slots(0).unwrap();
-    assert_eq!(slots.len(), 2, "new target materialized");
-    assert!(mgr.aggregate_node(77).is_some());
 }
 
 // ------------------------------------------------------------------
@@ -2340,8 +2193,10 @@ fn epoch_rebases_past_the_smallest_base() {
     assert_eq!(mgr.epoch, Some(12));
     assert_eq!(clock_cost(&mgr, 0), 0);
     assert_eq!(mgr.min_base, 1_000);
+    // The submission priced the late task; the refresh prices each task
+    // once, in the re-base alone.
     assert_eq!(mgr.stats().last_tasks_touched, mgr.task_table().len());
-    assert_eq!(model.calls.get(), 1 + mgr.task_table().len());
+    assert_eq!(model.calls.get(), mgr.task_table().len());
     assert_path_costs(&mgr, &state, 1_000, 100);
     let late = mgr.task_table().get(200).unwrap().unsched_arc;
     assert_eq!(mgr.graph().cost(late), 1_000);
@@ -2463,4 +2318,98 @@ fn rejected_preemption_leaves_the_task_running() {
     );
     assert_eq!(untouched(&mgr), before);
     assert_eq!(mgr.task_table().get(0).unwrap().running, Some(0));
+}
+
+/// A machine whose arrival turns every waiting task's arcs non-convex:
+/// `ladder([9, 2])` to it.
+const LATE_BAD_MACHINE: MachineId = 77;
+
+/// `TestModel`'s task arcs, plus a non-convex bundle to
+/// `LATE_BAD_MACHINE` while it exists, or to machine 1 once machine 0 is
+/// gone.
+struct BadAfterMachineEvent;
+
+impl CostModel for BadAfterMachineEvent {
+    fn name(&self) -> &'static str {
+        "bad-after-machine-event"
+    }
+    fn task_unscheduled_cost(&self, state: &ClusterState, task: &Task) -> i64 {
+        TestModel.task_unscheduled_cost(state, task)
+    }
+    fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
+        let mut arcs = TestModel.task_arcs(state, task);
+        if state.machines.contains_key(&LATE_BAD_MACHINE) {
+            arcs.push((
+                ArcTarget::Machine(LATE_BAD_MACHINE),
+                ArcBundle::ladder([9, 2]),
+            ));
+        } else if !state.machines.contains_key(&0) {
+            arcs.push((ArcTarget::Machine(1), ArcBundle::ladder([9, 2])));
+        }
+        arcs
+    }
+    fn aggregate_arc(
+        &self,
+        state: &ClusterState,
+        aggregate: AggregateId,
+        machine: &Machine,
+    ) -> Option<ArcBundle> {
+        TestModel.aggregate_arc(state, aggregate, machine)
+    }
+}
+
+/// A machine arrival or removal whose waiting-task re-derivation is
+/// rejected changes nothing: every re-derived task is declared and
+/// validated before the event's first graph change.
+#[test]
+fn rejected_waiting_rederivation_leaves_machine_events_untouched() {
+    let model = BadAfterMachineEvent;
+    let (mut state, mut mgr) = setup(2, 2);
+    submit_jobs(&mut state, &mut mgr, &model, 0, 1, 2);
+    mgr.refresh(&model, &state).unwrap();
+    let arc_sets = |mgr: &FlowGraphManager| -> Vec<_> {
+        (0..2)
+            .map(|t| mgr.task_arc_slots(t).map(<[_]>::to_vec))
+            .collect()
+    };
+    let slots = arc_sets(&mgr);
+    let before = untouched(&mgr);
+    let check = |mgr: &FlowGraphManager, err: Result<(), PolicyError>| {
+        assert!(
+            matches!(
+                err,
+                Err(PolicyError::NonConvexBundle {
+                    hook: "task_arcs",
+                    prev: 9,
+                    next: 2
+                })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(untouched(mgr), before);
+        assert_eq!(arc_sets(mgr), slots);
+        assert_eq!(mgr.stats().waiting_rederived, 0);
+        assert!(mgr.machine_node(0).is_some());
+        assert!(mgr.machine_node(LATE_BAD_MACHINE).is_none());
+    };
+
+    let machine = Machine::new(LATE_BAD_MACHINE, 0, 2);
+    let err = feed(
+        &mut state,
+        &mut mgr,
+        &model,
+        ClusterEvent::MachineAdded { machine },
+    );
+    check(&mgr, err);
+
+    // Take the rejected arrival back out of the state, then fail machine 0.
+    let now = state.now;
+    let ev = ClusterEvent::MachineRemoved {
+        machine: LATE_BAD_MACHINE,
+        now,
+    };
+    state.apply(&ev);
+    let ev = ClusterEvent::MachineRemoved { machine: 0, now };
+    let err = feed(&mut state, &mut mgr, &model, ev);
+    check(&mgr, err);
 }

@@ -62,9 +62,9 @@ pub struct SolverStats {
     /// Raw change-log entries the batch was compacted from.
     pub raw_changes: usize,
     /// Pure re-pricings (`CostChanged`) among the deltas — the shape a
-    /// convex-bundle segment re-price or a `dynamic_task_arcs` cost
-    /// drift produces. These are the cheap warm-start events: no flow
-    /// moved, no structure changed.
+    /// convex-bundle segment re-price or a clock tick on the jobs'
+    /// `U_j → S` arcs produces. These are the cheap warm-start events: no
+    /// flow moved, no structure changed.
     pub repricings: usize,
     /// Nodes the cost-scaling solve activated (its honest work measure);
     /// 0 when no cost-scaling solve completed this round — the hedge ran

@@ -20,7 +20,6 @@
 //!   reoptimization;
 //! - [`SchedulingGraphBuilder`]: ergonomic construction of scheduling-shaped
 //!   networks (tasks, machines, aggregators, unscheduled aggregators, sink);
-//! - DIMACS min-cost-flow import/export ([`dimacs`]);
 //! - feasibility validation ([`validate`]) and deterministic instance
 //!   generation for tests and benchmarks ([`testgen`]).
 //!
@@ -49,7 +48,6 @@ pub mod builder;
 pub mod changes;
 pub mod csr;
 pub mod delta;
-pub mod dimacs;
 pub mod graph;
 pub mod ids;
 pub mod node;

@@ -1,11 +1,10 @@
 //! Property-based tests for the flow-graph substrate: arbitrary mutation
-//! sequences must preserve structural invariants, slot reuse must never
-//! leak state, and DIMACS round-trips must preserve instance semantics.
+//! sequences must preserve structural invariants, and slot reuse must
+//! never leak state.
 //!
 //! Cases derive from the crate's own deterministic generator
 //! (`XorShift64`), so failures reproduce exactly.
 
-use firmament_flow::dimacs;
 use firmament_flow::testgen::XorShift64;
 use firmament_flow::validate::validate;
 use firmament_flow::{FlowGraph, NodeId, NodeKind};
@@ -181,31 +180,6 @@ fn change_log_matches_mutations() {
         }
         taken += g.take_deltas().raw_len();
         assert_eq!(taken, effective, "case {case}");
-    }
-}
-
-/// DIMACS round-trips preserve node/arc counts, supplies, and the
-/// multiset of (capacity, cost) pairs.
-#[test]
-fn dimacs_roundtrip_preserves_semantics() {
-    let mut rng = XorShift64::new(0xD14AC5);
-    for case in 0..64 {
-        let ops = random_ops(&mut rng, 1, 60);
-        let mut g = FlowGraph::new();
-        for op in &ops {
-            apply(&mut g, op);
-        }
-        let text = dimacs::serialize(&g);
-        let g2 = dimacs::parse(&text).unwrap();
-        assert_eq!(g2.node_count(), g.node_count(), "case {case}");
-        assert_eq!(g2.arc_count(), g.arc_count(), "case {case}");
-        assert_eq!(g2.total_supply(), g.total_supply(), "case {case}");
-        let mut pairs1: Vec<(i64, i64)> = g.arc_ids().map(|a| (g.capacity(a), g.cost(a))).collect();
-        let mut pairs2: Vec<(i64, i64)> =
-            g2.arc_ids().map(|a| (g2.capacity(a), g2.cost(a))).collect();
-        pairs1.sort_unstable();
-        pairs2.sort_unstable();
-        assert_eq!(pairs1, pairs2, "case {case}");
     }
 }
 

@@ -443,10 +443,13 @@ pub trait CostModel {
     /// legal but only their cheapest reachable segment can ever carry the
     /// task's single unit.
     ///
-    /// Between structural events, the declared costs are **frozen** by
-    /// default; models whose preference costs drift with time or load
-    /// (decaying locality, rising contention) opt into re-pricing with
-    /// [`dynamic_task_arcs`](CostModel::dynamic_task_arcs).
+    /// The declared costs stay fixed until an event re-derives the
+    /// task's arcs: submission, preemption, displacement, or a change to
+    /// the machine set. A declaration that reads `state.now` therefore
+    /// goes stale between those events (incremental ≠ rebuild in the
+    /// differential fuzz suite); waiting time is priced on the job's
+    /// `U_j → S` arc instead (see
+    /// [`wait_cost_per_sec`](CostModel::wait_cost_per_sec)).
     fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)>;
 
     /// The arc bundle an aggregate offers toward a machine, or `None` for
@@ -520,7 +523,7 @@ pub trait CostModel {
     }
 
     /// The [`NodeKind`] to use for an aggregate's graph node. Purely
-    /// descriptive (DIMACS export, debugging); defaults to an opaque tag.
+    /// descriptive (debugging); defaults to an opaque tag.
     fn aggregate_kind(&self, aggregate: AggregateId) -> NodeKind {
         NodeKind::Other { tag: aggregate }
     }
@@ -541,31 +544,6 @@ pub trait CostModel {
     ///
     /// [`aggregate_arc`]: CostModel::aggregate_arc
     fn dynamic_aggregate_arcs(&self) -> bool {
-        false
-    }
-
-    /// Whether waiting tasks' declared preference bundles must be
-    /// **re-priced** between structural events — the task-side mirror of
-    /// [`dynamic_aggregate_arcs`](CostModel::dynamic_aggregate_arcs).
-    ///
-    /// When `true`, the §6.3 refresh re-queries [`task_arcs`] for every
-    /// waiting task in its dirty-task set (every waiting task when the
-    /// virtual clock advanced: only these models make a clock tick walk
-    /// the task table, since waiting time itself is priced on one arc per
-    /// job) and re-syncs the declared bundles onto the cached arc slots:
-    /// per-segment costs and capacities are patched in place (cheap
-    /// `CostChanged`/`CapacityChanged` deltas for the warm solver),
-    /// grown bundles append segments, shrunk bundles park the tail — and
-    /// only a change to the *target set itself* falls back to a full arc
-    /// rebuild. This is the Execution-Templates pattern: cache the
-    /// expensive structural decision, patch the parameters.
-    ///
-    /// The default `false` keeps preference costs frozen at declaration
-    /// (cheapest for models whose task costs never drift, e.g. pure
-    /// locality with immutable block placement).
-    ///
-    /// [`task_arcs`]: CostModel::task_arcs
-    fn dynamic_task_arcs(&self) -> bool {
         false
     }
 
@@ -659,10 +637,6 @@ impl<T: CostModel + ?Sized> CostModel for Box<T> {
 
     fn dynamic_aggregate_arcs(&self) -> bool {
         (**self).dynamic_aggregate_arcs()
-    }
-
-    fn dynamic_task_arcs(&self) -> bool {
-        (**self).dynamic_task_arcs()
     }
 
     fn task_arcs_machine_local(&self) -> bool {

@@ -1,6 +1,6 @@
 //! Pins the exact change feed the scheduler hands its solver.
 //!
-//! Five fixed-seed 40-round runs record a digest of every round's [`DeltaBatch`]: its raw length plus
+//! Four fixed-seed 40-round runs record a digest of every round's [`DeltaBatch`]: its raw length plus
 //! the `Debug` rendering of every compacted delta, in order. Any change to
 //! the event handlers, the refresh or the compaction that alters a single
 //! batch — its contents or their order — fails here; re-record the
@@ -9,7 +9,6 @@
 //!
 //! - Quincy (locality preference arcs);
 //! - bucketed load spreading (flat aggregate ladders);
-//! - a model with clock-driven task-arc re-pricing (`dynamic_task_arcs`);
 //! - the network-aware model, whose `dynamic_aggregate_arcs` make every
 //!   refresh re-derive the aggregate → machine arc set;
 //! - the bucketed topology hierarchy, with multi-level EC→EC arcs.
@@ -26,11 +25,10 @@ use firmament::cluster::{
 use firmament::core::Firmament;
 use firmament::flow::delta::DeltaBatch;
 use firmament::flow::testgen::XorShift64;
-use firmament::flow::NodeKind;
 use firmament::mcmf::{DualConfig, SolverKind};
 use firmament::policies::{
-    AggregateId, ArcBundle, ArcTarget, CostModel, HierarchicalTopologyCostModel,
-    LoadSpreadingCostModel, NetworkAwareCostModel, QuincyConfig, QuincyCostModel,
+    CostModel, HierarchicalTopologyCostModel, LoadSpreadingCostModel, NetworkAwareCostModel,
+    QuincyConfig, QuincyCostModel,
 };
 
 const ROUNDS: usize = 40;
@@ -154,51 +152,6 @@ fn run<C: CostModel>(model: C, seed: u64) -> Vec<u64> {
     digests
 }
 
-const DECAY_AGG: AggregateId = 7;
-
-/// Preference costs that fade as a task waits, re-priced in place by the
-/// refresh's `dynamic_task_arcs` hook, over a base unscheduled cost with
-/// a wait slope and a load-dependent cluster aggregate.
-struct DecayingPreference;
-
-impl CostModel for DecayingPreference {
-    fn name(&self) -> &'static str {
-        "decaying-preference"
-    }
-    fn task_unscheduled_cost(&self, _: &ClusterState, _: &Task) -> i64 {
-        200
-    }
-    fn wait_cost_per_sec(&self) -> i64 {
-        15
-    }
-    fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
-        let wait_sec = (state.now.saturating_sub(task.submit_time) / 1_000_000) as i64;
-        let preferred = task.id % 16;
-        vec![
-            (ArcTarget::Aggregate(DECAY_AGG), ArcBundle::cost(60)),
-            (
-                ArcTarget::Machine(preferred),
-                ArcBundle::ladder([(50 - 4 * wait_sec).max(0), 55]),
-            ),
-        ]
-    }
-    fn aggregate_arc(
-        &self,
-        _: &ClusterState,
-        _: AggregateId,
-        machine: &Machine,
-    ) -> Option<ArcBundle> {
-        let running = machine.running.len() as i64;
-        Some(ArcBundle::single(machine.slots as i64, 3 * running))
-    }
-    fn aggregate_kind(&self, _: AggregateId) -> NodeKind {
-        NodeKind::ClusterAggregator
-    }
-    fn dynamic_task_arcs(&self) -> bool {
-        true
-    }
-}
-
 fn assert_pinned(what: &str, got: &[u64], want: &[u64]) {
     if let Some(round) = (0..got.len().max(want.len())).find(|&r| got.get(r) != want.get(r)) {
         panic!("{what}: round {round}'s batch changed; recorded {want:#018x?}, got {got:#018x?}");
@@ -215,12 +168,6 @@ fn quincy_batches_pinned() {
 fn bucketed_load_spreading_batches_pinned() {
     let got = run(LoadSpreadingCostModel::bucketed(), 0xD2);
     assert_pinned("bucketed load spreading", &got, &BUCKETED);
-}
-
-#[test]
-fn dynamic_task_arc_batches_pinned() {
-    let got = run(DecayingPreference, 0xD3);
-    assert_pinned("dynamic task arcs", &got, &DYNAMIC);
 }
 
 #[test]
@@ -319,49 +266,6 @@ const BUCKETED: [u64; ROUNDS] = [
     0x639e354043940fc8,
     0x5ffe52ce87b3eefb,
     0xf55a96a7ba7cac42,
-];
-
-const DYNAMIC: [u64; ROUNDS] = [
-    0xda2c27104321ba55,
-    0x51f29423a9fd589d,
-    0xd2ce385c6f1d4b97,
-    0x0290596f53ceb277,
-    0x71e3ade8afa9f959,
-    0x301fea35bcbc128c,
-    0xe3268414c2173a38,
-    0x4eb6547ff929b7e4,
-    0x7c55847d08d82c74,
-    0xa28b90f6659f0c38,
-    0x6232242f4f90b48c,
-    0xb33714ad6f76254d,
-    0x64e816ab6dd974a4,
-    0x2037a8ab50f398e9,
-    0x6078720e1cf2f046,
-    0x4f13cec900556840,
-    0x470f53dbb7a6d6a6,
-    0xeb3689a4d5f0db06,
-    0x65e5e2ad14373495,
-    0xd5fb815c362008e0,
-    0xb88d12bf142cf831,
-    0x0285171c5ad9f94b,
-    0xd51d45bebbbd7107,
-    0x6ec38b54b5fd256b,
-    0xb981bcfcfb6e847d,
-    0x7a77a83535b035fd,
-    0x4e7744668fbe21a6,
-    0xb093318762eda332,
-    0x5bcb1fe7f4da71d1,
-    0x92c08b4240a477ef,
-    0xb757c5e2172f9ac6,
-    0x8a7bdffa270b4129,
-    0xf020a07e7908deb7,
-    0x1687eb115243ca93,
-    0x6bbd45b6e182ef1f,
-    0xc282224463c5677f,
-    0x918af9f2b5dd363f,
-    0x0d697940a23d53e0,
-    0xdb196b6e0c10e0a8,
-    0xbe77566a7e2214b3,
 ];
 
 const NETWORK_AWARE: [u64; ROUNDS] = [

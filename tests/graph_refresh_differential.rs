@@ -71,12 +71,10 @@ const ROUNDS_PER_SCRIPT: usize = 15;
 ///   (which dirty the machine) grow and shrink declared ladders, driving
 ///   the manager's park/revive/append slot logic under the static
 ///   contract and add/remove under the dynamic one.
-/// - **Bundle re-pricing events**: waiting-task bundles get a cost term
-///   derived from the virtual clock and [`CostModel::dynamic_task_arcs`]
-///   is enabled, so every `Tick` event re-prices the cached preference
-///   slots in place (the Execution-Templates patch path). EC→EC bundles
-///   are split into two-segment convex ladders, re-priced through the
-///   dirty-aggregate sweep.
+/// - **Bundle re-pricing events**: EC→EC bundles are split into
+///   two-segment convex ladders, re-priced through the dirty-aggregate
+///   sweep. Waiting-task bundles are collapsed to their first segment's
+///   cost; they change only when an event re-derives the task's arcs.
 ///
 /// All wrapper outputs are pure functions of `ClusterState` plus the
 /// inner model's declarations, so the incremental-vs-rebuild oracle
@@ -112,15 +110,12 @@ impl<C: CostModel> CostModel for ConvexFuzzWrapper<C> {
         self.inner.wait_cost_per_sec()
     }
     fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
-        // Clock-dependent re-pricing on top of the inner declaration:
-        // legal only because dynamic_task_arcs() is true below.
-        let drift = (state.now / 1_000_000 % 7) as i64;
         self.inner
             .task_arcs(state, task)
             .into_iter()
             .map(|(target, bundle)| {
                 let base = bundle.segments().first().map(|s| s.cost).unwrap_or(0);
-                (target, ArcBundle::cost(base + drift))
+                (target, ArcBundle::cost(base))
             })
             .collect()
     }
@@ -163,9 +158,6 @@ impl<C: CostModel> CostModel for ConvexFuzzWrapper<C> {
     fn dynamic_aggregate_arcs(&self) -> bool {
         self.inner.dynamic_aggregate_arcs()
     }
-    fn dynamic_task_arcs(&self) -> bool {
-        true
-    }
     fn task_arcs_machine_local(&self) -> bool {
         self.inner.task_arcs_machine_local()
     }
@@ -185,8 +177,8 @@ impl<C: CostModel> CostModel for ConvexFuzzWrapper<C> {
 ///   and the manager's in-place re-pricing path must keep the
 ///   incremental graph identical to a from-scratch rebuild;
 /// - EC→EC bundles are bucketed over their declared capacity;
-/// - waiting-task bundles re-price with the clock
-///   ([`CostModel::dynamic_task_arcs`]), as in the convex wrapper.
+/// - waiting-task bundles are collapsed to their first segment's cost,
+///   as in the convex wrapper.
 ///
 /// All outputs are pure functions of `ClusterState` plus the inner
 /// model's declarations, so the differential oracle stays sound.
@@ -202,13 +194,12 @@ impl<C: CostModel> CostModel for BucketedFuzzWrapper<C> {
         self.inner.task_unscheduled_cost(state, task)
     }
     fn task_arcs(&self, state: &ClusterState, task: &Task) -> Vec<(ArcTarget, ArcBundle)> {
-        let drift = (state.now / 1_000_000 % 5) as i64;
         self.inner
             .task_arcs(state, task)
             .into_iter()
             .map(|(target, bundle)| {
                 let base = bundle.segments().first().map(|s| s.cost).unwrap_or(0);
-                (target, ArcBundle::cost(base + drift))
+                (target, ArcBundle::cost(base))
             })
             .collect()
     }
@@ -251,9 +242,6 @@ impl<C: CostModel> CostModel for BucketedFuzzWrapper<C> {
     }
     fn dynamic_aggregate_arcs(&self) -> bool {
         self.inner.dynamic_aggregate_arcs()
-    }
-    fn dynamic_task_arcs(&self) -> bool {
-        true
     }
     fn task_arcs_machine_local(&self) -> bool {
         self.inner.task_arcs_machine_local()
@@ -763,8 +751,8 @@ fn run_model<C: CostModel>(make: impl Fn() -> C, salt: u64) {
 }
 
 /// The bundle-event matrix: every model re-fuzzed under the
-/// [`ConvexFuzzWrapper`], which layers segment-count churn and clock-
-/// driven bundle re-pricing (dynamic task arcs) onto the same scripts.
+/// [`ConvexFuzzWrapper`], which layers segment-count churn and EC→EC
+/// ladders onto the same scripts.
 fn run_wrapped_model<C: CostModel>(make: impl Fn() -> C, salt: u64) {
     for i in 0..SCRIPTS_PER_WRAPPED_MODEL {
         let model = ConvexFuzzWrapper { inner: make() };
