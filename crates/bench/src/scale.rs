@@ -231,7 +231,8 @@ pub struct ScalePoint {
     pub warm_deltas: usize,
     /// Pure re-pricings among those deltas.
     pub warm_repricings: usize,
-    /// Churn rounds that ran no full solve (re-price-only and quiescent).
+    /// Churn rounds that ran no solver because their batch kept the last
+    /// flow optimal (`DeltaBatch::keeps_optimal`).
     pub race_skips: usize,
     /// Tasks placed after the cold round.
     pub placed: usize,

@@ -92,10 +92,11 @@ pub struct SolverStats {
     /// scaling solved the round instead.
     pub fell_back: bool,
     /// `true` when the round ran no solver: the last round's flow was
-    /// optimal and this round's batch was re-price-only with no exposed
-    /// violation (all cost rises on flowless arcs — the convex-ladder
-    /// clock-advance shape), so the hedge and the race alike hand that
-    /// flow back untouched.
+    /// optimal and this round's batch keeps it optimal
+    /// ([`DeltaBatch::keeps_optimal`](firmament_flow::DeltaBatch::keeps_optimal):
+    /// only cost rises on flowless arcs — the clock-advance shape — and
+    /// removals of flowless arcs or nodes), so the hedge and the race
+    /// alike hand that flow back untouched.
     pub race_skipped: bool,
     /// Which MCMF algorithm produced the round's flow — a convenience copy
     /// of [`RoundOutcome::winner`] so this struct is self-contained when
@@ -289,17 +290,18 @@ impl<C: CostModel> Firmament<C> {
     pub fn schedule(&mut self, state: &ClusterState) -> Result<RoundOutcome, SchedulerError> {
         self.manager.refresh(&self.model, state)?;
         // Take the typed change feed the graph folded since the last
-        // handoff: the solver skips a round it proves quiescent, and the
-        // race's incremental solver warm-starts from it instead of diffing
-        // the graph against its warm state.
+        // handoff: the solver skips a round whose batch keeps its last flow
+        // optimal, and the race's incremental solver warm-starts from it
+        // instead of diffing the graph against its warm state.
         let deltas = self.manager.take_deltas();
         // Hand the solver ownership of the graph. The hedge solves without
         // copying it: relaxation within its work budget (on the solver's own
         // compact copy of the residual network), cold cost scaling past it,
-        // or nothing at all on a provably quiescent batch. (The opt-in `Dual`
-        // race skips the same rounds, fills relaxation's copy the same way
-        // and runs cost scaling on the graph beside it; no kind clones the
-        // graph.) Adopting the resulting flow is a move either way.
+        // or nothing at all on a batch that keeps the flow optimal. (The
+        // opt-in `Dual` race skips the same rounds, fills relaxation's copy
+        // the same way and runs cost scaling on the graph beside it; no kind
+        // clones the graph.) Adopting the resulting flow is a move either
+        // way.
         let graph = self.manager.take_graph();
         let outcome =
             match self
@@ -534,8 +536,8 @@ mod tests {
 
     /// The skip, end to end: once everything is placed, a pure clock
     /// advance only *raises* the costs of the jobs' `U_j → S` arcs, which
-    /// carry no flow while no task waits, so the round is proven quiescent
-    /// and runs no solver — `RoundOutcome::solver.race_skipped` records
+    /// carry no flow while no task waits, so the batch keeps the flow
+    /// optimal and the round runs no solver — `RoundOutcome::solver.race_skipped` records
     /// the skip, and the placements stay put.
     #[test]
     fn reprice_only_clock_advance_skips_the_race() {
@@ -633,7 +635,7 @@ mod tests {
         }
         twin.refresh(&twin_state).unwrap();
         let since = twin.manager_mut().take_deltas();
-        assert!(since.is_reprice_only() && !since.is_empty());
+        assert!(since.keeps_optimal(twin.graph()) && !since.is_empty());
         let o = f.schedule(&state).unwrap();
         assert_eq!(o.solver.deltas_fed, since.len(), "{:?}", o.solver);
         assert_eq!(o.solver.raw_changes, since.raw_len(), "{:?}", o.solver);

@@ -150,6 +150,67 @@ pub enum GraphDelta {
     },
 }
 
+impl GraphDelta {
+    /// Calls `f` on every node at which this change can expose a
+    /// reduced-cost violation or an excess against an optimal flow of the
+    /// graph before the batch; `graph` is the graph after it. A node may be
+    /// reported more than once, and a node the batch removed may be
+    /// reported too. Incremental cost scaling repairs exactly the nodes its
+    /// batch exposes, and [`DeltaBatch::keeps_optimal`] holds when there
+    /// are none.
+    pub fn exposed_nodes(&self, graph: &FlowGraph, mut f: impl FnMut(NodeId)) {
+        match *self {
+            GraphDelta::NodeAdded { node, .. }
+            | GraphDelta::SupplyChanged { node, .. }
+            | GraphDelta::FlowTouched { node } => f(node),
+            GraphDelta::NodeRemoved { .. } => {}
+            GraphDelta::ArcRemoved { src, dst, flow, .. } => {
+                if flow > 0 {
+                    f(src);
+                    f(dst);
+                }
+            }
+            GraphDelta::ArcAdded { src, dst, .. } => {
+                f(src);
+                f(dst);
+            }
+            GraphDelta::CostChanged { arc, old, new } => {
+                // A pure re-price moves no flow, so it can only
+                // *expose* a violation, never create excess — and
+                // only in the direction the change cheapened:
+                //
+                // - cost fell: the forward residual's reduced cost
+                //   dropped — scan the tail;
+                // - cost rose on a flow-carrying arc: the reverse
+                //   residual's reduced cost dropped — scan the head;
+                // - cost rose on a flowless arc: the forward rc only
+                //   grew and the reverse has no residual capacity —
+                //   nothing to repair.
+                //
+                // The last case is the common shape of a convex
+                // bundle re-price (upper ladder segments rising as
+                // load grows while carrying no flow), which makes
+                // per-round re-pricing sweeps nearly free for the
+                // warm start.
+                if graph.arc_alive(arc) {
+                    if new < old {
+                        f(graph.src(arc));
+                    }
+                    if new > old && graph.flow(arc) > 0 {
+                        f(graph.dst(arc));
+                    }
+                }
+            }
+            GraphDelta::CapacityChanged { arc, .. } => {
+                if graph.arc_alive(arc) {
+                    f(graph.src(arc));
+                    f(graph.dst(arc));
+                }
+            }
+        }
+    }
+}
+
 /// Per-node compaction state machine.
 #[derive(Debug, Clone)]
 struct NodeFold {
@@ -268,20 +329,18 @@ impl DeltaBatch {
             .count()
     }
 
-    /// `true` when the whole batch is cost drift: every delta is a
-    /// [`GraphDelta::CostChanged`] (vacuously true for an empty, fully
-    /// quiescent batch). No structure moved, no capacity changed, no flow
-    /// was disturbed — the shape a pure clock-advance round produces when
-    /// convex-ladder costs drift under load.
-    ///
-    /// A re-price-only batch *may* still expose a reduced-cost violation
-    /// (a cost fall, or a rise on a flow-carrying arc); whether the round
-    /// is provably quiescent additionally needs the flow state — see
-    /// `DualSolver`'s re-price-only race short-circuit.
-    pub fn is_reprice_only(&self) -> bool {
-        self.deltas
-            .iter()
-            .all(|d| matches!(d, GraphDelta::CostChanged { .. }))
+    /// `true` when no delta exposes a node ([`GraphDelta::exposed_nodes`]),
+    /// checked up to the first that does. A flow that was optimal when the
+    /// batch began then stays optimal under the same prices (Table 3,
+    /// §5.2): the batch at most raises costs on flowless arcs and removes
+    /// flowless arcs and nodes, which only takes residual arcs away or
+    /// raises the reduced cost of arcs whose reverse has no capacity.
+    pub fn keeps_optimal(&self, graph: &FlowGraph) -> bool {
+        self.deltas.iter().all(|d| {
+            let mut exposes = false;
+            d.exposed_nodes(graph, |_| exposes = true);
+            !exposes
+        })
     }
 
     /// Replays the batch onto `graph`, which must be a snapshot of the

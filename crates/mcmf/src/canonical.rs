@@ -13,15 +13,17 @@
 //! **canonical optimum**, a function of the graph alone — independent of
 //! which solver (or which warm path) produced the input flow:
 //!
-//! 1. **Canonical potentials.** Bellman-Ford over the residual graph with
-//!    all-zero initialization computes `d(v) = min over residual walks`
-//!    — the greatest solution of the difference-constraint system
+//! 1. **Canonical potentials.** The residual shortest-path distances
+//!    every optimality check in this crate uses (see
+//!    [`verify`](crate::verify)): with every node starting at 0 they are
+//!    `d(v) = min over residual walks` — the greatest solution of the
+//!    difference-constraint system
 //!    `{d(v) ≤ d(u) + c(uv) for every residual arc, d ≤ 0}`. For any two
 //!    optimal flows the feasible-potential polytope is the *same* set
 //!    (complementary slackness holds between every optimal primal and
 //!    every optimal dual), so its greatest element `d` is flow-path
-//!    independent. A relaxation that still improves after `n` rounds
-//!    means a negative residual cycle — the input was not optimal.
+//!    independent. A shortest path that grows past `n` arcs means a
+//!    negative residual cycle — the input was not optimal.
 //! 2. **Forced arcs.** With `rc(a) = c(a) + d(src) − d(dst)`: arcs with
 //!    `rc < 0` carry full capacity in every optimal flow (saturate them);
 //!    arcs with `rc > 0` carry none (zero them). Arcs with `rc = 0` are
@@ -37,11 +39,12 @@
 //! which upgrades cross-solver comparisons from "same objective" to
 //! "same placements" (the fig11 CI smoke does exactly this).
 //!
-//! Cost: one Bellman-Ford plus one unit-augmenting max-flow over the
+//! Cost: one shortest-path search plus one unit-augmenting max-flow over the
 //! tight subgraph — comparable to a cold solve. This is a verification /
 //! reproducibility tool, not a hot-path pass.
 
 use crate::common::SolveError;
+use crate::verify::residual_distances;
 use firmament_flow::{ArcId, FlowGraph, NodeId};
 use std::collections::VecDeque;
 
@@ -55,35 +58,8 @@ use std::collections::VecDeque;
 /// for this graph remain valid certificates (any optimal dual certifies
 /// any optimal primal), but flow-dependent caches should be rebuilt.
 pub fn canonicalize_flow(graph: &mut FlowGraph) -> Result<(), SolveError> {
-    let n = graph.node_bound();
-    if n == 0 {
-        return Ok(());
-    }
-
     // Step 1: canonical potentials — greatest feasible d ≤ 0.
-    let mut d = vec![0i64; n];
-    let mut changed = true;
-    let mut rounds = 0usize;
-    while changed {
-        changed = false;
-        rounds += 1;
-        if rounds > n + 1 {
-            return Err(SolveError::NotOptimal);
-        }
-        for u in graph.node_ids() {
-            let du = d[u.index()];
-            for &a in graph.adj(u) {
-                if graph.rescap(a) > 0 {
-                    let v = graph.dst(a);
-                    let nd = du + graph.cost(a);
-                    if nd < d[v.index()] {
-                        d[v.index()] = nd;
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
+    let d = residual_distances(graph, 1).map_err(|_| SolveError::NotOptimal)?;
 
     // Step 2: force the non-tight arcs, reset the tight ones.
     let rc = |g: &FlowGraph, a: ArcId| g.cost(a) + d[g.src(a).index()] - d[g.dst(a).index()];
@@ -103,6 +79,7 @@ pub fn canonicalize_flow(graph: &mut FlowGraph) -> Result<(), SolveError> {
     // lexicographic BFS. Sorted adjacency copies make the traversal
     // independent of adjacency-list insertion history.
     let mut excess = graph.excesses();
+    let n = graph.node_bound();
     let mut sorted_adj: Vec<Vec<ArcId>> = vec![Vec::new(); n];
     for u in graph.node_ids() {
         let mut adj = graph.adj(u).to_vec();

@@ -2,15 +2,17 @@
 //!
 //! The algorithm first computes a feasible (max-flow) solution, then
 //! repeatedly augments flow along negative-cost directed cycles in the
-//! residual network until none remain (negative cycle optimality, §4).
+//! residual network until none remain (negative cycle optimality, §4). Each
+//! cycle is the one the crate's residual shortest-path search closes first
+//! (see [`verify`](crate::verify)).
 //! It always maintains feasibility and works towards optimality (Table 2).
 
 use crate::common::{
     AlgorithmKind, Budget, BudgetStop, Solution, SolveError, SolveOptions, SolveStats,
 };
 use crate::maxflow::dinic_max_flow;
-use firmament_flow::{ArcId, FlowGraph, NodeId, NodeKind};
-use std::collections::VecDeque;
+use crate::verify::residual_distances;
+use firmament_flow::{FlowGraph, NodeId, NodeKind};
 
 /// Solves min-cost max-flow by cycle canceling, leaving the optimal flow in
 /// the graph.
@@ -78,21 +80,19 @@ pub fn solve(graph: &mut FlowGraph, opts: &SolveOptions) -> Result<Solution, Sol
             }
             None => {}
         }
-        match find_negative_cycle(graph) {
-            Some(cycle) => {
-                let bottleneck = cycle
-                    .iter()
-                    .map(|&a| graph.rescap(a))
-                    .min()
-                    .expect("cycle is non-empty");
-                debug_assert!(bottleneck > 0);
-                for &a in &cycle {
-                    graph.push_flow(a, bottleneck);
-                }
-                stats.augmentations += 1;
-            }
-            None => return Ok(finish(graph, stats, budget, false)),
+        let Err(cycle) = residual_distances(graph, 1) else {
+            return Ok(finish(graph, stats, budget, false));
+        };
+        let bottleneck = cycle
+            .iter()
+            .map(|&a| graph.rescap(a))
+            .min()
+            .expect("cycle is non-empty");
+        debug_assert!(bottleneck > 0);
+        for &a in &cycle {
+            graph.push_flow(a, bottleneck);
         }
+        stats.augmentations += 1;
     }
 }
 
@@ -105,72 +105,6 @@ fn finish(graph: &FlowGraph, mut stats: SolveStats, budget: Budget, early: bool)
         runtime: budget.elapsed(),
         stats,
     }
-}
-
-/// Finds one negative-cost cycle in the residual network via SPFA with a
-/// relaxation budget, or returns `None` if the flow is optimal.
-fn find_negative_cycle(graph: &FlowGraph) -> Option<Vec<ArcId>> {
-    let n = graph.node_bound();
-    let mut dist = vec![0i64; n];
-    let mut pred: Vec<Option<ArcId>> = vec![None; n];
-    let mut len = vec![0u32; n];
-    let mut in_queue = vec![false; n];
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    for v in graph.node_ids() {
-        in_queue[v.index()] = true;
-        queue.push_back(v.index() as u32);
-    }
-    while let Some(ui) = queue.pop_front() {
-        in_queue[ui as usize] = false;
-        let u = NodeId::from_index(ui as usize);
-        if !graph.node_alive(u) {
-            continue;
-        }
-        for &a in graph.adj(u) {
-            if graph.rescap(a) <= 0 {
-                continue;
-            }
-            let v = graph.dst(a);
-            let nd = dist[ui as usize] + graph.cost(a);
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                pred[v.index()] = Some(a);
-                len[v.index()] = len[ui as usize] + 1;
-                // A shortest path longer than n arcs implies a cycle on the
-                // predecessor chain.
-                if len[v.index()] as usize > n {
-                    return Some(walk_cycle(graph, &pred, v));
-                }
-                if !in_queue[v.index()] {
-                    in_queue[v.index()] = true;
-                    queue.push_back(v.index() as u32);
-                }
-            }
-        }
-    }
-    None
-}
-
-fn walk_cycle(graph: &FlowGraph, pred: &[Option<ArcId>], start: NodeId) -> Vec<ArcId> {
-    let n = pred.len();
-    let mut v = start;
-    for _ in 0..n {
-        if let Some(a) = pred[v.index()] {
-            v = graph.src(a);
-        }
-    }
-    let anchor = v;
-    let mut cycle = Vec::new();
-    loop {
-        let a = pred[v.index()].expect("cycle nodes have predecessors");
-        cycle.push(a);
-        v = graph.src(a);
-        if v == anchor {
-            break;
-        }
-    }
-    cycle.reverse();
-    cycle
 }
 
 #[cfg(test)]

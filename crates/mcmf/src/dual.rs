@@ -15,12 +15,14 @@
 //!
 //! A hedged or raced round runs no solver at all when the previous round
 //! of the same solver ended with an optimal flow and the round's delta
-//! batch provably exposes no reduced-cost violation (see
-//! `reprice_only_quiescent`): every change is a cost rise on a flowless
-//! arc. The graph is handed back unchanged, credited to the algorithm
-//! whose flow it keeps. Such a batch also leaves the race's incremental
-//! cost-scaling certificate valid, so that solver needs no feed for the
-//! round.
+//! batch keeps it optimal ([`DeltaBatch::keeps_optimal`]): no change
+//! exposes a node the warm start would have to repair (Table 3, §5.2).
+//! Cost rises on flowless arcs and removals of flowless arcs or nodes
+//! pass; everything else solves. The graph is handed back unchanged,
+//! credited to the algorithm whose flow it keeps. Incremental cost scaling
+//! finds the nodes it repairs by the same rule, so such a batch leaves the
+//! race's cost-scaling certificate valid and that solver needs no feed for
+//! the round.
 //!
 //! # The hedge (the default)
 //!
@@ -168,9 +170,9 @@ pub struct DualOutcome {
     /// `None` on a skipped round.
     pub cs_stats: Option<SolveStats>,
     /// `true` when the round ran no solver (see the module docs' skip): the
-    /// last hedged or raced flow was optimal and the round's batch only
-    /// raises costs on flowless arcs, so the graph is handed back
-    /// unchanged. Always `false` for the single-algorithm kinds.
+    /// last hedged or raced flow was optimal and the round's batch keeps
+    /// it optimal ([`DeltaBatch::keeps_optimal`]), so the graph is handed
+    /// back unchanged. Always `false` for the single-algorithm kinds.
     pub race_skipped: bool,
     /// Arc examinations of the hedge's relaxation run (equal to
     /// `work_budget` when it fell back); 0 for the other kinds.
@@ -267,11 +269,11 @@ impl DualSolver {
     /// exactly as it was, a failed cost-scaling run possibly with partial
     /// flow.
     ///
-    /// The feed lets the hedge and the race skip a provably quiescent round
-    /// (the module docs' skip), and lets the race's incremental cost
-    /// scaling warm-start; relaxation itself ignores it. Without a feed
-    /// (`None`) no round is skipped and the race's incremental cost scaling
-    /// solves cold.
+    /// The feed lets the hedge and the race skip a round whose batch keeps
+    /// the flow optimal (the module docs' skip), and lets the race's
+    /// incremental cost scaling warm-start; relaxation itself ignores it.
+    /// Without a feed (`None`) no round is skipped and the race's
+    /// incremental cost scaling solves cold.
     ///
     /// `opts` applies to each algorithm run. Every kind honours its
     /// cancellation token: the race gives each racer a child of it, so
@@ -284,10 +286,10 @@ impl DualSolver {
         opts: &SolveOptions,
     ) -> Result<DualOutcome, (SolveError, FlowGraph)> {
         let start = Instant::now();
-        // The skip: a quiescent batch keeps an optimal flow optimal. Only
-        // the hedge and the race record an optimal flow.
+        // The skip: a batch that exposes no node keeps an optimal flow
+        // optimal. Only the hedge and the race record an optimal flow.
         if let (Some(kept), Some(batch)) = (self.optimal_flow.take(), deltas) {
-            if reprice_only_quiescent(&graph, batch) {
+            if batch.keeps_optimal(&graph) {
                 self.optimal_flow = Some(kept);
                 let solution = Solution {
                     algorithm: kept,
@@ -487,31 +489,6 @@ impl DualSolver {
     }
 }
 
-/// Whether a re-price-only batch provably exposes **no** reduced-cost
-/// violation against the warm certificate, without consulting prices:
-///
-/// - a cost *rise* on a *flowless* arc only grows the forward reduced
-///   cost, and the reverse residual has no capacity — nothing to repair;
-/// - a cost *fall* may push the forward residual's reduced cost negative;
-/// - a rise on a *flow-carrying* arc may do the same to the reverse
-///   residual.
-///
-/// Only the first shape is accepted; it is exactly what convex-ladder
-/// upper segments produce as load rises, so pure clock-advance rounds
-/// qualify while anything that could move flow still races. (The warm
-/// solver reaches the same conclusion from its prices; this check is the
-/// cheap, price-free sufficient condition.)
-fn reprice_only_quiescent(graph: &FlowGraph, batch: &DeltaBatch) -> bool {
-    // The `_ => false` arm is `DeltaBatch::is_reprice_only` folded into
-    // the single pass: any structural/capacity/flow delta disqualifies.
-    batch.deltas().iter().all(|d| match *d {
-        firmament_flow::delta::GraphDelta::CostChanged { arc, old, new } => {
-            new >= old && graph.arc_alive(arc) && graph.flow(arc) == 0
-        }
-        _ => false,
-    })
-}
-
 /// Every flow-carrying arc pair with its flow, for putting a flow back
 /// after a failed cost-scaling solve.
 fn nonzero_flows(graph: &FlowGraph) -> Vec<(ArcId, i64)> {
@@ -527,6 +504,7 @@ mod tests {
     use super::*;
     use crate::verify::is_optimal;
     use firmament_flow::testgen::{scheduling_instance, InstanceSpec};
+    use firmament_flow::GraphDelta;
 
     #[test]
     fn dual_solve_is_optimal() {
@@ -633,7 +611,7 @@ mod tests {
         }
         assert!(bumped > 0);
         let batch = inst.graph.take_deltas();
-        assert!(batch.is_reprice_only());
+        assert!(batch.keeps_optimal(&inst.graph));
         batch
     }
 
@@ -681,6 +659,9 @@ mod tests {
     /// certificate stays valid under flowless cost rises, so the next
     /// structural round's warm solve, fed only that round's batch, is
     /// optimal and matches a cold cost-scaling solve; so is the next race.
+    /// Each instance is compared with a cold solve of itself: the first
+    /// race may keep any of several tied optima, and which arcs are
+    /// flowless, so raised, depends on it.
     #[test]
     fn structural_round_after_a_race_skip_solves_warm() {
         let skipped = || {
@@ -700,24 +681,119 @@ mod tests {
             let batch = add_preference_arcs(&mut inst);
             (solver, inst, batch)
         };
+        let cold_objective = |inst: &firmament_flow::testgen::Instance| {
+            let mut cold = inst.graph.clone();
+            crate::cost_scaling::solve(&mut cold, &SolveOptions::unlimited())
+                .unwrap()
+                .objective
+        };
         let (mut solver, mut inst, batch) = skipped();
-        let mut cold = inst.graph.clone();
-        let cold = crate::cost_scaling::solve(&mut cold, &SolveOptions::unlimited()).unwrap();
+        let cold = cold_objective(&inst);
         let sol = solver
             .incremental
             .solve_with_deltas(&mut inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();
         assert_eq!(sol.stats.bailouts, 0, "the warm start held");
         assert!(is_optimal(&inst.graph));
-        assert_eq!(sol.objective, cold.objective);
+        assert_eq!(sol.objective, cold);
 
         let (mut solver, inst, batch) = skipped();
+        let cold = cold_objective(&inst);
         let out = solver
             .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
             .unwrap();
         assert!(!out.race_skipped);
         assert!(is_optimal(&out.graph));
-        assert_eq!(out.solution.objective, cold.objective);
+        assert_eq!(out.solution.objective, cold);
+    }
+
+    /// Removes one machine that runs no task, with its arcs, and every
+    /// other flowless arc into a machine, then raises the remaining
+    /// flowless non-sink costs, and returns the batch.
+    fn remove_flowless(inst: &mut firmament_flow::testgen::Instance) -> DeltaBatch {
+        let g = &mut inst.graph;
+        g.set_change_tracking(true);
+        let idle = inst
+            .machines
+            .iter()
+            .copied()
+            .find(|&m| g.adj(m).iter().all(|&a| g.flow(a) == 0))
+            .expect("an idle machine");
+        g.remove_node(idle).unwrap();
+        let into_machines: Vec<ArcId> = g
+            .arc_ids()
+            .filter(|&a| g.flow(a) == 0 && g.kind(g.dst(a)).is_machine())
+            .collect();
+        for a in into_machines.into_iter().step_by(2) {
+            g.remove_arc(a).unwrap();
+        }
+        raise_flowless_costs(inst)
+    }
+
+    /// A batch of flowless arc removals, a flowless node removal and
+    /// flowless cost rises keeps an optimal flow optimal, so the hedge and
+    /// the race both skip it and hand that flow back untouched.
+    #[test]
+    fn flowless_removals_skip_the_round() {
+        for kind in [SolverKind::Hedged, SolverKind::Dual] {
+            let mut inst = scheduling_instance(28, &InstanceSpec::default());
+            let mut solver = solver(kind);
+            let out = solver
+                .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
+                .unwrap();
+            inst.graph = out.graph;
+            let batch = remove_flowless(&mut inst);
+            let removals = |d: &&GraphDelta| {
+                matches!(
+                    d,
+                    GraphDelta::ArcRemoved { .. } | GraphDelta::NodeRemoved { .. }
+                )
+            };
+            assert!(batch.deltas().iter().filter(removals).count() > 1);
+            let flows: Vec<i64> = inst.graph.arc_ids().map(|a| inst.graph.flow(a)).collect();
+            let mut cold = inst.graph.clone();
+            let cold = crate::cost_scaling::solve(&mut cold, &SolveOptions::unlimited()).unwrap();
+            let out = solver
+                .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
+                .unwrap();
+            assert!(out.race_skipped, "{kind:?}");
+            assert!(out.cs_stats.is_none(), "{kind:?}: no solver runs");
+            let after: Vec<i64> = out.graph.arc_ids().map(|a| out.graph.flow(a)).collect();
+            assert_eq!(flows, after, "{kind:?}");
+            assert!(is_optimal(&out.graph), "{kind:?}");
+            assert_eq!(out.solution.objective, cold.objective, "{kind:?}");
+        }
+    }
+
+    /// Removing an arc that carries flow leaves excess at both ends, so
+    /// the hedge and the race solve that round, and reach the optimum.
+    #[test]
+    fn removing_a_flow_carrying_arc_solves() {
+        for kind in [SolverKind::Hedged, SolverKind::Dual] {
+            let mut inst = scheduling_instance(29, &InstanceSpec::default());
+            let mut solver = solver(kind);
+            let out = solver
+                .solve_owned_with_deltas(inst.graph, None, &SolveOptions::unlimited())
+                .unwrap();
+            inst.graph = out.graph;
+            inst.graph.set_change_tracking(true);
+            let g = &inst.graph;
+            let carrying = g
+                .arc_ids()
+                .find(|&a| g.flow(a) > 0 && g.kind(g.dst(a)).is_machine())
+                .expect("a placed task");
+            inst.graph.remove_arc(carrying).unwrap();
+            let batch = inst.graph.take_deltas();
+            assert!(!batch.keeps_optimal(&inst.graph));
+            let mut cold = inst.graph.clone();
+            let cold = crate::cost_scaling::solve(&mut cold, &SolveOptions::unlimited()).unwrap();
+            let out = solver
+                .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
+                .unwrap();
+            assert!(!out.race_skipped, "{kind:?}");
+            assert!(is_optimal(&out.graph), "{kind:?}");
+            assert_eq!(out.solution.objective, cold.objective, "{kind:?}");
+        }
     }
 
     /// A cost-scaling racer that panics does not panic the caller. If
@@ -820,7 +896,11 @@ mod tests {
                 .unwrap();
             inst.graph.set_arc_cost(a, 0).unwrap();
             let batch = inst.graph.take_deltas();
-            assert!(batch.is_reprice_only(), "still a pure re-price batch");
+            assert!(
+                matches!(batch.deltas(), [GraphDelta::CostChanged { .. }]),
+                "one pure re-price"
+            );
+            assert!(!batch.keeps_optimal(&inst.graph), "a cost fall exposes");
             let out = solver
                 .solve_owned_with_deltas(inst.graph, Some(&batch), &SolveOptions::unlimited())
                 .unwrap();

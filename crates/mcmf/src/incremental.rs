@@ -27,10 +27,12 @@
 //!    from-scratch solve (the fig11 pathology).
 //! 2. **Dirty-region violation scan**: the starting ε is the largest
 //!    complementary-slackness violation over the residual out-arcs of the
-//!    *dirty region* (nodes the batch names, endpoints of changed arcs,
-//!    and nodes flow moves disturbed) — O(Σ degree) in the change size.
+//!    *dirty region*, the nodes the batch exposes
+//!    ([`GraphDelta::exposed_nodes`]) — O(Σ degree) in the change size.
 //!    Unchanged arcs elsewhere kept their reduced cost from the previous
-//!    1-optimal certificate, so they cannot violate more than 1.
+//!    1-optimal certificate, so they cannot violate more than 1. A batch
+//!    that exposes none ([`DeltaBatch::keeps_optimal`]) leaves nothing to
+//!    repair, and the dual solver skips its round by the same rule.
 //! 3. **Arc-local pseudoflow repair**: feasibility damage (supply changes,
 //!    removed flow-carrying arcs, capacity spills, drains) is computed as
 //!    exact excesses by O(degree) local scans of the dirty nodes — never a
@@ -368,55 +370,7 @@ impl IncrementalCostScaling {
         // arcs elsewhere kept rc ≥ −1 from the previous certificate.
         let dirty = &mut scratch.dirty;
         for d in batch.deltas() {
-            match *d {
-                GraphDelta::NodeAdded { node, .. }
-                | GraphDelta::SupplyChanged { node, .. }
-                | GraphDelta::FlowTouched { node } => dirty.push(node.index() as u32),
-                GraphDelta::NodeRemoved { .. } => {}
-                GraphDelta::ArcRemoved { src, dst, flow, .. } => {
-                    if flow > 0 {
-                        dirty.push(src.index() as u32);
-                        dirty.push(dst.index() as u32);
-                    }
-                }
-                GraphDelta::ArcAdded { src, dst, .. } => {
-                    dirty.push(src.index() as u32);
-                    dirty.push(dst.index() as u32);
-                }
-                GraphDelta::CostChanged { arc, old, new } => {
-                    // A pure re-price moves no flow, so it can only
-                    // *expose* a violation, never create excess — and
-                    // only in the direction the change cheapened:
-                    //
-                    // - cost fell: the forward residual's reduced cost
-                    //   dropped — scan the tail;
-                    // - cost rose on a flow-carrying arc: the reverse
-                    //   residual's reduced cost dropped — scan the head;
-                    // - cost rose on a flowless arc: the forward rc only
-                    //   grew and the reverse has no residual capacity —
-                    //   nothing to repair.
-                    //
-                    // The last case is the common shape of a convex
-                    // bundle re-price (upper ladder segments rising as
-                    // load grows while carrying no flow), which makes
-                    // per-round re-pricing sweeps nearly free for the
-                    // warm start.
-                    if graph.arc_alive(arc) {
-                        if new < old {
-                            dirty.push(graph.src(arc).index() as u32);
-                        }
-                        if new > old && graph.flow(arc) > 0 {
-                            dirty.push(graph.dst(arc).index() as u32);
-                        }
-                    }
-                }
-                GraphDelta::CapacityChanged { arc, .. } => {
-                    if graph.arc_alive(arc) {
-                        dirty.push(graph.src(arc).index() as u32);
-                        dirty.push(graph.dst(arc).index() as u32);
-                    }
-                }
-            }
+            d.exposed_nodes(graph, |node| dirty.push(node.index() as u32));
         }
         let in_dirty = &mut scratch.in_dirty;
         dirty.retain(|&u| {

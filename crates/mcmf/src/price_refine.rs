@@ -1,7 +1,10 @@
 //! Price refine (Goldberg \[17\]): canonical prices for an optimal flow.
 //!
 //! Given an optimal flow, price refine computes *minimal-magnitude* node
-//! prices that satisfy complementary slackness without modifying the flow.
+//! prices that satisfy complementary slackness without modifying the flow:
+//! the residual shortest-path distances that certify every optimal flow in
+//! this crate (see [`verify`](crate::verify)), here in cost scaling's
+//! scaled units.
 //! Firmament applies it when handing the relaxation algorithm's solution to
 //! incremental cost scaling (§6.2): relaxation converges on potentials that
 //! fit cost scaling's complementary slackness requirement poorly, and
@@ -12,54 +15,18 @@
 //! optimal, so canonical prices always exist — and then lets incremental
 //! cost scaling start at an ε equal to the costliest arc change.
 
-use firmament_flow::{FlowGraph, NodeId};
-use std::collections::VecDeque;
+use crate::verify::residual_distances;
+use firmament_flow::FlowGraph;
 
-/// Computes canonical prices (shortest-path distances over the residual
-/// network, negated into price space) certifying that the current flow is
-/// optimal, *in scaled cost units* (`scale · c(a)`).
+/// Computes canonical prices certifying that the current flow is optimal,
+/// *in scaled cost units* (`scale · c(a)`): residual shortest-path
+/// distances, which give every residual arc a non-negative reduced cost
+/// `scale·c(a) + π(u) − π(v)`.
 ///
 /// Returns `None` if the flow is not optimal (a negative-cost residual cycle
 /// exists), in which case prices cannot be assigned without changing flow.
 pub fn price_refine(graph: &FlowGraph, scale: i64) -> Option<Vec<i64>> {
-    let n = graph.node_bound();
-    let mut dist = vec![0i64; n];
-    let mut in_queue = vec![false; n];
-    let mut len = vec![0u32; n];
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    for v in graph.node_ids() {
-        in_queue[v.index()] = true;
-        queue.push_back(v.index() as u32);
-    }
-    while let Some(ui) = queue.pop_front() {
-        in_queue[ui as usize] = false;
-        let u = NodeId::from_index(ui as usize);
-        if !graph.node_alive(u) {
-            continue;
-        }
-        for &a in graph.adj(u) {
-            if graph.rescap(a) <= 0 {
-                continue;
-            }
-            let v = graph.dst(a);
-            let nd = dist[ui as usize] + scale * graph.cost(a);
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                len[v.index()] = len[ui as usize] + 1;
-                if len[v.index()] as usize > n {
-                    // Negative cycle: the flow is not optimal.
-                    return None;
-                }
-                if !in_queue[v.index()] {
-                    in_queue[v.index()] = true;
-                    queue.push_back(v.index() as u32);
-                }
-            }
-        }
-    }
-    // π(i) = dist(i) yields rc(a) = scale·c(a) + dist(u) − dist(v) ≥ 0 by
-    // the shortest-path triangle inequality, i.e. complementary slackness.
-    Some(dist)
+    residual_distances(graph, scale).ok()
 }
 
 #[cfg(test)]

@@ -3,9 +3,19 @@
 //! Implements the three equivalent optimality conditions of §4: negative
 //! cycle optimality, reduced cost optimality, and complementary slackness
 //! (with its ε-relaxation used by cost scaling).
+//!
+//! A flow is optimal exactly when shortest-path prices over its residual
+//! network certify it. One crate-private search, `residual_distances`,
+//! decides this for the whole crate: it returns those prices or a
+//! negative-cost residual cycle. [`find_potentials`] reports its answer,
+//! [`price_refine`](crate::price_refine::price_refine) takes its prices at
+//! cost scaling's scale, [`canonicalize_flow`](crate::canonicalize_flow)
+//! starts from its prices, and
+//! [`cycle_canceling`](crate::cycle_canceling) cancels its cycles.
 
 use firmament_flow::validate::check_feasible;
-use firmament_flow::{ArcId, FlowGraph};
+use firmament_flow::{ArcId, FlowGraph, NodeId};
+use std::collections::VecDeque;
 
 /// Result of [`find_potentials`]: either certifying potentials or a witness
 /// that the flow is not optimal.
@@ -25,81 +35,81 @@ pub enum OptimalityCheck {
     },
 }
 
-/// Runs Bellman–Ford on the residual network to either compute certifying
-/// potentials or find a negative-cost residual cycle.
-///
-/// A virtual source with zero-cost arcs to every node initializes distances,
-/// so disconnected components are handled uniformly.
+/// Computes certifying potentials, or finds a negative-cost residual
+/// cycle (see the [module docs](self)).
 pub fn find_potentials(graph: &FlowGraph) -> OptimalityCheck {
+    match residual_distances(graph, 1) {
+        Ok(potentials) => OptimalityCheck::Optimal { potentials },
+        Err(cycle) => OptimalityCheck::NegativeCycle { cycle },
+    }
+}
+
+/// Shortest-path distances over the residual network of the graph's
+/// flow, each residual arc `a` weighted `scale · c(a)`: the one search
+/// behind every optimality check in this crate.
+///
+/// Every node starts at distance 0, as if a virtual source reached it by a
+/// zero-cost arc, and is queued first-in first-out in node order. Without
+/// a negative-cost residual cycle the result is the greatest solution
+/// `d ≤ 0` of `d(v) ≤ d(u) + scale·c(a)` over the residual arcs, a
+/// function of the graph alone, and `π = d` certifies the flow:
+/// `scale·c(a) + π(u) − π(v) ≥ 0` on every residual arc. A shortest path
+/// that grows past `n` arcs can only close a negative cycle, so the search
+/// stops there and returns that cycle's residual arcs, in order.
+pub(crate) fn residual_distances(graph: &FlowGraph, scale: i64) -> Result<Vec<i64>, Vec<ArcId>> {
     let n = graph.node_bound();
     let mut dist = vec![0i64; n];
     let mut pred: Vec<Option<ArcId>> = vec![None; n];
+    let mut len = vec![0u32; n];
     let mut in_queue = vec![false; n];
-    let mut queue: std::collections::VecDeque<u32> = graph
+    let mut queue: VecDeque<u32> = graph
         .node_ids()
         .map(|v| {
             in_queue[v.index()] = true;
             v.index() as u32
         })
         .collect();
-    let mut relaxations = 0u64;
-    // SPFA with a relaxation budget: more than n*m relaxations implies a
-    // negative cycle somewhere along the predecessor chain.
-    let budget = (n as u64 + 1) * (graph.arc_count() as u64 * 2 + 1);
     while let Some(ui) = queue.pop_front() {
-        in_queue[ui as usize] = false;
-        let u = firmament_flow::NodeId::from_index(ui as usize);
-        if !graph.node_alive(u) {
-            continue;
-        }
-        for &a in graph.adj(u) {
+        let u = ui as usize;
+        in_queue[u] = false;
+        for &a in graph.adj(NodeId::from_index(u)) {
             if graph.rescap(a) <= 0 {
                 continue;
             }
-            let v = graph.dst(a);
-            let nd = dist[ui as usize] + graph.cost(a);
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                pred[v.index()] = Some(a);
-                relaxations += 1;
-                if relaxations > budget {
-                    return OptimalityCheck::NegativeCycle {
-                        cycle: extract_cycle(graph, &pred, v),
-                    };
+            let v = graph.dst(a).index();
+            let nd = dist[u] + scale * graph.cost(a);
+            if nd < dist[v] {
+                dist[v] = nd;
+                pred[v] = Some(a);
+                len[v] = len[u] + 1;
+                if len[v] as usize > n {
+                    return Err(extract_cycle(graph, &pred, v));
                 }
-                if !in_queue[v.index()] {
-                    in_queue[v.index()] = true;
-                    queue.push_back(v.index() as u32);
+                if !in_queue[v] {
+                    in_queue[v] = true;
+                    queue.push_back(v as u32);
                 }
             }
         }
     }
-    // Potentials: π(i) = dist(i) gives rc(a) = c(a) + π(u) − π(v)
-    //                           = c(a) + dist(u) − dist(v) ≥ 0
-    // by the shortest-path relaxation property d(v) ≤ d(u) + c(a).
-    OptimalityCheck::Optimal { potentials: dist }
+    Ok(dist)
 }
 
-/// Walks predecessor arcs from `start` to extract a residual cycle.
-fn extract_cycle(
-    graph: &FlowGraph,
-    pred: &[Option<ArcId>],
-    start: firmament_flow::NodeId,
-) -> Vec<ArcId> {
-    let n = pred.len();
+/// Walks predecessor arcs back from `start` to extract a residual cycle.
+fn extract_cycle(graph: &FlowGraph, pred: &[Option<ArcId>], start: usize) -> Vec<ArcId> {
     // Walk back n steps to guarantee we are inside the cycle.
     let mut v = start;
-    for _ in 0..n {
-        if let Some(a) = pred[v.index()] {
-            v = graph.src(a);
+    for _ in 0..pred.len() {
+        if let Some(a) = pred[v] {
+            v = graph.src(a).index();
         }
     }
     let mut cycle = Vec::new();
     let anchor = v;
     loop {
-        let a = pred[v.index()].expect("cycle nodes have predecessors");
+        let a = pred[v].expect("cycle nodes have predecessors");
         cycle.push(a);
-        v = graph.src(a);
+        v = graph.src(a).index();
         if v == anchor {
             break;
         }
@@ -111,10 +121,7 @@ fn extract_cycle(
 /// Returns `true` if the flow currently in the graph is a feasible,
 /// minimum-cost flow.
 pub fn is_optimal(graph: &FlowGraph) -> bool {
-    if !check_feasible(graph).is_empty() {
-        return false;
-    }
-    matches!(find_potentials(graph), OptimalityCheck::Optimal { .. })
+    check_feasible(graph).is_empty() && residual_distances(graph, 1).is_ok()
 }
 
 /// Checks reduced-cost optimality for given potentials: no residual arc may
@@ -223,6 +230,120 @@ mod tests {
         let pot = vec![0i64; g.node_bound()];
         assert!(check_eps_optimality(&g, &pot, 5).is_ok());
         assert!(check_eps_optimality(&g, &pot, 4).is_err());
+    }
+
+    /// The Bellman–Ford rounds `canonicalize_flow` ran before it shared
+    /// [`residual_distances`], kept as a reference: every node starts at 0
+    /// and each round relaxes every residual arc in node order. `None` when
+    /// `n + 1` rounds reach no fixpoint, which means a negative cycle.
+    fn reference_distances(graph: &FlowGraph, scale: i64) -> Option<Vec<i64>> {
+        let n = graph.node_bound();
+        let mut d = vec![0i64; n];
+        let mut changed = true;
+        let mut rounds = 0usize;
+        while changed {
+            changed = false;
+            rounds += 1;
+            if rounds > n + 1 {
+                return None;
+            }
+            for u in graph.node_ids() {
+                let du = d[u.index()];
+                for &a in graph.adj(u) {
+                    if graph.rescap(a) > 0 {
+                        let v = graph.dst(a);
+                        let nd = du + scale * graph.cost(a);
+                        if nd < d[v.index()] {
+                            d[v.index()] = nd;
+                            changed = true;
+                        }
+                    }
+                }
+            }
+        }
+        Some(d)
+    }
+
+    /// Checks the routine against the reference on `graph` at `scale`:
+    /// equal distances, a cycle exactly when the reference reaches no
+    /// fixpoint, and every cycle residual, closed and of negative cost.
+    /// Returns whether a cycle was found.
+    fn matches_reference(graph: &FlowGraph, scale: i64, case: &str) -> bool {
+        match (
+            residual_distances(graph, scale),
+            reference_distances(graph, scale),
+        ) {
+            (Ok(d), Some(reference)) => {
+                assert_eq!(d, reference, "{case}: distances");
+                false
+            }
+            (Err(cycle), None) => {
+                assert!(!cycle.is_empty(), "{case}");
+                for (i, &a) in cycle.iter().enumerate() {
+                    assert!(graph.rescap(a) > 0, "{case}: arc {a} is not residual");
+                    let next = cycle[(i + 1) % cycle.len()];
+                    assert_eq!(graph.dst(a), graph.src(next), "{case}: cycle breaks");
+                }
+                let cost: i64 = cycle.iter().map(|&a| scale * graph.cost(a)).sum();
+                assert!(cost < 0, "{case}: cycle cost {cost}");
+                true
+            }
+            (Ok(_), None) => panic!("{case}: the reference found a negative cycle"),
+            (Err(_), Some(_)) => panic!("{case}: the reference reached a fixpoint"),
+        }
+    }
+
+    /// The one residual shortest-path routine agrees with the reference on
+    /// optimal flows (from cost scaling) and on feasible, mostly
+    /// non-optimal flows (cycle canceling stopped after 1, 2, 5 and 20
+    /// iterations), at scale 1 and at larger scales.
+    #[test]
+    fn residual_distances_match_bellman_ford_rounds() {
+        use crate::common::SolveOptions;
+        use firmament_flow::testgen::{scheduling_instance, InstanceSpec};
+        let specs = [
+            InstanceSpec::default(),
+            InstanceSpec {
+                tasks: 90,
+                machines: 10,
+                ..InstanceSpec::default()
+            },
+            InstanceSpec {
+                tasks: 40,
+                machines: 12,
+                prefs_per_task: 4,
+                cluster_aggregator: false,
+                ..InstanceSpec::default()
+            },
+        ];
+        let scales = [1, 7, 64, 1024];
+        let mut cycles = 0;
+        for (k, spec) in specs.iter().enumerate() {
+            for seed in 0..15 {
+                let mut g = scheduling_instance(seed, spec).graph;
+                crate::cost_scaling::solve(&mut g, &SolveOptions::unlimited()).unwrap();
+                for scale in scales {
+                    let case = format!("spec {k} seed {seed} optimal, scale {scale}");
+                    assert!(!matches_reference(&g, scale, &case), "{case}");
+                }
+                for limit in [1, 2, 5, 20] {
+                    let mut g = scheduling_instance(seed, spec).graph;
+                    let opts = SolveOptions {
+                        iteration_limit: Some(limit),
+                        ..SolveOptions::default()
+                    };
+                    crate::cycle_canceling::solve(&mut g, &opts).unwrap();
+                    for scale in scales {
+                        let case = format!("spec {k} seed {seed} limit {limit}, scale {scale}");
+                        cycles += usize::from(matches_reference(&g, scale, &case));
+                    }
+                }
+            }
+        }
+        assert!(
+            cycles >= 600,
+            "only {cycles} of 720 stopped flows were not optimal"
+        );
     }
 
     #[test]
